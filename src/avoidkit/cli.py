@@ -134,7 +134,10 @@ def cmd_simulate(args) -> int:
     seed = args.seed if args.seed is not None else cfg.seed
     engine = args.engine or cfg.engine
     if engine == "auto":
-        verdict = admissibility_verdict(g)
+        try:
+            verdict = admissibility_verdict(g)
+        except ValueError as err:
+            return _fail(EXIT_DOMAIN, str(err))
         if verdict.engine == "none":
             return _fail(EXIT_DOMAIN, f"no engine applies: {verdict.obstruction}")
         engine = verdict.engine
@@ -168,6 +171,9 @@ def cmd_verify(args) -> int:
         return _fail(EXIT_INPUT, f"cannot read trajectory: {err}")
     if traj.graph_digest != g.digest():
         return _fail(EXIT_INPUT, "graph/trajectory digest mismatch")
+    bad = next((v for pos in traj.positions for v in pos if not 0 <= v < g.n), None)
+    if bad is not None:
+        return _fail(EXIT_INPUT, f"cannot read trajectory: vertex {bad} outside 0..{g.n - 1}")
     violations = check_avoidance(g, traj)
     for v in violations[:20]:
         print(f"violation at tick {v.tick}: {v.kind} {v.detail}")

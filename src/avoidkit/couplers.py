@@ -80,19 +80,26 @@ def parse_trajectory(text: str) -> Trajectory:
             continue
         if line.startswith("#"):
             parts = line[1:].split()
-            if parts[0] == "graph-digest":
+            if not parts:
+                raise ValueError("bare '#' line")
+            key = parts[0]
+            if key in ("graph-digest", "seed", "engine", "block") and len(parts) < 2:
+                raise ValueError(f"'# {key}' line without a value")
+            if key == "graph-digest":
                 digest = parts[1]
-            elif parts[0] == "seed":
+            elif key == "seed":
                 seed = int(parts[1])
-            elif parts[0] == "engine":
+            elif key == "engine":
                 engine = parts[1]
-            elif parts[0] == "block":
+            elif key == "block":
                 marks.append(int(parts[1]))
             continue
         nums = [int(x) for x in line.split()]
         t, pos = nums[0], tuple(nums[1:])
         if t != len(positions):
             raise ValueError(f"non-contiguous tick {t}")
+        if positions and len(pos) != len(positions[0]):
+            raise ValueError(f"tick {t} has {len(pos)} walkers, tick 0 has {len(positions[0])}")
         positions.append(pos)
     if digest is None or seed is None or engine is None:
         raise ValueError("trajectory header incomplete")

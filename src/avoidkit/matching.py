@@ -2,9 +2,11 @@
 
 The multiset bipartite matchings behind both coupling laws are collapsed
 into integer transportation problems (row sums = supplies, column sums =
-demands, support restricted to compatible cells) and solved by Dinic max
-flow with deterministic augmentation order.  Feasibility is equivalent to
-the original perfect-matching problem by flow integrality.
+demands, support restricted to compatible cells).  The solver fills the
+matrix greedily in row-major order, which is exactly the first phase of
+Dinic max flow on the fresh network, and runs Dinic with deterministic
+augmentation order only on the shortfall the fill leaves.  Feasibility is
+equivalent to the original perfect-matching problem by flow integrality.
 """
 
 from __future__ import annotations
@@ -53,6 +55,33 @@ def mover_pairs(g, a: int, e: int) -> list[MoverPair]:
 def other_pairs(g, b: int) -> list[OtherPair]:
     """The set B: step in N(b), next exclusion any neighbor of the step."""
     return [OtherPair(bp, ep) for bp in g.adjacency[b] for ep in g.adjacency[bp]]
+
+
+def regular_allowed(g, a: int, b: int, e: int) -> list[list[bool]]:
+    """The matrix [[compatible(g, mp, op) for op in other_pairs(g, b)]
+    for mp in mover_pairs(g, a, e)], built per step b' instead of per cell.
+
+    For a row (a', a''), the d(b') cells (b', e') of one step are all
+    False when b' is a' or a'', all True when b' is not adjacent to a'',
+    and True only at e' = a'' otherwise."""
+    adj = g.adjacency
+    steps = [(bp, adj[bp], [True] * len(adj[bp]), [False] * len(adj[bp])) for bp in adj[b]]
+    out = []
+    for ap in adj[a]:
+        if ap == e:
+            continue
+        for app in adj[ap]:
+            near = adj[app]
+            row: list[bool] = []
+            for bp, nbp, free, blocked in steps:
+                if bp == ap or bp == app:
+                    row += blocked
+                elif bp in near:
+                    row += [ep == app for ep in nbp]
+                else:
+                    row += free
+            out.append(row)
+    return out
 
 
 def _check_regular_triple(g, a: int, b: int, e: int) -> None:
@@ -109,14 +138,15 @@ class _Dinic:
         self.to: list[int] = []
         self.cap: list[int] = []
 
-    def add_edge(self, u: int, v: int, c: int) -> int:
+    def add_edge(self, u: int, v: int, c: int, flow: int = 0) -> int:
+        """Arc u->v of capacity c that already carries `flow` units."""
         idx = len(self.to)
         self.head[u].append(idx)
         self.to.append(v)
-        self.cap.append(c)
+        self.cap.append(c - flow)
         self.head[v].append(idx + 1)
         self.to.append(u)
-        self.cap.append(0)
+        self.cap.append(flow)
         return idx
 
     def _bfs(self, s: int, t: int) -> list[int] | None:
@@ -178,22 +208,55 @@ def solve_transport(
 ) -> list[list[int]]:
     """Integer matrix m >= 0 with row sums = supplies, column sums = demands,
     supported on allowed cells.  Raises TransportInfeasible with the min-cut
-    Hall certificate when no such matrix exists."""
+    Hall certificate when no such matrix exists.
+
+    On the network src -> rows -> cols -> sink (arcs in row-major order),
+    Dinic's first phase cannot use a reverse arc yet, and its DFS keeps its
+    arc pointers: it walks the rows in order and each row's allowed columns
+    in order, pushing min(residual supply, residual demand).  That fill is
+    done here directly on the matrix; only when it leaves demand unmet is
+    the network built, carrying the fill as flow, and Dinic run from its
+    second phase.  The matrix and the certificate are those of Dinic run
+    from scratch."""
     nr, nc = len(supplies), len(demands)
     total = sum(supplies)
     if total != sum(demands):
         raise ValueError("total supply must equal total demand")
+    if min(supplies, default=0) < 0 or min(demands, default=0) < 0:
+        raise ValueError("supplies and demands must be non-negative")
+    m = [[0] * nc for _ in range(nr)]
+    unmet = list(demands)
+    filled = 0
+    for i in range(nr):
+        left = supplies[i]
+        if not left:
+            continue
+        row, ok = m[i], allowed[i]
+        for j in range(nc):
+            need = unmet[j]
+            if need and ok[j]:
+                x = left if left < need else need
+                row[j] = x
+                unmet[j] = need - x
+                left -= x
+                if not left:
+                    break
+        filled += supplies[i] - left
+    if filled == total:
+        return m
+
     src, snk = nr + nc, nr + nc + 1
     net = _Dinic(nr + nc + 2)
-    row_arcs = [net.add_edge(src, i, supplies[i]) for i in range(nr)]
+    for i in range(nr):
+        net.add_edge(src, i, supplies[i], sum(m[i]))
     cell_arcs: dict[tuple[int, int], int] = {}
     for i in range(nr):
         for j in range(nc):
             if allowed[i][j]:
-                cell_arcs[(i, j)] = net.add_edge(i, nr + j, total)
+                cell_arcs[(i, j)] = net.add_edge(i, nr + j, total, m[i][j])
     for j in range(nc):
-        net.add_edge(nr + j, snk, demands[j])
-    flow = net.max_flow(src, snk)
+        net.add_edge(nr + j, snk, demands[j], demands[j] - unmet[j])
+    flow = filled + net.max_flow(src, snk)
     if flow < total:
         cut = net.reachable_from(src)
         hall_rows = [i for i in range(nr) if i in cut]
@@ -201,10 +264,8 @@ def solve_transport(
         raise TransportInfeasible(
             f"max flow {flow} < required {total}", hall_rows, hall_cols
         )
-    m = [[0] * nc for _ in range(nr)]
     for (i, j), idx in cell_arcs.items():
         m[i][j] = net.cap[idx ^ 1]  # flow on the cell arc
-    del row_arcs
     return m
 
 
@@ -228,10 +289,12 @@ class TransportMatrix:
         for r, row in enumerate(self.entries):
             if sum(row) != self.row_sum:
                 raise AssertionError(f"row {r} sums to {sum(row)}, expected {self.row_sum}")
-        for c in range(len(self.col_labels)):
-            s = sum(row[c] for row in self.entries)
-            if s != self.col_sum:
-                raise AssertionError(f"column {c} sums to {s}, expected {self.col_sum}")
+        cols = list(zip(*self.entries))
+        if len(cols) != len(self.col_labels):
+            raise AssertionError(f"{len(cols)} columns of entries, expected {len(self.col_labels)}")
+        for c, col in enumerate(cols):
+            if sum(col) != self.col_sum:
+                raise AssertionError(f"column {c} sums to {sum(col)}, expected {self.col_sum}")
 
 
 class LruCache:
@@ -275,7 +338,7 @@ def build_regular_transport(g, a: int, b: int, e: int, cache: LruCache | None = 
     d = g.degree(a)
     rows = tuple(mover_pairs(g, a, e))
     cols = tuple(other_pairs(g, b))
-    allowed = [[compatible(g, mp, op) for op in cols] for mp in rows]
+    allowed = regular_allowed(g, a, b, e)
     try:
         m = solve_transport([d] * len(rows), [d - 1] * len(cols), allowed)
     except TransportInfeasible as err:

@@ -103,10 +103,14 @@ def classify_scenario(g: Graph, a: int, b: int) -> ScenarioClass:
 
     Decision order: 3 common neighbors -> S2; 2 -> S3a/S3b by adjacency of
     the common pair; else K_{2,2} admission -> S6; 1 common -> S4;
-    distance 3 -> S5; distance >= 4 -> S1.
+    distance 3 -> S5; distance >= 4 -> S1.  A common neighbor or a K_{2,2}
+    witness (a-a1-b1-b) forces distance <= 3, so the capped distance is
+    taken first and distance >= 4 returns S1 without the other tests.
     """
     if a == b or g.has_edge(a, b):
         raise ValueError("classify_scenario requires distance(a, b) >= 2")
+    if distance_capped(g, a, b, 4) >= 4:
+        return ScenarioClass("S1", ())
     cn = common_neighbors(g, a, b)
     if len(cn) == 3:
         return ScenarioClass("S2", cn)
@@ -118,10 +122,7 @@ def classify_scenario(g: Graph, a: int, b: int) -> ScenarioClass:
         return ScenarioClass("S6", quad)
     if len(cn) == 1:
         return ScenarioClass("S4", cn)
-    dist = distance_capped(g, a, b, 4)
-    if dist == 3:
-        return ScenarioClass("S5", ())
-    return ScenarioClass("S1", ())
+    return ScenarioClass("S5", ())  # no common neighbor, so the distance is 3
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,37 @@ def test_verify_flags_planted_violation(tmp_path, capsys):
     assert "non_edge_step" in stdout
 
 
+def test_simulate_auto_disconnected_graph(tmp_path, capsys):
+    from avoidkit.generate import petersen
+
+    two = tmp_path / "two.txt"
+    edges = petersen().edges()
+    two.write_text(f"20 {2 * len(edges)}\n"
+                   + "".join(f"{u + s} {v + s}\n" for s in (0, 10) for u, v in edges))
+    code, _, err = run(capsys, "simulate", str(two), "--ticks", "10", "--seed", "1",
+                       "--engine", "auto", "-o", str(tmp_path / "traj.txt"))
+    assert code == 1 and "connected" in err
+    assert not (tmp_path / "traj.txt").exists()
+
+
+@pytest.mark.parametrize("body,message", [
+    ("#\n0 0 2\n", "bare '#'"),
+    ("0 0 2\n1 1\n", "tick 1 has 1 walkers"),
+    ("0 0 12\n1 1 7\n", "vertex 12 outside 0..9"),
+    ("0 -10 2\n1 1 7\n", "vertex -10 outside 0..9"),
+])
+def test_verify_malformed_trajectory(tmp_path, capsys, body, message):
+    from avoidkit.generate import petersen
+
+    pet = tmp_path / "pet.txt"
+    g = petersen()
+    pet.write_text(g.to_text())
+    traj = tmp_path / "traj.txt"
+    traj.write_text(f"# graph-digest {g.digest()}\n# seed 0\n# engine cubic\n" + body)
+    code, _, err = run(capsys, "verify", str(pet), str(traj))
+    assert code == 2 and "cannot read trajectory" in err and message in err
+
+
 def test_simulate_with_config(tmp_path, capsys):
     from avoidkit.config import RunConfig
 

@@ -37,6 +37,12 @@ def test_trajectory_parse_errors():
         parse_trajectory("0 1 2\n")
     with pytest.raises(ValueError, match="non-contiguous"):
         parse_trajectory("# graph-digest x\n# seed 0\n# engine cubic\n0 1 2\n2 3 4\n")
+    with pytest.raises(ValueError, match="bare '#'"):
+        parse_trajectory("# graph-digest x\n#\n# seed 0\n# engine cubic\n0 1 2\n")
+    with pytest.raises(ValueError, match="without a value"):
+        parse_trajectory("# graph-digest x\n# seed\n# engine cubic\n0 1 2\n")
+    with pytest.raises(ValueError, match="tick 1 has 1 walkers, tick 0 has 2"):
+        parse_trajectory("# graph-digest x\n# seed 0\n# engine cubic\n0 1 2\n1 3\n")
 
 
 def test_one_step_matching_is_bijection(pet, k33):

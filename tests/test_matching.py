@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from avoidkit.generate import complete, complete_bipartite
+from avoidkit.generate import complete, complete_bipartite, random_regular_simple
 from avoidkit.matching import (
     LruCache,
     MoverPair,
     OtherPair,
     TransportInfeasible,
+    _Dinic,
     build_regular_transport,
     build_squarefree_transport,
     cmp_regular,
@@ -15,6 +17,7 @@ from avoidkit.matching import (
     compatible,
     mover_pairs,
     other_pairs,
+    regular_allowed,
     solve_transport,
 )
 
@@ -69,6 +72,81 @@ def test_solve_transport_infeasible_certificate():
 def test_solve_transport_total_mismatch():
     with pytest.raises(ValueError):
         solve_transport([1], [2], [[True]])
+    with pytest.raises(ValueError, match="non-negative"):
+        solve_transport([2, -1], [1, 0], [[True, True], [True, True]])
+
+
+def dinic_from_scratch(supplies, demands, allowed):
+    """Reference: Dinic run on the fresh network, returning the flow, the
+    cell flows and the source side of the final residual graph."""
+    nr, nc, total = len(supplies), len(demands), sum(supplies)
+    src, snk = nr + nc, nr + nc + 1
+    net = _Dinic(nr + nc + 2)
+    for i in range(nr):
+        net.add_edge(src, i, supplies[i])
+    cells = {(i, j): net.add_edge(i, nr + j, total)
+             for i in range(nr) for j in range(nc) if allowed[i][j]}
+    for j in range(nc):
+        net.add_edge(nr + j, snk, demands[j])
+    flow = net.max_flow(src, snk)
+    m = [[0] * nc for _ in range(nr)]
+    for (i, j), idx in cells.items():
+        m[i][j] = net.cap[idx ^ 1]
+    return flow, m, net.reachable_from(src)
+
+
+@st.composite
+def transport_instances(draw):
+    nr = draw(st.integers(1, 6))
+    nc = draw(st.integers(1, 6))
+    supplies = draw(st.lists(st.integers(0, 4), min_size=nr, max_size=nr))
+    cols = draw(st.lists(st.integers(0, nc - 1), min_size=sum(supplies), max_size=sum(supplies)))
+    demands = [cols.count(j) for j in range(nc)]
+    allowed = draw(st.lists(st.lists(st.booleans(), min_size=nc, max_size=nc),
+                            min_size=nr, max_size=nr))
+    return supplies, demands, allowed
+
+
+@settings(max_examples=300)
+@given(transport_instances())
+def test_solve_transport_exact_or_hall_certificate(instance):
+    supplies, demands, allowed = instance
+    flow, ref, cut = dinic_from_scratch(supplies, demands, allowed)
+    try:
+        m = solve_transport(supplies, demands, allowed)
+    except TransportInfeasible as err:
+        rows, cols = err.hall_rows, err.hall_cols
+        assert flow < sum(supplies)
+        assert rows == [i for i in range(len(supplies)) if i in cut]
+        assert cols == [j for j in range(len(demands)) if len(supplies) + j in cut]
+        reach = {j for i in rows for j in range(len(demands)) if allowed[i][j]}
+        assert reach <= set(cols)
+        assert sum(supplies[i] for i in rows) > sum(demands[j] for j in cols)
+        return
+    assert m == ref
+    assert [sum(row) for row in m] == supplies
+    assert [sum(col) for col in zip(*m)] == demands
+    assert all(x >= 0 for row in m for x in row)
+    assert all(allowed[i][j] for i, row in enumerate(m) for j, x in enumerate(row) if x)
+
+
+def regular_triples(g):
+    return [(a, b, e) for a in range(g.n) for e in g.adjacency[a] for b in range(g.n)
+            if b != a and (not g.has_edge(a, b) or b == e)]
+
+
+def test_regular_allowed_matches_compatible(circ9):
+    rr5 = random_regular_simple(64, 5, 0, connected_required=True)[0]
+    for g in (circ9, rr5):
+        cols = [other_pairs(g, b) for b in range(g.n)]
+        segments = {}  # a row of compatible() depends only on its label and b
+        for a, b, e in regular_triples(g):
+            ref = []
+            for mp in mover_pairs(g, a, e):
+                if (mp, b) not in segments:
+                    segments[(mp, b)] = [compatible(g, mp, op) for op in cols[b]]
+                ref.append(segments[(mp, b)])
+            assert regular_allowed(g, a, b, e) == ref, (a, b, e)
 
 
 def test_regular_transport(circ9):

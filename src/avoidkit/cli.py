@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig
@@ -129,9 +130,14 @@ def cmd_transport(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = _load_graph(args.graph)
-    cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    ticks = args.ticks if args.ticks is not None else cfg.ticks
-    seed = args.seed if args.seed is not None else cfg.seed
+    try:
+        cfg = RunConfig.load(args.config) if args.config else RunConfig()
+        # argv overrides the file; RunConfig re-validates the merged values
+        cfg = replace(cfg, ticks=cfg.ticks if args.ticks is None else args.ticks,
+                      seed=cfg.seed if args.seed is None else args.seed)
+    except (OSError, ValueError) as err:
+        return _fail(EXIT_INPUT, f"bad run settings: {err}")
+    ticks, seed = cfg.ticks, cfg.seed
     engine = args.engine or cfg.engine
     if engine == "auto":
         try:

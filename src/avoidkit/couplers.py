@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate
 
-from .graphs import Graph, distance_capped
+from .graphs import Graph, distance_capped, graph_from_edges
 from .matching import (
     LruCache,
     TransportInfeasible,
@@ -397,31 +397,51 @@ class RegularEngine:
         return Trajectory("regular", self.seed, self.g.digest(), list(zip(A, B)))
 
 
-class CycleEngine:
-    """k synchronized walkers on the cycle C_n: one fair coin per tick,
-    all walkers shift the same direction."""
+def cyclic_order(g: Graph) -> tuple[int, ...]:
+    """Vertices of a connected 2-regular graph in cycle order, from 0 towards its smaller neighbor."""
+    order = [0, g.adjacency[0][0]]
+    while len(order) < g.n:
+        x, y = g.adjacency[order[-1]]
+        order.append(y if x == order[-2] else x)
+    return tuple(order)
 
-    def __init__(self, n: int, k: int, seed: int):
+
+class CycleEngine:
+    """k synchronized walkers on a cycle: one fair coin per tick, all walkers
+    shift the same direction.
+
+    `order` lists the cycle's vertices in cyclic order (default 0..n-1, the
+    canonical C_n); walkers start at every second vertex of it.
+    """
+
+    def __init__(self, n: int, k: int, seed: int, order: tuple[int, ...] | None = None):
         if k < 1 or 2 * k > n:
             raise ValueError("cycle engine requires 1 <= k <= n/2")
+        self.order = tuple(range(n)) if order is None else tuple(order)
+        if sorted(self.order) != list(range(n)):
+            raise ValueError("order must list each vertex 0..n-1 once")
         self.n = n
         self.k = k
         self.seed = seed
         self.rng = Xoshiro256(seed)
-        self.positions = tuple(2 * i for i in range(k))
+        self._succ = [0] * n
+        self._pred = [0] * n
+        for i, v in enumerate(self.order):
+            self._succ[v] = self.order[(i + 1) % n]
+            self._pred[v] = self.order[i - 1]
+        self.positions = self.order[: 2 * k : 2]
 
     def step(self) -> tuple[int, ...]:
-        shift = 1 if self.rng.coin() else -1
-        self.positions = tuple((p + shift) % self.n for p in self.positions)
+        move = self._succ if self.rng.coin() else self._pred
+        self.positions = tuple(move[p] for p in self.positions)
         return self.positions
 
     def run(self, ticks: int) -> Trajectory:
-        from .generate import cycle as make_cycle
-
         positions = [self.positions]
         for _ in range(ticks):
             positions.append(self.step())
-        return Trajectory("cycle", self.seed, make_cycle(self.n).digest(), positions)
+        host = graph_from_edges(self.n, enumerate(self._succ))
+        return Trajectory("cycle", self.seed, host.digest(), positions)
 
 
 def cycle_sync_step(n: int, positions: tuple[int, ...], rng: Xoshiro256) -> tuple[int, ...]:
@@ -445,7 +465,7 @@ def simulate(
     require_engine_applicable(g, engine)
     a0 = 0 if a0 is None else a0
     if engine == "cycle":
-        eng = CycleEngine(g.n, walkers, seed)
+        eng = CycleEngine(g.n, walkers, seed, cyclic_order(g))
     elif engine == "cubic":
         eng = CubicEngine(g, seed, a0, b0)
     elif engine == "squarefree":

@@ -84,7 +84,7 @@ def regular_allowed(g, a: int, b: int, e: int) -> list[list[bool]]:
     return out
 
 
-def _check_regular_triple(g, a: int, b: int, e: int) -> None:
+def check_regular_triple(g, a: int, b: int, e: int) -> None:
     if b == a:
         raise ValueError("requires b != a")
     if e not in g.adjacency[a]:
@@ -95,7 +95,7 @@ def _check_regular_triple(g, a: int, b: int, e: int) -> None:
 
 def cmp_regular(g, a: int, b: int, e: int, mover_set) -> set[OtherPair]:
     """Other-pairs compatible with at least one mover-pair in mover_set."""
-    _check_regular_triple(g, a, b, e)
+    check_regular_triple(g, a, b, e)
     return {
         op
         for op in other_pairs(g, b)
@@ -329,7 +329,7 @@ class LruCache:
 def build_regular_transport(g, a: int, b: int, e: int, cache: LruCache | None = None) -> TransportMatrix:
     """Transport matrix m(i,j,k,l) for the d-regular protocol at (a, b, e):
     row sums d over mover-pairs, column sums d-1 over other-pairs."""
-    _check_regular_triple(g, a, b, e)
+    check_regular_triple(g, a, b, e)
     key = ("reg", a, b, e)
     if cache is not None:
         hit = cache.get(key)

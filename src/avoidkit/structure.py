@@ -1,29 +1,34 @@
 """Forbidden-subgraph detectors, scenario classification, and engine verdicts.
 
-The pattern H_d (an edge whose endpoints share d-1 further neighbors) is
-detected by the common-neighbor criterion directly; in a d-regular graph
-this is exactly equivalent to two vertices having equal closed
-neighborhoods.  The cubic obstruction is K_{2,3} plus one edge inside the
-size-3 part, i.e. two vertices with >= 3 common neighbors, two of which
-are adjacent.  All detectors return the lexicographically first witness.
+Every detector derives from one co-degree pass, `codegrees`, which counts
+the common neighbors of each pair over the 2-paths u-c-v in O(n·d²).  H_d
+(an edge whose endpoints share d-1 further neighbors) is an adjacent pair
+of codegree >= d-1; in a d-regular graph this is exactly two vertices with
+equal closed neighborhoods.  The cubic obstruction H~_3 (K_{2,3} plus one
+edge inside the size-3 part) is a pair of codegree >= 3 with two adjacent
+common neighbors; a 4-cycle is a pair of codegree >= 2.  All detectors
+return the lexicographically first witness.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, combinations
 
 from .graphs import Graph, basic_profile, common_neighbors, distance_capped
+
+
+def codegrees(g: Graph) -> Counter:
+    """Common-neighbor count of each pair (u, v), u < v, that has one (adjacency is sorted)."""
+    return Counter(chain.from_iterable(combinations(nbrs, 2) for nbrs in g.adjacency))
 
 
 def contains_Hd(g: Graph, d: int) -> tuple[int, int] | None:
     """First adjacent pair sharing >= d-1 neighbors, or None."""
     if d < 2:
         raise ValueError("contains_Hd requires d >= 2")
-    for a in range(g.n):
-        for b in g.adjacency[a]:
-            if b > a and len(common_neighbors(g, a, b)) >= d - 1:
-                return (a, b)
-    return None
+    return min((p for p, c in codegrees(g).items() if c >= d - 1 and g.has_edge(*p)), default=None)
 
 
 def closed_neighborhood_duplicates(g: Graph) -> list[tuple[int, int]]:
@@ -32,36 +37,25 @@ def closed_neighborhood_duplicates(g: Graph) -> list[tuple[int, int]]:
     groups: dict[frozenset, list[int]] = {}
     for v, c in enumerate(closed):
         groups.setdefault(c, []).append(v)
-    pairs = []
-    for members in groups.values():
-        for i in range(len(members)):
-            for j in range(i + 1, len(members)):
-                pairs.append((members[i], members[j]))
-    return sorted(pairs)
+    return sorted(chain.from_iterable(combinations(m, 2) for m in groups.values()))
 
 
 def contains_H3tilde(g: Graph) -> tuple[int, int, int, int] | None:
     """First (a, b, ci, cj) with >= 3 common neighbors of which ci ~ cj, or None."""
-    for a in range(g.n):
-        for b in range(a + 1, g.n):
-            cn = common_neighbors(g, a, b)
-            if len(cn) < 3:
-                continue
-            for x in range(len(cn)):
-                for y in range(x + 1, len(cn)):
-                    if g.has_edge(cn[x], cn[y]):
-                        return (a, b, cn[x], cn[y])
+    for a, b in sorted(p for p, c in codegrees(g).items() if c >= 3):
+        for x, y in combinations(common_neighbors(g, a, b), 2):
+            if g.has_edge(x, y):
+                return (a, b, x, y)
     return None
 
 
 def is_square_free(g: Graph) -> tuple[int, int, int, int] | None:
     """None if every pair has <= 1 common neighbor, else a C4 witness (u, c1, v, c2)."""
-    for u in range(g.n):
-        for v in range(u + 1, g.n):
-            cn = common_neighbors(g, u, v)
-            if len(cn) >= 2:
-                return (u, cn[0], v, cn[1])
-    return None
+    pair = min((p for p, c in codegrees(g).items() if c >= 2), default=None)
+    if pair is None:
+        return None
+    cn = common_neighbors(g, *pair)
+    return (pair[0], cn[0], pair[1], cn[1])
 
 
 def admits_K22(g: Graph, a: int, b: int) -> tuple[int, int, int, int] | None:
@@ -144,7 +138,8 @@ def admissibility_verdict(g: Graph) -> Verdict:
         raise ValueError("admissibility requires a connected graph")
     if g.n < 2:
         raise ValueError("admissibility requires n >= 2")
-    sq_free = is_square_free(g) is None and prof.min_degree >= 3
+    c4 = is_square_free(g)
+    sq_free = c4 is None and prof.min_degree >= 3
 
     d = prof.regular_degree
     if d == 2:
@@ -168,7 +163,6 @@ def admissibility_verdict(g: Graph) -> Verdict:
 
     if prof.min_degree < 3 and d is None:
         return Verdict("none", obstruction="min degree < 3 and not regular")
-    c4 = is_square_free(g)
     if c4 is not None:
         return Verdict("none", obstruction=f"contains a 4-cycle {c4}")
     return Verdict("none", obstruction="no construction applies")

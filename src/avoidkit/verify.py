@@ -21,6 +21,7 @@ from .couplers import Trajectory, k22_context, one_step_matching, s3b_rows
 from .graphs import Graph, distance_capped
 from .matching import (
     TransportMatrix,
+    check_regular_triple,
     compatible,
     mover_pairs,
     other_pairs,
@@ -338,6 +339,7 @@ def _subset_sweep(masks: list[int], ratio: Fraction, labels) -> OracleResult:
 def lemma34_oracle(g: Graph, a: int, b: int, e: int) -> OracleResult:
     """Exhaustively verify d/(d-1)*|A0| <= |cmp(A0)| over every subset A0
     of the mover-pair set at (a, b, e)."""
+    check_regular_triple(g, a, b, e)
     d = g.degree(a)
     rows = mover_pairs(g, a, e)
     cols = other_pairs(g, b)

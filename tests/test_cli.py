@@ -129,6 +129,41 @@ def test_verify_malformed_trajectory(tmp_path, capsys, body, message):
     assert code == 2 and "cannot read trajectory" in err and message in err
 
 
+def test_simulate_cycle_on_relabelled_cycle(tmp_path, capsys):
+    # the 6-cycle 0-2-4-1-3-5-0: the engine must walk this graph's edges
+    # and stamp this graph's digest, not those of the canonical C_6
+    hexa = tmp_path / "hexa.txt"
+    hexa.write_text("6 6\n0 2\n2 4\n4 1\n1 3\n3 5\n5 0\n")
+    traj = tmp_path / "traj.txt"
+    code, _, _ = run(capsys, "simulate", str(hexa), "--engine", "cycle", "--ticks", "20",
+                     "--seed", "1", "-o", str(traj))
+    assert code == 0
+    assert traj.read_text().splitlines()[3] == "0 0 4"
+    code, stdout, err = run(capsys, "verify", str(hexa), str(traj))
+    assert code == 0, err
+    assert "avoidance: clean" in stdout and "violation" not in stdout
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--ticks", "-5"], None),
+    (["--seed", "-1"], None),
+    (["--ticks", "-5", "--seed", "-1"], None),
+    ([], "sim.ticks = -5\n"),
+    ([], "rng.seed = -1\n"),
+])
+def test_simulate_rejects_negative_ticks_or_seed(tmp_path, capsys, argv, config):
+    pet = tmp_path / "pet.txt"
+    run(capsys, "gen", "--family", "petersen", "-o", str(pet))
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    traj = tmp_path / "traj.txt"
+    code, _, err = run(capsys, "simulate", str(pet), *argv, "-o", str(traj))
+    assert code == 2 and err.startswith("error:")
+    assert not traj.exists()
+
+
 def test_simulate_with_config(tmp_path, capsys):
     from avoidkit.config import RunConfig
 
@@ -160,6 +195,15 @@ def test_oracle_domain_failure(tmp_path, capsys):
     run(capsys, "gen", "--family", "complete", "--n", "5", "-o", str(k5))
     code, stdout, _ = run(capsys, "oracle", "lemma34", str(k5), "--a", "0", "--b", "1", "--e", "1")
     assert code == 1 and "holds: False" in stdout
+
+
+def test_oracle_lemma34_invalid_triple(tmp_path, capsys):
+    pet = tmp_path / "pet.txt"
+    run(capsys, "gen", "--family", "petersen", "-o", str(pet))
+    code, stdout, err = run(capsys, "oracle", "lemma34", str(pet))  # a = b = e = 0
+    assert code == 2 and "requires b != a" in err and "holds" not in stdout
+    code, _, err = run(capsys, "oracle", "lemma34", str(pet), "--a", "0", "--b", "5", "--e", "2")
+    assert code == 2 and "requires e in N(a)" in err
 
 
 def test_experiment_command(tmp_path, capsys):

@@ -1,10 +1,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from avoidkit.cli import main as cli_main
 from avoidkit.config import RunConfig
 from avoidkit.experiment import (
     CSV_HEADER,
@@ -122,3 +127,19 @@ def test_prevalence_validates():
         prevalence_experiment(3, [9], samples=5, seed=0)  # odd n*d
     with pytest.raises(ValueError):
         prevalence_experiment(3, [10], samples=0, seed=0)
+
+
+def test_run_prevalence_script_matches_cli(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    args = ["--d", "3", "--n-list", "10,12", "--samples", "8", "--seed", "2"]
+    script_csv, cli_csv = tmp_path / "script.csv", tmp_path / "cli.csv"
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_prevalence.py"), *args, "-o", str(script_csv)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert f"wrote {script_csv}" in done.stdout
+    assert cli_main(["experiment", "prevalence", *args, "-o", str(cli_csv)]) == 0
+    assert script_csv.read_bytes() == cli_csv.read_bytes()
+    assert len(script_csv.read_text().splitlines()) == 3

@@ -167,6 +167,8 @@ def test_cycle_engine_preserves_gaps():
 def test_cycle_engine_validates():
     with pytest.raises(ValueError):
         CycleEngine(10, 6, 0)
+    with pytest.raises(ValueError, match="order"):
+        CycleEngine(6, 2, 0, (0, 2, 4, 1, 3, 3))
 
 
 def test_cycle_sync_step():

@@ -3,9 +3,12 @@ from __future__ import annotations
 import pytest
 
 from avoidkit.generate import (
+    circulant,
     complete,
     complete_bipartite,
+    configuration_model,
     cycle,
+    heawood,
     petersen,
     random_regular_simple,
 )
@@ -15,11 +18,100 @@ from avoidkit.structure import (
     admits_K22,
     classify_scenario,
     closed_neighborhood_duplicates,
+    codegrees,
     contains_H3tilde,
     contains_Hd,
     is_square_free,
     require_engine_applicable,
 )
+
+
+# Reference detectors: the pairwise scans the co-degree pass replaced.
+
+def ref_contains_Hd(g, d):
+    for a in range(g.n):
+        for b in g.adjacency[a]:
+            if b > a and len(common_neighbors(g, a, b)) >= d - 1:
+                return (a, b)
+    return None
+
+
+def ref_contains_H3tilde(g):
+    for a in range(g.n):
+        for b in range(a + 1, g.n):
+            cn = common_neighbors(g, a, b)
+            if len(cn) < 3:
+                continue
+            for x in range(len(cn)):
+                for y in range(x + 1, len(cn)):
+                    if g.has_edge(cn[x], cn[y]):
+                        return (a, b, cn[x], cn[y])
+    return None
+
+
+def ref_is_square_free(g):
+    for u in range(g.n):
+        for v in range(u + 1, g.n):
+            cn = common_neighbors(g, u, v)
+            if len(cn) >= 2:
+                return (u, cn[0], v, cn[1])
+    return None
+
+
+def _supports():
+    """Simple supports of configuration-model graphs, d in 3..6, small n."""
+    for d in (3, 4, 5, 6):
+        for n in range(d + 1, 31):
+            if n * d % 2:
+                continue
+            for seed in range(12):
+                yield d, configuration_model(n, d, 1000 * n + seed).simple_support()
+
+
+def _named_hosts():
+    return [(5, complete(6)), (3, petersen()), (3, heawood()),
+            (3, complete_bipartite(3, 3)), (4, circulant(9, [1, 2]))]
+
+
+def test_codegrees_count_common_neighbors(pet, s3b_host):
+    for g in (pet, s3b_host, complete(6), circulant(9, [1, 2])):
+        cg = codegrees(g)
+        expected = {(u, v): len(common_neighbors(g, u, v))
+                    for u in range(g.n) for v in range(u + 1, g.n)}
+        assert dict(cg) == {p: c for p, c in expected.items() if c}
+
+
+def test_detectors_match_pairwise_reference():
+    hits = {"H3": 0, "C4": 0, "Hd": 0}
+    for d, g in [*_named_hosts(), *_supports()]:
+        got = contains_H3tilde(g)
+        assert got == ref_contains_H3tilde(g)
+        hits["H3"] += got is not None
+        got = is_square_free(g)
+        assert got == ref_is_square_free(g)
+        hits["C4"] += got is not None
+        for dd in range(2, d + 2):
+            got = contains_Hd(g, dd)
+            assert got == ref_contains_Hd(g, dd), (d, dd, g.adjacency)
+            hits["Hd"] += got is not None
+    # the sweep must exercise both outcomes of every detector
+    assert all(count > 50 for count in hits.values()), hits
+
+
+def test_h3tilde_visits_pairs_in_sorted_order():
+    # (0,1) has 3 independent common neighbours; (2,3) and (11,12) each have
+    # an adjacent pair among theirs.  (11,12) meets its first 2-path at
+    # centre 4, so it is counted before (0,1) and (2,3); the witness must
+    # still come from the lexicographically first qualifying pair.
+    g = graph_from_edges(15, [
+        (0, 5), (0, 6), (0, 7), (1, 5), (1, 6), (1, 7),
+        (2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10), (8, 9),
+        (4, 11), (4, 12), (13, 11), (13, 12), (14, 11), (14, 12), (13, 14),
+    ])
+    assert [p for p, c in codegrees(g).items() if c >= 3] == [(11, 12), (0, 1), (2, 3)]
+    assert contains_H3tilde(g) == ref_contains_H3tilde(g) == (2, 3, 8, 9)
+    assert is_square_free(g) == ref_is_square_free(g) == (0, 5, 1, 6)
+    assert contains_Hd(g, 3) == ref_contains_Hd(g, 3) == (8, 9)
 
 
 def test_contains_hd_on_k5():

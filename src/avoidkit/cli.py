@@ -134,7 +134,8 @@ def cmd_simulate(args) -> int:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
         # argv overrides the file; RunConfig re-validates the merged values
         cfg = replace(cfg, ticks=cfg.ticks if args.ticks is None else args.ticks,
-                      seed=cfg.seed if args.seed is None else args.seed)
+                      seed=cfg.seed if args.seed is None else args.seed,
+                      walkers=cfg.walkers if args.walkers is None else args.walkers)
     except (OSError, ValueError) as err:
         return _fail(EXIT_INPUT, f"bad run settings: {err}")
     ticks, seed = cfg.ticks, cfg.seed
@@ -150,7 +151,7 @@ def cmd_simulate(args) -> int:
     try:
         traj, eng = simulate(
             g, engine, ticks, seed,
-            a0=args.a0, b0=args.b0, walkers=args.walkers,
+            a0=args.a0, b0=args.b0, walkers=cfg.walkers,
             cache_capacity=cfg.cache_capacity,
         )
     except ValueError as err:
@@ -181,11 +182,14 @@ def cmd_verify(args) -> int:
     if bad is not None:
         return _fail(EXIT_INPUT, f"cannot read trajectory: vertex {bad} outside 0..{g.n - 1}")
     violations = check_avoidance(g, traj)
+    try:
+        report = chi_square_faithfulness(g, traj, alpha=args.alpha)
+    except ValueError as err:
+        return _fail(EXIT_INPUT, str(err))
     for v in violations[:20]:
         print(f"violation at tick {v.tick}: {v.kind} {v.detail}")
     if len(violations) > 20:
         print(f"... and {len(violations) - 20} more")
-    report = chi_square_faithfulness(g, traj, alpha=args.alpha)
     print(f"avoidance: {'clean' if not violations else f'{len(violations)} violation(s)'}")
     print(f"faithfulness: tested={report.tested_count} untested={report.untested_count} "
           f"verdict={'pass' if report.passed else 'FAIL'} (alpha={args.alpha})")
@@ -266,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, default=None)
     s.add_argument("--engine", choices=["auto", "cycle", "cubic", "regular", "squarefree"],
                    default=None)
-    s.add_argument("--walkers", type=int, default=2)
+    s.add_argument("--walkers", type=int, default=None)
     s.add_argument("--a0", type=int, default=None)
     s.add_argument("--b0", type=int, default=None)
     s.add_argument("--config", default=None)

@@ -4,8 +4,10 @@ Exact checks (fractions, zero tolerance): first-step marginals of the
 cubic engine, the four index laws of the regular protocol, and the
 transport sum identities.  Statistical checks: Pearson chi-square of
 empirical transition counts against the uniform neighbor law, with a
-Bonferroni family-wise verdict.  Brute-force oracles sweep all subsets to
-confirm the two Hall-condition inequalities the constructions rest on.
+Bonferroni family-wise verdict; p-values come from the closed-form
+chi-square tail for integer degrees of freedom (`chi2_sf`).  Brute-force
+oracles sweep all subsets to confirm the two Hall-condition inequalities
+the constructions rest on.
 """
 
 from __future__ import annotations
@@ -14,8 +16,6 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-
-from scipy.stats import chi2
 
 from .couplers import Trajectory, k22_context, one_step_matching, s3b_rows
 from .graphs import Graph, distance_capped
@@ -270,12 +270,43 @@ class FaithfulnessReport:
         return len(self.cells) - self.tested_count
 
 
+def chi2_sf(x: float, k: int) -> float:
+    """Upper tail P(X >= x) of a chi-square law with k >= 1 degrees of freedom.
+
+    For integer k the tail is a finite sum, with h = x/2:
+    even k: sum_{i < k/2} h^i e^-h / i!;
+    odd k: erfc(sqrt h) + sum_{1 <= i <= (k-1)/2} h^(i-1/2) e^-h / Gamma(i+1/2).
+    Each term is formed in log space (no overflow for large h or k) and the
+    terms are added with fsum.
+    """
+    if k < 1:
+        raise ValueError("chi-square needs k >= 1 degrees of freedom")
+    h = x / 2
+    if h <= 0:
+        return 1.0
+    if h == math.inf:
+        return 0.0
+    log_h = math.log(h)
+    if k % 2 == 0:
+        terms = [math.exp(i * log_h - h - math.lgamma(i + 1)) for i in range(k // 2)]
+    else:
+        terms = [math.erfc(math.sqrt(h))]
+        terms += [math.exp((i - 0.5) * log_h - h - math.lgamma(i + 0.5))
+                  for i in range(1, (k + 1) // 2)]
+    return math.fsum(terms)
+
+
 def chi_square_faithfulness(
     g: Graph, traj: Trajectory, alpha: float = 0.001, min_departures: int = 30
 ) -> FaithfulnessReport:
     """Pearson chi-square of each walker's transition counts against the
     uniform neighbor law, Bonferroni-corrected across all tested cells.
+    A cell at vertex v has deg(v) - 1 degrees of freedom; its p-value is
+    `chi2_sf(statistic, deg(v) - 1)`.  The run fails when any p-value is
+    below alpha / (number of tested cells); alpha must lie in (0, 1).
     Cells with fewer than min_departures departures are marked untested."""
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     pos = traj.positions
     walkers = len(pos[0]) if pos else 0
     counts: dict[tuple[int, int], dict[int, int]] = defaultdict(lambda: defaultdict(int))
@@ -293,7 +324,7 @@ def chi_square_faithfulness(
             continue
         expected = n_dep / len(nbrs)
         stat = sum((trans.get(u, 0) - expected) ** 2 / expected for u in nbrs)
-        p = float(chi2.sf(stat, len(nbrs) - 1))
+        p = chi2_sf(stat, len(nbrs) - 1)
         raw.append((CellResult(w, v, n_dep, stat, p, True), p))
     tested = sum(1 for _, p in raw if p is not None)
     threshold = alpha / tested if tested else 0.0

@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from avoidkit.cli import main
@@ -175,6 +180,48 @@ def test_simulate_with_config(tmp_path, capsys):
     code, stdout, _ = run(capsys, "simulate", str(pet), "--config", str(cfg), "-o", str(traj))
     assert code == 0 and "engine=squarefree" in stdout
     assert "# seed 3" in traj.read_text()
+
+
+def test_simulate_walkers_from_config(tmp_path, capsys):
+    c10 = tmp_path / "c10.txt"
+    cfg = tmp_path / "run.cfg"
+    traj = tmp_path / "traj.txt"
+    run(capsys, "gen", "--family", "cycle", "--n", "10", "-o", str(c10))
+    cfg.write_text("sim.walkers = 5\nsim.engine = cycle\nsim.ticks = 20\n")
+    code, _, err = run(capsys, "simulate", str(c10), "--config", str(cfg), "-o", str(traj))
+    assert code == 0, err
+    assert len(traj.read_text().splitlines()[3].split()) == 1 + 5
+    code, _, err = run(capsys, "simulate", str(c10), "--config", str(cfg),
+                       "--walkers", "3", "-o", str(traj))
+    assert code == 0, err
+    assert len(traj.read_text().splitlines()[3].split()) == 1 + 3
+    code, _, err = run(capsys, "simulate", str(c10), "--config", str(cfg),
+                       "--walkers", "0", "-o", str(tmp_path / "none.txt"))
+    assert code == 2 and "walkers" in err
+
+
+@pytest.mark.parametrize("alpha", ["0", "-1", "2", "nan"])
+def test_verify_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
+    pet = tmp_path / "pet.txt"
+    traj = tmp_path / "traj.txt"
+    run(capsys, "gen", "--family", "petersen", "-o", str(pet))
+    run(capsys, "simulate", str(pet), "--ticks", "50", "--seed", "1", "-o", str(traj))
+    code, stdout, err = run(capsys, "verify", str(pet), str(traj), "--alpha", alpha)
+    assert code == 2 and err.startswith("error:") and "alpha" in err
+    assert "verdict" not in stdout
+
+
+def test_import_loads_no_scipy_or_numpy():
+    root = Path(__file__).resolve().parents[1]
+    probe = ("import sys, avoidkit, avoidkit.cli; "
+             "print(' '.join(m for m in sys.modules if m.startswith(('scipy', 'numpy'))))")
+    done = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.split() == []
 
 
 def test_oracle_commands(tmp_path, capsys):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +18,7 @@ from avoidkit.structure import contains_Hd
 from avoidkit.verify import (
     CertificationError,
     check_avoidance,
+    chi2_sf,
     chi_square_faithfulness,
     enumerate_k22_blocks,
     exact_cubic_marginals,
@@ -131,6 +136,54 @@ def test_chi_square_skips_thin_cells(pet):
     rep = chi_square_faithfulness(pet, traj, min_departures=10**6)
     assert rep.tested_count == 0 and rep.passed
     assert rep.untested_count == len(rep.cells)
+
+
+@pytest.mark.parametrize("alpha", [0.0, -1.0, 1.0, 2.0, math.nan])
+def test_chi_square_rejects_alpha_outside_unit_interval(pet, alpha):
+    traj, _ = simulate(pet, "cubic", 40, 1)
+    with pytest.raises(ValueError, match="alpha"):
+        chi_square_faithfulness(pet, traj, alpha=alpha)
+
+
+def test_chi2_sf_matches_scipy():
+    from scipy.stats import chi2
+
+    checked = tail = 0
+    for k in [*range(1, 61), 100, 500, 2000]:
+        around = [k * f for f in (0.1, 0.5, 0.9, 0.99, 1, 1.01, 1.1, 2, 3)]
+        deep = [k + m * math.sqrt(2 * k) for m in (10, 30, 100)] + [5 * k, 50 * k, 1e3, 1e4, 1e5]
+        for x in [0.0, 5e-324, 1e-12, *around, *deep]:
+            want, got = float(chi2.sf(x, k)), chi2_sf(x, k)
+            if want >= 1e-300:
+                assert abs(got - want) <= 1e-10 * want, (k, x, got, want)
+                checked += 1
+            else:
+                assert 0.0 <= got <= 1e-280, (k, x, got, want)
+                tail += 1
+    assert checked > 1000 and tail > 50
+
+
+def test_chi2_sf_closed_forms():
+    for x in (1e-12, 0.3, 1.0, 2.5, 7.0, 40.0, 700.0, 1500.0):
+        assert chi2_sf(x, 1) == math.erfc(math.sqrt(x / 2))
+        assert chi2_sf(x, 2) == math.exp(-x / 2)
+    assert chi2_sf(0.0, 3) == chi2_sf(-1.0, 3) == 1.0
+    assert chi2_sf(math.inf, 4) == 0.0
+    with pytest.raises(ValueError):
+        chi2_sf(1.0, 0)
+
+
+def test_run_engines_script():
+    root = Path(__file__).resolve().parents[1]
+    done = subprocess.run(
+        [sys.executable, str(root / "scripts" / "run_engines.py"), "--ticks", "3000", "--seed", "1"],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    lines = done.stdout.splitlines()
+    assert len(lines) == 4
+    assert all("violations=0 chi2=pass" in line for line in lines), done.stdout
 
 
 def test_lemma34_oracle(circ9):

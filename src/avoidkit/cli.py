@@ -12,10 +12,11 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import RunConfig
-from .couplers import parse_trajectory, simulate
+from .couplers import check_walkers, parse_trajectory, simulate
 from .experiment import CSV_HEADER, prevalence_experiment, row_to_csv
 from .generate import (
     GenSpec,
+    RejectionBudgetExceeded,
     generate_deterministic,
     random_regular_simple,
 )
@@ -74,6 +75,8 @@ def cmd_gen(args) -> int:
             g = generate_deterministic(GenSpec(args.family, params))
     except ValueError as err:
         return _fail(EXIT_INPUT, str(err))
+    except RejectionBudgetExceeded as err:
+        return _fail(EXIT_DOMAIN, str(err))
     Path(args.output).write_text(g.to_text())
     prof = basic_profile(g)
     print(f"wrote {args.output}: n={prof.n} m={prof.edge_count} digest={g.digest()}")
@@ -148,6 +151,10 @@ def cmd_simulate(args) -> int:
         if verdict.engine == "none":
             return _fail(EXIT_DOMAIN, f"no engine applies: {verdict.obstruction}")
         engine = verdict.engine
+    try:
+        check_walkers(engine, cfg.walkers)
+    except ValueError as err:
+        return _fail(EXIT_INPUT, str(err))
     try:
         traj, eng = simulate(
             g, engine, ticks, seed,

@@ -451,6 +451,12 @@ def cycle_sync_step(n: int, positions: tuple[int, ...], rng: Xoshiro256) -> tupl
     return tuple((p + shift) % n for p in positions)
 
 
+def check_walkers(engine: str, walkers: int) -> None:
+    """Raise unless the engine runs that many walkers: only cycle runs k != 2."""
+    if engine != "cycle" and walkers != 2:
+        raise ValueError(f"engine {engine!r} runs exactly 2 walkers, got {walkers}")
+
+
 def simulate(
     g: Graph,
     engine: str,
@@ -463,6 +469,7 @@ def simulate(
 ):
     """Run the named engine for >= ticks ticks; returns (trajectory, engine instance)."""
     require_engine_applicable(g, engine)
+    check_walkers(engine, walkers)
     a0 = 0 if a0 is None else a0
     if engine == "cycle":
         eng = CycleEngine(g.n, walkers, seed, cyclic_order(g))

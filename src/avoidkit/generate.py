@@ -2,7 +2,9 @@
 
 The configuration model pairs half-edges via a Fisher-Yates shuffle, which
 is uniform over perfect matchings of the n*d half-edge slots.  Simple
-regular graphs are produced by rejection sampling on top of it.
+regular graphs are produced by rejection sampling on top of it: each
+attempt stops at its first loop or repeated pair, and only a simple
+pairing is built into a graph.
 """
 
 from __future__ import annotations
@@ -130,22 +132,34 @@ def random_regular_simple(
 ) -> tuple[Graph, int]:
     """Rejection-sample configuration_model until simple (and connected, if asked).
 
-    Returns (graph, rejections).  Raises RejectionBudgetExceeded past `budget`.
+    Attempt k shuffles the stubs exactly as configuration_model(n, d, s_k)
+    does, where s_k is the k-th draw of Xoshiro256(seed), and pairs them as
+    the shuffle makes them final, so the attempt is rejected at its first
+    loop or repeated pair.  Returns (graph, rejections).  Raises
+    RejectionBudgetExceeded past `budget`.
     """
     if (n * d) % 2 != 0:
         raise ValueError("random_regular_simple requires n*d even")
     if not 0 < d < n:
         raise ValueError("random_regular_simple requires 0 < d < n")
     rng = Xoshiro256(seed)
+    all_stubs = [v for v in range(n) for _ in range(d)]
     rejections = 0
     for _ in range(budget):
-        mg = configuration_model(n, d, rng.next_u64())
-        if not mg.is_simple():
-            rejections += 1
-            continue
-        g = mg.simple_support()
-        if connected_required and not is_connected(g):
-            rejections += 1
-            continue
-        return g, rejections
+        stubs = all_stubs.copy()
+        edges = set()
+        # pair k is (stubs[2k], stubs[2k+1]), final once index 2k is yielded
+        for i in Xoshiro256(rng.next_u64()).fisher_yates(stubs):
+            if i & 1:
+                continue
+            u, v = stubs[i], stubs[i + 1]
+            edge = (u, v) if u < v else (v, u)
+            if u == v or edge in edges:
+                break
+            edges.add(edge)
+        else:
+            g = graph_from_edges(n, edges)
+            if not connected_required or is_connected(g):
+                return g, rejections
+        rejections += 1
     raise RejectionBudgetExceeded(budget)

@@ -3,6 +3,11 @@
 All randomness in the package flows through Xoshiro256 below, so that a
 fixed seed gives bit-identical runs on every platform.  Replica seeds for
 parallel experiments are derived with mix64 (the splitmix64 finalizer).
+
+Xoshiro256.fisher_yates is the one in-place Fisher-Yates shuffle.  It is a
+generator that yields each index as soon as the element there is final, so
+a consumer can act on a prefix of the permutation and stop early; the
+generator then leaves the state after exactly the draws it made.
 """
 
 from __future__ import annotations
@@ -23,10 +28,6 @@ def mix64(z: int) -> int:
 def derive_seed(seed: int, replica_index: int) -> int:
     """Replica seed contract: mix64(seed XOR replica_index * golden gamma)."""
     return mix64(seed ^ ((replica_index * GOLDEN_GAMMA) & MASK64))
-
-
-def _rotl(x: int, k: int) -> int:
-    return ((x << k) | (x >> (64 - k))) & MASK64
 
 
 class Xoshiro256:
@@ -50,15 +51,16 @@ class Xoshiro256:
 
     def next_u64(self) -> int:
         s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
-        result = (_rotl((s1 * 5) & MASK64, 7) * 9) & MASK64
+        x = (s1 * 5) & MASK64
+        # rotl(x, 7) * 9; the bits the shift pushes past 64 vanish in the mask
+        result = (((x << 7) | (x >> 57)) * 9) & MASK64
         t = (s1 << 17) & MASK64
         s2 ^= s0
         s3 ^= s1
         s1 ^= s2
         s0 ^= s3
         s2 ^= t
-        s3 = _rotl(s3, 45)
-        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & MASK64
         return result
 
     def randrange(self, n: int) -> int:
@@ -77,8 +79,43 @@ class Xoshiro256:
     def coin(self) -> bool:
         return bool(self.next_u64() >> 63)
 
+    def fisher_yates(self, items: list):
+        """In-place Fisher-Yates shuffle of items, yielding each final index.
+
+        Swaps items[i] with items[randrange(i + 1)] for i = len-1 down to 1
+        and yields i once items[i] is final, then yields 0.  The draws are
+        those of randrange, inlined.  Stopping early (close() or dropping
+        the generator) writes back the state after exactly the draws made;
+        draw nothing else from this generator while it is suspended.
+        """
+        s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
+        mask = MASK64
+        span = mask + 1
+        try:
+            for i in range(len(items) - 1, 0, -1):
+                n = i + 1
+                limit = span - span % n
+                while True:
+                    x = (s1 * 5) & mask
+                    result = (((x << 7) | (x >> 57)) * 9) & mask
+                    t = (s1 << 17) & mask
+                    s2 ^= s0
+                    s3 ^= s1
+                    s1 ^= s2
+                    s0 ^= s3
+                    s2 ^= t
+                    s3 = ((s3 << 45) | (s3 >> 19)) & mask
+                    if result < limit:
+                        break
+                j = result % n
+                items[i], items[j] = items[j], items[i]
+                yield i
+            if items:
+                yield 0
+        finally:
+            self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates."""
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randrange(i + 1)
-            items[i], items[j] = items[j], items[i]
+        """In-place Fisher-Yates (see fisher_yates)."""
+        for _ in self.fisher_yates(items):
+            pass

@@ -36,6 +36,28 @@ def test_gen_random_regular(tmp_path, capsys):
     assert code == 2 and "requires --seed" in err
 
 
+def test_gen_rejection_budget_exceeded(tmp_path, capsys):
+    # a 1-regular graph on 6 vertices is never connected
+    out = tmp_path / "rr.txt"
+    code, _, err = run(capsys, "gen", "--family", "random_regular", "--n", "6", "--d", "1",
+                       "--seed", "1", "--connected", "-o", str(out))
+    assert code == 1
+    assert err == "error: rejection budget of 100000 attempts exceeded\n"
+    assert not out.exists()
+
+
+def test_python_m_avoidkit(tmp_path):
+    root = Path(__file__).resolve().parents[1]
+    out = tmp_path / "pet.txt"
+    done = subprocess.run(
+        [sys.executable, "-m", "avoidkit", "gen", "--family", "petersen", "-o", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(root / "src")),
+        capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "digest=223b9bae4baa1733" in done.stdout
+
+
 def test_analyze_domain_failure(tmp_path, capsys):
     k5 = tmp_path / "k5.txt"
     run(capsys, "gen", "--family", "complete", "--n", "5", "-o", str(k5))
@@ -198,6 +220,25 @@ def test_simulate_walkers_from_config(tmp_path, capsys):
     code, _, err = run(capsys, "simulate", str(c10), "--config", str(cfg),
                        "--walkers", "0", "-o", str(tmp_path / "none.txt"))
     assert code == 2 and "walkers" in err
+
+
+@pytest.mark.parametrize("argv,config", [
+    (["--engine", "cubic", "--walkers", "5"], None),
+    (["--engine", "auto", "--walkers", "3"], None),
+    ([], "sim.walkers = 5\nsim.engine = squarefree\n"),
+    ([], "sim.walkers = 4\n"),
+])
+def test_simulate_rejects_walkers_on_two_walker_engines(tmp_path, capsys, argv, config):
+    pet = tmp_path / "pet.txt"
+    run(capsys, "gen", "--family", "petersen", "-o", str(pet))
+    if config is not None:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(config)
+        argv = [*argv, "--config", str(cfg)]
+    traj = tmp_path / "traj.txt"
+    code, _, err = run(capsys, "simulate", str(pet), *argv, "-o", str(traj))
+    assert code == 2 and "exactly 2 walkers" in err
+    assert not traj.exists()
 
 
 @pytest.mark.parametrize("alpha", ["0", "-1", "2", "nan"])

@@ -191,3 +191,10 @@ def test_simulate_rejects_wrong_engine(pet):
         simulate(pet, "regular", 10, 0)
     with pytest.raises(ValueError):
         simulate(cycle(8), "cubic", 10, 0)
+
+
+@pytest.mark.parametrize("engine,walkers", [("cubic", 5), ("squarefree", 3), ("regular", 1)])
+def test_simulate_rejects_walkers_on_two_walker_engines(pet, circ9, engine, walkers):
+    g = circ9 if engine == "regular" else pet
+    with pytest.raises(ValueError, match="exactly 2 walkers"):
+        simulate(g, engine, 10, 0, walkers=walkers)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidkit.generate import (
+    DEFAULT_REJECTION_BUDGET,
     GenSpec,
+    RejectionBudgetExceeded,
     circulant,
     complete,
     complete_bipartite,
@@ -18,6 +20,32 @@ from avoidkit.generate import (
     random_regular_simple,
 )
 from avoidkit.graphs import basic_profile, is_connected
+from avoidkit.rng import Xoshiro256
+
+
+def ref_random_regular_simple(n, d, seed, connected_required=False, budget=DEFAULT_REJECTION_BUDGET):
+    """Reference: whole configuration_model pairings until one is simple (and connected)."""
+    rng = Xoshiro256(seed)
+    rejections = 0
+    for _ in range(budget):
+        mg = configuration_model(n, d, rng.next_u64())
+        if not mg.is_simple():
+            rejections += 1
+            continue
+        g = mg.simple_support()
+        if connected_required and not is_connected(g):
+            rejections += 1
+            continue
+        return g, rejections
+    raise RejectionBudgetExceeded(budget)
+
+
+def _outcome(sampler, *args):
+    try:
+        g, rejections = sampler(*args)
+    except RejectionBudgetExceeded as err:
+        return "budget", err.budget
+    return g, g.digest(), rejections
 
 
 def test_cycle_and_complete():
@@ -101,3 +129,19 @@ def test_petersen_structure(pet):
     assert pet.has_edge(5, 7)            # pentagram chord
     assert not pet.has_edge(5, 6)
     assert is_connected(pet)
+
+
+@given(
+    st.integers(min_value=1, max_value=6),
+    st.integers(min_value=2, max_value=32),
+    st.integers(min_value=0, max_value=2**64 - 1),
+    st.booleans(),
+    st.integers(min_value=1, max_value=200),
+)
+@settings(max_examples=120, deadline=None)
+def test_random_regular_simple_matches_reference(d, n, seed, connected, budget):
+    n = max(n, d + 1)
+    if (n * d) % 2:
+        n += 1
+    args = (n, d, seed, connected, budget)
+    assert _outcome(random_regular_simple, *args) == _outcome(ref_random_regular_simple, *args)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import islice
 
 import pytest
 from hypothesis import given, strategies as st
@@ -57,6 +58,26 @@ def test_shuffle_is_a_permutation(seed, items):
     shuffled = list(items)
     Xoshiro256(seed).shuffle(shuffled)
     assert Counter(shuffled) == Counter(items)
+
+
+@given(st.integers(min_value=0, max_value=MASK64), st.integers(min_value=0, max_value=60), st.data())
+def test_fisher_yates_stopped_early(seed, length, data):
+    k = data.draw(st.integers(min_value=0, max_value=length))
+    rng, items = Xoshiro256(seed), list(range(length))
+    shuffled = rng.fisher_yates(items)
+    yielded = list(islice(shuffled, k))
+    shuffled.close()
+
+    ref, ref_items = Xoshiro256(seed), list(range(length))
+    for i in yielded:
+        if i:
+            j = ref.randrange(i + 1)
+            ref_items[i], ref_items[j] = ref_items[j], ref_items[i]
+    assert yielded == [*range(length - 1, 0, -1), 0][:k]
+    assert items == ref_items
+    # the first output depends on s1 alone, so compare the whole state too
+    assert (rng.s0, rng.s1, rng.s2, rng.s3) == (ref.s0, ref.s1, ref.s2, ref.s3)
+    assert rng.next_u64() == ref.next_u64()
 
 
 def test_derive_seed_distinct_replicas():

@@ -34,7 +34,7 @@ RANDOM_REGULAR = {
     6: "a05b1865a2531f9c93674b4064a4ae1aa9954fc652a6b311e68c53a74d1367a2",
 }
 CONFIGURATION_MODEL = "9e9957faa30fe0d6cd39ef025a87905335aeaea3b617e77b5d58cc132ccdfc74"
-SHUFFLE = "debfe5d8c3bb1f9499caa101e99b59df94cb74c789694db069d3092409754c43"
+SHUFFLE = "965d52dad7d25744624d26353e7df8c090ba8489877db90fd50746f5d70e58a6"
 
 
 def _sha(lines) -> str:
@@ -76,5 +76,6 @@ def test_shuffle_pinned():
             rng = Xoshiro256(seed)
             items = list(range(length))
             rng.shuffle(items)
-            lines.append(f"{length} {seed} {items} {rng.next_u64()}")
+            state = (rng.s0, rng.s1, rng.s2, rng.s3)
+            lines.append(f"{length} {seed} {items} {state} {rng.next_u64()}")
     assert _sha(lines) == SHUFFLE

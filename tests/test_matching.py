@@ -1,7 +1,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
 
 from avoidkit.generate import complete, complete_bipartite, random_regular_simple
 from avoidkit.matching import (
@@ -128,6 +128,88 @@ def test_solve_transport_exact_or_hall_certificate(instance):
     assert [sum(col) for col in zip(*m)] == demands
     assert all(x >= 0 for row in m for x in row)
     assert all(allowed[i][j] for i, row in enumerate(m) for j, x in enumerate(row) if x)
+
+
+def assert_same_as_from_scratch(supplies, demands, allowed):
+    """solve_transport returns the matrix of Dinic run from scratch, or
+    raises with that run's min-cut certificate; says which happened."""
+    nr, nc = len(supplies), len(demands)
+    flow, ref, cut = dinic_from_scratch(supplies, demands, allowed)
+    try:
+        m = solve_transport(supplies, demands, allowed)
+    except TransportInfeasible as err:
+        assert flow < sum(supplies)
+        assert err.hall_rows == [i for i in range(nr) if i in cut]
+        assert err.hall_cols == [j for j in range(nc) if nr + j in cut]
+        return "infeasible"
+    assert flow == sum(supplies)
+    assert m == ref
+    return "feasible"
+
+
+@st.composite
+def regular_shaped_instances(draw):
+    """(d-1)d rows of supply d and d^2 columns of demand d-1, as in a
+    regular round, with up to a quarter of the cells blocked.  Blocks are
+    spread uniformly or piled onto a few columns, which leaves demand the
+    greedy fill cannot meet (several Dinic phases) or no solution at all."""
+    d = draw(st.integers(3, 5))
+    nr, nc = (d - 1) * d, d * d
+    rnd = draw(st.randoms(use_true_random=False))
+    blocked = draw(st.integers(0, nr * nc // 4))
+    if draw(st.booleans()):
+        cells = rnd.sample(range(nr * nc), blocked)
+    else:
+        cols = rnd.sample(range(nc), draw(st.integers(1, 3)))
+        pile = [i * nc + j for i in range(nr) for j in cols]
+        cells = rnd.sample(pile, min(blocked, len(pile)))
+    allowed = [[True] * nc for _ in range(nr)]
+    for c in cells:
+        allowed[c // nc][c % nc] = False
+    return [d] * nr, [d - 1] * nc, allowed
+
+
+@settings(max_examples=200, deadline=None)
+@given(regular_shaped_instances())
+def test_solve_transport_regular_shaped(instance):
+    outcome = assert_same_as_from_scratch(*instance)
+    event("greedy fill short" if greedy_leaves_shortfall(*instance) else "greedy fill complete")
+    event(outcome)
+
+
+def test_solve_transport_recorded_rr5_instances(monkeypatch):
+    """Every transport solved in a 2,900-tick run on rr5-n64 (the large-random
+    benchmark host) equals Dinic from scratch."""
+    from avoidkit import matching
+    from avoidkit.couplers import simulate
+
+    solve = matching.solve_transport
+    seen = []
+
+    def record(supplies, demands, allowed):
+        seen.append((supplies, demands, allowed))
+        return solve(supplies, demands, allowed)
+
+    monkeypatch.setattr(matching, "solve_transport", record)
+    rr5 = random_regular_simple(64, 5, 0, connected_required=True)[0]
+    simulate(rr5, "regular", 2_900, 0)
+    assert len(seen) > 1_500
+    short = 0
+    for supplies, demands, allowed in seen:
+        assert assert_same_as_from_scratch(supplies, demands, allowed) == "feasible"
+        short += greedy_leaves_shortfall(supplies, demands, allowed)
+    assert short > len(seen) // 10  # the Dinic continuation is exercised
+
+
+def greedy_leaves_shortfall(supplies, demands, allowed):
+    unmet = list(demands)
+    for i, left in enumerate(supplies):
+        for j, need in enumerate(unmet):
+            if left and need and allowed[i][j]:
+                x = min(left, need)
+                unmet[j] -= x
+                left -= x
+    return any(unmet)
 
 
 def regular_triples(g):

@@ -11,7 +11,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
-from .config import RunConfig
+from .config import ENGINES, RunConfig
 from .couplers import check_walkers, parse_trajectory, simulate
 from .experiment import CSV_HEADER, prevalence_experiment, row_to_csv
 from .generate import (
@@ -53,6 +53,14 @@ def _load_graph(path: str):
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
+
+
+def _bad_vertex(g, **ids) -> int | None:
+    """Fail with EXIT_INPUT on the first given id that is not a vertex of g."""
+    for name, v in ids.items():
+        if v is not None and not 0 <= v < g.n:
+            return _fail(EXIT_INPUT, f"--{name} {v} is not a vertex (0..{g.n - 1})")
+    return None
 
 
 def cmd_gen(args) -> int:
@@ -114,6 +122,9 @@ def cmd_analyze(args) -> int:
 
 def cmd_transport(args) -> int:
     g = _load_graph(args.graph)
+    bad = _bad_vertex(g, a=args.a, b=args.b, e=args.e)
+    if bad is not None:
+        return bad
     try:
         if args.e is not None:
             tm = build_regular_transport(g, args.a, args.b, args.e)
@@ -133,6 +144,9 @@ def cmd_transport(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = _load_graph(args.graph)
+    bad = _bad_vertex(g, a0=args.a0, b0=args.b0)
+    if bad is not None:
+        return bad
     try:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
         # argv overrides the file; RunConfig re-validates the merged values
@@ -205,6 +219,10 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
+    if args.lemma != "lemma31":
+        bad = _bad_vertex(g, a=args.a, b=args.b, e=args.e if args.lemma == "lemma34" else None)
+        if bad is not None:
+            return bad
     try:
         if args.lemma == "lemma34":
             res = lemma34_oracle(g, args.a, args.b, args.e)
@@ -225,7 +243,10 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    n_list = [int(x) for x in args.n_list.split(",")]
+    try:
+        n_list = [int(x) for x in args.n_list.split(",")]
+    except ValueError:
+        return _fail(EXIT_INPUT, f"--n-list must be comma-separated integers, got {args.n_list!r}")
     try:
         rows = prevalence_experiment(
             args.d, n_list, args.samples, args.seed, simple_connected=args.simple_connected
@@ -275,8 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("graph")
     s.add_argument("--ticks", type=int, default=None)
     s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--engine", choices=["auto", "cycle", "cubic", "regular", "squarefree"],
-                   default=None)
+    s.add_argument("--engine", choices=ENGINES, default=None)
     s.add_argument("--walkers", type=int, default=None)
     s.add_argument("--a0", type=int, default=None)
     s.add_argument("--b0", type=int, default=None)

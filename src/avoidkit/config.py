@@ -15,6 +15,8 @@ _KEYMAP = {
     "gen.rejection_budget": ("rejection_budget", int),
 }
 
+ENGINES = ("auto", "cycle", "cubic", "regular", "squarefree")
+
 
 @dataclass
 class RunConfig:
@@ -31,6 +33,8 @@ class RunConfig:
             raise ValueError("seed must fit in 64 unsigned bits")
         if self.ticks < 0 or self.walkers < 1:
             raise ValueError("ticks must be >= 0 and walkers >= 1")
+        if self.engine not in ENGINES:
+            raise ValueError(f"unknown engine {self.engine!r}, expected one of {', '.join(ENGINES)}")
         if not 0 < self.alpha < 1:
             raise ValueError("alpha must be in (0, 1)")
         if self.cache_capacity < 1 or self.rejection_budget < 1:

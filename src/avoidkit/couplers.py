@@ -14,9 +14,10 @@ Every engine is deterministic given its seed.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, chain
 
 from .graphs import Graph, distance_capped, graph_from_edges
 from .matching import (
@@ -328,7 +329,12 @@ class SquarefreeEngine:
 
 class RegularEngine:
     """Excluded-vertex protocol: two overlapping transport rounds per
-    three ticks, with the walkers' roles alternating."""
+    three ticks, with the walkers' roles alternating.
+
+    A round draws r uniform below the matrix total and takes the cell of
+    the row-major flattened entries whose cumulative count first exceeds r;
+    zero cells never do, so each cell is drawn with probability entry/total.
+    The cumulative counts are cached per triple as one array("I")."""
 
     def __init__(self, g: Graph, seed: int, a0: int = 0, b0: int | None = None, cache_capacity: int = 4096):
         self.g = g
@@ -351,15 +357,7 @@ class RegularEngine:
         s = self.cache.get(key)
         if s is None:
             tm = build_regular_transport(self.g, a, b, e)
-            cells = []
-            weights = []
-            for r, mp in enumerate(tm.row_labels):
-                for c, op in enumerate(tm.col_labels):
-                    w = tm.entries[r][c]
-                    if w:
-                        cells.append((mp, op))
-                        weights.append(w)
-            s = (cells, tuple(accumulate(weights)), tm.total)
+            s = (tm.row_labels, tm.col_labels, array("I", accumulate(chain.from_iterable(tm.entries))))
             self.cache.put(key, s)
         return s
 
@@ -372,9 +370,9 @@ class RegularEngine:
         if g.has_edge(a, b) and b != e:
             raise AssertionError("round invariant violated: adjacent other != excluded")
         self.round_checks += 1
-        cells, cum, total = self._sampler(a, b, e)
-        r = self.rng.randrange(total)
-        mp, op = cells[bisect_right(cum, r)]
+        rows, cols, cum = self._sampler(a, b, e)
+        i, j = divmod(bisect_right(cum, self.rng.randrange(cum[-1])), len(cols))
+        mp, op = rows[i], cols[j]
         return mp.first_step, mp.second_step, op.step, op.next_excluded
 
     def run(self, ticks: int) -> Trajectory:

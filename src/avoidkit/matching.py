@@ -4,14 +4,16 @@ The multiset bipartite matchings behind both coupling laws are collapsed
 into integer transportation problems (row sums = supplies, column sums =
 demands, support restricted to compatible cells).  The solver fills the
 matrix greedily in row-major order, which is exactly the first phase of
-Dinic max flow on the fresh network, and runs Dinic with deterministic
-augmentation order only on the shortfall the fill leaves.  Feasibility is
-equivalent to the original perfect-matching problem by flow integrality.
+Dinic max flow on the fresh network, and runs the later Dinic phases, in
+deterministic augmentation order, only on the shortfall the fill leaves.
+They run on the matrix itself, which holds every residual capacity, so no
+flow network is built.  Feasibility is equivalent to the original
+perfect-matching problem by flow integrality.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict, deque
+from collections import OrderedDict
 from dataclasses import dataclass
 
 
@@ -129,80 +131,6 @@ class TransportInfeasible(RuntimeError):
         self.hall_cols = hall_cols
 
 
-class _Dinic:
-    """Deterministic Dinic max flow (arcs scanned in insertion order)."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self.head: list[list[int]] = [[] for _ in range(n)]
-        self.to: list[int] = []
-        self.cap: list[int] = []
-
-    def add_edge(self, u: int, v: int, c: int, flow: int = 0) -> int:
-        """Arc u->v of capacity c that already carries `flow` units."""
-        idx = len(self.to)
-        self.head[u].append(idx)
-        self.to.append(v)
-        self.cap.append(c - flow)
-        self.head[v].append(idx + 1)
-        self.to.append(u)
-        self.cap.append(flow)
-        return idx
-
-    def _bfs(self, s: int, t: int) -> list[int] | None:
-        level = [-1] * self.n
-        level[s] = 0
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for idx in self.head[u]:
-                v = self.to[idx]
-                if self.cap[idx] > 0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        return level if level[t] >= 0 else None
-
-    def _dfs(self, u: int, t: int, f: int, level: list[int], it: list[int]) -> int:
-        if u == t:
-            return f
-        while it[u] < len(self.head[u]):
-            idx = self.head[u][it[u]]
-            v = self.to[idx]
-            if self.cap[idx] > 0 and level[v] == level[u] + 1:
-                pushed = self._dfs(v, t, min(f, self.cap[idx]), level, it)
-                if pushed:
-                    self.cap[idx] -= pushed
-                    self.cap[idx ^ 1] += pushed
-                    return pushed
-            it[u] += 1
-        return 0
-
-    def max_flow(self, s: int, t: int) -> int:
-        flow = 0
-        while True:
-            level = self._bfs(s, t)
-            if level is None:
-                return flow
-            it = [0] * self.n
-            while True:
-                pushed = self._dfs(s, t, 1 << 60, level, it)
-                if not pushed:
-                    break
-                flow += pushed
-
-    def reachable_from(self, s: int) -> set[int]:
-        seen = {s}
-        queue = deque([s])
-        while queue:
-            u = queue.popleft()
-            for idx in self.head[u]:
-                v = self.to[idx]
-                if self.cap[idx] > 0 and v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return seen
-
-
 def solve_transport(
     supplies: list[int], demands: list[int], allowed: list[list[bool]]
 ) -> list[list[int]]:
@@ -210,14 +138,20 @@ def solve_transport(
     supported on allowed cells.  Raises TransportInfeasible with the min-cut
     Hall certificate when no such matrix exists.
 
-    On the network src -> rows -> cols -> sink (arcs in row-major order),
-    Dinic's first phase cannot use a reverse arc yet, and its DFS keeps its
-    arc pointers: it walks the rows in order and each row's allowed columns
-    in order, pushing min(residual supply, residual demand).  That fill is
-    done here directly on the matrix; only when it leaves demand unmet is
-    the network built, carrying the fill as flow, and Dinic run from its
-    second phase.  The matrix and the certificate are those of Dinic run
-    from scratch."""
+    The result is that of deterministic Dinic max flow on the network
+    src -> rows -> cols -> sink, arcs inserted src arcs first, then cells in
+    row-major order, then sink arcs.  Dinic's first phase cannot use a
+    reverse arc yet, and its DFS keeps its arc pointers: it walks the rows in
+    order and each row's allowed columns in order, pushing min(residual
+    supply, residual demand).  That fill is done here directly on the
+    matrix.  When it leaves demand unmet, the later phases run on the matrix
+    too, reading every residual capacity from it: row i -> col j has
+    total - m[i][j], col j -> row i has m[i][j], src -> row i the row's spare
+    supply and col j -> sink its unmet demand.  A row scans its allowed
+    columns ascending; a column scans its allowed rows ascending, then the
+    sink.  The BFS stops once the sink has its level, since every node at or
+    past that level is a dead end for the DFS, and the phases stop once the
+    shortfall is covered."""
     nr, nc = len(supplies), len(demands)
     total = sum(supplies)
     if total != sum(demands):
@@ -226,7 +160,7 @@ def solve_transport(
         raise ValueError("supplies and demands must be non-negative")
     m = [[0] * nc for _ in range(nr)]
     unmet = list(demands)
-    filled = 0
+    spare = list(supplies)
     for i in range(nr):
         left = supplies[i]
         if not left:
@@ -241,32 +175,87 @@ def solve_transport(
                 left -= x
                 if not left:
                     break
-        filled += supplies[i] - left
-    if filled == total:
+        spare[i] = left
+    short = sum(unmet)
+    if not short:
         return m
 
-    src, snk = nr + nc, nr + nc + 1
-    net = _Dinic(nr + nc + 2)
-    for i in range(nr):
-        net.add_edge(src, i, supplies[i], sum(m[i]))
-    cell_arcs: dict[tuple[int, int], int] = {}
-    for i in range(nr):
-        for j in range(nc):
-            if allowed[i][j]:
-                cell_arcs[(i, j)] = net.add_edge(i, nr + j, total, m[i][j])
-    for j in range(nc):
-        net.add_edge(nr + j, snk, demands[j], demands[j] - unmet[j])
-    flow = filled + net.max_flow(src, snk)
-    if flow < total:
-        cut = net.reachable_from(src)
-        hall_rows = [i for i in range(nr) if i in cut]
-        hall_cols = [j for j in range(nc) if nr + j in cut]
-        raise TransportInfeasible(
-            f"max flow {flow} < required {total}", hall_rows, hall_cols
-        )
-    for (i, j), idx in cell_arcs.items():
-        m[i][j] = net.cap[idx ^ 1]  # flow on the cell arc
-    return m
+    row_cols = [[j for j in range(nc) if ok[j]] for ok in allowed]
+    col_rows = [[i for i in range(nr) if allowed[i][j]] for j in range(nc)]
+
+    def from_row(i: int, f: int) -> int:
+        cols, row, up = row_cols[i], m[i], lr[i] + 1
+        while itr[i] < len(cols):
+            j = cols[itr[i]]
+            cap = total - row[j]
+            if cap and lc[j] == up:
+                pushed = from_col(j, f if f < cap else cap)
+                if pushed:
+                    row[j] += pushed
+                    return pushed
+            itr[i] += 1
+        return 0
+
+    def from_col(j: int, f: int) -> int:
+        rows, up = col_rows[j], lc[j] + 1
+        while itc[j] < len(rows):
+            i = rows[itc[j]]
+            cap = m[i][j]
+            if cap and lr[i] == up:
+                pushed = from_row(i, f if f < cap else cap)
+                if pushed:
+                    m[i][j] -= pushed
+                    return pushed
+            itc[j] += 1
+        if unmet[j] and sink == up:
+            pushed = f if f < unmet[j] else unmet[j]
+            unmet[j] -= pushed
+            return pushed
+        return 0
+
+    while True:
+        # BFS levels: src 0, rows odd, columns even, the sink one past a column
+        lr, lc = [-1] * nr, [-1] * nc
+        frontier = [i for i in range(nr) if spare[i]]
+        for i in frontier:
+            lr[i] = 1
+        sink = -1
+        level = 1
+        while frontier and sink < 0:
+            cols = []
+            for i in frontier:
+                row = m[i]
+                for j in row_cols[i]:
+                    if lc[j] < 0 and row[j] < total:
+                        lc[j] = level + 1
+                        cols.append(j)
+            frontier = []
+            for j in cols:
+                for i in col_rows[j]:
+                    if lr[i] < 0 and m[i][j]:
+                        lr[i] = level + 2
+                        frontier.append(i)
+                if unmet[j]:
+                    sink = level + 2
+                    break
+            level += 2
+        if sink < 0:
+            flow = total - short
+            raise TransportInfeasible(
+                f"max flow {flow} < required {total}",
+                [i for i in range(nr) if lr[i] >= 0],
+                [j for j in range(nc) if lc[j] >= 0],
+            )
+        itr, itc = [0] * nr, [0] * nc
+        for i in range(nr):
+            while spare[i] and lr[i] == 1:
+                pushed = from_row(i, spare[i])
+                if not pushed:
+                    break
+                spare[i] -= pushed
+                short -= pushed
+                if not short:
+                    return m
 
 
 @dataclass(frozen=True)
@@ -326,15 +315,10 @@ class LruCache:
         return self.hits / lookups if lookups else 0.0
 
 
-def build_regular_transport(g, a: int, b: int, e: int, cache: LruCache | None = None) -> TransportMatrix:
+def build_regular_transport(g, a: int, b: int, e: int) -> TransportMatrix:
     """Transport matrix m(i,j,k,l) for the d-regular protocol at (a, b, e):
     row sums d over mover-pairs, column sums d-1 over other-pairs."""
     check_regular_triple(g, a, b, e)
-    key = ("reg", a, b, e)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
     d = g.degree(a)
     rows = tuple(mover_pairs(g, a, e))
     cols = tuple(other_pairs(g, b))
@@ -356,12 +340,10 @@ def build_regular_transport(g, a: int, b: int, e: int, cache: LruCache | None = 
         col_sum=d - 1,
     )
     tm.check_sums()
-    if cache is not None:
-        cache.put(key, tm)
     return tm
 
 
-def build_squarefree_transport(g, a: int, b: int, cache: LruCache | None = None) -> TransportMatrix:
+def build_squarefree_transport(g, a: int, b: int) -> TransportMatrix:
     """Transport matrix m(i,j) for the square-free one-step coupling.
 
     Roles are swapped internally so rows index the higher-degree side
@@ -370,11 +352,6 @@ def build_squarefree_transport(g, a: int, b: int, cache: LruCache | None = None)
         raise ValueError("requires b not in {a} u N(a)")
     if min(g.degree(a), g.degree(b)) < 3:
         raise ValueError("requires min degree >= 3 at both positions")
-    key = ("sqf", a, b)
-    if cache is not None:
-        hit = cache.get(key)
-        if hit is not None:
-            return hit
     swapped = g.degree(a) < g.degree(b)
     u, v = (b, a) if swapped else (a, b)
     rows = g.adjacency[u]  # k vertices
@@ -399,6 +376,4 @@ def build_squarefree_transport(g, a: int, b: int, cache: LruCache | None = None)
         swapped=swapped,
     )
     tm.check_sums()
-    if cache is not None:
-        cache.put(key, tm)
     return tm

@@ -303,3 +303,53 @@ def test_experiment_command(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "n,d,samples,hits,freq,ci_lo,ci_hi,bound"
     assert len(lines) == 3
+
+
+@pytest.fixture
+def c9_and_pet(tmp_path, capsys):
+    cir, pet = tmp_path / "cir.txt", tmp_path / "pet.txt"
+    run(capsys, "gen", "--family", "circulant", "--n", "9", "--offsets", "1,2", "-o", str(cir))
+    run(capsys, "gen", "--family", "petersen", "-o", str(pet))
+    return str(cir), str(pet)
+
+
+@pytest.mark.parametrize("argv", [
+    ("--a", "99", "--b", "1", "--e", "2"),
+    ("--a", "0", "--b", "4", "--e", "99"),
+    ("--a", "-1", "--b", "4"),
+])
+def test_transport_rejects_out_of_range_vertex(c9_and_pet, capsys, argv):
+    code, stdout, err = run(capsys, "transport", c9_and_pet[0], *argv)
+    assert code == 2 and "is not a vertex (0..8)" in err and stdout == ""
+
+
+@pytest.mark.parametrize("argv", [
+    ("lemma34", 0, "--a", "99", "--b", "4", "--e", "1"),
+    ("lemma42", 1, "--b", "99"),
+])
+def test_oracle_rejects_out_of_range_vertex(c9_and_pet, capsys, argv):
+    lemma, host, *rest = argv
+    code, stdout, err = run(capsys, "oracle", lemma, c9_and_pet[host], *rest)
+    assert code == 2 and "is not a vertex" in err and "holds" not in stdout
+
+
+@pytest.mark.parametrize("argv", [("--a0", "99"), ("--b0", "99"), ("--a0", "-3")])
+def test_simulate_rejects_out_of_range_vertex(c9_and_pet, tmp_path, capsys, argv):
+    traj = tmp_path / "traj.txt"
+    code, _, err = run(capsys, "simulate", c9_and_pet[1], *argv, "-o", str(traj))
+    assert code == 2 and "is not a vertex (0..9)" in err
+    assert not traj.exists()
+
+
+def test_experiment_rejects_malformed_n_list(capsys):
+    code, stdout, err = run(capsys, "experiment", "prevalence", "--d", "3",
+                            "--n-list", "16,x", "--samples", "2")
+    assert code == 2 and "--n-list must be comma-separated integers" in err and stdout == ""
+
+
+def test_simulate_rejects_unknown_engine_in_config(c9_and_pet, tmp_path, capsys):
+    cfg, traj = tmp_path / "run.cfg", tmp_path / "traj.txt"
+    cfg.write_text("sim.engine = bogus\n")
+    code, _, err = run(capsys, "simulate", c9_and_pet[1], "--config", str(cfg), "-o", str(traj))
+    assert code == 2 and err.startswith("error: bad run settings: unknown engine 'bogus'")
+    assert not traj.exists()

@@ -39,6 +39,8 @@ def test_config_text_format():
 def test_config_parse_errors():
     with pytest.raises(ValueError, match="unknown config key"):
         RunConfig.from_text("sim.warp = 9\n")
+    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
+        RunConfig.from_text("sim.engine = bogus\n")
     with pytest.raises(ValueError, match="line 1"):
         RunConfig.from_text("no equals sign\n")
     # comments and blanks are fine

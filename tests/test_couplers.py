@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import random
+from bisect import bisect_right
 from collections import Counter
+from itertools import accumulate
 
 import pytest
 
@@ -20,8 +23,9 @@ from avoidkit.couplers import (
     simulate,
     two_step_table_coupling,
 )
-from avoidkit.generate import complete, cycle
+from avoidkit.generate import complete, cycle, random_regular_simple
 from avoidkit.graphs import distance_capped
+from avoidkit.matching import build_regular_transport
 from avoidkit.rng import Xoshiro256
 from avoidkit.structure import classify_scenario
 
@@ -152,6 +156,53 @@ def test_regular_engine_start_validation(circ9):
     e1 = Xoshiro256(7).choice(circ9.adjacency[0])
     eng = RegularEngine(circ9, 7, a0=0, b0=e1)
     eng.run(30)
+
+
+def ref_sampler(tm):
+    """The nonzero-cell expansion: cells with positive entries in row-major
+    order, their cumulative weights, and the total."""
+    cells, weights = [], []
+    for r, mp in enumerate(tm.row_labels):
+        for c, op in enumerate(tm.col_labels):
+            if tm.entries[r][c]:
+                cells.append((mp, op))
+                weights.append(tm.entries[r][c])
+    return cells, list(accumulate(weights)), tm.total
+
+
+class FixedDraw:
+    """Stands in for the engine's generator: randrange returns a set value."""
+
+    def __init__(self, total: int):
+        self.total = total
+        self.r = 0
+
+    def randrange(self, n: int) -> int:
+        assert n == self.total
+        return self.r
+
+
+def valid_regular_triples(g):
+    return [(a, b, e) for a in range(g.n) for e in g.adjacency[a] for b in range(g.n)
+            if b != a and (not g.has_edge(a, b) or b == e)]
+
+
+def test_regular_round_draw_matches_cell_expansion(circ9):
+    """For every r, the flat-cumulative draw picks the cell the nonzero-cell
+    expansion picks: on every valid triple of C9(1,2) and 50 of rr5-n64."""
+    rr5 = random_regular_simple(64, 5, 0, connected_required=True)[0]
+    c9_triples = valid_regular_triples(circ9)
+    rr5_triples = random.Random(0).sample(valid_regular_triples(rr5), 50)
+    assert len(c9_triples) == 180
+    for g, triples in ((circ9, c9_triples), (rr5, rr5_triples)):
+        eng = RegularEngine(g, 0)
+        for a, b, e in triples:
+            cells, cum, total = ref_sampler(build_regular_transport(g, a, b, e))
+            eng.rng = FixedDraw(total)
+            for r in range(total):
+                eng.rng.r = r
+                mp, op = cells[bisect_right(cum, r)]
+                assert eng.sample_round(a, b, e) == (mp.first_step, mp.second_step, op.step, op.next_excluded)
 
 
 def test_cycle_engine_preserves_gaps():

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
@@ -9,7 +11,6 @@ from avoidkit.matching import (
     MoverPair,
     OtherPair,
     TransportInfeasible,
-    _Dinic,
     build_regular_transport,
     build_squarefree_transport,
     cmp_regular,
@@ -74,6 +75,80 @@ def test_solve_transport_total_mismatch():
         solve_transport([1], [2], [[True]])
     with pytest.raises(ValueError, match="non-negative"):
         solve_transport([2, -1], [1, 0], [[True, True], [True, True]])
+
+
+class _Dinic:
+    """Deterministic Dinic max flow (arcs scanned in insertion order), the
+    from-scratch reference for solve_transport."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self.head: list[list[int]] = [[] for _ in range(n)]
+        self.to: list[int] = []
+        self.cap: list[int] = []
+
+    def add_edge(self, u: int, v: int, c: int) -> int:
+        idx = len(self.to)
+        self.head[u].append(idx)
+        self.to.append(v)
+        self.cap.append(c)
+        self.head[v].append(idx + 1)
+        self.to.append(u)
+        self.cap.append(0)
+        return idx
+
+    def _bfs(self, s: int, t: int) -> list[int] | None:
+        level = [-1] * self.n
+        level[s] = 0
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for idx in self.head[u]:
+                v = self.to[idx]
+                if self.cap[idx] > 0 and level[v] < 0:
+                    level[v] = level[u] + 1
+                    queue.append(v)
+        return level if level[t] >= 0 else None
+
+    def _dfs(self, u: int, t: int, f: int, level: list[int], it: list[int]) -> int:
+        if u == t:
+            return f
+        while it[u] < len(self.head[u]):
+            idx = self.head[u][it[u]]
+            v = self.to[idx]
+            if self.cap[idx] > 0 and level[v] == level[u] + 1:
+                pushed = self._dfs(v, t, min(f, self.cap[idx]), level, it)
+                if pushed:
+                    self.cap[idx] -= pushed
+                    self.cap[idx ^ 1] += pushed
+                    return pushed
+            it[u] += 1
+        return 0
+
+    def max_flow(self, s: int, t: int) -> int:
+        flow = 0
+        while True:
+            level = self._bfs(s, t)
+            if level is None:
+                return flow
+            it = [0] * self.n
+            while True:
+                pushed = self._dfs(s, t, 1 << 60, level, it)
+                if not pushed:
+                    break
+                flow += pushed
+
+    def reachable_from(self, s: int) -> set[int]:
+        seen = {s}
+        queue = deque([s])
+        while queue:
+            u = queue.popleft()
+            for idx in self.head[u]:
+                v = self.to[idx]
+                if self.cap[idx] > 0 and v not in seen:
+                    seen.add(v)
+                    queue.append(v)
+        return seen
 
 
 def dinic_from_scratch(supplies, demands, allowed):
@@ -283,7 +358,7 @@ def test_squarefree_transport_square_failure():
         build_squarefree_transport(g, 0, 1)
 
 
-def test_lru_cache_caps_and_counts(pet):
+def test_lru_cache_caps_and_counts():
     cache = LruCache(capacity=2)
     assert cache.get("a") is None
     cache.put("a", 1)
@@ -293,6 +368,3 @@ def test_lru_cache_caps_and_counts(pet):
     assert cache.get("b") is None
     assert cache.hits == 1 and cache.misses == 2
     assert 0 < cache.hit_rate < 1
-    tm1 = build_squarefree_transport(pet, 0, 2, cache)
-    tm2 = build_squarefree_transport(pet, 0, 2, cache)
-    assert tm1 is tm2

@@ -240,9 +240,8 @@ def solve_transport(
                     break
             level += 2
         if sink < 0:
-            flow = total - short
             raise TransportInfeasible(
-                f"max flow {flow} < required {total}",
+                f"max flow {total - short} < required {total}",
                 [i for i in range(nr) if lr[i] >= 0],
                 [j for j in range(nc) if lc[j] >= 0],
             )

@@ -182,32 +182,10 @@ def transport_instances(draw):
     return supplies, demands, allowed
 
 
-@settings(max_examples=300)
-@given(transport_instances())
-def test_solve_transport_exact_or_hall_certificate(instance):
-    supplies, demands, allowed = instance
-    flow, ref, cut = dinic_from_scratch(supplies, demands, allowed)
-    try:
-        m = solve_transport(supplies, demands, allowed)
-    except TransportInfeasible as err:
-        rows, cols = err.hall_rows, err.hall_cols
-        assert flow < sum(supplies)
-        assert rows == [i for i in range(len(supplies)) if i in cut]
-        assert cols == [j for j in range(len(demands)) if len(supplies) + j in cut]
-        reach = {j for i in rows for j in range(len(demands)) if allowed[i][j]}
-        assert reach <= set(cols)
-        assert sum(supplies[i] for i in rows) > sum(demands[j] for j in cols)
-        return
-    assert m == ref
-    assert [sum(row) for row in m] == supplies
-    assert [sum(col) for col in zip(*m)] == demands
-    assert all(x >= 0 for row in m for x in row)
-    assert all(allowed[i][j] for i, row in enumerate(m) for j, x in enumerate(row) if x)
-
-
-def assert_same_as_from_scratch(supplies, demands, allowed):
-    """solve_transport returns the matrix of Dinic run from scratch, or
-    raises with that run's min-cut certificate; says which happened."""
+def solve_as_from_scratch(supplies, demands, allowed):
+    """solve_transport's matrix, or its TransportInfeasible, after checking
+    that it equals the matrix, or the min-cut certificate, of Dinic run
+    from scratch."""
     nr, nc = len(supplies), len(demands)
     flow, ref, cut = dinic_from_scratch(supplies, demands, allowed)
     try:
@@ -216,10 +194,38 @@ def assert_same_as_from_scratch(supplies, demands, allowed):
         assert flow < sum(supplies)
         assert err.hall_rows == [i for i in range(nr) if i in cut]
         assert err.hall_cols == [j for j in range(nc) if nr + j in cut]
-        return "infeasible"
+        return err
     assert flow == sum(supplies)
     assert m == ref
-    return "feasible"
+    return m
+
+
+def greedy_leaves_shortfall(supplies, demands, allowed):
+    unmet = list(demands)
+    for i, left in enumerate(supplies):
+        for j, need in enumerate(unmet):
+            if left and need and allowed[i][j]:
+                x = min(left, need)
+                unmet[j] -= x
+                left -= x
+    return any(unmet)
+
+
+@settings(max_examples=300)
+@given(transport_instances())
+def test_solve_transport_exact_or_hall_certificate(instance):
+    supplies, demands, allowed = instance
+    m = solve_as_from_scratch(supplies, demands, allowed)
+    if isinstance(m, TransportInfeasible):
+        rows, cols = m.hall_rows, m.hall_cols
+        reach = {j for i in rows for j in range(len(demands)) if allowed[i][j]}
+        assert reach <= set(cols)
+        assert sum(supplies[i] for i in rows) > sum(demands[j] for j in cols)
+        return
+    assert [sum(row) for row in m] == supplies
+    assert [sum(col) for col in zip(*m)] == demands
+    assert all(x >= 0 for row in m for x in row)
+    assert all(allowed[i][j] for i, row in enumerate(m) for j, x in enumerate(row) if x)
 
 
 @st.composite
@@ -247,9 +253,9 @@ def regular_shaped_instances(draw):
 @settings(max_examples=200, deadline=None)
 @given(regular_shaped_instances())
 def test_solve_transport_regular_shaped(instance):
-    outcome = assert_same_as_from_scratch(*instance)
+    m = solve_as_from_scratch(*instance)
+    event("infeasible" if isinstance(m, TransportInfeasible) else "feasible")
     event("greedy fill short" if greedy_leaves_shortfall(*instance) else "greedy fill complete")
-    event(outcome)
 
 
 def test_solve_transport_recorded_rr5_instances(monkeypatch):
@@ -271,20 +277,9 @@ def test_solve_transport_recorded_rr5_instances(monkeypatch):
     assert len(seen) > 1_500
     short = 0
     for supplies, demands, allowed in seen:
-        assert assert_same_as_from_scratch(supplies, demands, allowed) == "feasible"
+        assert not isinstance(solve_as_from_scratch(supplies, demands, allowed), TransportInfeasible)
         short += greedy_leaves_shortfall(supplies, demands, allowed)
     assert short > len(seen) // 10  # the Dinic continuation is exercised
-
-
-def greedy_leaves_shortfall(supplies, demands, allowed):
-    unmet = list(demands)
-    for i, left in enumerate(supplies):
-        for j, need in enumerate(unmet):
-            if left and need and allowed[i][j]:
-                x = min(left, need)
-                unmet[j] -= x
-                left -= x
-    return any(unmet)
 
 
 def regular_triples(g):

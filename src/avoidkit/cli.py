@@ -229,9 +229,9 @@ def cmd_oracle(args) -> int:
         elif args.lemma == "lemma42":
             res = lemma42_oracle(g, args.a, args.b)
         else:
-            d = args.d if args.d is not None else basic_profile(g).regular_degree
+            d = basic_profile(g).regular_degree
             if d is None:
-                return _fail(EXIT_INPUT, "lemma31 requires a regular graph or --d")
+                return _fail(EXIT_INPUT, "lemma31 requires a regular graph")
             agree, preds = lemma31_equivalence(g, d)
             print(f"predicates: Hd-free={preds[0]} no-duplicates={preds[1]} difference-nonempty={preds[2]}")
             print(f"agreement: {agree}")
@@ -316,7 +316,6 @@ def build_parser() -> argparse.ArgumentParser:
     o.add_argument("--a", type=int, default=0)
     o.add_argument("--b", type=int, default=0)
     o.add_argument("--e", type=int, default=0)
-    o.add_argument("--d", type=int, default=None)
     o.set_defaults(func=cmd_oracle)
 
     e = sub.add_parser("experiment", help="prevalence experiment CSV")

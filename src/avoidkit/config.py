@@ -10,9 +10,7 @@ _KEYMAP = {
     "sim.ticks": ("ticks", int),
     "sim.engine": ("engine", str),
     "sim.walkers": ("walkers", int),
-    "verify.alpha": ("alpha", float),
     "cache.capacity": ("cache_capacity", int),
-    "gen.rejection_budget": ("rejection_budget", int),
 }
 
 ENGINES = ("auto", "cycle", "cubic", "regular", "squarefree")
@@ -24,9 +22,7 @@ class RunConfig:
     ticks: int = 1000
     engine: str = "auto"
     walkers: int = 2
-    alpha: float = 0.001
     cache_capacity: int = 4096
-    rejection_budget: int = 10**5
 
     def __post_init__(self):
         if not 0 <= self.seed < 2**64:
@@ -35,10 +31,8 @@ class RunConfig:
             raise ValueError("ticks must be >= 0 and walkers >= 1")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}, expected one of {', '.join(ENGINES)}")
-        if not 0 < self.alpha < 1:
-            raise ValueError("alpha must be in (0, 1)")
-        if self.cache_capacity < 1 or self.rejection_budget < 1:
-            raise ValueError("capacities must be positive")
+        if self.cache_capacity < 1:
+            raise ValueError("cache capacity must be positive")
 
     def to_text(self) -> str:
         rev = {attr: key for key, (attr, _) in _KEYMAP.items()}

@@ -19,7 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
-from .graphs import Graph, distance_capped, graph_from_edges
+from .graphs import Graph, graph_from_edges
 from .matching import (
     LruCache,
     TransportInfeasible,
@@ -37,7 +37,6 @@ class EngineState:
     alice: int
     bob: int
     excluded: int | None = None
-    phase: int = 0
     tick: int = 0
 
 
@@ -127,12 +126,6 @@ def one_step_matching(g: Graph, a: int, b: int) -> list[tuple[int, int]]:
     return [(na[i], nb[row.index(1)]) for i, row in enumerate(m)]
 
 
-def one_step_matched_coupling(g: Graph, a: int, b: int, rng: Xoshiro256) -> tuple[int, int]:
-    """Draw a' uniform on N(a) and return (a', sigma(a')); both marginals
-    are uniform because sigma is a bijection."""
-    return rng.choice(one_step_matching(g, a, b))
-
-
 def s3b_rows(g: Graph, a: int, b: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
     """The nine equally likely two-step rows ((A1, A2), (B1, B2)) for the
     adjacent-common-neighbors case.  Labels bound by vertex index:
@@ -158,11 +151,6 @@ def s3b_rows(g: Graph, a: int, b: int) -> list[tuple[tuple[int, int], tuple[int,
     ]
 
 
-def two_step_table_coupling(g: Graph, a: int, b: int, rng: Xoshiro256) -> BlockOutcome:
-    (a1, a2), (b1, b2) = rng.choice(s3b_rows(g, a, b))
-    return BlockOutcome(T=2, alice_steps=[a1, a2], bob_steps=[b1, b2])
-
-
 def k22_context(g: Graph, a: int, b: int, quad: tuple[int, int, int, int]):
     """Unpack an S6 witness into (a1, a2, b1, b2, c_a, c_b)."""
     a1, a2, b1, b2 = quad
@@ -171,57 +159,69 @@ def k22_context(g: Graph, a: int, b: int, quad: tuple[int, int, int, int]):
     return a1, a2, b1, b2, c_a, c_b
 
 
-def _mirror_bob_path(alice_steps, a, b, a1, a2, b1, b2, coin) -> list[int]:
-    """Bob's mirrored excursion: at each interior time he occupies the
-    partner of Alice's next interior position; his last interior position
-    is a fair coin between the two available partners.  `coin(x, y)`
-    returns one of its arguments."""
-    T = len(alice_steps)
-    partner = {a1: a2, a2: a1, b1: b2, b2: b1}
-    bob: list[int] = []
-    for s in range(1, T):  # interior times t+1 .. t+T-1
-        nxt = alice_steps[s]  # Alice's position at time t+s+1
-        if s + 1 < T:
-            bob.append(partner[nxt])
-        else:  # Alice's next move exits; Bob flips for his side
-            pair = (b1, b2) if s % 2 == 1 else (a1, a2)
-            bob.append(coin(*pair))
-    bob.append(b if T % 2 == 0 else a)
-    return bob
-
-
 def k22_excursion_coupling(
     g: Graph, a: int, b: int, rng: Xoshiro256, quad: tuple[int, int, int, int]
 ) -> BlockOutcome:
-    a1, a2, b1, b2, c_a, c_b = k22_context(g, a, b, quad)
-    strategy = rng.randrange(3)
-    if strategy == 0:
-        return BlockOutcome(1, [c_a], [rng.choice((b1, b2))])
-    if strategy == 1:
-        return BlockOutcome(1, [rng.choice((a1, a2))], [c_b])
-    # both walkers enter the K_{2,2}; Alice walks until hitting {a, b}
-    alice = [rng.choice((a1, a2))]
-    while alice[-1] not in (a, b):
-        alice.append(rng.choice(g.adjacency[alice[-1]]))
-    bob = _mirror_bob_path(alice, a, b, a1, a2, b1, b2, lambda x, y: x if rng.coin() else y)
-    return BlockOutcome(len(alice), alice, bob)
+    """The S6 block at (a, b) with the K_{2,2} witness quad."""
+    return cubic_block(g, a, b, rng, ScenarioClass("S6", quad))
 
 
-def cubic_block(g: Graph, a: int, b: int, rng: Xoshiro256, scenario: ScenarioClass | None = None) -> BlockOutcome:
-    """One jointly planned block from positions (a, b) at distance >= 2."""
+def cubic_block(g: Graph, a: int, b: int, rng, scenario: ScenarioClass | None = None,
+                sigma: list[tuple[int, int]] | None = None, out: BlockOutcome | None = None) -> BlockOutcome:
+    """One jointly planned block from positions (a, b) at distance >= 2.
+
+    This is the one definition of the cubic law.  `rng` is any chooser with
+    `choice`, `randrange` and `coin`: the engine passes its Xoshiro256, and
+    the exact certifier in verify.py passes a chooser that enumerates every
+    option.  S2-S5 draw from the matching `sigma` when it is given.  Steps
+    are appended to `out` as they are drawn, so a caller that passes `out`
+    sees the partial block if the chooser stops early.
+    """
     if scenario is None:
         scenario = classify_scenario(g, a, b)
-    tag = scenario.tag
-    if tag == "S1":
-        out = BlockOutcome(1, [rng.choice(g.adjacency[a])], [rng.choice(g.adjacency[b])])
-    elif tag in ("S2", "S3a", "S4", "S5"):
-        ap, bp = one_step_matched_coupling(g, a, b, rng)
-        out = BlockOutcome(1, [ap], [bp])
-    elif tag == "S3b":
-        out = two_step_table_coupling(g, a, b, rng)
-    else:  # S6
-        out = k22_excursion_coupling(g, a, b, rng, scenario.witness)
+    if out is None:
+        out = BlockOutcome(1, [], [])
     out.scenario = scenario
+    alice, bob = out.alice_steps, out.bob_steps
+    tag = scenario.tag
+    if tag == "S1":  # independent steps
+        alice.append(rng.choice(g.adjacency[a]))
+        bob.append(rng.choice(g.adjacency[b]))
+    elif tag == "S3b":  # one of nine two-step rows
+        (a1, a2), (b1, b2) = rng.choice(s3b_rows(g, a, b))
+        alice += (a1, a2)
+        bob += (b1, b2)
+    elif tag == "S6":
+        a1, a2, b1, b2, c_a, c_b = k22_context(g, a, b, scenario.witness)
+        strategy = rng.randrange(3)
+        if strategy == 0:  # Alice exits, Bob enters
+            alice.append(c_a)
+            bob.append(rng.choice((b1, b2)))
+        elif strategy == 1:  # Alice enters, Bob exits
+            alice.append(rng.choice((a1, a2)))
+            bob.append(c_b)
+        else:
+            # both enter the K_{2,2}: Alice walks until she hits {a, b}, and
+            # Bob, one step behind, takes the partner of each of her interior
+            # positions; once she exits he flips for the side parity leaves
+            # him and steps out to b or a
+            partner = {a1: a2, a2: a1, b1: b2, b2: b1}
+            v = rng.choice((a1, a2))
+            alice.append(v)
+            while True:
+                v = rng.choice(g.adjacency[v])
+                alice.append(v)
+                if v == a or v == b:
+                    break
+                bob.append(partner[v])
+            x, y = (b1, b2) if len(alice) % 2 == 0 else (a1, a2)
+            bob.append(x if rng.coin() else y)
+            bob.append(b if len(alice) % 2 == 0 else a)
+    else:  # S2, S3a, S4, S5: one step through a perfect matching
+        ap, bp = rng.choice(one_step_matching(g, a, b) if sigma is None else sigma)
+        alice.append(ap)
+        bob.append(bp)
+    out.T = len(alice)
     return out
 
 
@@ -239,7 +239,10 @@ def default_b0(g: Graph, a0: int) -> int:
 
 
 class CubicEngine:
-    def __init__(self, g: Graph, seed: int, a0: int = 0, b0: int | None = None):
+    """Cubic blocks from one bounded cache of (scenario, sigma) per
+    non-S1 pair (a, b); an S1 pair costs only a capped BFS and is not cached."""
+
+    def __init__(self, g: Graph, seed: int, a0: int = 0, b0: int | None = None, cache_capacity: int = 4096):
         self.g = g
         self.seed = seed
         self.rng = Xoshiro256(seed)
@@ -248,30 +251,20 @@ class CubicEngine:
         if b0 == a0 or g.has_edge(a0, b0):
             raise ValueError("cubic engine requires distance(a0, b0) >= 2")
         self.state = EngineState("cubic", a0, b0)
-        self._scenarios: dict[tuple[int, int], ScenarioClass] = {}
-        self._matchings: dict[tuple[int, int], list[tuple[int, int]]] = {}
+        self.cache = LruCache(cache_capacity)
         self.scenario_counts: dict[str, int] = {}
 
-    def _scenario(self, a: int, b: int) -> ScenarioClass:
-        key = (a, b)
-        sc = self._scenarios.get(key)
-        if sc is None:
-            sc = classify_scenario(self.g, a, b)
-            self._scenarios[key] = sc
-        return sc
-
     def block(self) -> BlockOutcome:
-        a, b = self.state.alice, self.state.bob
-        sc = self._scenario(a, b)
-        if sc.tag in ("S2", "S3a", "S4", "S5"):
-            sigma = self._matchings.get((a, b))
-            if sigma is None:
-                sigma = one_step_matching(self.g, a, b)
-                self._matchings[(a, b)] = sigma
-            ap, bp = self.rng.choice(sigma)
-            out = BlockOutcome(1, [ap], [bp], scenario=sc)
+        g, a, b = self.g, self.state.alice, self.state.bob
+        cached = self.cache.get((a, b))
+        if cached is None:
+            sc = classify_scenario(g, a, b)
+            sigma = one_step_matching(g, a, b) if sc.tag in ("S2", "S3a", "S4", "S5") else None
+            if sc.tag != "S1":
+                self.cache.put((a, b), (sc, sigma))
         else:
-            out = cubic_block(self.g, a, b, self.rng, scenario=sc)
+            sc, sigma = cached
+        out = cubic_block(g, a, b, self.rng, sc, sigma)
         self.scenario_counts[sc.tag] = self.scenario_counts.get(sc.tag, 0) + 1
         self.state.alice = out.alice_steps[-1]
         self.state.bob = out.bob_steps[-1]
@@ -349,7 +342,7 @@ class RegularEngine:
                 raise ValueError("b0 must differ from a0")
             if g.has_edge(a0, b0) and b0 != e1:
                 raise ValueError("b0 in N(a0) is only allowed when b0 equals the excluded vertex")
-        self.state = EngineState("regular", a0, b0, excluded=e1, phase=0)
+        self.state = EngineState("regular", a0, b0, excluded=e1)
         self.round_checks = 0
 
     def _sampler(self, a: int, b: int, e: int):
@@ -442,13 +435,6 @@ class CycleEngine:
         return Trajectory("cycle", self.seed, host.digest(), positions)
 
 
-def cycle_sync_step(n: int, positions: tuple[int, ...], rng: Xoshiro256) -> tuple[int, ...]:
-    if 2 * len(positions) > n:
-        raise ValueError("requires k <= n/2")
-    shift = 1 if rng.coin() else -1
-    return tuple((p + shift) % n for p in positions)
-
-
 def check_walkers(engine: str, walkers: int) -> None:
     """Raise unless the engine runs that many walkers: only cycle runs k != 2."""
     if engine != "cycle" and walkers != 2:
@@ -469,10 +455,13 @@ def simulate(
     require_engine_applicable(g, engine)
     check_walkers(engine, walkers)
     a0 = 0 if a0 is None else a0
+    for name, v in (("a0", a0), ("b0", b0)):
+        if v is not None and not 0 <= v < g.n:
+            raise ValueError(f"{name}={v} is not a vertex (0..{g.n - 1})")
     if engine == "cycle":
         eng = CycleEngine(g.n, walkers, seed, cyclic_order(g))
     elif engine == "cubic":
-        eng = CubicEngine(g, seed, a0, b0)
+        eng = CubicEngine(g, seed, a0, b0, cache_capacity)
     elif engine == "squarefree":
         eng = SquarefreeEngine(g, seed, a0, b0, cache_capacity)
     elif engine == "regular":

@@ -1,10 +1,10 @@
-"""Compatibility relation, cmp sets, and the integer transportation solver.
+"""Compatibility relation and the integer transportation solver.
 
 The multiset bipartite matchings behind both coupling laws are collapsed
 into integer transportation problems (row sums = supplies, column sums =
 demands, support restricted to compatible cells).  The solver fills the
-matrix greedily in row-major order, which is exactly the first phase of
-Dinic max flow on the fresh network, and runs the later Dinic phases, in
+matrix greedily in row-major order, which is exactly the first stage of
+Dinic max flow on the fresh network, and runs the later Dinic stages, in
 deterministic augmentation order, only on the shortfall the fill leaves.
 They run on the matrix itself, which holds every residual capacity, so no
 flow network is built.  Feasibility is equivalent to the original
@@ -95,32 +95,6 @@ def check_regular_triple(g, a: int, b: int, e: int) -> None:
         raise ValueError("requires e = b when b in N(a)")
 
 
-def cmp_regular(g, a: int, b: int, e: int, mover_set) -> set[OtherPair]:
-    """Other-pairs compatible with at least one mover-pair in mover_set."""
-    check_regular_triple(g, a, b, e)
-    return {
-        op
-        for op in other_pairs(g, b)
-        if any(compatible(g, mp, op) for mp in mover_set)
-    }
-
-
-def cmp_squarefree(g, a: int, b: int, first_steps) -> set[int]:
-    """Steps b' in N(b) with b' outside {a'} u N(a') for some a' in first_steps."""
-    if b == a or g.has_edge(a, b):
-        raise ValueError("requires b not in {a} u N(a)")
-    na = set(g.adjacency[a])
-    if not set(first_steps) <= na:
-        raise ValueError("first_steps must be a subset of N(a)")
-    out = set()
-    for bp in g.adjacency[b]:
-        for ap in first_steps:
-            if bp != ap and not g.has_edge(ap, bp):
-                out.add(bp)
-                break
-    return out
-
-
 class TransportInfeasible(RuntimeError):
     """Raised when no integer matrix meets the supplies/demands on the
     allowed support; carries a violated-Hall-set certificate (min cut)."""
@@ -140,17 +114,17 @@ def solve_transport(
 
     The result is that of deterministic Dinic max flow on the network
     src -> rows -> cols -> sink, arcs inserted src arcs first, then cells in
-    row-major order, then sink arcs.  Dinic's first phase cannot use a
+    row-major order, then sink arcs.  Dinic's first stage cannot use a
     reverse arc yet, and its DFS keeps its arc pointers: it walks the rows in
     order and each row's allowed columns in order, pushing min(residual
     supply, residual demand).  That fill is done here directly on the
-    matrix.  When it leaves demand unmet, the later phases run on the matrix
+    matrix.  When it leaves demand unmet, the later stages run on the matrix
     too, reading every residual capacity from it: row i -> col j has
     total - m[i][j], col j -> row i has m[i][j], src -> row i the row's spare
     supply and col j -> sink its unmet demand.  A row scans its allowed
     columns ascending; a column scans its allowed rows ascending, then the
     sink.  The BFS stops once the sink has its level, since every node at or
-    past that level is a dead end for the DFS, and the phases stop once the
+    past that level is a dead end for the DFS, and the stages stop once the
     shortfall is covered."""
     nr, nc = len(supplies), len(demands)
     total = sum(supplies)

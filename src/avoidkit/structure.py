@@ -16,7 +16,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .graphs import Graph, basic_profile, common_neighbors, distance_capped
+from .graphs import Graph, basic_profile, common_neighbors
 
 
 def codegrees(g: Graph) -> Counter:
@@ -98,12 +98,14 @@ def classify_scenario(g: Graph, a: int, b: int) -> ScenarioClass:
     Decision order: 3 common neighbors -> S2; 2 -> S3a/S3b by adjacency of
     the common pair; else K_{2,2} admission -> S6; 1 common -> S4;
     distance 3 -> S5; distance >= 4 -> S1.  A common neighbor or a K_{2,2}
-    witness (a-a1-b1-b) forces distance <= 3, so the capped distance is
-    taken first and distance >= 4 returns S1 without the other tests.
+    witness (a-a1-b1-b) forces distance <= 3, so distance >= 4 is tested
+    first, and returns S1 without the other tests: it holds exactly when
+    N(a) misses every vertex within distance 2 of b.
     """
     if a == b or g.has_edge(a, b):
         raise ValueError("classify_scenario requires distance(a, b) >= 2")
-    if distance_capped(g, a, b, 4) >= 4:
+    adj = g.adjacency
+    if set(adj[a]).isdisjoint(chain(adj[b], *(adj[y] for y in adj[b]))):
         return ScenarioClass("S1", ())
     cn = common_neighbors(g, a, b)
     if len(cn) == 3:

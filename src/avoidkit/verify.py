@@ -1,13 +1,14 @@
 """Exact and statistical verification of coupling runs.
 
 Exact checks (fractions, zero tolerance): first-step marginals of the
-cubic engine, the four index laws of the regular protocol, and the
-transport sum identities.  Statistical checks: Pearson chi-square of
-empirical transition counts against the uniform neighbor law, with a
-Bonferroni family-wise verdict; p-values come from the closed-form
-chi-square tail for integer degrees of freedom (`chi2_sf`).  Brute-force
-oracles sweep all subsets to confirm the two Hall-condition inequalities
-the constructions rest on.
+cubic engine, found by enumerating every draw of the engine's own
+`cubic_block` through a replaying chooser, the four index laws of the
+regular protocol, and the transport sum identities.  Statistical checks:
+Pearson chi-square of empirical transition counts against the uniform
+neighbor law, with a Bonferroni family-wise verdict; p-values come from
+the closed-form chi-square tail for integer degrees of freedom
+(`chi2_sf`).  Brute-force oracles sweep all subsets to confirm the two
+Hall-condition inequalities the constructions rest on.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .couplers import Trajectory, k22_context, one_step_matching, s3b_rows
+from .couplers import BlockOutcome, Trajectory, cubic_block
 from .graphs import Graph, distance_capped
 from .matching import (
     TransportMatrix,
@@ -26,7 +27,7 @@ from .matching import (
     mover_pairs,
     other_pairs,
 )
-from .structure import classify_scenario, closed_neighborhood_duplicates, contains_Hd
+from .structure import ScenarioClass, classify_scenario, closed_neighborhood_duplicates, contains_Hd
 
 
 class CertificationError(ValueError):
@@ -90,50 +91,81 @@ class MarginalReport:
     residual: Fraction = Fraction(0)
 
 
-def _uniform(nbrs) -> dict[int, Fraction]:
-    p = Fraction(1, len(nbrs))
-    return {v: p for v in nbrs}
+class _Cut(Exception):
+    """A branch asked for a draw after its stop predicate held."""
+
+
+class _Replay:
+    """A chooser (`choice`, `randrange`, `coin`) that replays forced option
+    indices and takes option 0 after them, recording each call's arity.
+
+    `weight` is the exact probability of the options taken past the first
+    `given` calls.  Before each call past the forced prefix it asks
+    `stop(out)` and cuts the branch when that holds."""
+
+    def __init__(self, prefix: tuple[int, ...], given: int, stop, out: BlockOutcome):
+        self.prefix, self.given, self.stop, self.out = prefix, given, stop, out
+        self.arity: list[int] = []
+        self.weight = Fraction(1)
+
+    def randrange(self, n: int) -> int:
+        k = len(self.arity)
+        if k < len(self.prefix):
+            i = self.prefix[k]
+        elif self.stop(self.out):
+            raise _Cut
+        else:
+            i = 0
+        self.arity.append(n)
+        if k >= self.given:
+            self.weight /= n
+        return i
+
+    def choice(self, seq):
+        return seq[self.randrange(len(seq))]
+
+    def coin(self) -> bool:
+        return self.randrange(2) == 0
+
+
+def enumerate_law(law, stop, given: tuple[int, ...] = ()):
+    """Yield (probability, out, complete) for every branch of law(chooser, out).
+
+    Branches come depth-first, in lexicographic order of their option
+    indices.  The first len(given) draws are forced to `given` and carry no
+    weight, so probabilities are conditional on them.  A branch that asks
+    for a draw while stop(out) holds is cut (complete is False) and keeps
+    the partial outcome it has filled."""
+    stack = [tuple(given)]
+    while stack:
+        prefix = stack.pop()
+        out = BlockOutcome(0, [], [])
+        replay = _Replay(prefix, len(given), stop, out)
+        try:
+            law(replay, out)
+            complete = True
+        except _Cut:
+            complete = False
+        taken = prefix + (0,) * (len(replay.arity) - len(prefix))
+        for k in range(len(prefix), len(taken)):
+            stack.extend(taken[:k] + (j,) for j in range(replay.arity[k] - 1, 0, -1))
+        yield replay.weight, out, complete
 
 
 def exact_cubic_marginals(g: Graph, a: int, b: int) -> MarginalReport:
-    """First-step law of each walker under the cubic block coupling,
-    computed by exact enumeration of the coupler's random choices.
-    Raises CertificationError unless both laws are exactly uniform."""
+    """First-step law of each walker under `cubic_block`, by exact
+    enumeration of its draws, each branch cut once both first steps are
+    fixed.  Raises CertificationError unless both laws are exactly uniform."""
     sc = classify_scenario(g, a, b)
     alice: dict[int, Fraction] = defaultdict(Fraction)
     bob: dict[int, Fraction] = defaultdict(Fraction)
-    if sc.tag == "S1":
-        alice, bob = _uniform(g.adjacency[a]), _uniform(g.adjacency[b])
-    elif sc.tag in ("S2", "S3a", "S4", "S5"):
-        for ap, bp in one_step_matching(g, a, b):
-            alice[ap] += Fraction(1, 3)
-            bob[bp] += Fraction(1, 3)
-    elif sc.tag == "S3b":
-        for (a1, _), (b1, _) in s3b_rows(g, a, b):
-            alice[a1] += Fraction(1, 9)
-            bob[b1] += Fraction(1, 9)
-    else:  # S6
-        a1, a2, b1, b2, c_a, c_b = k22_context(g, a, b, sc.witness)
-        third = Fraction(1, 3)
-        # strategy 1: Alice exits, Bob flips inside
-        alice[c_a] += third
-        bob[b1] += third / 2
-        bob[b2] += third / 2
-        # strategy 2: Alice flips inside, Bob exits
-        alice[a1] += third / 2
-        alice[a2] += third / 2
-        bob[c_b] += third
-        # strategy 3: Bob's first step is the partner of Alice's second
-        # position, or a coin when Alice returns immediately
-        alice[a1] += third / 2
-        alice[a2] += third / 2
-        for second, p2 in ((a, Fraction(1, 3)), (b1, Fraction(1, 3)), (b2, Fraction(1, 3))):
-            w = third * p2
-            if second == a:  # T = 2, coin
-                bob[b1] += w / 2
-                bob[b2] += w / 2
-            else:
-                bob[b2 if second == b1 else b1] += w
+    branches = enumerate_law(
+        lambda rng, out: cubic_block(g, a, b, rng, sc, out=out),
+        lambda out: out.alice_steps and out.bob_steps,
+    )
+    for p, out, _ in branches:
+        alice[out.alice_steps[0]] += p
+        bob[out.bob_steps[0]] += p
     for v, law, nbrs in ((a, alice, g.adjacency[a]), (b, bob, g.adjacency[b])):
         want = Fraction(1, len(nbrs))
         for u in nbrs:
@@ -145,43 +177,22 @@ def exact_cubic_marginals(g: Graph, a: int, b: int) -> MarginalReport:
 
 
 def enumerate_k22_blocks(g: Graph, a: int, b: int, quad, max_len: int = 16):
-    """Exhaustive law of the K_{2,2} excursion strategy (strategy 3 only):
-    returns (outcomes, truncated, residual) where outcomes are
-    (prob, alice_steps, bob_steps) for excursions with T <= max_len and
+    """Exhaustive law of the K_{2,2} excursion strategy (strategy 3 only)
+    of `cubic_block`: returns (outcomes, truncated, residual) where outcomes
+    are (prob, alice_steps, bob_steps) for excursions with T <= max_len and
     truncated holds (prob, alice_prefix) for the mass beyond max_len."""
-    a1, a2, b1, b2, c_a, c_b = k22_context(g, a, b, quad)
-    partner = {a1: a2, a2: a1, b1: b2, b2: b1}
     outcomes: list[tuple[Fraction, list[int], list[int]]] = []
     truncated: list[tuple[Fraction, list[int]]] = []
-
-    def mirror(alice_steps, final_choice):
-        T = len(alice_steps)
-        bob = []
-        for s in range(1, T):
-            if s + 1 < T:
-                bob.append(partner[alice_steps[s]])
-            else:
-                pair = (b1, b2) if s % 2 == 1 else (a1, a2)
-                bob.append(pair[final_choice])
-        bob.append(b if T % 2 == 0 else a)
-        return bob
-
-    def walk(path: list[int], prob: Fraction):
-        last = path[-1]
-        if last in (a, b):
-            for choice in (0, 1):
-                outcomes.append((prob / 2, list(path), mirror(path, choice)))
-            return
-        if len(path) >= max_len:
-            truncated.append((prob, list(path)))
-            return
-        nbrs = g.adjacency[last]
-        step = prob / len(nbrs)
-        for nxt in nbrs:
-            walk(path + [nxt], step)
-
-    for first in (a1, a2):
-        walk([first], Fraction(1, 2))
+    branches = enumerate_law(
+        lambda rng, out: cubic_block(g, a, b, rng, ScenarioClass("S6", tuple(quad)), out=out),
+        lambda out: len(out.alice_steps) >= max_len and out.alice_steps[-1] not in (a, b),
+        given=(2,),
+    )
+    for p, out, complete in branches:
+        if complete:
+            outcomes.append((p, out.alice_steps, out.bob_steps))
+        else:
+            truncated.append((p, out.alice_steps))
     residual = sum((p for p, _ in truncated), Fraction(0))
     return outcomes, truncated, residual
 

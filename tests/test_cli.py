@@ -278,6 +278,16 @@ def test_oracle_commands(tmp_path, capsys):
     assert code == 0 and "agreement: True" in stdout
 
 
+def test_oracle_lemma31_takes_d_from_the_graph(tmp_path, capsys):
+    star = tmp_path / "star.txt"
+    star.write_text("4 3\n0 1\n0 2\n0 3\n")
+    code, stdout, err = run(capsys, "oracle", "lemma31", str(star))
+    assert code == 2 and "requires a regular graph" in err and "agreement" not in stdout
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle", "lemma31", str(star), "--d", "99"])
+    assert exc.value.code == 2
+
+
 def test_oracle_domain_failure(tmp_path, capsys):
     k5 = tmp_path / "k5.txt"
     run(capsys, "gen", "--family", "complete", "--n", "5", "-o", str(k5))

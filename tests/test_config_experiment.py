@@ -24,7 +24,7 @@ from avoidkit.experiment import (
 
 
 def test_config_round_trip(tmp_path):
-    cfg = RunConfig(seed=9, ticks=500, engine="cubic", alpha=0.01)
+    cfg = RunConfig(seed=9, ticks=500, engine="cubic", cache_capacity=64)
     path = tmp_path / "run.cfg"
     cfg.save(path)
     assert RunConfig.load(path) == cfg
@@ -48,11 +48,22 @@ def test_config_parse_errors():
     assert cfg.ticks == 7
 
 
+@pytest.mark.parametrize("line", ["verify.alpha = 0.01", "gen.rejection_budget = 10"])
+def test_dropped_config_keys_are_unknown(tmp_path, capsys, line):
+    """Neither key was ever read by a run; a config that sets one now fails."""
+    g, cfg = tmp_path / "pet.txt", tmp_path / "run.cfg"
+    assert cli_main(["gen", "--family", "petersen", "-o", str(g)]) == 0
+    cfg.write_text(f"sim.ticks = 10\n{line}\n")
+    code = cli_main(["simulate", str(g), "--config", str(cfg), "-o", str(tmp_path / "t.txt")])
+    err = capsys.readouterr().err
+    assert code == 2 and f"unknown config key {line.split()[0]!r}" in err
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(seed=-1)
     with pytest.raises(ValueError):
-        RunConfig(alpha=1.5)
+        RunConfig(cache_capacity=0)
     with pytest.raises(ValueError):
         RunConfig(walkers=0)
 

@@ -14,14 +14,12 @@ from avoidkit.couplers import (
     SquarefreeEngine,
     Trajectory,
     cubic_block,
-    cycle_sync_step,
     default_b0,
     k22_excursion_coupling,
     one_step_matching,
     parse_trajectory,
     s3b_rows,
     simulate,
-    two_step_table_coupling,
 )
 from avoidkit.generate import complete, cycle, random_regular_simple
 from avoidkit.graphs import distance_capped
@@ -80,14 +78,6 @@ def test_s3b_rows_structure(s3b_host):
         s3b_rows(s3b_host, 0, 6)
 
 
-def test_two_step_table_outcome(s3b_host):
-    rng = Xoshiro256(0)
-    for _ in range(50):
-        out = two_step_table_coupling(s3b_host, 0, 1, rng)
-        assert out.T == 2
-        assert len(out.alice_steps) == len(out.bob_steps) == 2
-
-
 def test_k22_excursion(s6_host):
     rng = Xoshiro256(1)
     lengths = Counter()
@@ -108,8 +98,21 @@ def test_cubic_block_dispatch(pet, s3b_host, s6_host, k33):
     rng = Xoshiro256(2)
     assert cubic_block(pet, 0, 2, rng).scenario.tag == "S4"
     assert cubic_block(k33, 0, 1, rng).scenario.tag == "S2"
-    assert cubic_block(s3b_host, 0, 1, rng).T == 2
+    rows = s3b_rows(s3b_host, 0, 1)
+    for _ in range(50):
+        out = cubic_block(s3b_host, 0, 1, rng)
+        assert out.scenario.tag == "S3b" and out.T == 2
+        assert (tuple(out.alice_steps), tuple(out.bob_steps)) in rows
     assert cubic_block(s6_host, 0, 1, rng).T >= 1
+
+
+def test_cubic_block_draws_from_given_matching(pet):
+    """S2-S5 draw from the matching the engine passes, not a fresh solve."""
+    sigma = one_step_matching(pet, 0, 2)[::-1]
+    out = cubic_block(pet, 0, 2, Xoshiro256(0), classify_scenario(pet, 0, 2), sigma)
+    fresh = cubic_block(pet, 0, 2, Xoshiro256(0))
+    assert (out.alice_steps[0], out.bob_steps[0]) == Xoshiro256(0).choice(sigma)
+    assert out.alice_steps != fresh.alice_steps
 
 
 def test_default_b0(pet):
@@ -125,6 +128,16 @@ def test_cubic_engine_runs_and_marks(pet):
     assert traj.block_marks[0] == 0
     assert traj.block_marks[-1] == len(traj.positions) - 1
     assert sum(eng.scenario_counts.values()) == len(traj.block_marks) - 1
+
+
+def test_cubic_engine_cache_is_bounded():
+    g, _ = random_regular_simple(250, 3, 0, connected_required=True)
+    small, wide = CubicEngine(g, 5, cache_capacity=8), CubicEngine(g, 5)
+    assert small.run(3000).to_text() == wide.run(3000).to_text()
+    assert len(small.cache._data) <= 8 and small.cache.misses > wide.cache.misses
+    # S1 pairs are never stored; every stored entry is (scenario, sigma)
+    assert all(sc.tag != "S1" for sc, _ in wide.cache._data.values())
+    assert 0 < len(wide.cache._data) < sum(wide.scenario_counts.values())
 
 
 def test_cubic_engine_rejects_adjacent_start(pet):
@@ -222,14 +235,6 @@ def test_cycle_engine_validates():
         CycleEngine(6, 2, 0, (0, 2, 4, 1, 3, 3))
 
 
-def test_cycle_sync_step():
-    rng = Xoshiro256(0)
-    pos = cycle_sync_step(8, (0, 2, 4), rng)
-    assert pos in ((1, 3, 5), (7, 1, 3))
-    with pytest.raises(ValueError):
-        cycle_sync_step(4, (0, 2, 4), rng)
-
-
 def test_simulate_determinism(pet, circ9):
     for g, engine in ((pet, "cubic"), (pet, "squarefree"), (circ9, "regular")):
         t1, _ = simulate(g, engine, 150, 77)
@@ -242,6 +247,14 @@ def test_simulate_rejects_wrong_engine(pet):
         simulate(pet, "regular", 10, 0)
     with pytest.raises(ValueError):
         simulate(cycle(8), "cubic", 10, 0)
+
+
+@pytest.mark.parametrize("engine", ["cubic", "squarefree", "regular", "cycle"])
+@pytest.mark.parametrize("start", [{"a0": -1}, {"a0": 10}, {"b0": -1}, {"b0": 10}])
+def test_simulate_rejects_out_of_range_start(pet, circ9, engine, start):
+    g = {"regular": circ9, "cycle": cycle(10)}.get(engine, pet)
+    with pytest.raises(ValueError, match="is not a vertex"):
+        simulate(g, engine, 5, 0, **start)
 
 
 @pytest.mark.parametrize("engine,walkers", [("cubic", 5), ("squarefree", 3), ("regular", 1)])

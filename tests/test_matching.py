@@ -13,8 +13,6 @@ from avoidkit.matching import (
     TransportInfeasible,
     build_regular_transport,
     build_squarefree_transport,
-    cmp_regular,
-    cmp_squarefree,
     compatible,
     mover_pairs,
     other_pairs,
@@ -44,17 +42,6 @@ def test_mover_pairs_excludes_e(circ9):
     for mp in mover_pairs(circ9, 0, 2):
         assert mp.first_step != 2
         assert mp.second_step in circ9.adjacency[mp.first_step]
-
-
-def test_cmp_sets(circ9, pet):
-    full = cmp_regular(circ9, 0, 4, 1, mover_pairs(circ9, 0, 1))
-    assert len(full) == 16  # all of B is reachable in an H_4-free host
-    with pytest.raises(ValueError):
-        cmp_regular(circ9, 0, 1, 2, [])  # adjacent b with e != b
-    got = cmp_squarefree(pet, 0, 2, pet.adjacency[0])
-    assert got == set(pet.adjacency[2])
-    with pytest.raises(ValueError):
-        cmp_squarefree(pet, 0, 1, pet.adjacency[0])
 
 
 def test_solve_transport_simple():

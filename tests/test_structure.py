@@ -169,6 +169,15 @@ def test_classify_scenarios(pet, k33, s3b_host, s6_host):
         classify_scenario(pet, 0, 1)
 
 
+def test_classify_s1_is_distance_at_least_4():
+    """The neighbourhood test behind S1 agrees with a capped BFS."""
+    g, _ = random_regular_simple(100, 3, 3, connected_required=True)
+    for a in range(g.n):
+        for b in range(g.n):
+            if a != b and not g.has_edge(a, b):
+                assert (classify_scenario(g, a, b).tag == "S1") == (distance_capped(g, a, b, 4) >= 4)
+
+
 def test_classify_witness_consistency(s3b_host, s6_host, hea):
     sc = classify_scenario(s3b_host, 0, 1)
     c1, c2 = sc.witness

@@ -151,14 +151,6 @@ def s3b_rows(g: Graph, a: int, b: int) -> list[tuple[tuple[int, int], tuple[int,
     ]
 
 
-def k22_context(g: Graph, a: int, b: int, quad: tuple[int, int, int, int]):
-    """Unpack an S6 witness into (a1, a2, b1, b2, c_a, c_b)."""
-    a1, a2, b1, b2 = quad
-    c_a = next(v for v in g.adjacency[a] if v not in (a1, a2))
-    c_b = next(v for v in g.adjacency[b] if v not in (b1, b2))
-    return a1, a2, b1, b2, c_a, c_b
-
-
 def k22_excursion_coupling(
     g: Graph, a: int, b: int, rng: Xoshiro256, quad: tuple[int, int, int, int]
 ) -> BlockOutcome:
@@ -192,14 +184,14 @@ def cubic_block(g: Graph, a: int, b: int, rng, scenario: ScenarioClass | None = 
         alice += (a1, a2)
         bob += (b1, b2)
     elif tag == "S6":
-        a1, a2, b1, b2, c_a, c_b = k22_context(g, a, b, scenario.witness)
+        a1, a2, b1, b2 = scenario.witness
         strategy = rng.randrange(3)
         if strategy == 0:  # Alice exits, Bob enters
-            alice.append(c_a)
+            alice.append(next(v for v in g.adjacency[a] if v not in (a1, a2)))
             bob.append(rng.choice((b1, b2)))
         elif strategy == 1:  # Alice enters, Bob exits
             alice.append(rng.choice((a1, a2)))
-            bob.append(c_b)
+            bob.append(next(v for v in g.adjacency[b] if v not in (b1, b2)))
         else:
             # both enter the K_{2,2}: Alice walks until she hits {a, b}, and
             # Bob, one step behind, takes the partner of each of her interior

@@ -1,13 +1,14 @@
-"""The four coupling engines behind one trajectory-producing interface.
+"""The four coupling engines: four block laws behind one engine contract.
 
-Engines:
-  cubic      - scenario-classified blocks on 3-regular hosts (one-step
-               matchings, a 9-row two-step table, and a variable-length
-               excursion through a local K_{2,2})
-  regular    - the excluded-vertex protocol on d-regular hosts (d >= 4),
-               driven by 4-index transport matrices
-  squarefree - one-step transport coupling on square-free hosts
-  cycle      - k synchronized walkers on a cycle
+`Engine` holds what every engine shares: the generator, the transport
+cache, the start rule and the one run loop.  An engine adds its block law;
+its hypothesis is stated in `structure.engine_obstruction`.
+
+  cubic      - scenario-classified blocks: one-step matchings, a 9-row
+               two-step table, and an excursion through a local K_{2,2}
+  regular    - the excluded-vertex protocol, two transport rounds per block
+  squarefree - one-step transport blocks
+  cycle      - k synchronized walkers, one shift per tick
 
 Every engine is deterministic given its seed.
 """
@@ -33,10 +34,8 @@ from .structure import ScenarioClass, classify_scenario, require_engine_applicab
 
 @dataclass
 class EngineState:
-    engine: str
     alice: int
     bob: int
-    excluded: int | None = None
     tick: int = 0
 
 
@@ -230,23 +229,59 @@ def default_b0(g: Graph, a0: int) -> int:
     raise ValueError("no vertex at distance >= 2 from a0 (graph is complete)")
 
 
-class CubicEngine:
-    """Cubic blocks from one bounded cache of (scenario, sigma) per
-    non-S1 pair (a, b); an S1 pair costs only a capped BFS and is not cached."""
+class Engine:
+    """A block law behind the one run loop.
+
+    A subclass names its engine, says whether its block ends are written as
+    `# block` marks (they are exactly when every block ends at distance >= 2),
+    and defines `block()`, which advances the engine and returns the position
+    tuples of the ticks that block adds.  Two-walker engines start at
+    (a0, b0) through `start_b0`."""
+
+    name: str
+    marks_blocks = False
 
     def __init__(self, g: Graph, seed: int, a0: int = 0, b0: int | None = None, cache_capacity: int = 4096):
         self.g = g
         self.seed = seed
         self.rng = Xoshiro256(seed)
-        if b0 is None:
-            b0 = default_b0(g, a0)
-        if b0 == a0 or g.has_edge(a0, b0):
-            raise ValueError("cubic engine requires distance(a0, b0) >= 2")
-        self.state = EngineState("cubic", a0, b0)
         self.cache = LruCache(cache_capacity)
+        self.state = EngineState(a0, self.start_b0(a0, b0))
+
+    def start_b0(self, a0: int, b0: int | None) -> int:
+        """The start rule: b0 (default `default_b0`) at distance >= 2 from a0."""
+        if b0 is None:
+            return default_b0(self.g, a0)
+        if b0 == a0 or self.g.has_edge(a0, b0):
+            raise ValueError(f"{self.name} engine requires distance(a0, b0) >= 2")
+        return b0
+
+    def current(self) -> tuple[int, ...]:
+        return (self.state.alice, self.state.bob)
+
+    def run(self, ticks: int) -> Trajectory:
+        """Whole blocks until at least `ticks` ticks are drawn."""
+        positions = [self.current()]
+        marks = [0]
+        while len(positions) <= ticks:
+            positions += self.block()
+            marks.append(len(positions) - 1)
+        return Trajectory(self.name, self.seed, self.g.digest(), positions,
+                          marks if self.marks_blocks else [])
+
+
+class CubicEngine(Engine):
+    """Cubic blocks from one bounded cache of (scenario, sigma) per
+    non-S1 pair (a, b); an S1 pair costs only a capped BFS and is not cached."""
+
+    name = "cubic"
+    marks_blocks = True
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         self.scenario_counts: dict[str, int] = {}
 
-    def block(self) -> BlockOutcome:
+    def block(self) -> list[tuple[int, int]]:
         g, a, b = self.g, self.state.alice, self.state.bob
         cached = self.cache.get((a, b))
         if cached is None:
@@ -261,90 +296,50 @@ class CubicEngine:
         self.state.alice = out.alice_steps[-1]
         self.state.bob = out.bob_steps[-1]
         self.state.tick += out.T
-        return out
-
-    def run(self, ticks: int) -> Trajectory:
-        positions = [(self.state.alice, self.state.bob)]
-        marks = [0]
-        while self.state.tick < ticks:
-            out = self.block()
-            positions.extend(zip(out.alice_steps, out.bob_steps))
-            marks.append(self.state.tick)
-        return Trajectory("cubic", self.seed, self.g.digest(), positions, marks)
+        return list(zip(out.alice_steps, out.bob_steps))
 
 
-class SquarefreeEngine:
-    def __init__(self, g: Graph, seed: int, a0: int = 0, b0: int | None = None, cache_capacity: int = 4096):
-        self.g = g
-        self.seed = seed
-        self.rng = Xoshiro256(seed)
-        if b0 is None:
-            b0 = default_b0(g, a0)
-        if b0 == a0 or g.has_edge(a0, b0):
-            raise ValueError("squarefree engine requires distance(a0, b0) >= 2")
-        self.state = EngineState("squarefree", a0, b0)
-        self.cache = LruCache(cache_capacity)
+class SquarefreeEngine(Engine):
+    """One-step transport blocks; every tick is a block."""
 
-    def step(self) -> tuple[int, int]:
+    name = "squarefree"
+    marks_blocks = True
+
+    def block(self) -> list[tuple[int, int]]:
         g, a, b = self.g, self.state.alice, self.state.bob
         key = ("sqf-cum", a, b)
         cached = self.cache.get(key)
         if cached is None:
             tm = build_squarefree_transport(g, a, b)
-            cums = tuple(tuple(accumulate(row)) for row in tm.entries)
-            cached = (tm, cums)
+            cached = (tm, tuple(tuple(accumulate(row)) for row in tm.entries))
             self.cache.put(key, cached)
         tm, cums = cached
         i = self.rng.randrange(len(tm.row_labels))
-        r = self.rng.randrange(tm.row_sum)
-        j = bisect_right(cums[i], r)
+        j = bisect_right(cums[i], self.rng.randrange(tm.row_sum))
         row_v, col_v = tm.row_labels[i], tm.col_labels[j]
         ap, bp = (col_v, row_v) if tm.swapped else (row_v, col_v)
         self.state.alice, self.state.bob = ap, bp
         self.state.tick += 1
-        return ap, bp
-
-    def run(self, ticks: int) -> Trajectory:
-        positions = [(self.state.alice, self.state.bob)]
-        marks = list(range(ticks + 1))  # every step is a one-tick block
-        for _ in range(ticks):
-            positions.append(self.step())
-        return Trajectory("squarefree", self.seed, self.g.digest(), positions, marks)
+        return [(ap, bp)]
 
 
-class RegularEngine:
+class RegularEngine(Engine):
     """Excluded-vertex protocol: two overlapping transport rounds per
-    three ticks, with the walkers' roles alternating.
+    three-tick block, with the walkers' roles alternating.
 
     A round draws r uniform below the matrix total and takes the cell of
     the row-major flattened entries whose cumulative count first exceeds r;
     zero cells never do, so each cell is drawn with probability entry/total.
     The cumulative counts are cached per triple as one array("I")."""
 
-    def __init__(self, g: Graph, seed: int, a0: int = 0, b0: int | None = None, cache_capacity: int = 4096):
-        self.g = g
-        self.seed = seed
-        self.rng = Xoshiro256(seed)
-        self.cache = LruCache(cache_capacity)
-        e1 = self.rng.choice(g.adjacency[a0])
-        if b0 is None:
-            b0 = default_b0(g, a0)
-        else:
-            if b0 == a0:
-                raise ValueError("b0 must differ from a0")
-            if g.has_edge(a0, b0) and b0 != e1:
-                raise ValueError("b0 in N(a0) is only allowed when b0 equals the excluded vertex")
-        self.state = EngineState("regular", a0, b0, excluded=e1)
-        self.round_checks = 0
+    name = "regular"
+    round_checks = 0  # rounds drawn, each after checking its invariant
 
-    def _sampler(self, a: int, b: int, e: int):
-        key = ("reg-samp", a, b, e)
-        s = self.cache.get(key)
-        if s is None:
-            tm = build_regular_transport(self.g, a, b, e)
-            s = (tm.row_labels, tm.col_labels, array("I", accumulate(chain.from_iterable(tm.entries))))
-            self.cache.put(key, s)
-        return s
+    def start_b0(self, a0: int, b0: int | None) -> int:
+        """Draw the first excluded vertex e1 before anything else; b0 may
+        be adjacent to a0 only when it is e1."""
+        self.excluded = self.rng.choice(self.g.adjacency[a0])
+        return b0 if b0 == self.excluded else super().start_b0(a0, b0)
 
     def sample_round(self, a: int, b: int, e: int) -> tuple[int, int, int, int]:
         """One transport draw for the triple (mover=a, other=b, excluded=e):
@@ -355,29 +350,26 @@ class RegularEngine:
         if g.has_edge(a, b) and b != e:
             raise AssertionError("round invariant violated: adjacent other != excluded")
         self.round_checks += 1
-        rows, cols, cum = self._sampler(a, b, e)
+        key = ("reg-samp", a, b, e)
+        cached = self.cache.get(key)
+        if cached is None:
+            tm = build_regular_transport(g, a, b, e)
+            cached = (tm.row_labels, tm.col_labels, array("I", accumulate(chain.from_iterable(tm.entries))))
+            self.cache.put(key, cached)
+        rows, cols, cum = cached
         i, j = divmod(bisect_right(cum, self.rng.randrange(cum[-1])), len(cols))
         mp, op = rows[i], cols[j]
         return mp.first_step, mp.second_step, op.step, op.next_excluded
 
-    def run(self, ticks: int) -> Trajectory:
-        A = [self.state.alice]
-        B = [self.state.bob]
-        e_next = self.state.excluded  # E_{3q+1} at the top of each loop
-        q = 0
-        while 3 * q < ticks:
-            a1, a2, b1, e2 = self.sample_round(A[3 * q], B[3 * q], e_next)
-            A.extend((a1, a2))
-            B.append(b1)
-            x1, x2, y, e4 = self.sample_round(B[3 * q + 1], A[3 * q + 2], e2)
-            B.extend((x1, x2))
-            A.append(y)
-            e_next = e4
-            q += 1
-        self.state.alice, self.state.bob = A[3 * q], B[3 * q]
-        self.state.excluded = e_next
-        self.state.tick = 3 * q
-        return Trajectory("regular", self.seed, self.g.digest(), list(zip(A, B)))
+    def block(self) -> list[tuple[int, int]]:
+        """Alice moves twice while Bob steps once, then Bob moves twice
+        while Alice steps once; `excluded` carries over between rounds."""
+        s = self.state
+        a1, a2, b1, e2 = self.sample_round(s.alice, s.bob, self.excluded)
+        x1, x2, y, self.excluded = self.sample_round(b1, a2, e2)
+        s.alice, s.bob = y, x2
+        s.tick += 3
+        return [(a1, b1), (a2, x1), (y, x2)]
 
 
 def cyclic_order(g: Graph) -> tuple[int, ...]:
@@ -389,7 +381,7 @@ def cyclic_order(g: Graph) -> tuple[int, ...]:
     return tuple(order)
 
 
-class CycleEngine:
+class CycleEngine(Engine):
     """k synchronized walkers on a cycle: one fair coin per tick, all walkers
     shift the same direction.
 
@@ -397,39 +389,40 @@ class CycleEngine:
     canonical C_n); walkers start at every second vertex of it.
     """
 
+    name = "cycle"
+
     def __init__(self, n: int, k: int, seed: int, order: tuple[int, ...] | None = None):
         if k < 1 or 2 * k > n:
             raise ValueError("cycle engine requires 1 <= k <= n/2")
         self.order = tuple(range(n)) if order is None else tuple(order)
         if sorted(self.order) != list(range(n)):
             raise ValueError("order must list each vertex 0..n-1 once")
-        self.n = n
-        self.k = k
         self.seed = seed
         self.rng = Xoshiro256(seed)
-        self._succ = [0] * n
-        self._pred = [0] * n
-        for i, v in enumerate(self.order):
-            self._succ[v] = self.order[(i + 1) % n]
-            self._pred[v] = self.order[i - 1]
+        self._succ, self._pred = [0] * n, [0] * n
+        for u, v in zip(self.order, self.order[1:] + self.order[:1]):
+            self._succ[u], self._pred[v] = v, u
+        self.g = graph_from_edges(n, enumerate(self._succ))
         self.positions = self.order[: 2 * k : 2]
+
+    def current(self) -> tuple[int, ...]:
+        return self.positions
 
     def step(self) -> tuple[int, ...]:
         move = self._succ if self.rng.coin() else self._pred
         self.positions = tuple(move[p] for p in self.positions)
         return self.positions
 
-    def run(self, ticks: int) -> Trajectory:
-        positions = [self.positions]
-        for _ in range(ticks):
-            positions.append(self.step())
-        host = graph_from_edges(self.n, enumerate(self._succ))
-        return Trajectory("cycle", self.seed, host.digest(), positions)
+    def block(self) -> list[tuple[int, ...]]:
+        return [self.step()]
+
+
+TWO_WALKER_ENGINES = {"cubic": CubicEngine, "regular": RegularEngine, "squarefree": SquarefreeEngine}
 
 
 def check_walkers(engine: str, walkers: int) -> None:
     """Raise unless the engine runs that many walkers: only cycle runs k != 2."""
-    if engine != "cycle" and walkers != 2:
+    if engine in TWO_WALKER_ENGINES and walkers != 2:
         raise ValueError(f"engine {engine!r} runs exactly 2 walkers, got {walkers}")
 
 
@@ -450,15 +443,9 @@ def simulate(
     for name, v in (("a0", a0), ("b0", b0)):
         if v is not None and not 0 <= v < g.n:
             raise ValueError(f"{name}={v} is not a vertex (0..{g.n - 1})")
-    if engine == "cycle":
+    if engine == "cycle":  # the only k-walker engine: a0 and b0 do not apply
         eng = CycleEngine(g.n, walkers, seed, cyclic_order(g))
-    elif engine == "cubic":
-        eng = CubicEngine(g, seed, a0, b0, cache_capacity)
-    elif engine == "squarefree":
-        eng = SquarefreeEngine(g, seed, a0, b0, cache_capacity)
-    elif engine == "regular":
-        eng = RegularEngine(g, seed, a0, b0, cache_capacity)
     else:
-        raise ValueError(f"unknown engine {engine!r}")
+        eng = TWO_WALKER_ENGINES[engine](g, seed, a0, b0, cache_capacity)
     traj = eng.run(ticks)
     return traj, eng

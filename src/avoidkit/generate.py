@@ -21,9 +21,14 @@ DEFAULT_REJECTION_BUDGET = 10**5
 
 
 class RejectionBudgetExceeded(RuntimeError):
-    def __init__(self, budget: int):
-        super().__init__(f"rejection budget of {budget} attempts exceeded")
+    def __init__(self, budget: int, reason: str | None = None):
+        super().__init__(reason or f"rejection budget of {budget} attempts exceeded")
         self.budget = budget
+
+
+class HopelessRequest(RejectionBudgetExceeded, ValueError):
+    """A request no attempt can meet: it exceeds every budget, so it is
+    rejected as bad input before the first attempt."""
 
 
 @dataclass
@@ -136,12 +141,15 @@ def random_regular_simple(
     does, where s_k is the k-th draw of Xoshiro256(seed), and pairs them as
     the shuffle makes them final, so the attempt is rejected at its first
     loop or repeated pair.  Returns (graph, rejections).  Raises
-    RejectionBudgetExceeded past `budget`.
+    RejectionBudgetExceeded past `budget`, and HopelessRequest up front for
+    a request no attempt can meet.
     """
     if (n * d) % 2 != 0:
         raise ValueError("random_regular_simple requires n*d even")
     if not 0 < d < n:
         raise ValueError("random_regular_simple requires 0 < d < n")
+    if d == 1 and n > 2 and connected_required:
+        raise HopelessRequest(budget, "a 1-regular graph on more than 2 vertices is never connected")
     rng = Xoshiro256(seed)
     all_stubs = [v for v in range(n) for _ in range(d)]
     rejections = 0

@@ -35,9 +35,6 @@ class Graph:
                 if v not in self.adjacency[u]:
                     raise ValueError(f"asymmetric edge ({v},{u})")
 
-    def neighbors(self, v: int) -> tuple[int, ...]:
-        return self.adjacency[v]
-
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])
 
@@ -104,27 +101,23 @@ def parse_graph(text: str) -> Graph:
     if len(lines) < m + 1:
         raise GraphParseError(f"expected {m} edge lines, found {len(lines) - 1}")
 
-    adj: list[set[int]] = [set() for _ in range(n)]
-    dropped = 0
-    for lineno in range(2, m + 2):
-        raw = lines[lineno - 1]
-        parts = raw.split()
-        if len(parts) != 2:
-            raise GraphParseError(f"malformed edge at line {lineno}: {raw!r}")
-        try:
-            u, v = int(parts[0]), int(parts[1])
-        except ValueError:
-            raise GraphParseError(f"malformed edge at line {lineno}: {raw!r}") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise GraphParseError(f"vertex out of range at line {lineno}")
-        if u == v:
-            raise GraphParseError(f"loop at line {lineno}")
-        if v in adj[u]:
-            dropped += 1
-            continue
-        adj[u].add(v)
-        adj[v].add(u)
-    return Graph(n, tuple(tuple(sorted(s)) for s in adj), dropped)
+    def edges():
+        for lineno in range(2, m + 2):
+            raw = lines[lineno - 1]
+            parts = raw.split()
+            if len(parts) != 2:
+                raise GraphParseError(f"malformed edge at line {lineno}: {raw!r}")
+            try:
+                u, v = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise GraphParseError(f"malformed edge at line {lineno}: {raw!r}") from None
+            if not (0 <= u < n and 0 <= v < n):
+                raise GraphParseError(f"vertex out of range at line {lineno}")
+            if u == v:
+                raise GraphParseError(f"loop at line {lineno}")
+            yield u, v
+
+    return graph_from_edges(n, edges(), dedupe=True)
 
 
 @dataclass

@@ -8,6 +8,9 @@ equal closed neighborhoods.  The cubic obstruction H~_3 (K_{2,3} plus one
 edge inside the size-3 part) is a pair of codegree >= 3 with two adjacent
 common neighbors; a 4-cycle is a pair of codegree >= 2.  All detectors
 return the lexicographically first witness.
+
+Each engine's hypothesis is stated once, in `engine_obstruction`, which
+both `require_engine_applicable` and `admissibility_verdict` ask.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
 
-from .graphs import Graph, basic_profile, common_neighbors
+from .graphs import Graph, Profile, basic_profile, common_neighbors
 
 
 def codegrees(g: Graph) -> Counter:
@@ -63,26 +66,11 @@ def admits_K22(g: Graph, a: int, b: int) -> tuple[int, int, int, int] | None:
     vertices, and all four cross edges present."""
     if a == b or g.has_edge(a, b):
         raise ValueError("admits_K22 requires a != b and b not in N(a)")
-    na, nb = g.adjacency[a], g.adjacency[b]
-    for i1 in range(len(na)):
-        a1 = na[i1]
-        for i2 in range(i1 + 1, len(na)):
-            a2 = na[i2]
-            for j1 in range(len(nb)):
-                b1 = nb[j1]
-                if b1 in (a1, a2):
-                    continue
-                for j2 in range(j1 + 1, len(nb)):
-                    b2 = nb[j2]
-                    if b2 in (a1, a2):
-                        continue
-                    if (
-                        g.has_edge(a1, b1)
-                        and g.has_edge(a1, b2)
-                        and g.has_edge(a2, b1)
-                        and g.has_edge(a2, b2)
-                    ):
-                        return (a1, a2, b1, b2)
+    for a1, a2 in combinations(g.adjacency[a], 2):
+        for b1, b2 in combinations(g.adjacency[b], 2):
+            if (b1 not in (a1, a2) and b2 not in (a1, a2) and g.has_edge(a1, b1)
+                    and g.has_edge(a1, b2) and g.has_edge(a2, b1) and g.has_edge(a2, b2)):
+                return (a1, a2, b1, b2)
     return None
 
 
@@ -129,45 +117,49 @@ class Verdict:
     also_squarefree: bool = False
 
 
-def admissibility_verdict(g: Graph) -> Verdict:
-    """Which coupling engine the graph admits.
+def engine_obstruction(g: Graph, engine: str, prof: Profile) -> str | None:
+    """Why g fails the named engine's hypothesis, naming the witness; None
+    when it holds.  `prof` is g's basic_profile; connectivity is checked by
+    the callers."""
+    d = prof.regular_degree
+    if engine == "cycle":
+        return None if d == 2 else "not 2-regular"
+    if engine == "cubic":
+        if d != 3 or g.n < 5:
+            return "not 3-regular on >= 5 vertices"
+        wit = contains_H3tilde(g)
+        return None if wit is None else f"contains H~_3 at {wit}"
+    if engine == "regular":
+        if d is None or d < 4 or g.n < 5:
+            return "not d-regular with d >= 4 on >= 5 vertices"
+        wit = contains_Hd(g, d)
+        return None if wit is None else f"contains H_{d} at pair {wit}"
+    if engine == "squarefree":
+        if prof.min_degree < 3:
+            return "minimum degree < 3"
+        wit = is_square_free(g)
+        return None if wit is None else f"contains a 4-cycle {wit}"
+    raise ValueError(f"unknown engine {engine!r}")
 
-    Preference order when several apply: regular/cubic first, then
-    squarefree (recorded via also_squarefree).
-    """
+
+def admissibility_verdict(g: Graph) -> Verdict:
+    """Which coupling engine the graph admits: the engine its degree selects
+    (cycle, cubic or regular) when that one's hypothesis holds, else
+    squarefree; `also_squarefree` records that squarefree holds too."""
     prof = basic_profile(g)
     if not prof.connected:
         raise ValueError("admissibility requires a connected graph")
     if g.n < 2:
         raise ValueError("admissibility requires n >= 2")
-    c4 = is_square_free(g)
-    sq_free = c4 is None and prof.min_degree >= 3
-
     d = prof.regular_degree
-    if d == 2:
-        return Verdict("cycle", d=2)
-    if d == 3 and g.n >= 5:
-        wit = contains_H3tilde(g)
-        if wit is None:
-            return Verdict("cubic", d=3, also_squarefree=sq_free)
-        if sq_free:
-            return Verdict("squarefree")
-        return Verdict("none", obstruction=f"contains H~_3 at {wit}")
-    if d is not None and d >= 4 and g.n >= 5:
-        wit = contains_Hd(g, d)
-        if wit is None:
-            return Verdict("regular", d=d, also_squarefree=sq_free)
-        if sq_free:
-            return Verdict("squarefree")
-        return Verdict("none", obstruction=f"contains H_{d} at pair {wit}")
-    if sq_free:
+    engine = {2: "cycle", 3: "cubic"}.get(d, "regular")
+    why = engine_obstruction(g, engine, prof)
+    sq = engine_obstruction(g, "squarefree", prof)
+    if why is None:
+        return Verdict(engine, d=d, also_squarefree=sq is None)
+    if sq is None:
         return Verdict("squarefree")
-
-    if prof.min_degree < 3 and d is None:
-        return Verdict("none", obstruction="min degree < 3 and not regular")
-    if c4 is not None:
-        return Verdict("none", obstruction=f"contains a 4-cycle {c4}")
-    return Verdict("none", obstruction="no construction applies")
+    return Verdict("none", obstruction=f"{engine}: {why}; squarefree: {sq}")
 
 
 def require_engine_applicable(g: Graph, engine: str) -> None:
@@ -175,27 +167,6 @@ def require_engine_applicable(g: Graph, engine: str) -> None:
     prof = basic_profile(g)
     if not prof.connected:
         raise ValueError("engine requires a connected graph")
-    if engine == "cycle":
-        if prof.regular_degree != 2:
-            raise ValueError("cycle engine requires a 2-regular graph")
-    elif engine == "cubic":
-        if prof.regular_degree != 3 or g.n < 5:
-            raise ValueError("cubic engine requires a 3-regular graph on >= 5 vertices")
-        wit = contains_H3tilde(g)
-        if wit is not None:
-            raise ValueError(f"cubic engine hypothesis fails: contains H~_3 at {wit}")
-    elif engine == "regular":
-        d = prof.regular_degree
-        if d is None or d < 4 or g.n < 5:
-            raise ValueError("regular engine requires a d-regular graph, d >= 4, n >= 5")
-        wit = contains_Hd(g, d)
-        if wit is not None:
-            raise ValueError(f"regular engine hypothesis fails: contains H_{d} at {wit}")
-    elif engine == "squarefree":
-        if prof.min_degree < 3:
-            raise ValueError("squarefree engine requires minimum degree >= 3")
-        wit = is_square_free(g)
-        if wit is not None:
-            raise ValueError(f"squarefree engine hypothesis fails: 4-cycle {wit}")
-    else:
-        raise ValueError(f"unknown engine {engine!r}")
+    why = engine_obstruction(g, engine, prof)
+    if why is not None:
+        raise ValueError(f"{engine} engine hypothesis fails: {why}")

@@ -49,8 +49,8 @@ def check_avoidance(g: Graph, traj: Trajectory) -> list[Violation]:
     """All avoidance/consistency violations in a trajectory.
 
     Checks per tick: every step is an edge; no two walkers share a vertex;
-    for two-walker runs, B_t != A_{t+1}; for block engines, distance >= 2
-    at each block marker.
+    for two-walker runs, B_t != A_{t+1} and distance >= 2 at each block
+    mark (only engines whose block ends are admissible write marks).
     """
     if traj.graph_digest != g.digest():
         raise ValueError("trajectory/graph digest mismatch")
@@ -70,12 +70,11 @@ def check_avoidance(g: Graph, traj: Trajectory) -> list[Violation]:
                     out.append(Violation(t, "non_edge_step", (w, cur[w], nxt[w])))
             if len(cur) == 2 and cur[1] == nxt[0]:
                 out.append(Violation(t, "collision_swap", (cur[1],)))
-    if traj.engine in ("cubic", "squarefree"):
-        for t in traj.block_marks:
-            if t < len(pos):
-                a, b = pos[t][0], pos[t][1]
-                if distance_capped(g, a, b, 2) < 2:
-                    out.append(Violation(t, "adjacency_at_block_end", (a, b)))
+    for t in traj.block_marks:
+        if t < len(pos) and len(pos[t]) == 2:
+            a, b = pos[t]
+            if distance_capped(g, a, b, 2) < 2:
+                out.append(Violation(t, "adjacency_at_block_end", (a, b)))
     return out
 
 

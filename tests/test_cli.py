@@ -37,12 +37,22 @@ def test_gen_random_regular(tmp_path, capsys):
 
 
 def test_gen_rejection_budget_exceeded(tmp_path, capsys):
-    # a 1-regular graph on 6 vertices is never connected
+    # K_10 is the only 9-regular graph on 10 vertices, but a pairing of its
+    # 90 stubs is simple with probability about 1e-13
+    out = tmp_path / "rr.txt"
+    code, _, err = run(capsys, "gen", "--family", "random_regular", "--n", "10", "--d", "9",
+                       "--seed", "1", "-o", str(out))
+    assert code == 1
+    assert err == "error: rejection budget of 100000 attempts exceeded\n"
+    assert not out.exists()
+
+
+def test_gen_rejects_hopeless_request_up_front(tmp_path, capsys):
+    # a 1-regular graph on 6 vertices is never connected: no attempt is made
     out = tmp_path / "rr.txt"
     code, _, err = run(capsys, "gen", "--family", "random_regular", "--n", "6", "--d", "1",
                        "--seed", "1", "--connected", "-o", str(out))
-    assert code == 1
-    assert err == "error: rejection budget of 100000 attempts exceeded\n"
+    assert code == 2 and "never connected" in err
     assert not out.exists()
 
 

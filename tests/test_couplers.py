@@ -26,6 +26,7 @@ from avoidkit.graphs import distance_capped
 from avoidkit.matching import build_regular_transport
 from avoidkit.rng import Xoshiro256
 from avoidkit.structure import classify_scenario
+from avoidkit.verify import check_avoidance
 
 
 def test_trajectory_text_round_trip(pet):
@@ -233,6 +234,21 @@ def test_cycle_engine_validates():
         CycleEngine(10, 6, 0)
     with pytest.raises(ValueError, match="order"):
         CycleEngine(6, 2, 0, (0, 2, 4, 1, 3, 3))
+
+
+@pytest.mark.parametrize("engine,marks", [("cubic", True), ("squarefree", True),
+                                          ("regular", False), ("cycle", False)])
+def test_engine_contract(pet, circ9, engine, marks):
+    """One run loop: at least `ticks` ticks, clean, and `# block` marks
+    exactly for the engines whose every block end is admissible."""
+    g = {"regular": circ9, "cycle": cycle(10)}.get(engine, pet)
+    traj, eng = simulate(g, engine, 100, 3, walkers=5 if engine == "cycle" else 2)
+    assert len(traj.positions) >= 101 and traj.engine == engine == eng.name
+    assert check_avoidance(g, traj) == []
+    assert eng.marks_blocks == marks
+    assert bool(traj.block_marks) == marks
+    if marks:
+        assert traj.block_marks[0] == 0 and traj.block_marks[-1] == len(traj.positions) - 1
 
 
 def test_simulate_determinism(pet, circ9):

@@ -122,6 +122,9 @@ def test_random_regular_validates():
         random_regular_simple(9, 3, 0)  # odd n*d
     with pytest.raises(ValueError):
         random_regular_simple(4, 4, 0)  # d >= n
+    with pytest.raises(ValueError, match="never connected"):
+        random_regular_simple(6, 1, 0, connected_required=True)
+    assert random_regular_simple(2, 1, 0, connected_required=True)[0].edge_count == 1
 
 
 def test_petersen_structure(pet):

@@ -66,6 +66,14 @@ def test_check_avoidance_block_end_adjacency(pet):
     assert "adjacency_at_block_end" in kinds
 
 
+def test_check_avoidance_checks_marks_of_every_engine(circ9):
+    # regular trajectories carry no marks, so a planted one is checked too
+    traj, _ = simulate(circ9, "regular", 30, 1)
+    t = next(t for t, (a, b) in enumerate(traj.positions) if circ9.has_edge(a, b))
+    planted = Trajectory("regular", 1, traj.graph_digest, traj.positions, [t])
+    assert [(v.tick, v.kind) for v in check_avoidance(circ9, planted)] == [(t, "adjacency_at_block_end")]
+
+
 def test_exact_cubic_marginals_all_scenarios(pet, k33, s3b_host, s6_host):
     seen = set()
     for g in (pet, k33, s3b_host, s6_host):

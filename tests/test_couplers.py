@@ -153,6 +153,7 @@ def test_squarefree_engine(pet, ag23):
     b = next(v for v in range(9, 21) if not ag23.has_edge(0, v))
     traj2, _ = simulate(ag23, "squarefree", 300, 4, a0=0, b0=b)
     assert len(traj2.positions) == 301
+    assert check_avoidance(ag23, traj2) == []
 
 
 def test_regular_engine_phase_invariants(circ9):

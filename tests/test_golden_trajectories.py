@@ -15,6 +15,7 @@ import pytest
 
 from avoidkit import generate
 from avoidkit.couplers import simulate
+from conftest import make_ag23_incidence
 
 TICKS = 600
 SEED = 1
@@ -41,5 +42,22 @@ GOLDEN = [
 @pytest.mark.parametrize("host,engine,walkers,digest", GOLDEN, ids=[f"{h}/{e}" for h, e, _, _ in GOLDEN])
 def test_golden_trajectory(host, engine, walkers, digest):
     traj, _ = simulate(HOSTS[host](), engine, TICKS, SEED, walkers=walkers)
+    assert len(traj.positions) == TICKS + 1
+    assert hashlib.sha256(traj.to_text().encode("utf-8")).hexdigest() == digest
+
+
+# AG(2,3)'s incidence graph is bipartite with points of degree 4 and lines of
+# degree 3, so walkers that start on opposite sides change sides every tick
+# and the squarefree transport swaps roles on every other tick.  One run
+# starts with Alice on a point, the other with Alice on a line.
+AG23_GOLDEN = [
+    (0, 10, "58b7cb107e43db8b0b954d2e56b06412492e1d32f1a234df758a3e9b846f4865"),
+    (9, 3, "8484ebec9eb4cb838401376704104aabffa488a76236c3967a851ceec33035e1"),
+]
+
+
+@pytest.mark.parametrize("a0,b0,digest", AG23_GOLDEN, ids=["alice-on-point", "alice-on-line"])
+def test_golden_squarefree_ag23(a0, b0, digest):
+    traj, _ = simulate(make_ag23_incidence(), "squarefree", TICKS, SEED, a0=a0, b0=b0)
     assert len(traj.positions) == TICKS + 1
     assert hashlib.sha256(traj.to_text().encode("utf-8")).hexdigest() == digest

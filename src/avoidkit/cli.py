@@ -26,12 +26,7 @@ from .matching import (
     build_regular_transport,
     build_squarefree_transport,
 )
-from .structure import (
-    admissibility_verdict,
-    contains_H3tilde,
-    contains_Hd,
-    is_square_free,
-)
+from .structure import admissibility_verdict
 from .verify import (
     chi_square_faithfulness,
     check_avoidance,
@@ -98,20 +93,12 @@ def cmd_analyze(args) -> int:
           f"max_deg={prof.max_degree} regular={prof.regular_degree} connected={prof.connected}")
     if g.duplicate_edges_dropped:
         print(f"warning: {g.duplicate_edges_dropped} duplicate edge(s) dropped")
-    if prof.regular_degree is not None and prof.regular_degree >= 2:
-        d = prof.regular_degree
-        if d == 3:
-            wit = contains_H3tilde(g)
-            print(f"H~_3: {'present at ' + str(wit) if wit else 'absent'}")
-        elif d >= 4:
-            wit = contains_Hd(g, d)
-            print(f"H_{d}: {'present at pair ' + str(wit) if wit else 'absent'}")
-    c4 = is_square_free(g)
-    print(f"square: {'found ' + str(c4) if c4 else 'square-free'}")
     try:
         verdict = admissibility_verdict(g)
     except ValueError as err:
         return _fail(EXIT_DOMAIN, str(err))
+    for engine, why in verdict.checks:
+        print(f"{engine} hypothesis: {why or 'holds'}")
     extra = " (also square-free)" if verdict.also_squarefree else ""
     if verdict.engine == "none":
         print(f"verdict: none ({verdict.obstruction})")
@@ -335,8 +322,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SystemExit as err:
-        raise err
     except GraphParseError as err:
         return _fail(EXIT_INPUT, str(err))
 

@@ -24,6 +24,7 @@ from .graphs import Graph, graph_from_edges
 from .matching import (
     LruCache,
     TransportInfeasible,
+    TransportMatrix,
     build_regular_transport,
     build_squarefree_transport,
     solve_transport,
@@ -70,7 +71,7 @@ class Trajectory:
 
 
 def parse_trajectory(text: str) -> Trajectory:
-    digest = seed = engine = None
+    header: dict[str, str] = {}
     positions: list[tuple[int, ...]] = []
     marks: list[int] = []
     for raw in text.splitlines():
@@ -84,25 +85,31 @@ def parse_trajectory(text: str) -> Trajectory:
             key = parts[0]
             if key in ("graph-digest", "seed", "engine", "block") and len(parts) < 2:
                 raise ValueError(f"'# {key}' line without a value")
-            if key == "graph-digest":
-                digest = parts[1]
-            elif key == "seed":
-                seed = int(parts[1])
-            elif key == "engine":
-                engine = parts[1]
-            elif key == "block":
+            if key == "block":
                 marks.append(int(parts[1]))
+            elif key in ("graph-digest", "seed", "engine"):
+                header[key] = parts[1]
             continue
         nums = [int(x) for x in line.split()]
         t, pos = nums[0], tuple(nums[1:])
         if t != len(positions):
             raise ValueError(f"non-contiguous tick {t}")
+        if not pos:
+            raise ValueError(f"tick {t} has no walker")
         if positions and len(pos) != len(positions[0]):
             raise ValueError(f"tick {t} has {len(pos)} walkers, tick 0 has {len(positions[0])}")
         positions.append(pos)
-    if digest is None or seed is None or engine is None:
+    if len(header) < 3:
         raise ValueError("trajectory header incomplete")
-    return Trajectory(engine, seed, digest, positions, marks)
+    engine = header["engine"]
+    if engine != "cycle" and engine not in TWO_WALKER_ENGINES:
+        raise ValueError(f"unknown engine {engine!r}")
+    if not positions:
+        raise ValueError("trajectory has no ticks")
+    check_walkers(engine, len(positions[0]))
+    if marks and not 0 <= min(marks) <= max(marks) < len(positions):
+        raise ValueError(f"block marks {min(marks)}..{max(marks)} outside ticks 0..{len(positions) - 1}")
+    return Trajectory(engine, int(header["seed"]), header["graph-digest"], positions, marks)
 
 
 # ---------------------------------------------------------------------------
@@ -220,6 +227,34 @@ def cubic_block(g: Graph, a: int, b: int, rng, scenario: ScenarioClass | None = 
 # engines
 
 
+def transport_sampler(tm: TransportMatrix) -> tuple[tuple, tuple, array]:
+    """What a transport draw reads and an engine caches: (row_labels,
+    col_labels, cum), cum the cumulative counts over the row-major entries."""
+    return tm.row_labels, tm.col_labels, array("I", accumulate(chain.from_iterable(tm.entries)))
+
+
+def regular_round(sampler, rng) -> tuple[int, int, int, int]:
+    """The round law, for any chooser `rng` with `randrange`: the cell whose
+    cumulative count first exceeds r, r uniform below the total, so a cell's
+    probability is entry/total.  Returns (a', a'', b', e')."""
+    rows, cols, cum = sampler
+    i, j = divmod(bisect_right(cum, rng.randrange(cum[-1])), len(cols))
+    mp, op = rows[i], cols[j]
+    return mp.first_step, mp.second_step, op.step, op.next_excluded
+
+
+def squarefree_step(g: Graph, a: int, b: int, sampler, rng) -> tuple[int, int]:
+    """The step law from (a, b), for any chooser `rng` with `randrange`: row i
+    uniform, then the cell whose cumulative count first exceeds i*l + r, r
+    uniform below the row sum l.  Rows index the higher-degree side, so they
+    are Bob's when deg(a) < deg(b).  Returns (a', b')."""
+    rows, cols, cum = sampler
+    l = len(cols)
+    i, j = divmod(bisect_right(cum, rng.randrange(len(rows)) * l + rng.randrange(l)), l)
+    u, v = rows[i], cols[j]
+    return (v, u) if g.degree(a) < g.degree(b) else (u, v)
+
+
 def default_b0(g: Graph, a0: int) -> int:
     """Smallest vertex at distance >= 2 from a0."""
     closed = set(g.adjacency[a0]) | {a0}
@@ -258,6 +293,14 @@ class Engine:
 
     def current(self) -> tuple[int, ...]:
         return (self.state.alice, self.state.bob)
+
+    def sampler(self, build, *state) -> tuple[tuple, tuple, array]:
+        """The `transport_sampler` of build(g, *state), cached by state."""
+        cached = self.cache.get(state)
+        if cached is None:
+            cached = transport_sampler(build(self.g, *state))
+            self.cache.put(state, cached)
+        return cached
 
     def run(self, ticks: int) -> Trajectory:
         """Whole blocks until at least `ticks` ticks are drawn."""
@@ -306,18 +349,8 @@ class SquarefreeEngine(Engine):
     marks_blocks = True
 
     def block(self) -> list[tuple[int, int]]:
-        g, a, b = self.g, self.state.alice, self.state.bob
-        key = ("sqf-cum", a, b)
-        cached = self.cache.get(key)
-        if cached is None:
-            tm = build_squarefree_transport(g, a, b)
-            cached = (tm, tuple(tuple(accumulate(row)) for row in tm.entries))
-            self.cache.put(key, cached)
-        tm, cums = cached
-        i = self.rng.randrange(len(tm.row_labels))
-        j = bisect_right(cums[i], self.rng.randrange(tm.row_sum))
-        row_v, col_v = tm.row_labels[i], tm.col_labels[j]
-        ap, bp = (col_v, row_v) if tm.swapped else (row_v, col_v)
+        a, b = self.state.alice, self.state.bob
+        ap, bp = squarefree_step(self.g, a, b, self.sampler(build_squarefree_transport, a, b), self.rng)
         self.state.alice, self.state.bob = ap, bp
         self.state.tick += 1
         return [(ap, bp)]
@@ -325,12 +358,7 @@ class SquarefreeEngine(Engine):
 
 class RegularEngine(Engine):
     """Excluded-vertex protocol: two overlapping transport rounds per
-    three-tick block, with the walkers' roles alternating.
-
-    A round draws r uniform below the matrix total and takes the cell of
-    the row-major flattened entries whose cumulative count first exceeds r;
-    zero cells never do, so each cell is drawn with probability entry/total.
-    The cumulative counts are cached per triple as one array("I")."""
+    three-tick block, with the walkers' roles alternating."""
 
     name = "regular"
     round_checks = 0  # rounds drawn, each after checking its invariant
@@ -344,22 +372,12 @@ class RegularEngine(Engine):
     def sample_round(self, a: int, b: int, e: int) -> tuple[int, int, int, int]:
         """One transport draw for the triple (mover=a, other=b, excluded=e):
         returns (mover_step1, mover_step2, other_step, next_excluded)."""
-        g = self.g
         if b == a:
             raise AssertionError("round invariant violated: other == mover")
-        if g.has_edge(a, b) and b != e:
+        if self.g.has_edge(a, b) and b != e:
             raise AssertionError("round invariant violated: adjacent other != excluded")
         self.round_checks += 1
-        key = ("reg-samp", a, b, e)
-        cached = self.cache.get(key)
-        if cached is None:
-            tm = build_regular_transport(g, a, b, e)
-            cached = (tm.row_labels, tm.col_labels, array("I", accumulate(chain.from_iterable(tm.entries))))
-            self.cache.put(key, cached)
-        rows, cols, cum = cached
-        i, j = divmod(bisect_right(cum, self.rng.randrange(cum[-1])), len(cols))
-        mp, op = rows[i], cols[j]
-        return mp.first_step, mp.second_step, op.step, op.next_excluded
+        return regular_round(self.sampler(build_regular_transport, a, b, e), self.rng)
 
     def block(self) -> list[tuple[int, int]]:
         """Alice moves twice while Bob steps once, then Bob moves twice

@@ -115,6 +115,7 @@ class Verdict:
     d: int | None = None
     obstruction: str | None = None
     also_squarefree: bool = False
+    checks: tuple[tuple[str, str | None], ...] = ()  # (engine, its obstruction or None), in checking order
 
 
 def engine_obstruction(g: Graph, engine: str, prof: Profile) -> str | None:
@@ -155,11 +156,12 @@ def admissibility_verdict(g: Graph) -> Verdict:
     engine = {2: "cycle", 3: "cubic"}.get(d, "regular")
     why = engine_obstruction(g, engine, prof)
     sq = engine_obstruction(g, "squarefree", prof)
+    checks = ((engine, why), ("squarefree", sq))
     if why is None:
-        return Verdict(engine, d=d, also_squarefree=sq is None)
+        return Verdict(engine, d=d, also_squarefree=sq is None, checks=checks)
     if sq is None:
-        return Verdict("squarefree")
-    return Verdict("none", obstruction=f"{engine}: {why}; squarefree: {sq}")
+        return Verdict("squarefree", checks=checks)
+    return Verdict("none", obstruction=f"{engine}: {why}; squarefree: {sq}", checks=checks)
 
 
 def require_engine_applicable(g: Graph, engine: str) -> None:

@@ -1,14 +1,14 @@
 """Exact and statistical verification of coupling runs.
 
-Exact checks (fractions, zero tolerance): first-step marginals of the
-cubic engine, found by enumerating every draw of the engine's own
-`cubic_block` through a replaying chooser, the four index laws of the
-regular protocol, and the transport sum identities.  Statistical checks:
-Pearson chi-square of empirical transition counts against the uniform
-neighbor law, with a Bonferroni family-wise verdict; p-values come from
-the closed-form chi-square tail for integer degrees of freedom
-(`chi2_sf`).  Brute-force oracles sweep all subsets to confirm the two
-Hall-condition inequalities the constructions rest on.
+Exact checks (fractions, zero tolerance) enumerate every draw of the
+engines' own laws through a replaying chooser: the first-step marginals
+of `cubic_block`, the index laws of `regular_round`, and the marginals
+and avoidance of `squarefree_step`; transport sum identities are checked
+too.  Statistical checks: Pearson chi-square of empirical transition
+counts against the uniform neighbor law, with a Bonferroni family-wise
+verdict; p-values come from the closed-form chi-square tail for integer
+degrees of freedom (`chi2_sf`).  Brute-force oracles sweep all subsets
+to confirm the two Hall-condition inequalities the constructions rest on.
 """
 
 from __future__ import annotations
@@ -18,10 +18,12 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .couplers import BlockOutcome, Trajectory, cubic_block
+from .couplers import (BlockOutcome, Trajectory, cubic_block, regular_round, squarefree_step,
+                       transport_sampler)
 from .graphs import Graph, distance_capped
 from .matching import (
     TransportMatrix,
+    build_squarefree_transport,
     check_regular_triple,
     compatible,
     mover_pairs,
@@ -127,28 +129,28 @@ class _Replay:
         return self.randrange(2) == 0
 
 
-def enumerate_law(law, stop, given: tuple[int, ...] = ()):
-    """Yield (probability, out, complete) for every branch of law(chooser, out).
+def enumerate_law(law, stop=lambda out: False, given: tuple[int, ...] = ()):
+    """Yield (probability, value, complete) for every branch of law(chooser, out).
 
     Branches come depth-first, in lexicographic order of their option
     indices.  The first len(given) draws are forced to `given` and carry no
     weight, so probabilities are conditional on them.  A branch that asks
-    for a draw while stop(out) holds is cut (complete is False) and keeps
-    the partial outcome it has filled."""
+    for a draw while stop(out) holds is cut: complete is False and its value
+    is the partial `out`; a complete branch's value is what the law returned."""
     stack = [tuple(given)]
     while stack:
         prefix = stack.pop()
         out = BlockOutcome(0, [], [])
         replay = _Replay(prefix, len(given), stop, out)
         try:
-            law(replay, out)
+            value = law(replay, out)
             complete = True
         except _Cut:
-            complete = False
+            value, complete = out, False
         taken = prefix + (0,) * (len(replay.arity) - len(prefix))
         for k in range(len(prefix), len(taken)):
             stack.extend(taken[:k] + (j,) for j in range(replay.arity[k] - 1, 0, -1))
-        yield replay.weight, out, complete
+        yield replay.weight, value, complete
 
 
 def exact_cubic_marginals(g: Graph, a: int, b: int) -> MarginalReport:
@@ -156,23 +158,36 @@ def exact_cubic_marginals(g: Graph, a: int, b: int) -> MarginalReport:
     enumeration of its draws, each branch cut once both first steps are
     fixed.  Raises CertificationError unless both laws are exactly uniform."""
     sc = classify_scenario(g, a, b)
-    alice: dict[int, Fraction] = defaultdict(Fraction)
-    bob: dict[int, Fraction] = defaultdict(Fraction)
     branches = enumerate_law(
         lambda rng, out: cubic_block(g, a, b, rng, sc, out=out),
         lambda out: out.alice_steps and out.bob_steps,
     )
-    for p, out, _ in branches:
-        alice[out.alice_steps[0]] += p
-        bob[out.bob_steps[0]] += p
-    for v, law, nbrs in ((a, alice, g.adjacency[a]), (b, bob, g.adjacency[b])):
-        want = Fraction(1, len(nbrs))
-        for u in nbrs:
-            if law.get(u, Fraction(0)) != want:
-                raise CertificationError(
-                    f"first-step law at vertex {v} gives {u} mass {law.get(u, 0)}, expected {want}"
-                )
-    return MarginalReport(sc.tag, dict(alice), dict(bob))
+    steps = [(p, out.alice_steps[0], out.bob_steps[0]) for p, out, _ in branches]
+    return MarginalReport(sc.tag, *uniform_step_laws(g, a, b, steps))
+
+
+def exact_squarefree_law(g: Graph, a: int, b: int) -> MarginalReport:
+    """Exact law of `squarefree_step` from (a, b) over the engine's sampler.
+    Raises CertificationError unless every branch has b' outside
+    {a'} u N(a') and each walker's step is uniform on its neighbors."""
+    sampler = transport_sampler(build_squarefree_transport(g, a, b))
+    steps = [(p, *s) for p, s, _ in enumerate_law(lambda rng, out: squarefree_step(g, a, b, sampler, rng))]
+    bad = next(((ap, bp) for _, ap, bp in steps if bp == ap or g.has_edge(ap, bp)), None)
+    if bad is not None:
+        raise CertificationError(f"step ({a}, {b}) -> {bad} does not avoid")
+    return MarginalReport("squarefree", *uniform_step_laws(g, a, b, steps))
+
+
+def uniform_step_laws(g: Graph, a: int, b: int, steps) -> tuple[dict, dict]:
+    """Each walker's step law over (p, a', b') branches; raises unless uniform on N(a) and N(b)."""
+    laws = (defaultdict(Fraction), defaultdict(Fraction))
+    for p, ap, bp in steps:
+        laws[0][ap] += p
+        laws[1][bp] += p
+    for v, law in zip((a, b), laws):
+        if law != {u: Fraction(1, g.degree(v)) for u in g.adjacency[v]}:
+            raise CertificationError(f"step law at vertex {v} is {dict(law)}, expected uniform on N({v})")
+    return dict(laws[0]), dict(laws[1])
 
 
 def enumerate_k22_blocks(g: Graph, a: int, b: int, quad, max_len: int = 16):
@@ -209,49 +224,29 @@ class IndexLaws:
 
 
 def exact_regular_index_laws(tm: TransportMatrix, d: int) -> IndexLaws:
-    """The four sampled-index laws of a regular transport matrix, computed
-    exactly; certifies P(I)=1/(d-1), P(K|I)=P(J)=P(L|J)=1/d."""
+    """The four sampled-index laws of a regular transport matrix, found by
+    exact enumeration of `regular_round` over the sampler the engine builds
+    from it; certifies P(I)=1/(d-1), P(K|I)=P(J)=P(L|J)=1/d."""
     if tm.kind != "regular":
         raise ValueError("expected a regular-kind transport matrix")
     total = d * d * (d - 1)
-    row_tot: dict[int, int] = defaultdict(int)
-    cell_ik: dict[tuple[int, int], int] = defaultdict(int)
-    col_tot: dict[int, int] = defaultdict(int)
-    cell_jl: dict[tuple[int, int], int] = defaultdict(int)
-    grand = 0
-    for r, mp in enumerate(tm.row_labels):
-        for c, op in enumerate(tm.col_labels):
-            w = tm.entries[r][c]
-            if not w:
-                continue
-            grand += w
-            row_tot[mp.first_step] += w
-            cell_ik[(mp.first_step, mp.second_step)] += w
-            col_tot[op.step] += w
-            cell_jl[(op.step, op.next_excluded)] += w
-    if grand != total:
-        raise CertificationError(f"matrix total {grand}, expected {total}")
-    p_i = {i: Fraction(w, total) for i, w in row_tot.items()}
-    p_j = {j: Fraction(w, total) for j, w in col_tot.items()}
-    p_k_given_i = {
-        (i, k): Fraction(w, row_tot[i]) for (i, k), w in cell_ik.items()
-    }
-    p_l_given_j = {
-        (j, l): Fraction(w, col_tot[j]) for (j, l), w in cell_jl.items()
-    }
-    for i, p in p_i.items():
-        if p != Fraction(1, d - 1):
-            raise CertificationError(f"P(I={i}) = {p}, expected 1/{d - 1}")
-    for (i, k), p in p_k_given_i.items():
-        if p != Fraction(1, d):
-            raise CertificationError(f"P(K={k}|I={i}) = {p}, expected 1/{d}")
-    for j, p in p_j.items():
-        if p != Fraction(1, d):
-            raise CertificationError(f"P(J={j}) = {p}, expected 1/{d}")
-    for (j, l), p in p_l_given_j.items():
-        if p != Fraction(1, d):
-            raise CertificationError(f"P(L={l}|J={j}) = {p}, expected 1/{d}")
-    return IndexLaws(p_i, p_k_given_i, p_j, p_l_given_j)
+    sampler = transport_sampler(tm)
+    if sampler[2][-1] != total:
+        raise CertificationError(f"matrix total {sampler[2][-1]}, expected {total}")
+    p_i, p_ik, p_j, p_jl = (defaultdict(Fraction) for _ in range(4))
+    for p, (i, k, j, l), _ in enumerate_law(lambda rng, out: regular_round(sampler, rng)):
+        p_i[i] += p
+        p_ik[(i, k)] += p
+        p_j[j] += p
+        p_jl[(j, l)] += p
+    laws = IndexLaws(dict(p_i), {ik: p / p_i[ik[0]] for ik, p in p_ik.items()},
+                     dict(p_j), {jl: p / p_j[jl[0]] for jl, p in p_jl.items()})
+    for name, law, want in (("I", laws.p_i, d - 1), ("K|I", laws.p_k_given_i, d),
+                            ("J", laws.p_j, d), ("L|J", laws.p_l_given_j, d)):
+        for key, p in law.items():
+            if p != Fraction(1, want):
+                raise CertificationError(f"P({name}) at {key} = {p}, expected 1/{want}")
+    return laws
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -74,6 +75,30 @@ def test_analyze_domain_failure(tmp_path, capsys):
     code, stdout, _ = run(capsys, "analyze", str(k5))
     assert code == 1
     assert "verdict: none" in stdout
+
+
+@pytest.mark.parametrize("argv,code,verdict,calls", [
+    (["--family", "petersen"], 0, "verdict: cubic (also square-free)",
+     {"contains_H3tilde": 1, "is_square_free": 1}),
+    (["--family", "complete", "--n", "5"], 1, "verdict: none",
+     {"contains_Hd": 1, "is_square_free": 1}),
+])
+def test_analyze_runs_each_detector_once(tmp_path, capsys, monkeypatch, argv, code, verdict, calls):
+    from avoidkit import cli, structure
+
+    counts = Counter()
+    for name in ("contains_H3tilde", "contains_Hd", "is_square_free"):
+        for module in (structure, cli):
+            if name in vars(module):
+                def counted(*args, _fn=getattr(module, name), _name=name):
+                    counts[_name] += 1
+                    return _fn(*args)
+                monkeypatch.setattr(module, name, counted)
+    host = tmp_path / "host.txt"
+    run(capsys, "gen", *argv, "-o", str(host))
+    got, stdout, _ = run(capsys, "analyze", str(host))
+    assert got == code and verdict in stdout
+    assert counts == calls
 
 
 def test_analyze_parse_failure(tmp_path, capsys):
@@ -162,6 +187,26 @@ def test_verify_malformed_trajectory(tmp_path, capsys, body, message):
     pet.write_text(g.to_text())
     traj = tmp_path / "traj.txt"
     traj.write_text(f"# graph-digest {g.digest()}\n# seed 0\n# engine cubic\n" + body)
+    code, _, err = run(capsys, "verify", str(pet), str(traj))
+    assert code == 2 and "cannot read trajectory" in err and message in err
+
+
+@pytest.mark.parametrize("engine,body,message", [
+    ("cubic", "0\n", "tick 0 has no walker"),
+    ("cubic", "", "no ticks"),
+    ("cubic", "0 0 2\n# block -1\n", "block marks -1..-1 outside ticks 0..0"),
+    ("cubic", "0 0 2\n# block 1\n", "block marks 1..1 outside ticks 0..0"),
+    ("bogus", "0 0 2\n", "unknown engine 'bogus'"),
+    ("cubic", "0 0 2 7\n", "runs exactly 2 walkers, got 3"),
+], ids=["no-walker", "no-ticks", "mark-below-0", "mark-past-end", "unknown-engine", "three-walkers"])
+def test_verify_rejects_inconsistent_trajectory(tmp_path, capsys, engine, body, message):
+    from avoidkit.generate import petersen
+
+    pet = tmp_path / "pet.txt"
+    g = petersen()
+    pet.write_text(g.to_text())
+    traj = tmp_path / "traj.txt"
+    traj.write_text(f"# graph-digest {g.digest()}\n# seed 0\n# engine {engine}\n" + body)
     code, _, err = run(capsys, "verify", str(pet), str(traj))
     assert code == 2 and "cannot read trajectory" in err and message in err
 

@@ -20,10 +20,12 @@ from avoidkit.couplers import (
     parse_trajectory,
     s3b_rows,
     simulate,
+    squarefree_step,
+    transport_sampler,
 )
 from avoidkit.generate import complete, cycle, random_regular_simple
 from avoidkit.graphs import distance_capped
-from avoidkit.matching import build_regular_transport
+from avoidkit.matching import build_regular_transport, build_squarefree_transport
 from avoidkit.rng import Xoshiro256
 from avoidkit.structure import classify_scenario
 from avoidkit.verify import check_avoidance
@@ -218,6 +220,42 @@ def test_regular_round_draw_matches_cell_expansion(circ9):
                 eng.rng.r = r
                 mp, op = cells[bisect_right(cum, r)]
                 assert eng.sample_round(a, b, e) == (mp.first_step, mp.second_step, op.step, op.next_excluded)
+
+
+class Scripted:
+    """Stands in for the engine's generator: randrange returns set values in turn."""
+
+    def __init__(self, *draws: int):
+        self.draws = list(draws)
+
+    def randrange(self, n: int) -> int:
+        r = self.draws.pop(0)
+        assert 0 <= r < n
+        return r
+
+
+def test_squarefree_step_matches_per_row_draw(pet, hea, ag23):
+    """For every row i and r, the flat-cumulative step takes the cell that
+    bisecting row i's own cumulative counts at r takes, with the roles
+    swapped back when the transport swapped them: on every pair of
+    Petersen, Heawood and AG(2,3)."""
+    cases = swapped = 0
+    for g in (pet, hea, ag23):
+        for a in range(g.n):
+            for b in range(g.n):
+                if b == a or g.has_edge(a, b):
+                    continue
+                tm = build_squarefree_transport(g, a, b)
+                sampler = transport_sampler(tm)
+                swapped += tm.swapped
+                for i, row in enumerate(tm.entries):
+                    cum = list(accumulate(row))
+                    for r in range(tm.row_sum):
+                        u, v = tm.row_labels[i], tm.col_labels[bisect_right(cum, r)]
+                        want = (v, u) if tm.swapped else (u, v)
+                        assert squarefree_step(g, a, b, sampler, Scripted(i, r)) == want
+                        cases += 1
+    assert (cases, swapped) == (5868, 72)
 
 
 def test_cycle_engine_preserves_gaps():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import random
 import os
 import subprocess
 import sys
@@ -9,12 +10,13 @@ from pathlib import Path
 
 import pytest
 
+from avoidkit import verify
 from avoidkit.couplers import Trajectory, simulate
 from avoidkit.generate import complete, random_regular_simple
 from avoidkit.graphs import graph_from_edges
 from avoidkit.matching import build_regular_transport
 from avoidkit.rng import Xoshiro256
-from avoidkit.structure import contains_Hd
+from avoidkit.structure import contains_Hd, is_square_free
 from avoidkit.verify import (
     CertificationError,
     check_avoidance,
@@ -23,6 +25,7 @@ from avoidkit.verify import (
     enumerate_k22_blocks,
     exact_cubic_marginals,
     exact_regular_index_laws,
+    exact_squarefree_law,
     hd_probability_upper_bound,
     lemma31_equivalence,
     lemma34_oracle,
@@ -108,6 +111,61 @@ def test_exact_regular_index_laws(circ9):
     assert set(laws.p_j.values()) == {Fraction(1, 4)}
     assert set(laws.p_k_given_i.values()) == {Fraction(1, 4)}
     assert set(laws.p_l_given_j.values()) == {Fraction(1, 4)}
+
+
+def valid_triples(g):
+    return [(a, b, e) for a in range(g.n) for e in g.adjacency[a] for b in range(g.n)
+            if b != a and (not g.has_edge(a, b) or b == e)]
+
+
+def test_regular_round_law_on_random_hosts():
+    """The enumerated round law is certified on 30 triples of each H_d-free
+    random d-regular host, d = 4, 5 and n = 12, 16, 20, and on 50 triples
+    of rr5-n64."""
+    hosts = []
+    for d in (4, 5):
+        for n in (12, 16, 20):
+            g = next(g for seed in range(50)
+                     if contains_Hd(g := random_regular_simple(n, d, seed, connected_required=True)[0], d) is None)
+            hosts.append((g, 30))
+    hosts.append((random_regular_simple(64, 5, 0, connected_required=True)[0], 50))
+    for g, count in hosts:
+        d = g.degree(0)
+        for a, b, e in random.Random(0).sample(valid_triples(g), count):
+            laws = exact_regular_index_laws(build_regular_transport(g, a, b, e), d)
+            assert sum(laws.p_i.values()) == 1 and sum(laws.p_j.values()) == 1
+
+
+def square_free_hosts(ag23, hea):
+    """AG(2,3), Heawood and the square-free ones among 50 random cubic hosts on 20 vertices."""
+    random_hosts = [g for seed in range(50)
+                    if is_square_free(g := random_regular_simple(20, 3, seed, connected_required=True)[0]) is None]
+    assert len(random_hosts) >= 3
+    return [ag23, hea] + random_hosts
+
+
+def test_squarefree_law_on_every_pair(ag23, hea):
+    pairs = 0
+    for g in square_free_hosts(ag23, hea):
+        for a in range(g.n):
+            for b in range(g.n):
+                if b != a and not g.has_edge(a, b):
+                    rep = exact_squarefree_law(g, a, b)
+                    assert sum(rep.alice.values()) == 1 and sum(rep.bob.values()) == 1
+                    pairs += 1
+    assert pairs > 348 + 140
+
+
+def test_squarefree_law_catches_unswapped_roles(ag23, monkeypatch):
+    # a point and a line off it: the line has the lower degree, so rows are Bob's
+    a, b = 9, 3
+    assert ag23.degree(a) < ag23.degree(b)
+    step = verify.squarefree_step
+    # passing a for b makes the degrees compare equal, so the roles stay unswapped
+    monkeypatch.setattr(verify, "squarefree_step",
+                        lambda g, a, b, sampler, rng: step(g, a, a, sampler, rng))
+    with pytest.raises(CertificationError):
+        exact_squarefree_law(ag23, a, b)
 
 
 def test_exact_regular_index_laws_rejects_wrong_kind(pet):

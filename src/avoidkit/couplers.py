@@ -252,7 +252,7 @@ def squarefree_step(g: Graph, a: int, b: int, sampler, rng) -> tuple[int, int]:
     l = len(cols)
     i, j = divmod(bisect_right(cum, rng.randrange(len(rows)) * l + rng.randrange(l)), l)
     u, v = rows[i], cols[j]
-    return (v, u) if g.degree(a) < g.degree(b) else (u, v)
+    return (v, u) if len(g.adjacency[a]) < len(g.adjacency[b]) else (u, v)
 
 
 def default_b0(g: Graph, a0: int) -> int:

@@ -171,7 +171,7 @@ def exact_squarefree_law(g: Graph, a: int, b: int) -> MarginalReport:
     Raises CertificationError unless every branch has b' outside
     {a'} u N(a') and each walker's step is uniform on its neighbors."""
     sampler = transport_sampler(build_squarefree_transport(g, a, b))
-    steps = [(p, *s) for p, s, _ in enumerate_law(lambda rng, out: squarefree_step(g, a, b, sampler, rng))]
+    steps = [(p, *step) for p, step, _ in enumerate_law(lambda rng, out: squarefree_step(g, a, b, sampler, rng))]
     bad = next(((ap, bp) for _, ap, bp in steps if bp == ap or g.has_edge(ap, bp)), None)
     if bad is not None:
         raise CertificationError(f"step ({a}, {b}) -> {bad} does not avoid")

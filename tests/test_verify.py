@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import math
-import random
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -136,24 +136,21 @@ def test_regular_round_law_on_random_hosts():
             assert sum(laws.p_i.values()) == 1 and sum(laws.p_j.values()) == 1
 
 
-def square_free_hosts(ag23, hea):
-    """AG(2,3), Heawood and the square-free ones among 50 random cubic hosts on 20 vertices."""
+def test_squarefree_law_on_every_pair(ag23, hea):
+    """Every pair of AG(2,3), Heawood and the square-free ones among 50
+    random cubic hosts on 20 vertices."""
     random_hosts = [g for seed in range(50)
                     if is_square_free(g := random_regular_simple(20, 3, seed, connected_required=True)[0]) is None]
     assert len(random_hosts) >= 3
-    return [ag23, hea] + random_hosts
-
-
-def test_squarefree_law_on_every_pair(ag23, hea):
     pairs = 0
-    for g in square_free_hosts(ag23, hea):
+    for g in [ag23, hea] + random_hosts:
         for a in range(g.n):
             for b in range(g.n):
                 if b != a and not g.has_edge(a, b):
                     rep = exact_squarefree_law(g, a, b)
                     assert sum(rep.alice.values()) == 1 and sum(rep.bob.values()) == 1
                     pairs += 1
-    assert pairs > 348 + 140
+    assert pairs == 348 + 140 + 320 * len(random_hosts)
 
 
 def test_squarefree_law_catches_unswapped_roles(ag23, monkeypatch):

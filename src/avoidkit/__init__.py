@@ -35,6 +35,7 @@ from .matching import (
 )
 from .rng import Xoshiro256, derive_seed, mix64
 from .structure import (
+    HypothesisError,
     ScenarioClass,
     Verdict,
     admissibility_verdict,
@@ -63,6 +64,7 @@ __all__ = [
     "GenSpec",
     "Graph",
     "GraphParseError",
+    "HypothesisError",
     "PrevalenceRow",
     "RegularEngine",
     "RunConfig",

@@ -12,7 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 from .config import ENGINES, RunConfig
-from .couplers import check_walkers, parse_trajectory, simulate
+from .couplers import parse_trajectory, simulate
 from .experiment import CSV_HEADER, prevalence_experiment, row_to_csv
 from .generate import (
     GenSpec,
@@ -26,7 +26,7 @@ from .matching import (
     build_regular_transport,
     build_squarefree_transport,
 )
-from .structure import admissibility_verdict
+from .structure import HypothesisError, admissibility_verdict
 from .verify import (
     chi_square_faithfulness,
     check_avoidance,
@@ -95,7 +95,7 @@ def cmd_analyze(args) -> int:
         print(f"warning: {g.duplicate_edges_dropped} duplicate edge(s) dropped")
     try:
         verdict = admissibility_verdict(g)
-    except ValueError as err:
+    except HypothesisError as err:
         return _fail(EXIT_DOMAIN, str(err))
     for engine, why in verdict.checks:
         print(f"{engine} hypothesis: {why or 'holds'}")
@@ -131,9 +131,6 @@ def cmd_transport(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = _load_graph(args.graph)
-    bad = _bad_vertex(g, a0=args.a0, b0=args.b0)
-    if bad is not None:
-        return bad
     try:
         cfg = RunConfig.load(args.config) if args.config else RunConfig()
         # argv overrides the file; RunConfig re-validates the merged values
@@ -142,31 +139,19 @@ def cmd_simulate(args) -> int:
                       walkers=cfg.walkers if args.walkers is None else args.walkers)
     except (OSError, ValueError) as err:
         return _fail(EXIT_INPUT, f"bad run settings: {err}")
-    ticks, seed = cfg.ticks, cfg.seed
-    engine = args.engine or cfg.engine
-    if engine == "auto":
-        try:
-            verdict = admissibility_verdict(g)
-        except ValueError as err:
-            return _fail(EXIT_DOMAIN, str(err))
-        if verdict.engine == "none":
-            return _fail(EXIT_DOMAIN, f"no engine applies: {verdict.obstruction}")
-        engine = verdict.engine
-    try:
-        check_walkers(engine, cfg.walkers)
-    except ValueError as err:
-        return _fail(EXIT_INPUT, str(err))
     try:
         traj, eng = simulate(
-            g, engine, ticks, seed,
+            g, args.engine or cfg.engine, cfg.ticks, cfg.seed,
             a0=args.a0, b0=args.b0, walkers=cfg.walkers,
             cache_capacity=cfg.cache_capacity,
         )
-    except ValueError as err:
+    except HypothesisError as err:
         return _fail(EXIT_DOMAIN, str(err))
+    except ValueError as err:
+        return _fail(EXIT_INPUT, str(err))
     Path(args.output).write_text(traj.to_text())
     blocks = max(0, len(traj.block_marks) - 1)  # first mark is the start
-    print(f"wrote {args.output}: engine={engine} ticks={len(traj.positions) - 1} "
+    print(f"wrote {args.output}: engine={traj.engine} ticks={len(traj.positions) - 1} "
           f"blocks={blocks}")
     counts = getattr(eng, "scenario_counts", None)
     if counts:

@@ -34,18 +34,15 @@ from .structure import ScenarioClass, classify_scenario, require_engine_applicab
 
 
 @dataclass
-class EngineState:
-    alice: int
-    bob: int
-    tick: int = 0
-
-
-@dataclass
 class BlockOutcome:
-    T: int
     alice_steps: list[int]
     bob_steps: list[int]
     scenario: ScenarioClass | None = None
+
+    @property
+    def T(self) -> int:
+        """The block's length in ticks."""
+        return len(self.alice_steps)
 
 
 @dataclass
@@ -178,7 +175,7 @@ def cubic_block(g: Graph, a: int, b: int, rng, scenario: ScenarioClass | None = 
     if scenario is None:
         scenario = classify_scenario(g, a, b)
     if out is None:
-        out = BlockOutcome(1, [], [])
+        out = BlockOutcome([], [])
     out.scenario = scenario
     alice, bob = out.alice_steps, out.bob_steps
     tag = scenario.tag
@@ -219,7 +216,6 @@ def cubic_block(g: Graph, a: int, b: int, rng, scenario: ScenarioClass | None = 
         ap, bp = rng.choice(one_step_matching(g, a, b) if sigma is None else sigma)
         alice.append(ap)
         bob.append(bp)
-    out.T = len(alice)
     return out
 
 
@@ -270,8 +266,9 @@ class Engine:
     A subclass names its engine, says whether its block ends are written as
     `# block` marks (they are exactly when every block ends at distance >= 2),
     and defines `block()`, which advances the engine and returns the position
-    tuples of the ticks that block adds.  Two-walker engines start at
-    (a0, b0) through `start_b0`."""
+    tuples of the ticks that block adds.  Two-walker engines hold the
+    walkers' positions in `alice` and `bob`, starting at (a0, b0) through
+    `start_b0`."""
 
     name: str
     marks_blocks = False
@@ -281,7 +278,7 @@ class Engine:
         self.seed = seed
         self.rng = Xoshiro256(seed)
         self.cache = LruCache(cache_capacity)
-        self.state = EngineState(a0, self.start_b0(a0, b0))
+        self.alice, self.bob = a0, self.start_b0(a0, b0)
 
     def start_b0(self, a0: int, b0: int | None) -> int:
         """The start rule: b0 (default `default_b0`) at distance >= 2 from a0."""
@@ -292,7 +289,7 @@ class Engine:
         return b0
 
     def current(self) -> tuple[int, ...]:
-        return (self.state.alice, self.state.bob)
+        return (self.alice, self.bob)
 
     def sampler(self, build, *state) -> tuple[tuple, tuple, array]:
         """The `transport_sampler` of build(g, *state), cached by state."""
@@ -325,7 +322,7 @@ class CubicEngine(Engine):
         self.scenario_counts: dict[str, int] = {}
 
     def block(self) -> list[tuple[int, int]]:
-        g, a, b = self.g, self.state.alice, self.state.bob
+        g, a, b = self.g, self.alice, self.bob
         cached = self.cache.get((a, b))
         if cached is None:
             sc = classify_scenario(g, a, b)
@@ -336,9 +333,8 @@ class CubicEngine(Engine):
             sc, sigma = cached
         out = cubic_block(g, a, b, self.rng, sc, sigma)
         self.scenario_counts[sc.tag] = self.scenario_counts.get(sc.tag, 0) + 1
-        self.state.alice = out.alice_steps[-1]
-        self.state.bob = out.bob_steps[-1]
-        self.state.tick += out.T
+        self.alice = out.alice_steps[-1]
+        self.bob = out.bob_steps[-1]
         return list(zip(out.alice_steps, out.bob_steps))
 
 
@@ -349,10 +345,9 @@ class SquarefreeEngine(Engine):
     marks_blocks = True
 
     def block(self) -> list[tuple[int, int]]:
-        a, b = self.state.alice, self.state.bob
+        a, b = self.alice, self.bob
         ap, bp = squarefree_step(self.g, a, b, self.sampler(build_squarefree_transport, a, b), self.rng)
-        self.state.alice, self.state.bob = ap, bp
-        self.state.tick += 1
+        self.alice, self.bob = ap, bp
         return [(ap, bp)]
 
 
@@ -382,11 +377,9 @@ class RegularEngine(Engine):
     def block(self) -> list[tuple[int, int]]:
         """Alice moves twice while Bob steps once, then Bob moves twice
         while Alice steps once; `excluded` carries over between rounds."""
-        s = self.state
-        a1, a2, b1, e2 = self.sample_round(s.alice, s.bob, self.excluded)
+        a1, a2, b1, e2 = self.sample_round(self.alice, self.bob, self.excluded)
         x1, x2, y, self.excluded = self.sample_round(b1, a2, e2)
-        s.alice, s.bob = y, x2
-        s.tick += 3
+        self.alice, self.bob = y, x2
         return [(a1, b1), (a2, x1), (y, x2)]
 
 
@@ -454,16 +447,19 @@ def simulate(
     walkers: int = 2,
     cache_capacity: int = 4096,
 ):
-    """Run the named engine for >= ticks ticks; returns (trajectory, engine instance)."""
-    require_engine_applicable(g, engine)
-    check_walkers(engine, walkers)
-    a0 = 0 if a0 is None else a0
+    """Run an engine for >= ticks ticks; returns (trajectory, engine instance).
+
+    `engine` may be "auto": `require_engine_applicable` then picks the
+    verdict's engine, deciding the hypothesis once.  A failed hypothesis
+    raises HypothesisError, any other bad argument a ValueError."""
     for name, v in (("a0", a0), ("b0", b0)):
         if v is not None and not 0 <= v < g.n:
             raise ValueError(f"{name}={v} is not a vertex (0..{g.n - 1})")
+    check_walkers(engine, walkers)  # a named engine's: bad input on any graph
+    engine = require_engine_applicable(g, engine)
+    check_walkers(engine, walkers)  # the engine "auto" picked
     if engine == "cycle":  # the only k-walker engine: a0 and b0 do not apply
         eng = CycleEngine(g.n, walkers, seed, cyclic_order(g))
     else:
-        eng = TWO_WALKER_ENGINES[engine](g, seed, a0, b0, cache_capacity)
-    traj = eng.run(ticks)
-    return traj, eng
+        eng = TWO_WALKER_ENGINES[engine](g, seed, 0 if a0 is None else a0, b0, cache_capacity)
+    return eng.run(ticks), eng

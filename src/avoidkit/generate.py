@@ -35,7 +35,6 @@ class HopelessRequest(RejectionBudgetExceeded, ValueError):
 class GenSpec:
     family: str
     params: dict[str, int] = field(default_factory=dict)
-    seed: int = 0
 
     def __post_init__(self):
         if self.family not in DETERMINISTIC_FAMILIES + RANDOM_FAMILIES:

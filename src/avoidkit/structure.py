@@ -9,8 +9,10 @@ edge inside the size-3 part) is a pair of codegree >= 3 with two adjacent
 common neighbors; a 4-cycle is a pair of codegree >= 2.  All detectors
 return the lexicographically first witness.
 
-Each engine's hypothesis is stated once, in `engine_obstruction`, which
-both `require_engine_applicable` and `admissibility_verdict` ask.
+Each engine's hypothesis is stated once, in `engine_obstruction`; the
+verdict and `require_engine_applicable`, which decides the engine a run
+uses, ask it.  A failed hypothesis raises `HypothesisError`, a ValueError
+that marks a domain failure rather than bad input.
 """
 
 from __future__ import annotations
@@ -109,10 +111,13 @@ def classify_scenario(g: Graph, a: int, b: int) -> ScenarioClass:
     return ScenarioClass("S5", ())  # no common neighbor, so the distance is 3
 
 
+class HypothesisError(ValueError):
+    """The graph satisfies no engine's hypothesis, or not the named one's."""
+
+
 @dataclass(frozen=True)
 class Verdict:
     engine: str  # cycle | cubic | regular | squarefree | none
-    d: int | None = None
     obstruction: str | None = None
     also_squarefree: bool = False
     checks: tuple[tuple[str, str | None], ...] = ()  # (engine, its obstruction or None), in checking order
@@ -149,26 +154,34 @@ def admissibility_verdict(g: Graph) -> Verdict:
     squarefree; `also_squarefree` records that squarefree holds too."""
     prof = basic_profile(g)
     if not prof.connected:
-        raise ValueError("admissibility requires a connected graph")
+        raise HypothesisError("admissibility requires a connected graph")
     if g.n < 2:
-        raise ValueError("admissibility requires n >= 2")
+        raise HypothesisError("admissibility requires n >= 2")
     d = prof.regular_degree
     engine = {2: "cycle", 3: "cubic"}.get(d, "regular")
     why = engine_obstruction(g, engine, prof)
     sq = engine_obstruction(g, "squarefree", prof)
     checks = ((engine, why), ("squarefree", sq))
     if why is None:
-        return Verdict(engine, d=d, also_squarefree=sq is None, checks=checks)
+        return Verdict(engine, also_squarefree=sq is None, checks=checks)
     if sq is None:
         return Verdict("squarefree", checks=checks)
     return Verdict("none", obstruction=f"{engine}: {why}; squarefree: {sq}", checks=checks)
 
 
-def require_engine_applicable(g: Graph, engine: str) -> None:
-    """Raise unless the graph satisfies the named engine's hypotheses."""
+def require_engine_applicable(g: Graph, engine: str) -> str:
+    """The engine a run on g uses: for "auto" the verdict's engine, else the
+    named one.  Raises HypothesisError when no engine, or not the named one,
+    applies."""
+    if engine == "auto":
+        verdict = admissibility_verdict(g)
+        if verdict.engine == "none":
+            raise HypothesisError(f"no engine applies: {verdict.obstruction}")
+        return verdict.engine
     prof = basic_profile(g)
     if not prof.connected:
-        raise ValueError("engine requires a connected graph")
+        raise HypothesisError("engine requires a connected graph")
     why = engine_obstruction(g, engine, prof)
     if why is not None:
-        raise ValueError(f"{engine} engine hypothesis fails: {why}")
+        raise HypothesisError(f"{engine} engine hypothesis fails: {why}")
+    return engine

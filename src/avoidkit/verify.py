@@ -140,7 +140,7 @@ def enumerate_law(law, stop=lambda out: False, given: tuple[int, ...] = ()):
     stack = [tuple(given)]
     while stack:
         prefix = stack.pop()
-        out = BlockOutcome(0, [], [])
+        out = BlockOutcome([], [])
         replay = _Replay(prefix, len(given), stop, out)
         try:
             value = law(replay, out)

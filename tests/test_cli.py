@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import os
 import subprocess
 import sys
@@ -7,8 +9,10 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from avoidkit.cli import main
+from avoidkit.config import ENGINES
 
 
 def run(capsys, *argv):
@@ -98,6 +102,27 @@ def test_analyze_runs_each_detector_once(tmp_path, capsys, monkeypatch, argv, co
     run(capsys, "gen", *argv, "-o", str(host))
     got, stdout, _ = run(capsys, "analyze", str(host))
     assert got == code and verdict in stdout
+    assert counts == calls
+
+
+@pytest.mark.parametrize("argv,code,calls", [
+    (["--family", "petersen"], 0, {"contains_H3tilde": 1, "is_square_free": 1, "basic_profile": 1}),
+    (["--family", "complete", "--n", "5"], 1, {"contains_Hd": 1, "is_square_free": 1, "basic_profile": 1}),
+])
+def test_simulate_auto_runs_each_detector_once(tmp_path, capsys, monkeypatch, argv, code, calls):
+    from avoidkit import structure
+
+    host = tmp_path / "host.txt"
+    run(capsys, "gen", *argv, "-o", str(host))
+    counts = Counter()
+    for name in ("contains_H3tilde", "contains_Hd", "is_square_free", "basic_profile"):
+        def counted(*args, _fn=getattr(structure, name), _name=name):
+            counts[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(structure, name, counted)
+    got, _, err = run(capsys, "simulate", str(host), "--engine", "auto", "--ticks", "10",
+                      "--seed", "1", "-o", str(tmp_path / "traj.txt"))
+    assert got == code, err
     assert counts == calls
 
 
@@ -294,6 +319,74 @@ def test_simulate_rejects_walkers_on_two_walker_engines(tmp_path, capsys, argv, 
     code, _, err = run(capsys, "simulate", str(pet), *argv, "-o", str(traj))
     assert code == 2 and "exactly 2 walkers" in err
     assert not traj.exists()
+
+
+@pytest.mark.parametrize("host,argv,message", [
+    (["--family", "petersen"], ["--a0", "0", "--b0", "1"], "requires distance(a0, b0) >= 2"),
+    (["--family", "petersen"], ["--engine", "cubic", "--a0", "4", "--b0", "4"],
+     "requires distance(a0, b0) >= 2"),
+    (["--family", "cycle", "--n", "10"], ["--engine", "cycle", "--walkers", "6"],
+     "requires 1 <= k <= n/2"),
+], ids=["b0-adjacent", "b0-equal", "cycle-walkers"])
+def test_simulate_rejects_bad_start_as_input(tmp_path, capsys, host, argv, message):
+    g, traj = tmp_path / "host.txt", tmp_path / "traj.txt"
+    run(capsys, "gen", *host, "-o", str(g))
+    code, stdout, err = run(capsys, "simulate", str(g), *argv, "--ticks", "10", "-o", str(traj))
+    assert code == 2 and err.startswith("error:") and message in err and stdout == ""
+    assert not traj.exists()
+
+
+@pytest.mark.parametrize("argv,code,message", [
+    ([], 1, "regular engine hypothesis fails"),
+    # a walker count the named engine cannot run is bad input on any graph
+    (["--walkers", "3"], 2, "exactly 2 walkers"),
+])
+def test_simulate_named_engine_on_k5(tmp_path, capsys, argv, code, message):
+    k5, traj = tmp_path / "k5.txt", tmp_path / "traj.txt"
+    run(capsys, "gen", "--family", "complete", "--n", "5", "-o", str(k5))
+    got, _, err = run(capsys, "simulate", str(k5), "--engine", "regular", *argv, "-o", str(traj))
+    assert got == code and message in err
+    assert not traj.exists()
+
+
+@pytest.fixture(scope="module")
+def fuzz_hosts(tmp_path_factory):
+    """Petersen, C10, K5, C9(1,2) and two disjoint Petersens, as (path, n)."""
+    from avoidkit.generate import circulant, complete, cycle, petersen
+    from avoidkit.graphs import graph_from_edges
+
+    root = tmp_path_factory.mktemp("fuzz")
+    edges = petersen().edges()
+    graphs = [petersen(), cycle(10), complete(5), circulant(9, [1, 2]),
+              graph_from_edges(20, [(u + s, v + s) for s in (0, 10) for u, v in edges])]
+    hosts = []
+    for i, g in enumerate(graphs):
+        path = root / f"host{i}.txt"
+        path.write_text(g.to_text())
+        hosts.append((str(path), g.n))
+    return root, hosts
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_simulate_argv_fuzz(fuzz_hosts, data):
+    root, hosts = fuzz_hosts
+    path, n = data.draw(st.sampled_from(hosts), label="host")
+    argv = ["simulate", path, "--engine", data.draw(st.sampled_from(ENGINES), label="engine"),
+            "--ticks", str(data.draw(st.integers(0, 20), label="ticks"))]
+    for flag, values in (("--walkers", st.integers(0, 12)), ("--a0", st.integers(-3, n + 3)),
+                         ("--b0", st.integers(-3, n + 3))):
+        v = data.draw(st.none() | values, label=flag)
+        if v is not None:
+            argv += [flag, str(v)]
+    traj = root / "traj.txt"
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main([*argv, "-o", str(traj)])
+    assert code in (0, 1, 2)
+    if code:
+        assert err.getvalue().startswith("error:") and not traj.exists()
+    traj.unlink(missing_ok=True)
 
 
 @pytest.mark.parametrize("alpha", ["0", "-1", "2", "nan"])

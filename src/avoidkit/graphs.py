@@ -57,6 +57,13 @@ class Graph:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()[:16]
 
 
+def check_vertices(g: Graph, **ids: int | None) -> None:
+    """Raise ValueError on the first given id that is not a vertex of g; None is skipped."""
+    for name, v in ids.items():
+        if v is not None and not 0 <= v < g.n:
+            raise ValueError(f"{name}={v} is not a vertex (0..{g.n - 1})")
+
+
 def graph_from_edges(n: int, edges, *, dedupe: bool = False) -> Graph:
     """Build a Graph from (u, v) pairs.
 

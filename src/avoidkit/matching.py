@@ -16,6 +16,8 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+from .graphs import check_vertices
+
 
 @dataclass(frozen=True)
 class MoverPair:
@@ -87,12 +89,23 @@ def regular_allowed(g, a: int, b: int, e: int) -> list[list[bool]]:
 
 
 def check_regular_triple(g, a: int, b: int, e: int) -> None:
+    check_vertices(g, a=a, b=b, e=e)
     if b == a:
         raise ValueError("requires b != a")
     if e not in g.adjacency[a]:
         raise ValueError("requires e in N(a)")
     if g.has_edge(a, b) and e != b:
         raise ValueError("requires e = b when b in N(a)")
+    if g.degree(a) < 2:  # column sums are d - 1
+        raise ValueError("requires degree >= 2 at a")
+
+
+def check_squarefree_pair(g, a: int, b: int) -> None:
+    check_vertices(g, a=a, b=b)
+    if b == a or g.has_edge(a, b):
+        raise ValueError("requires b not in {a} u N(a)")
+    if min(g.degree(a), g.degree(b)) < 3:
+        raise ValueError("requires min degree >= 3 at both positions")
 
 
 class TransportInfeasible(RuntimeError):
@@ -321,10 +334,7 @@ def build_squarefree_transport(g, a: int, b: int) -> TransportMatrix:
 
     Roles are swapped internally so rows index the higher-degree side
     (k rows with row sum l, l columns with column sum k)."""
-    if b == a or g.has_edge(a, b):
-        raise ValueError("requires b not in {a} u N(a)")
-    if min(g.degree(a), g.degree(b)) < 3:
-        raise ValueError("requires min degree >= 3 at both positions")
+    check_squarefree_pair(g, a, b)
     swapped = g.degree(a) < g.degree(b)
     u, v = (b, a) if swapped else (a, b)
     rows = g.adjacency[u]  # k vertices

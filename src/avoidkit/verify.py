@@ -17,6 +17,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 
 from .couplers import (BlockOutcome, Trajectory, cubic_block, regular_round, squarefree_step,
                        transport_sampler)
@@ -25,6 +26,7 @@ from .matching import (
     TransportMatrix,
     build_squarefree_transport,
     check_regular_triple,
+    check_squarefree_pair,
     compatible,
     mover_pairs,
     other_pairs,
@@ -53,9 +55,13 @@ def check_avoidance(g: Graph, traj: Trajectory) -> list[Violation]:
     Checks per tick: every step is an edge; no two walkers share a vertex;
     for two-walker runs, B_t != A_{t+1} and distance >= 2 at each block
     mark (only engines whose block ends are admissible write marks).
+    Raises ValueError on a digest mismatch or a vertex id outside 0..n-1.
     """
     if traj.graph_digest != g.digest():
         raise ValueError("trajectory/graph digest mismatch")
+    ids = set(chain.from_iterable(traj.positions))
+    if ids and not 0 <= min(ids) <= max(ids) < g.n:
+        raise ValueError(f"vertex {min(ids) if min(ids) < 0 else max(ids)} outside 0..{g.n - 1}")
     out: list[Violation] = []
     pos = traj.positions
     for t in range(len(pos)):
@@ -392,9 +398,9 @@ def lemma34_oracle(g: Graph, a: int, b: int, e: int) -> OracleResult:
 
 def lemma42_oracle(g: Graph, a: int, b: int) -> OracleResult:
     """Exhaustively verify |cmp(N0)| >= (l/k)*|N0| over every subset N0 of
-    N(a), where k = deg(a) and l = deg(b)."""
-    if b == a or g.has_edge(a, b):
-        raise ValueError("requires b not in {a} u N(a)")
+    N(a), where k = deg(a) and l = deg(b), for the pairs the square-free
+    transport serves."""
+    check_squarefree_pair(g, a, b)
     na, nb = g.adjacency[a], g.adjacency[b]
     if len(na) > 20:
         raise ValueError("degree over the 2^20 subset cap")
@@ -410,7 +416,10 @@ def lemma42_oracle(g: Graph, a: int, b: int) -> OracleResult:
 
 def lemma31_equivalence(g: Graph, d: int) -> tuple[bool, tuple[bool, bool, bool]]:
     """Evaluate the three H_d-freeness predicates independently and report
-    whether they agree (they must, on d-regular graphs)."""
+    whether they agree (they must, on d-regular graphs); raises ValueError
+    unless g is d-regular."""
+    if any(len(nbrs) != d for nbrs in g.adjacency):
+        raise ValueError("lemma31 requires a regular graph of degree d")
     p1 = contains_Hd(g, d) is None
     p2 = not closed_neighborhood_duplicates(g)
     p3 = True

@@ -7,12 +7,14 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidkit.cli import main
 from avoidkit.config import ENGINES
+from avoidkit.graphs import parse_graph
 
 
 def run(capsys, *argv):
@@ -129,9 +131,8 @@ def test_simulate_auto_runs_each_detector_once(tmp_path, capsys, monkeypatch, ar
 def test_analyze_parse_failure(tmp_path, capsys):
     bad = tmp_path / "bad.txt"
     bad.write_text("not a graph\n")
-    with pytest.raises(SystemExit) as exc:
-        run(capsys, "analyze", str(bad))
-    assert exc.value.code == 2
+    code, _, err = run(capsys, "analyze", str(bad))
+    assert code == 2 and "cannot read graph" in err
 
 
 def test_transport_command(tmp_path, capsys):
@@ -511,3 +512,263 @@ def test_simulate_rejects_unknown_engine_in_config(c9_and_pet, tmp_path, capsys)
     code, _, err = run(capsys, "simulate", c9_and_pet[1], "--config", str(cfg), "-o", str(traj))
     assert code == 2 and err.startswith("error: bad run settings: unknown engine 'bogus'")
     assert not traj.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen", "--family", "petersen"],
+    ["simulate", "{pet}", "--ticks", "10"],
+    ["experiment", "prevalence", "--d", "3", "--n-list", "10", "--samples", "2"],
+], ids=["gen", "simulate", "experiment"])
+def test_unwritable_output_exits_2(c9_and_pet, tmp_path, capsys, argv):
+    out = tmp_path / "missing" / "out.txt"
+    argv = [arg.format(pet=c9_and_pet[1]) for arg in argv]
+    code, _, err = run(capsys, *argv, "-o", str(out))
+    assert code == 2 and err.startswith("error:") and str(out) in err
+    assert not out.parent.exists()
+
+
+def test_gen_offsets_names_the_flag(tmp_path, capsys):
+    out = tmp_path / "cir.txt"
+    code, stdout, err = run(capsys, "gen", "--family", "circulant", "--n", "9",
+                            "--offsets", "1,x", "-o", str(out))
+    assert code == 2 and stdout == ""
+    assert err == "error: --offsets must be comma-separated integers, got '1,x'\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("body", [None, b"2 1\n0 1\xff\n"], ids=["missing", "not-utf8"])
+def test_unreadable_graph_file_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "g.txt"
+    if body is not None:
+        path.write_bytes(body)
+    code, _, err = run(capsys, "analyze", str(path))
+    assert code == 2 and err.startswith(f"error: cannot read graph {path}:")
+
+
+@pytest.mark.parametrize("graph,argv,message", [
+    ("2 1\n0 1\n", ["transport", "{g}", "--a=0", "--b=1", "--e=1"], "requires degree >= 2 at a"),
+    ("2 0\n", ["oracle", "lemma42", "{g}", "--a=0", "--b=1"], "requires min degree >= 3"),
+], ids=["transport-degree-1", "lemma42-degree-0"])
+def test_degenerate_degrees_exit_2(tmp_path, capsys, graph, argv, message):
+    # a single edge leaves no mover pair; on an edgeless pair the ratio l/k is 0/0
+    path = tmp_path / "g.txt"
+    path.write_text(graph)
+    code, stdout, err = run(capsys, *(arg.format(g=path) for arg in argv))
+    assert code == 2 and err.startswith(f"error: {message}") and stdout == ""
+
+
+# ---------------------------------------------------------------------------
+# argv fuzzing of every command but simulate (see test_simulate_argv_fuzz)
+
+_FUZZ_TOKENS = st.integers(-3, 13).map(str) | st.sampled_from(["", "x", "#", "-", "1.5", "9" * 20])
+_GRAPH_LINES = st.tuples(st.integers(0, 11), st.integers(0, 11)).map("{0[0]} {0[1]}".format) \
+    | st.tuples(st.integers(-1, 13), st.integers(-1, 13)).map("{0[0]} {0[1]}".format) \
+    | st.sampled_from(["", "x y", "1", "1 2 3", "# c", "0 0", "1.5 2"])
+
+
+# the exit-1 results a command computes and prints itself, with no error
+_DOMAIN_RESULTS = ("verdict: none", "holds: False", "agreement: False", "violation(s)", "verdict=FAIL")
+
+
+def _exits_cleanly(argv, output=None):
+    """Run main on argv: exit 0, 1 or 2; a failure reports `error:` (or is a
+    computed domain result) and leaves no output file."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if code:
+        computed = code == 1 and any(r in out.getvalue() for r in _DOMAIN_RESULTS)
+        assert err.getvalue().startswith("error:") or computed and not err.getvalue(), err.getvalue()
+        assert output is None or not output.exists()
+    if output is not None:
+        output.unlink(missing_ok=True)
+
+
+def _draw_graph(data, root, hosts, hosts_only=False):
+    """(path, n): a fuzz host, a missing file, or a fresh edge list on at most
+    12 vertices, either well formed or possibly malformed and not UTF-8."""
+    kind = data.draw(st.sampled_from(("host",) if hosts_only else ("host", "edges", "text", "missing")),
+                     label="graph")
+    if kind == "host":
+        return data.draw(st.sampled_from(hosts), label="host")
+    path = root / "graph.txt"
+    if kind == "missing":
+        path.unlink(missing_ok=True)
+        return str(path), 0
+    if kind == "edges":
+        n = data.draw(st.integers(2, 12), label="n")
+        pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(lambda e: e[0] != e[1])
+        edges = data.draw(st.lists(pairs, max_size=3 * n), label="edges")
+        path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        return str(path), n
+    n = data.draw(st.integers(-1, 12), label="n")
+    lines = data.draw(st.lists(_GRAPH_LINES, max_size=30), label="edges")
+    m = data.draw(st.integers(-1, len(lines) + 1), label="m")
+    header = data.draw(st.sampled_from([f"{n} {len(lines)}", f"{n} {m}", f"{n} {m} 0", f"{n}", "n m"]),
+                       label="header")
+    tail = data.draw(st.sampled_from([b"", b"\xff"]), label="tail")
+    path.write_bytes("\n".join([header, *lines]).encode() + tail)
+    return str(path), max(n, 0)
+
+
+def _vertex_flags(data, path, n, names):
+    """--name=v for each name: v absent, any id in -3..n+3, or (past the
+    first name) a neighbor of the first id, so that valid triples occur."""
+    try:
+        g = parse_graph(Path(path).read_text())
+    except (OSError, ValueError):
+        g = None
+    argv, first = [], None
+    for name in names:
+        ids = st.none() | st.integers(-3, n + 3)
+        if g is not None and first is not None and 0 <= first < g.n and g.adjacency[first]:
+            ids = st.sampled_from(g.adjacency[first]) | ids
+        v = data.draw(ids, label=name)
+        first = v if first is None else first
+        if v is not None:
+            argv.append(f"--{name}={v}")
+    return argv
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_gen_argv_fuzz(fuzz_hosts, data):
+    root, _ = fuzz_hosts
+    family = data.draw(st.sampled_from(["cycle", "complete", "complete_bipartite", "petersen",
+                                        "circulant", "random_regular"]), label="family")
+    argv = ["gen", "--family", family, f"--n={data.draw(st.integers(-3, 40), label='n')}",
+            f"--d={data.draw(st.integers(-1, 4), label='d')}",
+            f"--p={data.draw(st.integers(-1, 20), label='p')}",
+            f"--q={data.draw(st.integers(-1, 20), label='q')}"]
+    offsets = data.draw(st.lists(st.integers(-2, 22).map(str) | _FUZZ_TOKENS, min_size=1, max_size=3),
+                        label="offsets")
+    argv.append(f"--offsets={','.join(offsets)}")
+    seed = data.draw(st.none() | st.integers(-3, 2**64 + 3), label="seed")
+    if seed is not None:
+        argv.append(f"--seed={seed}")
+    if data.draw(st.booleans(), label="connected"):
+        argv.append("--connected")
+    out = root / data.draw(st.sampled_from(["out.txt", "missing/out.txt"]), label="output")
+    _exits_cleanly([*argv, "-o", str(out)], out)
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_analyze_argv_fuzz(fuzz_hosts, data):
+    root, hosts = fuzz_hosts
+    path, _ = _draw_graph(data, root, hosts)
+    _exits_cleanly(["analyze", path])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_transport_argv_fuzz(fuzz_hosts, data):
+    root, hosts = fuzz_hosts
+    path, n = _draw_graph(data, root, hosts)
+    flags = _vertex_flags(data, path, n, ["a", "b", "e"])
+    # --a and --b are required
+    argv = [f"--{name}=0" for name in "ab" if not any(f.startswith(f"--{name}=") for f in flags)]
+    _exits_cleanly(["transport", path, *argv, *flags])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_oracle_argv_fuzz(fuzz_hosts, data):
+    root, hosts = fuzz_hosts
+    lemma = data.draw(st.sampled_from(["lemma34", "lemma42", "lemma31"]), label="lemma")
+    # the lemma34 sweep is 2^(d(d-1)) subsets: only the fuzz hosts (d <= 4)
+    path, n = _draw_graph(data, root, hosts, hosts_only=lemma == "lemma34")
+    _exits_cleanly(["oracle", lemma, path, *_vertex_flags(data, path, n, ["a", "b", "e"])])
+
+
+@pytest.fixture(scope="module")
+def fuzz_runs(fuzz_hosts):
+    """(host index, lines) of a 20-tick cubic run on Petersen and a
+    3-walker cycle run on C10."""
+    from avoidkit.couplers import simulate
+    from avoidkit.generate import cycle, petersen
+
+    pet, _ = simulate(petersen(), "cubic", 20, 1)
+    c10, _ = simulate(cycle(10), "cycle", 20, 1, walkers=3)
+    return [(0, pet.to_text().splitlines()), (1, c10.to_text().splitlines())]
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_verify_argv_fuzz(fuzz_hosts, fuzz_runs, data):
+    root, hosts = fuzz_hosts
+    own, lines = data.draw(st.sampled_from(fuzz_runs), label="run")
+    lines = list(lines)
+    for _ in range(data.draw(st.integers(0, 3), label="mutations")):
+        i = data.draw(st.integers(0, len(lines)), label="line")
+        op = data.draw(st.sampled_from(["delete", "duplicate", "token", "insert"]), label="op")
+        if op == "insert" or i == len(lines):
+            tokens = data.draw(st.lists(_FUZZ_TOKENS, max_size=4), label="new line")
+            lines.insert(i, " ".join(tokens))
+        elif op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split() or [""]
+            j = data.draw(st.integers(0, len(tokens) - 1), label="token")
+            tokens[j] = data.draw(_FUZZ_TOKENS, label="value")
+            lines[i] = " ".join(tokens)
+    traj = root / "traj.txt"
+    traj.write_text("\n".join(lines) + "\n")
+    if data.draw(st.sampled_from(["own", "own", "other"]), label="graph of the run") == "own":
+        path = hosts[own][0]
+    else:
+        path, _ = _draw_graph(data, root, hosts)
+    alpha = data.draw(st.sampled_from(["0.001", "0.5", "1e-300"])
+                      | st.sampled_from(["0", "1", "-1", "nan", "inf"]), label="alpha")
+    _exits_cleanly(["verify", path, str(traj), f"--alpha={alpha}"])
+
+
+@settings(max_examples=100, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_experiment_argv_fuzz(fuzz_hosts, data):
+    root, _ = fuzz_hosts
+    # no huge n: the configuration model lists all n*d stubs before any check
+    junk = data.draw(st.sampled_from([False, False, False, True]), label="junk n-list")
+    n_list = data.draw(st.lists(st.sampled_from(["", "x", "1.5", "-", "1e3"]) if junk
+                                else st.integers(-2, 40).map(str), min_size=1, max_size=3), label="n-list")
+    d = data.draw(st.integers(-1, 4), label="d")
+    samples = data.draw(st.integers(-1, 4), label="samples")
+    argv = ["experiment", "prevalence", f"--d={d}", f"--n-list={','.join(n_list)}", f"--samples={samples}",
+            f"--seed={data.draw(st.integers(-3, 2**64 + 3), label='seed')}"]
+    if data.draw(st.booleans(), label="simple-connected"):
+        argv.append("--simple-connected")
+    out = data.draw(st.sampled_from([None, "out.csv", "missing/out.csv"]), label="output")
+    if out is not None:
+        out = root / out
+        argv += ["-o", str(out)]
+    with mock.patch.dict(os.environ):
+        os.environ.pop("AVOIDKIT_THREADS", None)  # one worker, no process pool
+        _exits_cleanly(argv, out)
+
+
+_CONFIG_LINES = st.tuples(
+    st.sampled_from(["rng.seed", "sim.ticks", "sim.engine", "sim.walkers", "cache.capacity", "bogus", ""]),
+    st.sampled_from([" = ", "=", " "]),
+    st.sampled_from(ENGINES) | _FUZZ_TOKENS | st.integers(-3, 2**64 + 3).map(str),
+).map("".join) | st.sampled_from(["", "# note", "=", "sim.ticks = 1 = 2"])
+
+
+@settings(max_examples=150, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_simulate_config_fuzz(fuzz_hosts, data):
+    from avoidkit.config import RunConfig
+
+    root, hosts = fuzz_hosts
+    text = "\n".join(data.draw(st.lists(_CONFIG_LINES, max_size=6), label="config")) + "\n"
+    try:
+        RunConfig.from_text(text)
+    except ValueError:
+        pass
+    cfg, traj = root / "run.cfg", root / "traj.txt"
+    cfg.write_text(text)
+    path, _ = data.draw(st.sampled_from(hosts), label="host")
+    # --ticks overrides the file, so no example runs long
+    _exits_cleanly(["simulate", path, "--config", str(cfg), "--ticks=5", "-o", str(traj)], traj)

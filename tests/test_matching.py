@@ -6,6 +6,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from avoidkit.generate import complete, complete_bipartite, random_regular_simple
+from avoidkit.graphs import graph_from_edges
 from avoidkit.matching import (
     LruCache,
     MoverPair,
@@ -312,6 +313,24 @@ def test_regular_transport_precondition(circ9):
         build_regular_transport(circ9, 0, 2, 1)  # adjacent b, e != b
     with pytest.raises(ValueError):
         build_regular_transport(circ9, 0, 4, 5)  # e not in N(a)
+
+
+@pytest.mark.parametrize("host,build,ids,message", [
+    ("pet", build_squarefree_transport, (-1, 3), "a=-1 is not a vertex"),
+    ("pet", build_squarefree_transport, (0, 10), "b=10 is not a vertex"),
+    ("circ9", build_regular_transport, (-1, 4, 0), "a=-1 is not a vertex"),
+    ("circ9", build_regular_transport, (0, 4, -1), "e=-1 is not a vertex"),
+], ids=["squarefree-a", "squarefree-b", "regular-a", "regular-e"])
+def test_transport_rejects_non_vertex_ids(request, host, build, ids, message):
+    # a negative id would otherwise index adjacency from the end
+    with pytest.raises(ValueError, match=message):
+        build(request.getfixturevalue(host), *ids)
+
+
+def test_regular_transport_rejects_degree_one_mover():
+    # on a single edge N(0) \ {e} is empty: no mover pair, column sums d - 1 = 0
+    with pytest.raises(ValueError, match="degree >= 2 at a"):
+        build_regular_transport(graph_from_edges(2, [(0, 1)]), 0, 1, 1)
 
 
 def test_squarefree_transport(pet, ag23):

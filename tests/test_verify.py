@@ -277,6 +277,41 @@ def test_lemma31_equivalence(pet, circ9):
     assert lemma31_equivalence(circ9, 4)[1][0]
 
 
+@pytest.mark.parametrize("oracle,host,ids,message", [
+    (lemma34_oracle, "circ9", (-1, 4, 0), "a=-1 is not a vertex"),
+    (lemma34_oracle, "circ9", (0, 4, -1), "e=-1 is not a vertex"),
+    (lemma42_oracle, "pet", (-1, 3), "a=-1 is not a vertex"),
+    (lemma42_oracle, "pet", (0, -1), "b=-1 is not a vertex"),
+], ids=["lemma34-a", "lemma34-e", "lemma42-a", "lemma42-b"])
+def test_oracles_reject_non_vertex_ids(request, oracle, host, ids, message):
+    with pytest.raises(ValueError, match=message):
+        oracle(request.getfixturevalue(host), *ids)
+
+
+@pytest.mark.parametrize("oracle,edges,ids,message", [
+    (lemma34_oracle, [(0, 1)], (0, 1, 1), "degree >= 2 at a"),  # ratio d/(d-1) = 1/0
+    (lemma42_oracle, [], (0, 1), "min degree >= 3"),  # ratio l/k = 0/0
+], ids=["lemma34-degree-1", "lemma42-degree-0"])
+def test_oracles_reject_degenerate_degrees(oracle, edges, ids, message):
+    with pytest.raises(ValueError, match=message):
+        oracle(graph_from_edges(2, edges), *ids)
+
+
+def test_check_avoidance_rejects_non_vertex_ids(pet):
+    # -1 would read as vertex 9, making Alice's first step 9 -> 4 an edge
+    with pytest.raises(ValueError, match=r"vertex -1 outside 0\.\.9"):
+        check_avoidance(pet, _planted(pet, [(-1, 0), (4, 2)]))
+    with pytest.raises(ValueError, match=r"vertex 10 outside 0\.\.9"):
+        check_avoidance(pet, _planted(pet, [(0, 2), (4, 10)]))
+
+
+def test_lemma31_equivalence_requires_d_regular(pet):
+    with pytest.raises(ValueError, match="requires a regular graph"):
+        lemma31_equivalence(pet, 4)
+    with pytest.raises(ValueError, match="requires a regular graph"):
+        lemma31_equivalence(graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]), 3)
+
+
 def test_hd_bound_values():
     # n^5 * (3/(n-14))^7 at n=32: computed independently
     want = 32**5 * (3 / 18) ** 7

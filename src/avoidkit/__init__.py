@@ -17,10 +17,8 @@ from .couplers import (
 )
 from .experiment import PrevalenceRow, prevalence_experiment, wilson_interval
 from .generate import (
-    GenSpec,
     configuration_model,
     cycle,
-    generate_deterministic,
     heawood,
     petersen,
     random_regular_simple,
@@ -61,7 +59,6 @@ __all__ = [
     "BlockOutcome",
     "CubicEngine",
     "CycleEngine",
-    "GenSpec",
     "Graph",
     "GraphParseError",
     "HypothesisError",
@@ -90,7 +87,6 @@ __all__ = [
     "derive_seed",
     "exact_cubic_marginals",
     "exact_regular_index_laws",
-    "generate_deterministic",
     "graph_from_edges",
     "hd_probability_upper_bound",
     "heawood",

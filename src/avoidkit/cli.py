@@ -21,9 +21,12 @@ from .config import ENGINES, RunConfig
 from .couplers import parse_trajectory, simulate
 from .experiment import CSV_HEADER, prevalence_experiment, row_to_csv
 from .generate import (
-    GenSpec,
     RejectionBudgetExceeded,
-    generate_deterministic,
+    circulant,
+    complete,
+    complete_bipartite,
+    cycle,
+    petersen,
     random_regular_simple,
 )
 from .graphs import basic_profile, parse_graph
@@ -71,15 +74,16 @@ def cmd_gen(args) -> int:
             args.n, args.d, args.seed, connected_required=args.connected
         )
         print(f"rejections: {rejections}")
+    elif args.family == "cycle":
+        g = cycle(args.n)
+    elif args.family == "complete":
+        g = complete(args.n)
+    elif args.family == "complete_bipartite":
+        g = complete_bipartite(args.p, args.q)
+    elif args.family == "petersen":
+        g = petersen()
     else:
-        params = {}
-        if args.family in ("cycle", "complete", "circulant"):
-            params["n"] = args.n
-        if args.family == "circulant":
-            params["offsets"] = _ints("--offsets", args.offsets)
-        if args.family == "complete_bipartite":
-            params["p"], params["q"] = args.p, args.q
-        g = generate_deterministic(GenSpec(args.family, params))
+        g = circulant(args.n, _ints("--offsets", args.offsets))
     Path(args.output).write_text(g.to_text())
     prof = basic_profile(g)
     print(f"wrote {args.output}: n={prof.n} m={prof.edge_count} digest={g.digest()}")
@@ -113,8 +117,8 @@ def cmd_transport(args) -> int:
     print(f"kind={tm.kind} rows={len(tm.row_labels)} cols={len(tm.col_labels)} "
           f"row_sum={tm.row_sum} col_sum={tm.col_sum} total={tm.total}"
           + (" (roles swapped)" if tm.swapped else ""))
-    for r, label in enumerate(tm.row_labels):
-        print(f"{label}: {' '.join(str(x) for x in tm.entries[r])}")
+    for label, row in zip(tm.row_labels, tm.entries):
+        print(f"{label}: {' '.join(str(x) for x in row)}")
     return EXIT_OK
 
 

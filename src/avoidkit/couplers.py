@@ -15,10 +15,8 @@ Every engine is deterministic given its seed.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain
 
 from .graphs import Graph, check_vertices, graph_from_edges
 from .matching import (
@@ -223,32 +221,26 @@ def cubic_block(g: Graph, a: int, b: int, rng, scenario: ScenarioClass | None = 
 # engines
 
 
-def transport_sampler(tm: TransportMatrix) -> tuple[tuple, tuple, array]:
-    """What a transport draw reads and an engine caches: (row_labels,
-    col_labels, cum), cum the cumulative counts over the row-major entries."""
-    return tm.row_labels, tm.col_labels, array("I", accumulate(chain.from_iterable(tm.entries)))
-
-
-def regular_round(sampler, rng) -> tuple[int, int, int, int]:
+def regular_round(tm: TransportMatrix, rng) -> tuple[int, int, int, int]:
     """The round law, for any chooser `rng` with `randrange`: the cell whose
     cumulative count first exceeds r, r uniform below the total, so a cell's
     probability is entry/total.  Returns (a', a'', b', e')."""
-    rows, cols, cum = sampler
-    i, j = divmod(bisect_right(cum, rng.randrange(cum[-1])), len(cols))
-    mp, op = rows[i], cols[j]
+    cum = tm.cum
+    i, j = divmod(bisect_right(cum, rng.randrange(cum[-1])), len(tm.col_labels))
+    mp, op = tm.row_labels[i], tm.col_labels[j]
     return mp.first_step, mp.second_step, op.step, op.next_excluded
 
 
-def squarefree_step(g: Graph, a: int, b: int, sampler, rng) -> tuple[int, int]:
-    """The step law from (a, b), for any chooser `rng` with `randrange`: row i
-    uniform, then the cell whose cumulative count first exceeds i*l + r, r
-    uniform below the row sum l.  Rows index the higher-degree side, so they
-    are Bob's when deg(a) < deg(b).  Returns (a', b')."""
-    rows, cols, cum = sampler
+def squarefree_step(tm: TransportMatrix, rng) -> tuple[int, int]:
+    """The step law, for any chooser `rng` with `randrange`: row i uniform,
+    then the cell whose cumulative count first exceeds i*l + r, r uniform
+    below the row sum l.  Rows are Bob's when the transport swapped the
+    roles.  Returns (a', b')."""
+    rows, cols = tm.row_labels, tm.col_labels
     l = len(cols)
-    i, j = divmod(bisect_right(cum, rng.randrange(len(rows)) * l + rng.randrange(l)), l)
+    i, j = divmod(bisect_right(tm.cum, rng.randrange(len(rows)) * l + rng.randrange(l)), l)
     u, v = rows[i], cols[j]
-    return (v, u) if len(g.adjacency[a]) < len(g.adjacency[b]) else (u, v)
+    return (v, u) if tm.swapped else (u, v)
 
 
 def default_b0(g: Graph, a0: int) -> int:
@@ -291,11 +283,11 @@ class Engine:
     def current(self) -> tuple[int, ...]:
         return (self.alice, self.bob)
 
-    def sampler(self, build, *state) -> tuple[tuple, tuple, array]:
-        """The `transport_sampler` of build(g, *state), cached by state."""
+    def sampler(self, build, *state) -> TransportMatrix:
+        """The transport build(g, *state), cached by state."""
         cached = self.cache.get(state)
         if cached is None:
-            cached = transport_sampler(build(self.g, *state))
+            cached = build(self.g, *state)
             self.cache.put(state, cached)
         return cached
 
@@ -346,7 +338,7 @@ class SquarefreeEngine(Engine):
 
     def block(self) -> list[tuple[int, int]]:
         a, b = self.alice, self.bob
-        ap, bp = squarefree_step(self.g, a, b, self.sampler(build_squarefree_transport, a, b), self.rng)
+        ap, bp = squarefree_step(self.sampler(build_squarefree_transport, a, b), self.rng)
         self.alice, self.bob = ap, bp
         return [(ap, bp)]
 

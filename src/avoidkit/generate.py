@@ -9,13 +9,8 @@ pairing is built into a graph.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .graphs import Graph, Multigraph, graph_from_edges, is_connected
+from .graphs import Graph, Multigraph, check_size, graph_from_edges, is_connected
 from .rng import Xoshiro256
-
-DETERMINISTIC_FAMILIES = ("cycle", "complete", "complete_bipartite", "petersen", "circulant")
-RANDOM_FAMILIES = ("configuration_model", "random_regular")
 
 DEFAULT_REJECTION_BUDGET = 10**5
 
@@ -31,16 +26,6 @@ class HopelessRequest(RejectionBudgetExceeded, ValueError):
     rejected as bad input before the first attempt."""
 
 
-@dataclass
-class GenSpec:
-    family: str
-    params: dict[str, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.family not in DETERMINISTIC_FAMILIES + RANDOM_FAMILIES:
-            raise ValueError(f"unknown family {self.family!r}")
-
-
 def cycle(n: int) -> Graph:
     if n < 3:
         raise ValueError("cycle requires n >= 3")
@@ -50,12 +35,14 @@ def cycle(n: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 2:
         raise ValueError("complete requires n >= 2")
+    check_size(n, n * (n - 1) // 2)
     return graph_from_edges(n, ((i, j) for i in range(n) for j in range(i + 1, n)))
 
 
 def complete_bipartite(p: int, q: int) -> Graph:
     if p < 1 or q < 1:
         raise ValueError("complete_bipartite requires p, q >= 1")
+    check_size(p + q, p * q)
     return graph_from_edges(p + q, ((i, p + j) for i in range(p) for j in range(q)))
 
 
@@ -75,6 +62,7 @@ def circulant(n: int, offsets) -> Graph:
     for s in offs:
         if not 1 <= s <= n // 2:
             raise ValueError(f"circulant offset {s} outside [1, n/2]")
+    check_size(n, n * len(offs))
     edges = set()
     for i in range(n):
         for s in offs:
@@ -92,21 +80,6 @@ def heawood() -> Graph:
     return graph_from_edges(14, edges)
 
 
-def generate_deterministic(spec: GenSpec) -> Graph:
-    p = spec.params
-    if spec.family == "cycle":
-        return cycle(p["n"])
-    if spec.family == "complete":
-        return complete(p["n"])
-    if spec.family == "complete_bipartite":
-        return complete_bipartite(p["p"], p["q"])
-    if spec.family == "petersen":
-        return petersen()
-    if spec.family == "circulant":
-        return circulant(p["n"], p["offsets"])
-    raise ValueError(f"{spec.family!r} is not a deterministic family")
-
-
 def configuration_model(n: int, d: int, seed: int) -> Multigraph:
     """Uniform perfect matching of the n*d half-edges {0..n-1} x {0..d-1}.
 
@@ -117,6 +90,7 @@ def configuration_model(n: int, d: int, seed: int) -> Multigraph:
         raise ValueError("configuration_model requires d >= 1")
     if (n * d) % 2 != 0:
         raise ValueError("configuration_model requires n*d even")
+    check_size(n, n * d // 2)
     rng = Xoshiro256(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     rng.shuffle(stubs)
@@ -147,6 +121,7 @@ def random_regular_simple(
         raise ValueError("random_regular_simple requires n*d even")
     if not 0 < d < n:
         raise ValueError("random_regular_simple requires 0 < d < n")
+    check_size(n, n * d // 2)
     if d == 1 and n > 2 and connected_required:
         raise HopelessRequest(budget, "a 1-regular graph on more than 2 vertices is never connected")
     rng = Xoshiro256(seed)

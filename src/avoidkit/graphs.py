@@ -11,6 +11,11 @@ from collections import deque
 from dataclasses import dataclass, field
 
 
+# Size limits, checked before anything is allocated per vertex or per edge.
+MAX_VERTICES = 100_000
+MAX_EDGES = 1_000_000
+
+
 class GraphParseError(ValueError):
     """Malformed edge-list input; message names the offending line."""
 
@@ -64,14 +69,23 @@ def check_vertices(g: Graph, **ids: int | None) -> None:
             raise ValueError(f"{name}={v} is not a vertex (0..{g.n - 1})")
 
 
+def check_size(n: int, m: int = 0) -> None:
+    """Raise ValueError when n vertices or m edges exceed the size limits."""
+    if n > MAX_VERTICES:
+        raise ValueError(f"{n} vertices exceed the limit of {MAX_VERTICES}")
+    if m > MAX_EDGES:
+        raise ValueError(f"{m} edges exceed the limit of {MAX_EDGES}")
+
+
 def graph_from_edges(n: int, edges, *, dedupe: bool = False) -> Graph:
     """Build a Graph from (u, v) pairs.
 
     With dedupe=True repeated edges are dropped and counted instead of
-    rejected; loops are always an error.
+    rejected; loops are always an error, and so is passing the size limits.
     """
+    check_size(n)
     adj: list[set[int]] = [set() for _ in range(n)]
-    dropped = 0
+    dropped = m = 0
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u},{v}) out of range for n={n}")
@@ -82,6 +96,9 @@ def graph_from_edges(n: int, edges, *, dedupe: bool = False) -> Graph:
                 raise ValueError(f"duplicate edge ({u},{v})")
             dropped += 1
             continue
+        m += 1
+        if m > MAX_EDGES:
+            raise ValueError(f"more than {MAX_EDGES} edges")
         adj[u].add(v)
         adj[v].add(u)
     return Graph(n, tuple(tuple(sorted(s)) for s in adj), dropped)
@@ -105,6 +122,10 @@ def parse_graph(text: str) -> Graph:
         raise GraphParseError(f"bad header at line 1: {lines[0]!r}") from None
     if n < 0 or m < 0:
         raise GraphParseError("negative n or m at line 1")
+    try:
+        check_size(n, m)
+    except ValueError as err:
+        raise GraphParseError(f"{err} at line 1") from None
     if len(lines) < m + 1:
         raise GraphParseError(f"expected {m} edge lines, found {len(lines) - 1}")
 

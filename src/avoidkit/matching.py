@@ -13,8 +13,10 @@ perfect-matching problem by flow integrality.
 
 from __future__ import annotations
 
+from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
+from itertools import accumulate, chain
 
 from .graphs import check_vertices
 
@@ -244,32 +246,48 @@ def solve_transport(
                     return m
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransportMatrix:
-    """Coupling joint-count matrix: entries[r][c] over row/column label lists."""
+    """A solved coupling transport over row/column label tuples.
+
+    The counts are stored once, as `cum`: the cumulative counts over the
+    row-major cells, which the engines' draws bisect."""
 
     kind: str  # "regular" or "squarefree"
     row_labels: tuple
     col_labels: tuple
-    entries: tuple[tuple[int, ...], ...]
+    cum: array
     row_sum: int
     col_sum: int
-    swapped: bool = False  # squarefree only: roles of a and b were exchanged
+    swapped: bool = False  # squarefree only: rows index b's neighbors, not a's
 
     @property
     def total(self) -> int:
         return self.row_sum * len(self.row_labels)
 
+    @property
+    def entries(self) -> tuple[tuple[int, ...], ...]:
+        """The counts as rows: entries[r][c] at row_labels[r], col_labels[c]."""
+        flat = [y - x for x, y in zip(chain((0,), self.cum), self.cum)]
+        c = len(self.col_labels)
+        return tuple(tuple(flat[i:i + c]) for i in range(0, len(flat), c))
+
     def check_sums(self) -> None:
-        for r, row in enumerate(self.entries):
-            if sum(row) != self.row_sum:
-                raise AssertionError(f"row {r} sums to {sum(row)}, expected {self.row_sum}")
-        cols = list(zip(*self.entries))
-        if len(cols) != len(self.col_labels):
-            raise AssertionError(f"{len(cols)} columns of entries, expected {len(self.col_labels)}")
-        for c, col in enumerate(cols):
-            if sum(col) != self.col_sum:
-                raise AssertionError(f"column {c} sums to {sum(col)}, expected {self.col_sum}")
+        check_matrix_sums(self.entries, self.row_sum, self.col_sum, len(self.col_labels))
+
+
+def check_matrix_sums(m, row_sum: int, col_sum: int, ncols: int) -> None:
+    """Raise AssertionError unless every row of m sums to row_sum and m has
+    ncols columns, each summing to col_sum."""
+    for r, row in enumerate(m):
+        if sum(row) != row_sum:
+            raise AssertionError(f"row {r} sums to {sum(row)}, expected {row_sum}")
+    cols = list(zip(*m))
+    if len(cols) != ncols:
+        raise AssertionError(f"{len(cols)} columns of entries, expected {ncols}")
+    for c, col in enumerate(cols):
+        if sum(col) != col_sum:
+            raise AssertionError(f"column {c} sums to {sum(col)}, expected {col_sum}")
 
 
 class LruCache:
@@ -301,62 +319,40 @@ class LruCache:
         return self.hits / lookups if lookups else 0.0
 
 
+def solved_transport(kind: str, rows: tuple, cols: tuple, row_sum: int, col_sum: int,
+                     allowed: list[list[bool]], violated: str, swapped: bool = False) -> TransportMatrix:
+    """Solve the transport with these sums over `allowed`, check the solver's
+    matrix and store it.  An infeasible one is re-raised as
+    "hypothesis violated {violated}", with its Hall certificate."""
+    try:
+        m = solve_transport([row_sum] * len(rows), [col_sum] * len(cols), allowed)
+    except TransportInfeasible as err:
+        raise TransportInfeasible(f"hypothesis violated {violated}", err.hall_rows, err.hall_cols) from err
+    check_matrix_sums(m, row_sum, col_sum, len(cols))
+    return TransportMatrix(kind, rows, cols, array("I", accumulate(chain.from_iterable(m))),
+                           row_sum, col_sum, swapped)
+
+
 def build_regular_transport(g, a: int, b: int, e: int) -> TransportMatrix:
     """Transport matrix m(i,j,k,l) for the d-regular protocol at (a, b, e):
     row sums d over mover-pairs, column sums d-1 over other-pairs."""
     check_regular_triple(g, a, b, e)
     d = g.degree(a)
-    rows = tuple(mover_pairs(g, a, e))
-    cols = tuple(other_pairs(g, b))
-    allowed = regular_allowed(g, a, b, e)
-    try:
-        m = solve_transport([d] * len(rows), [d - 1] * len(cols), allowed)
-    except TransportInfeasible as err:
-        raise TransportInfeasible(
-            f"hypothesis violated (H_{d} present?) at (a={a}, b={b}, e={e})",
-            err.hall_rows,
-            err.hall_cols,
-        ) from err
-    tm = TransportMatrix(
-        kind="regular",
-        row_labels=rows,
-        col_labels=cols,
-        entries=tuple(tuple(row) for row in m),
-        row_sum=d,
-        col_sum=d - 1,
-    )
-    tm.check_sums()
-    return tm
+    return solved_transport("regular", tuple(mover_pairs(g, a, e)), tuple(other_pairs(g, b)), d, d - 1,
+                            regular_allowed(g, a, b, e), f"(H_{d} present?) at (a={a}, b={b}, e={e})")
 
 
 def build_squarefree_transport(g, a: int, b: int) -> TransportMatrix:
     """Transport matrix m(i,j) for the square-free one-step coupling.
 
-    Roles are swapped internally so rows index the higher-degree side
-    (k rows with row sum l, l columns with column sum k)."""
+    Roles are swapped, and `swapped` set, when deg(a) < deg(b), so rows
+    index the higher-degree side (k rows with row sum l, l columns with
+    column sum k)."""
     check_squarefree_pair(g, a, b)
     swapped = g.degree(a) < g.degree(b)
     u, v = (b, a) if swapped else (a, b)
     rows = g.adjacency[u]  # k vertices
     cols = g.adjacency[v]  # l vertices, l <= k
-    k, l = len(rows), len(cols)
     allowed = [[cj != ri and not g.has_edge(ri, cj) for cj in cols] for ri in rows]
-    try:
-        m = solve_transport([l] * k, [k] * l, allowed)
-    except TransportInfeasible as err:
-        raise TransportInfeasible(
-            f"hypothesis violated (square present?) at (a={a}, b={b})",
-            err.hall_rows,
-            err.hall_cols,
-        ) from err
-    tm = TransportMatrix(
-        kind="squarefree",
-        row_labels=rows,
-        col_labels=cols,
-        entries=tuple(tuple(row) for row in m),
-        row_sum=l,
-        col_sum=k,
-        swapped=swapped,
-    )
-    tm.check_sums()
-    return tm
+    return solved_transport("squarefree", rows, cols, len(cols), len(rows), allowed,
+                            f"(square present?) at (a={a}, b={b})", swapped)

@@ -19,9 +19,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain
 
-from .couplers import (BlockOutcome, Trajectory, cubic_block, regular_round, squarefree_step,
-                       transport_sampler)
-from .graphs import Graph, distance_capped
+from .couplers import BlockOutcome, Trajectory, cubic_block, regular_round, squarefree_step
+from .graphs import Graph
 from .matching import (
     TransportMatrix,
     build_squarefree_transport,
@@ -81,7 +80,7 @@ def check_avoidance(g: Graph, traj: Trajectory) -> list[Violation]:
     for t in traj.block_marks:
         if t < len(pos) and len(pos[t]) == 2:
             a, b = pos[t]
-            if distance_capped(g, a, b, 2) < 2:
+            if a == b or g.has_edge(a, b):
                 out.append(Violation(t, "adjacency_at_block_end", (a, b)))
     return out
 
@@ -173,11 +172,11 @@ def exact_cubic_marginals(g: Graph, a: int, b: int) -> MarginalReport:
 
 
 def exact_squarefree_law(g: Graph, a: int, b: int) -> MarginalReport:
-    """Exact law of `squarefree_step` from (a, b) over the engine's sampler.
-    Raises CertificationError unless every branch has b' outside
-    {a'} u N(a') and each walker's step is uniform on its neighbors."""
-    sampler = transport_sampler(build_squarefree_transport(g, a, b))
-    steps = [(p, *step) for p, step, _ in enumerate_law(lambda rng, out: squarefree_step(g, a, b, sampler, rng))]
+    """Exact law of `squarefree_step` from (a, b) over the transport the
+    engine draws from.  Raises CertificationError unless every branch has b'
+    outside {a'} u N(a') and each walker's step is uniform on its neighbors."""
+    tm = build_squarefree_transport(g, a, b)
+    steps = [(p, *step) for p, step, _ in enumerate_law(lambda rng, out: squarefree_step(tm, rng))]
     bad = next(((ap, bp) for _, ap, bp in steps if bp == ap or g.has_edge(ap, bp)), None)
     if bad is not None:
         raise CertificationError(f"step ({a}, {b}) -> {bad} does not avoid")
@@ -231,16 +230,15 @@ class IndexLaws:
 
 def exact_regular_index_laws(tm: TransportMatrix, d: int) -> IndexLaws:
     """The four sampled-index laws of a regular transport matrix, found by
-    exact enumeration of `regular_round` over the sampler the engine builds
-    from it; certifies P(I)=1/(d-1), P(K|I)=P(J)=P(L|J)=1/d."""
+    exact enumeration of `regular_round` over it; certifies P(I)=1/(d-1),
+    P(K|I)=P(J)=P(L|J)=1/d."""
     if tm.kind != "regular":
         raise ValueError("expected a regular-kind transport matrix")
     total = d * d * (d - 1)
-    sampler = transport_sampler(tm)
-    if sampler[2][-1] != total:
-        raise CertificationError(f"matrix total {sampler[2][-1]}, expected {total}")
+    if tm.cum[-1] != total:
+        raise CertificationError(f"matrix total {tm.cum[-1]}, expected {total}")
     p_i, p_ik, p_j, p_jl = (defaultdict(Fraction) for _ in range(4))
-    for p, (i, k, j, l), _ in enumerate_law(lambda rng, out: regular_round(sampler, rng)):
+    for p, (i, k, j, l), _ in enumerate_law(lambda rng, out: regular_round(tm, rng)):
         p_i[i] += p
         p_ik[(i, k)] += p
         p_j[j] += p
@@ -417,9 +415,11 @@ def lemma42_oracle(g: Graph, a: int, b: int) -> OracleResult:
 def lemma31_equivalence(g: Graph, d: int) -> tuple[bool, tuple[bool, bool, bool]]:
     """Evaluate the three H_d-freeness predicates independently and report
     whether they agree (they must, on d-regular graphs); raises ValueError
-    unless g is d-regular."""
+    unless g is d-regular with d >= 2."""
     if any(len(nbrs) != d for nbrs in g.adjacency):
         raise ValueError("lemma31 requires a regular graph of degree d")
+    if d < 2:
+        raise ValueError("lemma31 requires a d-regular graph with d >= 2")
     p1 = contains_Hd(g, d) is None
     p2 = not closed_neighborhood_duplicates(g)
     p3 = True

@@ -32,6 +32,22 @@ def test_gen_analyze_roundtrip(tmp_path, capsys):
     assert "verdict: cubic (also square-free)" in stdout
 
 
+def test_gen_calls_each_family_constructor(tmp_path, capsys):
+    from avoidkit.generate import circulant, complete, complete_bipartite, cycle, petersen
+
+    out = tmp_path / "g.txt"
+    for argv, want in (
+        (["--family", "cycle", "--n", "7"], cycle(7)),
+        (["--family", "complete", "--n", "5"], complete(5)),
+        (["--family", "complete_bipartite", "--p", "2", "--q", "3"], complete_bipartite(2, 3)),
+        (["--family", "petersen"], petersen()),
+        (["--family", "circulant", "--n", "7", "--offsets", "2,1"], circulant(7, [1, 2])),
+    ):
+        code, stdout, _ = run(capsys, "gen", *argv, "-o", str(out))
+        assert code == 0 and f"digest={want.digest()}" in stdout
+        assert out.read_text() == want.to_text()
+
+
 def test_gen_random_regular(tmp_path, capsys):
     out = tmp_path / "rr.txt"
     code, stdout, _ = run(capsys, "gen", "--family", "random_regular",
@@ -60,6 +76,50 @@ def test_gen_rejects_hopeless_request_up_front(tmp_path, capsys):
     code, _, err = run(capsys, "gen", "--family", "random_regular", "--n", "6", "--d", "1",
                        "--seed", "1", "--connected", "-o", str(out))
     assert code == 2 and "never connected" in err
+    assert not out.exists()
+
+
+TIMED_MAIN = """import sys, time
+from avoidkit.cli import main
+t = time.perf_counter()
+code = main(sys.argv[1:])
+print(time.perf_counter() - t)
+sys.exit(code)
+"""
+
+
+def _limit_memory():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize("argv,graph_text,message", [
+    (["analyze", "{g}"], "1000000000 0\n", "1000000000 vertices exceed the limit"),
+    (["gen", "--family", "cycle", "--n", "1000000000", "-o", "{out}"], None,
+     "1000000000 vertices exceed the limit"),
+    (["gen", "--family", "complete", "--n", "100000", "-o", "{out}"], None,
+     "4999950000 edges exceed the limit"),
+    (["experiment", "prevalence", "--d", "2", "--n-list", "99999999999999999999", "--samples", "1"], None,
+     "99999999999999999999 vertices exceed the limit"),
+], ids=["graph-header", "gen-cycle", "gen-complete", "experiment-n-list"])
+def test_oversized_input_exits_2_at_once(tmp_path, argv, graph_text, message):
+    """Each input would allocate per vertex or per edge for minutes; the
+    size limits reject it within a second.  The child's address space is
+    capped, so a missing check fails here instead of exhausting memory."""
+    root = Path(__file__).resolve().parents[1]
+    graph, out = tmp_path / "g.txt", tmp_path / "out.txt"
+    if graph_text is not None:
+        graph.write_text(graph_text)
+    argv = [a.format(g=graph, out=out) for a in argv]
+    done = subprocess.run(
+        [sys.executable, "-c", TIMED_MAIN, *argv],
+        env={**{k: v for k, v in os.environ.items() if k != "AVOIDKIT_THREADS"}, "PYTHONPATH": str(root / "src")},
+        capture_output=True, text=True, timeout=60, preexec_fn=_limit_memory,
+    )
+    assert done.returncode == 2, done.stderr
+    assert done.stderr.startswith("error: ") and message in done.stderr
+    assert float(done.stdout) < 1.0
     assert not out.exists()
 
 
@@ -143,6 +203,45 @@ def test_transport_command(tmp_path, capsys):
     assert "kind=regular" in stdout and "row_sum=4 col_sum=3" in stdout
     code, _, err = run(capsys, "transport", str(cir), "--a", "0", "--b", "2")
     assert code == 2  # adjacent pair rejected for the squarefree matrix
+
+
+C9_TRANSPORT_0_4_1 = """\
+kind=regular rows=12 cols=16 row_sum=4 col_sum=3 total=48
+MoverPair(first_step=2, second_step=0): 0 0 0 0 2 1 0 0 0 0 0 0 0 0 0 1
+MoverPair(first_step=2, second_step=1): 0 0 0 0 0 0 0 0 3 1 0 0 0 0 0 0
+MoverPair(first_step=2, second_step=3): 0 0 0 0 0 0 0 0 0 0 0 0 3 1 0 0
+MoverPair(first_step=2, second_step=4): 0 0 0 0 0 0 3 0 0 1 0 0 0 0 0 0
+MoverPair(first_step=7, second_step=0): 0 0 0 0 0 1 0 0 0 0 0 0 0 2 0 1
+MoverPair(first_step=7, second_step=5): 0 3 1 0 0 0 0 0 0 0 0 0 0 0 0 0
+MoverPair(first_step=7, second_step=6): 0 0 2 2 0 0 0 0 0 0 0 0 0 0 0 0
+MoverPair(first_step=7, second_step=8): 0 0 0 0 0 1 0 2 0 0 0 0 0 0 0 1
+MoverPair(first_step=8, second_step=0): 0 0 0 0 0 0 0 1 0 1 2 0 0 0 0 0
+MoverPair(first_step=8, second_step=1): 0 0 0 0 0 0 0 0 0 0 1 3 0 0 0 0
+MoverPair(first_step=8, second_step=6): 3 0 0 1 0 0 0 0 0 0 0 0 0 0 0 0
+MoverPair(first_step=8, second_step=7): 0 0 0 0 1 0 0 0 0 0 0 0 0 0 3 0
+"""
+
+AG23_TRANSPORT_9_3 = """\
+kind=squarefree rows=4 cols=3 row_sum=3 col_sum=4 total=12 (roles swapped)
+10: 2 0 1
+12: 0 3 0
+17: 2 1 0
+19: 0 0 3
+"""
+
+
+@pytest.mark.parametrize("host,argv,want", [
+    ("c9", ["--a", "0", "--b", "4", "--e", "1"], C9_TRANSPORT_0_4_1),
+    ("ag23", ["--a", "9", "--b", "3"], AG23_TRANSPORT_9_3),
+], ids=["c9-regular", "ag23-swapped"])
+def test_transport_output_pinned(request, tmp_path, capsys, host, argv, want):
+    """The whole `transport` stdout, entries included: on C9(1,2) at (0, 4, 1)
+    and at an AG(2,3) line-point pair, whose rows are Bob's."""
+    g = request.getfixturevalue({"c9": "circ9", "ag23": "ag23"}[host])
+    path = tmp_path / "g.txt"
+    path.write_text(g.to_text())
+    code, stdout, _ = run(capsys, "transport", str(path), *argv)
+    assert code == 0 and stdout == want
 
 
 def test_simulate_and_verify(tmp_path, capsys):
@@ -437,6 +536,15 @@ def test_oracle_lemma31_takes_d_from_the_graph(tmp_path, capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("text", ["4 2\n0 1\n2 3\n", "3 0\n"], ids=["perfect-matching", "edgeless"])
+def test_oracle_lemma31_rejects_degree_below_two(tmp_path, capsys, text):
+    host = tmp_path / "host.txt"
+    host.write_text(text)
+    code, stdout, err = run(capsys, "oracle", "lemma31", str(host))
+    assert (code, stdout) == (2, "")
+    assert err == "error: lemma31 requires a d-regular graph with d >= 2\n"
+
+
 def test_oracle_domain_failure(tmp_path, capsys):
     k5 = tmp_path / "k5.txt"
     run(capsys, "gen", "--family", "complete", "--n", "5", "-o", str(k5))
@@ -560,6 +668,8 @@ def test_degenerate_degrees_exit_2(tmp_path, capsys, graph, argv, message):
 # ---------------------------------------------------------------------------
 # argv fuzzing of every command but simulate (see test_simulate_argv_fuzz)
 
+# sizes past graphs.MAX_VERTICES: each must be rejected before anything is allocated
+_OVER_LIMIT = st.sampled_from([100_001, 10**9, 10**20])
 _FUZZ_TOKENS = st.integers(-3, 13).map(str) | st.sampled_from(["", "x", "#", "-", "1.5", "9" * 20])
 _GRAPH_LINES = st.tuples(st.integers(0, 11), st.integers(0, 11)).map("{0[0]} {0[1]}".format) \
     | st.tuples(st.integers(-1, 13), st.integers(-1, 13)).map("{0[0]} {0[1]}".format) \
@@ -602,9 +712,11 @@ def _draw_graph(data, root, hosts, hosts_only=False):
         edges = data.draw(st.lists(pairs, max_size=3 * n), label="edges")
         path.write_text(f"{n} {len(edges)}\n" + "".join(f"{u} {v}\n" for u, v in edges))
         return str(path), n
-    n = data.draw(st.integers(-1, 12), label="n")
+    over = data.draw(st.sampled_from([False, False, False, True]), label="over limit")
+    n = data.draw(st.integers(-1, 12) | _OVER_LIMIT if over else st.integers(-1, 12), label="n")
     lines = data.draw(st.lists(_GRAPH_LINES, max_size=30), label="edges")
-    m = data.draw(st.integers(-1, len(lines) + 1), label="m")
+    m = data.draw(st.integers(-1, len(lines) + 1) | _OVER_LIMIT.map(lambda x: 10 * x) if over
+                  else st.integers(-1, len(lines) + 1), label="m")
     header = data.draw(st.sampled_from([f"{n} {len(lines)}", f"{n} {m}", f"{n} {m} 0", f"{n}", "n m"]),
                        label="header")
     tail = data.draw(st.sampled_from([b"", b"\xff"]), label="tail")
@@ -637,9 +749,10 @@ def test_gen_argv_fuzz(fuzz_hosts, data):
     root, _ = fuzz_hosts
     family = data.draw(st.sampled_from(["cycle", "complete", "complete_bipartite", "petersen",
                                         "circulant", "random_regular"]), label="family")
-    argv = ["gen", "--family", family, f"--n={data.draw(st.integers(-3, 40), label='n')}",
+    over = data.draw(st.sampled_from([False, False, False, True]), label="over limit")
+    argv = ["gen", "--family", family, f"--n={data.draw(_OVER_LIMIT if over else st.integers(-3, 40), label='n')}",
             f"--d={data.draw(st.integers(-1, 4), label='d')}",
-            f"--p={data.draw(st.integers(-1, 20), label='p')}",
+            f"--p={data.draw(_OVER_LIMIT if over else st.integers(-1, 20), label='p')}",
             f"--q={data.draw(st.integers(-1, 20), label='q')}"]
     offsets = data.draw(st.lists(st.integers(-2, 22).map(str) | _FUZZ_TOKENS, min_size=1, max_size=3),
                         label="offsets")
@@ -730,10 +843,10 @@ def test_verify_argv_fuzz(fuzz_hosts, fuzz_runs, data):
 @given(data=st.data())
 def test_experiment_argv_fuzz(fuzz_hosts, data):
     root, _ = fuzz_hosts
-    # no huge n: the configuration model lists all n*d stubs before any check
-    junk = data.draw(st.sampled_from([False, False, False, True]), label="junk n-list")
-    n_list = data.draw(st.lists(st.sampled_from(["", "x", "1.5", "-", "1e3"]) if junk
-                                else st.integers(-2, 40).map(str), min_size=1, max_size=3), label="n-list")
+    kind = data.draw(st.sampled_from(["ints", "ints", "ints", "junk", "over limit"]), label="n-list kind")
+    items = {"ints": st.integers(-2, 40).map(str), "junk": st.sampled_from(["", "x", "1.5", "-", "1e3"]),
+             "over limit": (st.integers(-2, 40) | _OVER_LIMIT).map(str)}[kind]
+    n_list = data.draw(st.lists(items, min_size=1, max_size=3), label="n-list")
     d = data.draw(st.integers(-1, 4), label="d")
     samples = data.draw(st.integers(-1, 4), label="samples")
     argv = ["experiment", "prevalence", f"--d={d}", f"--n-list={','.join(n_list)}", f"--samples={samples}",

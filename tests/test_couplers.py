@@ -21,7 +21,6 @@ from avoidkit.couplers import (
     s3b_rows,
     simulate,
     squarefree_step,
-    transport_sampler,
 )
 from avoidkit.generate import complete, cycle, random_regular_simple
 from avoidkit.graphs import distance_capped
@@ -178,11 +177,11 @@ def ref_sampler(tm):
     """The nonzero-cell expansion: cells with positive entries in row-major
     order, their cumulative weights, and the total."""
     cells, weights = [], []
-    for r, mp in enumerate(tm.row_labels):
-        for c, op in enumerate(tm.col_labels):
-            if tm.entries[r][c]:
+    for mp, row in zip(tm.row_labels, tm.entries):
+        for op, x in zip(tm.col_labels, row):
+            if x:
                 cells.append((mp, op))
-                weights.append(tm.entries[r][c])
+                weights.append(x)
     return cells, list(accumulate(weights)), tm.total
 
 
@@ -245,14 +244,13 @@ def test_squarefree_step_matches_per_row_draw(pet, hea, ag23):
                 if b == a or g.has_edge(a, b):
                     continue
                 tm = build_squarefree_transport(g, a, b)
-                sampler = transport_sampler(tm)
                 swapped += tm.swapped
                 for i, row in enumerate(tm.entries):
                     cum = list(accumulate(row))
                     for r in range(tm.row_sum):
                         u, v = tm.row_labels[i], tm.col_labels[bisect_right(cum, r)]
                         want = (v, u) if tm.swapped else (u, v)
-                        assert squarefree_step(g, a, b, sampler, Scripted(i, r)) == want
+                        assert squarefree_step(tm, Scripted(i, r)) == want
                         cases += 1
     assert (cases, swapped) == (5868, 72)
 

@@ -7,14 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 from avoidkit.generate import (
     DEFAULT_REJECTION_BUDGET,
-    GenSpec,
     RejectionBudgetExceeded,
     circulant,
     complete,
     complete_bipartite,
     configuration_model,
     cycle,
-    generate_deterministic,
     heawood,
     petersen,
     random_regular_simple,
@@ -77,15 +75,6 @@ def test_heawood_is_cubic_girth6(hea):
     from avoidkit.structure import is_square_free
 
     assert is_square_free(hea) is None
-
-
-def test_genspec_dispatch():
-    g = generate_deterministic(GenSpec("circulant", {"n": 7, "offsets": [1, 2]}))
-    assert basic_profile(g).regular_degree == 4
-    with pytest.raises(ValueError):
-        GenSpec("mystery")
-    with pytest.raises(ValueError):
-        generate_deterministic(GenSpec("configuration_model"))
 
 
 @given(

@@ -3,8 +3,19 @@ from __future__ import annotations
 import pytest
 from hypothesis import given, strategies as st
 
-from avoidkit.generate import cycle, petersen
+from avoidkit import graphs
+from avoidkit.generate import (
+    circulant,
+    complete,
+    complete_bipartite,
+    configuration_model,
+    cycle,
+    petersen,
+    random_regular_simple,
+)
 from avoidkit.graphs import (
+    MAX_EDGES,
+    MAX_VERTICES,
     Graph,
     GraphParseError,
     Multigraph,
@@ -64,6 +75,41 @@ def test_parse_counts_duplicates():
     g = parse_graph("3 3\n0 1\n1 2\n1 0\n")
     assert g.duplicate_edges_dropped == 1
     assert g.edge_count == 2
+
+
+def test_parse_size_limits():
+    assert parse_graph(f"{MAX_VERTICES} 0\n").n == MAX_VERTICES
+    with pytest.raises(GraphParseError, match=f"{MAX_VERTICES + 1} vertices exceed the limit .* at line 1"):
+        parse_graph(f"{MAX_VERTICES + 1} 0\n")
+    with pytest.raises(GraphParseError, match=f"{MAX_EDGES + 1} edges exceed the limit .* at line 1"):
+        parse_graph(f"2 {MAX_EDGES + 1}\n0 1\n")
+
+
+def test_graph_from_edges_size_limits(monkeypatch):
+    with pytest.raises(ValueError, match="vertices exceed the limit"):
+        graph_from_edges(MAX_VERTICES + 1, [])
+    monkeypatch.setattr(graphs, "MAX_EDGES", 3)
+    assert graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (1, 2)], dedupe=True).edge_count == 3
+    with pytest.raises(ValueError, match="more than 3 edges"):
+        graph_from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+
+
+@pytest.mark.parametrize("build,args,what", [
+    (cycle, (MAX_VERTICES + 1,), "vertices"),
+    (complete, (1415,), "edges"),  # 1,000,405 edges
+    (complete_bipartite, (1, MAX_VERTICES), "vertices"),
+    (complete_bipartite, (1000, 1001), "edges"),
+    (circulant, (MAX_VERTICES + 2, [1]), "vertices"),
+    (circulant, (MAX_VERTICES, range(1, 12)), "edges"),
+    (configuration_model, (MAX_VERTICES + 2, 2, 0), "vertices"),
+    (configuration_model, (1000, 2001, 0), "edges"),
+    (random_regular_simple, (MAX_VERTICES + 2, 2, 0), "vertices"),
+    (random_regular_simple, (2002, 1001, 0), "edges"),
+], ids=["cycle-n", "complete-m", "bipartite-n", "bipartite-m", "circulant-n", "circulant-m",
+        "configuration-n", "configuration-m", "random-regular-n", "random-regular-m"])
+def test_families_check_size_before_building(build, args, what):
+    with pytest.raises(ValueError, match=f"{what} exceed the limit"):
+        build(*args)
 
 
 def test_digest_is_stable(pet):

@@ -296,9 +296,9 @@ def test_regular_transport(circ9):
     assert (tm.row_sum, tm.col_sum, tm.total) == (4, 3, 48)
     tm.check_sums()
     # support respects compatibility
-    for r, mp in enumerate(tm.row_labels):
-        for c, op in enumerate(tm.col_labels):
-            if tm.entries[r][c]:
+    for mp, row in zip(tm.row_labels, tm.entries):
+        for op, x in zip(tm.col_labels, row):
+            if x:
                 assert compatible(circ9, mp, op)
 
 

@@ -5,7 +5,10 @@ import os
 import random
 import subprocess
 import sys
+from array import array
+from dataclasses import replace
 from fractions import Fraction
+from itertools import accumulate, chain
 from pathlib import Path
 
 import pytest
@@ -14,7 +17,7 @@ from avoidkit import verify
 from avoidkit.couplers import Trajectory, simulate
 from avoidkit.generate import complete, random_regular_simple
 from avoidkit.graphs import graph_from_edges
-from avoidkit.matching import build_regular_transport
+from avoidkit.matching import build_regular_transport, build_squarefree_transport
 from avoidkit.rng import Xoshiro256
 from avoidkit.structure import contains_Hd, is_square_free
 from avoidkit.verify import (
@@ -157,17 +160,15 @@ def test_squarefree_law_catches_unswapped_roles(ag23, monkeypatch):
     # a point and a line off it: the line has the lower degree, so rows are Bob's
     a, b = 9, 3
     assert ag23.degree(a) < ag23.degree(b)
+    assert build_squarefree_transport(ag23, a, b).swapped
     step = verify.squarefree_step
-    # passing a for b makes the degrees compare equal, so the roles stay unswapped
-    monkeypatch.setattr(verify, "squarefree_step",
-                        lambda g, a, b, sampler, rng: step(g, a, a, sampler, rng))
+    # a step law that ignores the transport's swap hands Bob's rows to Alice
+    monkeypatch.setattr(verify, "squarefree_step", lambda tm, rng: step(replace(tm, swapped=False), rng))
     with pytest.raises(CertificationError):
         exact_squarefree_law(ag23, a, b)
 
 
 def test_exact_regular_index_laws_rejects_wrong_kind(pet):
-    from avoidkit.matching import build_squarefree_transport
-
     tm = build_squarefree_transport(pet, 0, 2)
     with pytest.raises(ValueError):
         exact_regular_index_laws(tm, 3)
@@ -312,6 +313,13 @@ def test_lemma31_equivalence_requires_d_regular(pet):
         lemma31_equivalence(graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]), 3)
 
 
+@pytest.mark.parametrize("edges,d", [([(0, 1), (2, 3)], 1), ([], 0)], ids=["perfect-matching", "edgeless"])
+def test_lemma31_equivalence_requires_degree_two(edges, d):
+    # checked before H_d detection, which has no meaning below d = 2
+    with pytest.raises(ValueError, match=r"lemma31 requires a d-regular graph with d >= 2"):
+        lemma31_equivalence(graph_from_edges(4, edges), d)
+
+
 def test_hd_bound_values():
     # n^5 * (3/(n-14))^7 at n=32: computed independently
     want = 32**5 * (3 / 18) ** 7
@@ -324,12 +332,9 @@ def test_hd_bound_values():
 
 
 def test_certification_error_raised_on_bad_matrix(circ9):
-    from avoidkit.matching import TransportMatrix
-
     tm = build_regular_transport(circ9, 0, 4, 1)
-    rows = list(list(r) for r in tm.entries)
-    rows[0] = list(rows[1])  # break the row marginal
-    broken = TransportMatrix("regular", tm.row_labels, tm.col_labels,
-                             tuple(tuple(r) for r in rows), tm.row_sum, tm.col_sum)
+    rows = list(tm.entries)
+    rows[0] = rows[1]  # break the column marginals, keep the total
+    broken = replace(tm, cum=array("I", accumulate(chain.from_iterable(rows))))
     with pytest.raises(CertificationError):
         exact_regular_index_laws(broken, 4)

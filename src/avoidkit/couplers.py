@@ -226,9 +226,8 @@ def regular_round(tm: TransportMatrix, rng) -> tuple[int, int, int, int]:
     cumulative count first exceeds r, r uniform below the total, so a cell's
     probability is entry/total.  Returns (a', a'', b', e')."""
     cum = tm.cum
-    i, j = divmod(bisect_right(cum, rng.randrange(cum[-1])), len(tm.col_labels))
-    mp, op = tm.row_labels[i], tm.col_labels[j]
-    return mp.first_step, mp.second_step, op.step, op.next_excluded
+    i, j = divmod(tm.cells[bisect_right(cum, rng.randrange(cum[-1]))], len(tm.col_labels))
+    return tm.row_labels[i] + tm.col_labels[j]
 
 
 def squarefree_step(tm: TransportMatrix, rng) -> tuple[int, int]:
@@ -238,7 +237,7 @@ def squarefree_step(tm: TransportMatrix, rng) -> tuple[int, int]:
     roles.  Returns (a', b')."""
     rows, cols = tm.row_labels, tm.col_labels
     l = len(cols)
-    i, j = divmod(bisect_right(tm.cum, rng.randrange(len(rows)) * l + rng.randrange(l)), l)
+    i, j = divmod(tm.cells[bisect_right(tm.cum, rng.randrange(len(rows)) * l + rng.randrange(l))], l)
     u, v = rows[i], cols[j]
     return (v, u) if tm.swapped else (u, v)
 

@@ -19,6 +19,9 @@ from .rng import derive_seed
 from .structure import contains_H3tilde, contains_Hd
 
 _Z95 = 1.959963984540054
+# The most graphs one experiment samples, over all its n values; checked
+# before any cell is made.  The README's sweep samples 2,000.
+MAX_SAMPLES = 100_000
 
 
 def wilson_interval(hits: int, samples: int, z: float = _Z95) -> tuple[float, float]:
@@ -118,6 +121,9 @@ def prevalence_experiment(
 ) -> list[PrevalenceRow]:
     if samples < 1:
         raise ValueError("samples must be >= 1")
+    if samples * len(n_list) > MAX_SAMPLES:
+        raise ValueError(f"{samples} samples at each of {len(n_list)} n values exceed the limit of "
+                         f"{MAX_SAMPLES} graphs")
     for n in n_list:
         if (n * d) % 2 != 0:
             raise ValueError(f"n*d must be even (n={n}, d={d})")

@@ -5,10 +5,18 @@ into integer transportation problems (row sums = supplies, column sums =
 demands, support restricted to compatible cells).  The solver fills the
 matrix greedily in row-major order, which is exactly the first stage of
 Dinic max flow on the fresh network, and runs the later Dinic stages, in
-deterministic augmentation order, only on the shortfall the fill leaves.
-They run on the matrix itself, which holds every residual capacity, so no
-flow network is built.  Feasibility is equivalent to the original
-perfect-matching problem by flow integrality.
+deterministic augmentation order, only on the shortfall the fill leaves
+(`augment`).  They run on the nonzero cells and on bitmasks of the
+support, so no flow network is built.  Feasibility is equivalent to the
+original perfect-matching problem by flow integrality.
+
+The regular builder makes no allowed matrix: its fill walks only the
+columns whose demand is still unmet and tests each visited cell by the
+compatibility rule, and only when that fill leaves demand unmet does it
+build each row's support, per step b', and continue in `augment` from the
+fill's cells.  A solved transport is stored as its nonzero cells only
+(`TransportMatrix`), so a cache entry costs in proportion to its nonzero
+cells and labels, not to rows x columns.
 """
 
 from __future__ import annotations
@@ -16,7 +24,8 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, islice
+from operator import lt, sub
 
 from .graphs import check_vertices
 
@@ -63,33 +72,6 @@ def other_pairs(g, b: int) -> list[OtherPair]:
     return [OtherPair(bp, ep) for bp in g.adjacency[b] for ep in g.adjacency[bp]]
 
 
-def regular_allowed(g, a: int, b: int, e: int) -> list[list[bool]]:
-    """The matrix [[compatible(g, mp, op) for op in other_pairs(g, b)]
-    for mp in mover_pairs(g, a, e)], built per step b' instead of per cell.
-
-    For a row (a', a''), the d(b') cells (b', e') of one step are all
-    False when b' is a' or a'', all True when b' is not adjacent to a'',
-    and True only at e' = a'' otherwise."""
-    adj = g.adjacency
-    steps = [(bp, adj[bp], [True] * len(adj[bp]), [False] * len(adj[bp])) for bp in adj[b]]
-    out = []
-    for ap in adj[a]:
-        if ap == e:
-            continue
-        for app in adj[ap]:
-            near = adj[app]
-            row: list[bool] = []
-            for bp, nbp, free, blocked in steps:
-                if bp == ap or bp == app:
-                    row += blocked
-                elif bp in near:
-                    row += [ep == app for ep in nbp]
-                else:
-                    row += free
-            out.append(row)
-    return out
-
-
 def check_regular_triple(g, a: int, b: int, e: int) -> None:
     check_vertices(g, a=a, b=b, e=e)
     if b == a:
@@ -132,130 +114,246 @@ def solve_transport(
     row-major order, then sink arcs.  Dinic's first stage cannot use a
     reverse arc yet, and its DFS keeps its arc pointers: it walks the rows in
     order and each row's allowed columns in order, pushing min(residual
-    supply, residual demand).  That fill is done here directly on the
-    matrix.  When it leaves demand unmet, the later stages run on the matrix
-    too, reading every residual capacity from it: row i -> col j has
-    total - m[i][j], col j -> row i has m[i][j], src -> row i the row's spare
-    supply and col j -> sink its unmet demand.  A row scans its allowed
-    columns ascending; a column scans its allowed rows ascending, then the
-    sink.  The BFS stops once the sink has its level, since every node at or
-    past that level is a dead end for the DFS, and the stages stop once the
-    shortfall is covered."""
+    supply, residual demand).  That fill is done here directly; `augment`
+    runs the later stages on whatever demand it leaves unmet."""
     nr, nc = len(supplies), len(demands)
-    total = sum(supplies)
-    if total != sum(demands):
-        raise ValueError("total supply must equal total demand")
+    total = check_totals(supplies, demands)
     if min(supplies, default=0) < 0 or min(demands, default=0) < 0:
         raise ValueError("supplies and demands must be non-negative")
-    m = [[0] * nc for _ in range(nr)]
+    cells: dict[int, int] = {}
     unmet = list(demands)
     spare = list(supplies)
     for i in range(nr):
         left = supplies[i]
         if not left:
             continue
-        row, ok = m[i], allowed[i]
+        ok = allowed[i]
         for j in range(nc):
             need = unmet[j]
             if need and ok[j]:
                 x = left if left < need else need
-                row[j] = x
+                cells[i * nc + j] = x
                 unmet[j] = need - x
                 left -= x
                 if not left:
                     break
         spare[i] = left
+    if any(unmet):
+        augment(cells, spare, unmet, total, [sum(1 << j for j in compress(range(nc), ok)) for ok in allowed])
+    m = [[0] * nc for _ in range(nr)]
+    for f, x in cells.items():
+        m[f // nc][f % nc] = x
+    return m
+
+
+def check_totals(supplies: list[int], demands: list[int]) -> int:
+    """The common total of supplies and demands; ValueError when they differ."""
+    total = sum(supplies)
+    if total != sum(demands):
+        raise ValueError("total supply must equal total demand")
+    return total
+
+
+def augment(cells: dict[int, int], spare: list[int], unmet: list[int], total: int,
+            supports: list[int]) -> None:
+    """Dinic's stages after the first, run on a partly filled matrix until
+    no demand is unmet; raises TransportInfeasible with the min-cut Hall
+    certificate when the flow cannot grow.
+
+    `cells` maps the row-major flat index i*C + j of each nonzero cell to
+    its count, and is updated in place.  `spare` is each row's unused
+    supply, `unmet` each column's unmet demand, and `supports[i]` row i's
+    allowed columns as a bitmask (bit j for column j).  Every residual
+    capacity is read from these.  A row -> column arc on the support always
+    has room for the flow pushed along it, since its cell holds at most the
+    flow so far, which falls short of the total by the rows' spare supply;
+    column j -> row i has the cell's count; src -> row i the row's spare
+    supply and column j -> sink its unmet demand.  So the residual graph is
+    the supports plus, per column, the bitmask of rows whose cell is
+    nonzero.  Each BFS level is a bitmask too: src is level 0, rows are odd
+    levels, columns even levels.  The BFS stops at the first column level
+    with unmet demand, which puts the sink one level past it.  The DFS keeps
+    Dinic's arc pointers as the lowest row or column it may still try: a
+    row tries its columns at the next level ascending, a column its rows at
+    the next level ascending and then the sink.  The stages stop once the
+    shortfall is covered."""
+    nr, nc = len(spare), len(unmet)
     short = sum(unmet)
-    if not short:
-        return m
+    flows = [0] * nc  # bit i of flows[j] is set iff cell (i, j) is nonzero
+    for f in cells:
+        flows[f % nc] |= 1 << (f // nc)
 
-    row_cols = [[j for j in range(nc) if ok[j]] for ok in allowed]
-    col_rows = [[i for i in range(nr) if allowed[i][j]] for j in range(nc)]
-
-    def from_row(i: int, f: int) -> int:
-        cols, row, up = row_cols[i], m[i], lr[i] + 1
-        while itr[i] < len(cols):
-            j = cols[itr[i]]
-            cap = total - row[j]
-            if cap and lc[j] == up:
-                pushed = from_col(j, f if f < cap else cap)
-                if pushed:
-                    row[j] += pushed
-                    return pushed
-            itr[i] += 1
+    def from_row(i: int, f: int, level: int) -> int:
+        todo = supports[i] & at[level + 1] & (-1 << itr[i])
+        while todo:
+            low = todo & -todo
+            j = itr[i] = low.bit_length() - 1
+            pushed = from_col(j, f, level + 1)
+            if pushed:
+                k = i * nc + j
+                if k in cells:
+                    cells[k] += pushed
+                else:
+                    cells[k] = pushed
+                    flows[j] |= 1 << i
+                return pushed
+            todo ^= low
+        itr[i] = nc
         return 0
 
-    def from_col(j: int, f: int) -> int:
-        rows, up = col_rows[j], lc[j] + 1
-        while itc[j] < len(rows):
-            i = rows[itc[j]]
-            cap = m[i][j]
-            if cap and lr[i] == up:
-                pushed = from_row(i, f if f < cap else cap)
-                if pushed:
-                    m[i][j] -= pushed
-                    return pushed
-            itc[j] += 1
-        if unmet[j] and sink == up:
+    def from_col(j: int, f: int, level: int) -> int:
+        todo = flows[j] & at[level + 1] & (-1 << itc[j])
+        while todo:
+            low = todo & -todo
+            i = itc[j] = low.bit_length() - 1
+            k = i * nc + j
+            cap = cells[k]
+            pushed = from_row(i, f if f < cap else cap, level + 1)
+            if pushed:
+                if pushed < cap:
+                    cells[k] = cap - pushed
+                else:
+                    del cells[k]
+                    flows[j] ^= low
+                return pushed
+            todo ^= low
+        itc[j] = nr
+        if unmet[j] and level + 1 == sink:
             pushed = f if f < unmet[j] else unmet[j]
             unmet[j] -= pushed
             return pushed
         return 0
 
     while True:
-        # BFS levels: src 0, rows odd, columns even, the sink one past a column
-        lr, lc = [-1] * nr, [-1] * nc
-        frontier = [i for i in range(nr) if spare[i]]
-        for i in frontier:
-            lr[i] = 1
-        sink = -1
-        level = 1
-        while frontier and sink < 0:
-            cols = []
+        starts = [i for i in range(nr) if spare[i]]
+        at = [0, sum(1 << i for i in starts)]  # the rows or columns at each level
+        seen_rows, seen_cols, frontier, sink = at[1], 0, starts, -1
+        while frontier:
+            reach = 0
             for i in frontier:
-                row = m[i]
-                for j in row_cols[i]:
-                    if lc[j] < 0 and row[j] < total:
-                        lc[j] = level + 1
-                        cols.append(j)
-            frontier = []
+                reach |= supports[i]
+            reach &= ~seen_cols
+            seen_cols |= reach
+            at.append(reach)
+            cols = set_bits(reach)
+            if any(unmet[j] for j in cols):
+                sink = len(at)
+                at.append(0)
+                break
+            reach = 0
             for j in cols:
-                for i in col_rows[j]:
-                    if lr[i] < 0 and m[i][j]:
-                        lr[i] = level + 2
-                        frontier.append(i)
-                if unmet[j]:
-                    sink = level + 2
-                    break
-            level += 2
+                reach |= flows[j]
+            reach &= ~seen_rows
+            seen_rows |= reach
+            at.append(reach)
+            frontier = set_bits(reach)
         if sink < 0:
-            raise TransportInfeasible(
-                f"max flow {total - short} < required {total}",
-                [i for i in range(nr) if lr[i] >= 0],
-                [j for j in range(nc) if lc[j] >= 0],
-            )
+            raise TransportInfeasible(f"max flow {total - short} < required {total}",
+                                      set_bits(seen_rows), set_bits(seen_cols))
         itr, itc = [0] * nr, [0] * nc
-        for i in range(nr):
-            while spare[i] and lr[i] == 1:
-                pushed = from_row(i, spare[i])
+        for i in starts:
+            while spare[i]:
+                pushed = from_row(i, spare[i], 1)
                 if not pushed:
                     break
                 spare[i] -= pushed
                 short -= pushed
                 if not short:
-                    return m
+                    return
+
+
+def set_bits(x: int) -> list[int]:
+    """The positions of x's set bits, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def regular_cells(g, a: int, b: int, e: int, rows: tuple, cols: tuple) -> tuple[list[int], list[int]]:
+    """The regular transport at (a, b, e) that solve_transport over the
+    `compatible` matrix would return, as the ascending row-major flat
+    indices and the counts of its nonzero cells.
+
+    Row (a', a'') may use cell (b', e') iff b' is neither a' nor a'', and
+    e' = a'' when b' neighbors a''.  The fill is solve_transport's, but it
+    walks only the columns with demand still unmet and tests each visited
+    cell by that rule, so no allowed matrix is made.  When the fill leaves
+    demand unmet, `augment` continues from the fill's cells, over each
+    row's support built per step b': no cell, the one cell (b', a''), or
+    all d(b') cells."""
+    adj = g.adjacency
+    supply, demand = g.degree(a), g.degree(a) - 1
+    nr, nc = len(rows), len(cols)
+    total = check_totals([supply] * nr, [demand] * nc)
+    unmet = [demand] * nc
+    spare = [0] * nr
+    open_cols = list(range(nc))
+    cells: dict[int, int] = {}
+    for i, (ap, app) in enumerate(rows):
+        near, left, base, closed = adj[app], supply, i * nc, []
+        for j in open_cols:
+            bp, ep = cols[j]
+            if bp == ap or bp == app or (ep != app and bp in near):
+                continue
+            need = unmet[j]
+            if left < need:
+                cells[base + j] = left
+                unmet[j] = need - left
+                left = 0
+                break
+            cells[base + j] = need
+            unmet[j] = 0
+            closed.append(j)
+            left -= need
+            if not left:
+                break
+        spare[i] = left
+        for j in closed:
+            open_cols.remove(j)
+    if not open_cols:  # the fill went row-major, so the cells are in order
+        return list(cells), list(cells.values())
+
+    steps, lo = [], 0
+    for bp in adj[b]:
+        nbp = adj[bp]
+        steps.append((bp, nbp, lo, ((1 << len(nbp)) - 1) << lo))
+        lo += len(nbp)
+    supports = []
+    for ap, app in rows:
+        near, support = adj[app], 0
+        for bp, nbp, lo, group in steps:
+            if bp != ap and bp != app:
+                support |= 1 << (lo + nbp.index(app)) if bp in near else group
+        supports.append(support)
+    augment(cells, spare, unmet, total, supports)
+    order = sorted(cells)
+    return order, [cells[f] for f in order]
+
+
+def nonzero_cells(m: list[list[int]]) -> tuple[list[int], list[int]]:
+    """The row-major flat indices and counts of m's nonzero cells."""
+    flat = list(chain.from_iterable(m))
+    return list(compress(range(len(flat)), flat)), list(filter(None, flat))
 
 
 @dataclass(frozen=True, slots=True)
 class TransportMatrix:
     """A solved coupling transport over row/column label tuples.
 
-    The counts are stored once, as `cum`: the cumulative counts over the
-    row-major cells, which the engines' draws bisect."""
+    Only the nonzero cells are stored: `cells` holds their row-major flat
+    indices, ascending, and `cum` their cumulative counts, which the
+    engines' draws bisect.  A zero cell would repeat its predecessor's
+    cumulative count, so bisecting the dense cumulative counts lands on
+    the same cell for every r.  Regular labels are (a', a'') rows and
+    (b', e') columns; square-free labels are vertices."""
 
     kind: str  # "regular" or "squarefree"
     row_labels: tuple
     col_labels: tuple
+    cells: array
     cum: array
     row_sum: int
     col_sum: int
@@ -266,28 +364,43 @@ class TransportMatrix:
         return self.row_sum * len(self.row_labels)
 
     @property
+    def counts(self) -> list[int]:
+        """The nonzero cells' counts, in the order of `cells`."""
+        return list(map(sub, self.cum, chain((0,), self.cum)))
+
+    @property
     def entries(self) -> tuple[tuple[int, ...], ...]:
         """The counts as rows: entries[r][c] at row_labels[r], col_labels[c]."""
-        flat = [y - x for x, y in zip(chain((0,), self.cum), self.cum)]
         c = len(self.col_labels)
+        flat = [0] * (len(self.row_labels) * c)
+        for f, x in zip(self.cells, self.counts):
+            flat[f] = x
         return tuple(tuple(flat[i:i + c]) for i in range(0, len(flat), c))
 
     def check_sums(self) -> None:
-        check_matrix_sums(self.entries, self.row_sum, self.col_sum, len(self.col_labels))
+        check_cells(list(self.cells), self.counts, len(self.row_labels), len(self.col_labels),
+                    self.row_sum, self.col_sum)
 
 
-def check_matrix_sums(m, row_sum: int, col_sum: int, ncols: int) -> None:
-    """Raise AssertionError unless every row of m sums to row_sum and m has
-    ncols columns, each summing to col_sum."""
-    for r, row in enumerate(m):
-        if sum(row) != row_sum:
-            raise AssertionError(f"row {r} sums to {sum(row)}, expected {row_sum}")
-    cols = list(zip(*m))
-    if len(cols) != ncols:
-        raise AssertionError(f"{len(cols)} columns of entries, expected {ncols}")
-    for c, col in enumerate(cols):
-        if sum(col) != col_sum:
-            raise AssertionError(f"column {c} sums to {sum(col)}, expected {col_sum}")
+def check_cells(cells: list[int], counts: list[int], nr: int, nc: int, row_sum: int, col_sum: int) -> None:
+    """Raise AssertionError unless the cells are ascending row-major flat
+    indices inside an nr x nc matrix, each with a positive count, and every
+    row sums to row_sum and every column to col_sum.  Runs over the nonzero
+    cells only."""
+    if len(cells) != len(counts):
+        raise AssertionError(f"{len(cells)} cells, {len(counts)} counts")
+    if not all(map(lt, cells, islice(cells, 1, None))) or (cells and cells[-1] >= nr * nc):
+        raise AssertionError(f"cells {cells} are not ascending inside the {nr}x{nc} matrix")
+    if min(counts, default=1) <= 0:
+        raise AssertionError(f"counts {counts} are not all positive")
+    rows, cols = [0] * nr, [0] * nc
+    for f, x in zip(cells, counts):
+        rows[f // nc] += x
+        cols[f % nc] += x
+    for what, sums, want in (("row", rows, row_sum), ("column", cols, col_sum)):
+        if sums.count(want) != len(sums):
+            r = next(r for r, s in enumerate(sums) if s != want)
+            raise AssertionError(f"{what} {r} sums to {sums[r]}, expected {want}")
 
 
 class LruCache:
@@ -320,26 +433,29 @@ class LruCache:
 
 
 def solved_transport(kind: str, rows: tuple, cols: tuple, row_sum: int, col_sum: int,
-                     allowed: list[list[bool]], violated: str, swapped: bool = False) -> TransportMatrix:
-    """Solve the transport with these sums over `allowed`, check the solver's
-    matrix and store it.  An infeasible one is re-raised as
+                     solve, violated: str, swapped: bool = False) -> TransportMatrix:
+    """Store the nonzero cells and counts that `solve()` returns, after
+    checking their sums.  An infeasible solve is re-raised as
     "hypothesis violated {violated}", with its Hall certificate."""
     try:
-        m = solve_transport([row_sum] * len(rows), [col_sum] * len(cols), allowed)
+        cells, counts = solve()
     except TransportInfeasible as err:
         raise TransportInfeasible(f"hypothesis violated {violated}", err.hall_rows, err.hall_cols) from err
-    check_matrix_sums(m, row_sum, col_sum, len(cols))
-    return TransportMatrix(kind, rows, cols, array("I", accumulate(chain.from_iterable(m))),
+    check_cells(cells, counts, len(rows), len(cols), row_sum, col_sum)
+    return TransportMatrix(kind, rows, cols, array("I", cells), array("I", accumulate(counts)),
                            row_sum, col_sum, swapped)
 
 
 def build_regular_transport(g, a: int, b: int, e: int) -> TransportMatrix:
     """Transport matrix m(i,j,k,l) for the d-regular protocol at (a, b, e):
-    row sums d over mover-pairs, column sums d-1 over other-pairs."""
+    row sums d over mover pairs (a', a''), column sums d-1 over other pairs
+    (b', e'), both as int pairs."""
     check_regular_triple(g, a, b, e)
-    d = g.degree(a)
-    return solved_transport("regular", tuple(mover_pairs(g, a, e)), tuple(other_pairs(g, b)), d, d - 1,
-                            regular_allowed(g, a, b, e), f"(H_{d} present?) at (a={a}, b={b}, e={e})")
+    adj, d = g.adjacency, g.degree(a)
+    rows = tuple([(ap, app) for ap in adj[a] if ap != e for app in adj[ap]])
+    cols = tuple([(bp, ep) for bp in adj[b] for ep in adj[bp]])
+    return solved_transport("regular", rows, cols, d, d - 1, lambda: regular_cells(g, a, b, e, rows, cols),
+                            f"(H_{d} present?) at (a={a}, b={b}, e={e})")
 
 
 def build_squarefree_transport(g, a: int, b: int) -> TransportMatrix:
@@ -354,5 +470,7 @@ def build_squarefree_transport(g, a: int, b: int) -> TransportMatrix:
     rows = g.adjacency[u]  # k vertices
     cols = g.adjacency[v]  # l vertices, l <= k
     allowed = [[cj != ri and not g.has_edge(ri, cj) for cj in cols] for ri in rows]
-    return solved_transport("squarefree", rows, cols, len(cols), len(rows), allowed,
-                            f"(square present?) at (a={a}, b={b})", swapped)
+    return solved_transport(
+        "squarefree", rows, cols, len(cols), len(rows),
+        lambda: nonzero_cells(solve_transport([len(cols)] * len(rows), [len(rows)] * len(cols), allowed)),
+        f"(square present?) at (a={a}, b={b})", swapped)

@@ -102,7 +102,9 @@ def _limit_memory():
      "4999950000 edges exceed the limit"),
     (["experiment", "prevalence", "--d", "2", "--n-list", "99999999999999999999", "--samples", "1"], None,
      "99999999999999999999 vertices exceed the limit"),
-], ids=["graph-header", "gen-cycle", "gen-complete", "experiment-n-list"])
+    (["experiment", "prevalence", "--d", "3", "--n-list", "16", "--samples", "1000000000"], None,
+     "1000000000 samples at each of 1 n values exceed the limit"),
+], ids=["graph-header", "gen-cycle", "gen-complete", "experiment-n-list", "experiment-samples"])
 def test_oversized_input_exits_2_at_once(tmp_path, argv, graph_text, message):
     """Each input would allocate per vertex or per edge for minutes; the
     size limits reject it within a second.  The child's address space is
@@ -848,7 +850,8 @@ def test_experiment_argv_fuzz(fuzz_hosts, data):
              "over limit": (st.integers(-2, 40) | _OVER_LIMIT).map(str)}[kind]
     n_list = data.draw(st.lists(items, min_size=1, max_size=3), label="n-list")
     d = data.draw(st.integers(-1, 4), label="d")
-    samples = data.draw(st.integers(-1, 4), label="samples")
+    samples = data.draw(st.integers(-1, 4) | _OVER_LIMIT if kind == "over limit" else st.integers(-1, 4),
+                        label="samples")
     argv = ["experiment", "prevalence", f"--d={d}", f"--n-list={','.join(n_list)}", f"--samples={samples}",
             f"--seed={data.draw(st.integers(-3, 2**64 + 3), label='seed')}"]
     if data.draw(st.booleans(), label="simple-connected"):

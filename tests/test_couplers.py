@@ -216,8 +216,8 @@ def test_regular_round_draw_matches_cell_expansion(circ9):
             eng.rng = FixedDraw(total)
             for r in range(total):
                 eng.rng.r = r
-                mp, op = cells[bisect_right(cum, r)]
-                assert eng.sample_round(a, b, e) == (mp.first_step, mp.second_step, op.step, op.next_excluded)
+                (ap, app), (bp, ep) = cells[bisect_right(cum, r)]
+                assert eng.sample_round(a, b, e) == (ap, app, bp, ep)
 
 
 class Scripted:

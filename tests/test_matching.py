@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import random
 from collections import deque
 
 import pytest
@@ -17,9 +18,9 @@ from avoidkit.matching import (
     compatible,
     mover_pairs,
     other_pairs,
-    regular_allowed,
     solve_transport,
 )
+from avoidkit.structure import contains_Hd
 
 
 def test_compatibility_rule(circ9):
@@ -246,27 +247,85 @@ def test_solve_transport_regular_shaped(instance):
     event("greedy fill short" if greedy_leaves_shortfall(*instance) else "greedy fill complete")
 
 
-def test_solve_transport_recorded_rr5_instances(monkeypatch):
-    """Every transport solved in a 2,900-tick run on rr5-n64 (the large-random
-    benchmark host) equals Dinic from scratch."""
-    from avoidkit import matching
-    from avoidkit.couplers import simulate
+def regular_allowed(g, a: int, b: int, e: int) -> list[list[bool]]:
+    """The dense reference support of the regular transport: the matrix
+    [[compatible(g, mp, op) for op in other_pairs(g, b)]
+    for mp in mover_pairs(g, a, e)], built per step b' instead of per cell.
 
-    solve = matching.solve_transport
+    For a row (a', a''), the d(b') cells (b', e') of one step are all
+    False when b' is a' or a'', all True when b' is not adjacent to a'',
+    and True only at e' = a'' otherwise."""
+    adj = g.adjacency
+    steps = [(bp, adj[bp], [True] * len(adj[bp]), [False] * len(adj[bp])) for bp in adj[b]]
+    out = []
+    for ap in adj[a]:
+        if ap == e:
+            continue
+        for app in adj[ap]:
+            near = adj[app]
+            row: list[bool] = []
+            for bp, nbp, free, blocked in steps:
+                if bp == ap or bp == app:
+                    row += blocked
+                elif bp in near:
+                    row += [ep == app for ep in nbp]
+                else:
+                    row += free
+            out.append(row)
+    return out
+
+
+def regular_reference(g, a: int, b: int, e: int):
+    """The regular transport at (a, b, e) as solve_transport over the dense
+    `regular_allowed` gives it (checked against Dinic from scratch), or the
+    TransportInfeasible the builder must raise instead."""
+    d = g.degree(a)
+    allowed = regular_allowed(g, a, b, e)
+    m = solve_as_from_scratch([d] * len(allowed), [d - 1] * len(allowed[0]), allowed)
+    if isinstance(m, TransportInfeasible):
+        return TransportInfeasible(f"hypothesis violated (H_{d} present?) at (a={a}, b={b}, e={e})",
+                                   m.hall_rows, m.hall_cols)
+    return tuple(map(tuple, m))
+
+
+def build_as_reference(g, a: int, b: int, e: int):
+    """build_regular_transport at (a, b, e), or its TransportInfeasible,
+    after checking that it equals `regular_reference`: the same entries, or
+    the same message, Hall rows and Hall columns."""
+    want = regular_reference(g, a, b, e)
+    try:
+        tm = build_regular_transport(g, a, b, e)
+    except TransportInfeasible as err:
+        assert isinstance(want, TransportInfeasible), (a, b, e)
+        assert (str(err), err.hall_rows, err.hall_cols) == (str(want), want.hall_rows, want.hall_cols)
+        return err
+    assert tm.entries == want, (a, b, e)
+    return tm
+
+
+def test_solve_transport_recorded_rr5_instances(monkeypatch):
+    """Every regular transport built in a 2,900-tick run on rr5-n64 (the
+    large-random benchmark host) equals Dinic from scratch over the dense
+    `regular_allowed` support, and more than a tenth of those builds need
+    Dinic after the greedy fill."""
+    from avoidkit import couplers
+
+    build = couplers.build_regular_transport
     seen = []
 
-    def record(supplies, demands, allowed):
-        seen.append((supplies, demands, allowed))
-        return solve(supplies, demands, allowed)
+    def record(g, a, b, e):
+        seen.append((a, b, e))
+        return build(g, a, b, e)
 
-    monkeypatch.setattr(matching, "solve_transport", record)
+    monkeypatch.setattr(couplers, "build_regular_transport", record)
     rr5 = random_regular_simple(64, 5, 0, connected_required=True)[0]
-    simulate(rr5, "regular", 2_900, 0)
+    couplers.simulate(rr5, "regular", 2_900, 0)
     assert len(seen) > 1_500
     short = 0
-    for supplies, demands, allowed in seen:
-        assert not isinstance(solve_as_from_scratch(supplies, demands, allowed), TransportInfeasible)
-        short += greedy_leaves_shortfall(supplies, demands, allowed)
+    for a, b, e in seen:
+        assert not isinstance(build_as_reference(rr5, a, b, e), TransportInfeasible)
+        allowed = regular_allowed(rr5, a, b, e)
+        short += greedy_leaves_shortfall([5] * len(allowed), [4] * len(allowed[0]), allowed)
     assert short > len(seen) // 10  # the Dinic continuation is exercised
 
 
@@ -289,17 +348,36 @@ def test_regular_allowed_matches_compatible(circ9):
             assert regular_allowed(g, a, b, e) == ref, (a, b, e)
 
 
+def test_regular_build_equals_dense_solve(circ9):
+    """The open-column fill and its Dinic continuation build the matrix
+    solve_transport builds over the dense support: on every valid triple of
+    C9(1,2) and 200 of rr5-n64.  Where H_d is present (every triple of
+    complete(5), the infeasible triples of a random 4-regular host) each
+    build raises the reference's message, Hall rows and Hall columns."""
+    rr5 = random_regular_simple(64, 5, 0, connected_required=True)[0]
+    c9_triples = regular_triples(circ9)
+    assert len(c9_triples) == 180
+    for g, triples in ((circ9, c9_triples), (rr5, random.Random(0).sample(regular_triples(rr5), 200))):
+        for t in triples:
+            assert not isinstance(build_as_reference(g, *t), TransportInfeasible)
+    rr4 = random_regular_simple(12, 4, 13, connected_required=True)[0]
+    assert contains_Hd(rr4, 4) is not None
+    for g, infeasible in ((complete(5), 20), (rr4, 2)):
+        built = [build_as_reference(g, *t) for t in regular_triples(g)]
+        assert sum(isinstance(x, TransportInfeasible) for x in built) == infeasible
+
+
 def test_regular_transport(circ9):
     tm = build_regular_transport(circ9, 0, 4, 1)
     assert tm.kind == "regular"
     assert len(tm.row_labels) == 12 and len(tm.col_labels) == 16
     assert (tm.row_sum, tm.col_sum, tm.total) == (4, 3, 48)
     tm.check_sums()
-    # support respects compatibility
+    # support respects compatibility; labels are (a', a'') and (b', e') pairs
     for mp, row in zip(tm.row_labels, tm.entries):
         for op, x in zip(tm.col_labels, row):
             if x:
-                assert compatible(circ9, mp, op)
+                assert compatible(circ9, MoverPair(*mp), OtherPair(*op))
 
 
 def test_regular_transport_hypothesis_failure():

@@ -272,10 +272,11 @@ def set_bits(x: int) -> list[int]:
     return out
 
 
-def regular_cells(g, a: int, b: int, e: int, rows: tuple, cols: tuple) -> tuple[list[int], list[int]]:
-    """The regular transport at (a, b, e) that solve_transport over the
-    `compatible` matrix would return, as the ascending row-major flat
-    indices and the counts of its nonzero cells.
+def regular_cells(g, a: int, b: int, rows: tuple, cols: tuple) -> tuple[list[int], list[int]]:
+    """The regular transport over the mover pairs `rows` of a and the other
+    pairs `cols` of b that solve_transport over the `compatible` matrix
+    would return, as the ascending row-major flat indices and the counts of
+    its nonzero cells.
 
     Row (a', a'') may use cell (b', e') iff b' is neither a' nor a'', and
     e' = a'' when b' neighbors a''.  The fill is solve_transport's, but it
@@ -454,7 +455,7 @@ def build_regular_transport(g, a: int, b: int, e: int) -> TransportMatrix:
     adj, d = g.adjacency, g.degree(a)
     rows = tuple([(ap, app) for ap in adj[a] if ap != e for app in adj[ap]])
     cols = tuple([(bp, ep) for bp in adj[b] for ep in adj[bp]])
-    return solved_transport("regular", rows, cols, d, d - 1, lambda: regular_cells(g, a, b, e, rows, cols),
+    return solved_transport("regular", rows, cols, d, d - 1, lambda: regular_cells(g, a, b, rows, cols),
                             f"(H_{d} present?) at (a={a}, b={b}, e={e})")
 
 

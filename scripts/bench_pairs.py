@@ -6,8 +6,11 @@ to back for each seed: odd seeds run the parent first and even seeds the
 change first, so drift on a shared machine falls on both sides. Every
 end-to-end metric BENCHMARK.json declares is summarised per workload by its
 quartiles on each side, the pairs the change wins, the change of the median
-in percent and the parent's interquartile range. The file is rewritten
-after every pair, so an interrupted run keeps what it measured.
+in percent and the parent's interquartile range, next to the operations
+each side attempted and failed. The file is rewritten after every pair, so
+an interrupted run keeps what it measured. A run that reports
+``correct: false`` or a failed operation stops the script with exit 1,
+naming its seed and side, since its timings measure broken work.
 
 Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -52,8 +55,10 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, metrics: 
 
 
 def summarise(runs: list[dict], metrics: dict[str, str]) -> dict:
-    """Quartiles per side, change wins, median change and parent IQR per metric."""
-    out = {}
+    """Operations attempted and failed per side, then quartiles per side,
+    change wins, median change and parent IQR per metric."""
+    out = {"operations": {side: {key: sum(r[side][key] for r in runs) for key in ("attempted", "failed")}
+                          for side in ("parent", "change")}}
     for name, better in metrics.items():
         sides = {side: [r[side][name] for r in runs] for side in ("parent", "change")}
         stats = {}
@@ -129,6 +134,12 @@ def main(argv=None) -> int:
             doc["workloads"][workload] = {"pairs": len(runs), "seeds": [r["seed"] for r in runs],
                                           "summary": summarise(runs, metrics), "runs": runs}
             args.output.write_text(json.dumps(doc, indent=1) + "\n")
+            for side in order:
+                if not done[side]["correct"] or done[side]["failed"]:
+                    print(f"error: {workload} seed {seed}: the {side} run reports correct: "
+                          f"{str(done[side]['correct']).lower()}, {done[side]['failed']} of "
+                          f"{done[side]['attempted']} operations failed", file=sys.stderr)
+                    return 1
             seed += 1
     return 0
 

@@ -138,6 +138,9 @@ def cmd_simulate(args) -> int:
         a0=args.a0, b0=args.b0, walkers=cfg.walkers,
         cache_capacity=cfg.cache_capacity,
     )
+    if traj.engine == "cycle" and (args.a0 is not None or args.b0 is not None):
+        raise ValueError("the cycle engine starts its walkers on every second vertex; "
+                         "--a0 and --b0 do not apply")
     Path(args.output).write_text(traj.to_text())
     blocks = max(0, len(traj.block_marks) - 1)  # first mark is the start
     print(f"wrote {args.output}: engine={traj.engine} ticks={len(traj.positions) - 1} "

@@ -82,6 +82,12 @@ def check_regular_triple(g, a: int, b: int, e: int) -> None:
         raise ValueError("requires e = b when b in N(a)")
     if g.degree(a) < 2:  # column sums are d - 1
         raise ValueError("requires degree >= 2 at a")
+    adj = g.adjacency
+    d = len(adj[a])
+    for v in chain((b,), adj[a], adj[b]):
+        if len(adj[v]) != d:
+            raise ValueError(f"requires a regular host: vertex {v} has degree {len(adj[v])}, "
+                             f"a={a} has degree {d}")
 
 
 def check_squarefree_pair(g, a: int, b: int) -> None:

@@ -14,10 +14,11 @@ to confirm the two Hall-condition inequalities the constructions rest on.
 from __future__ import annotations
 
 import math
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, islice, starmap
+from operator import itemgetter
 
 from .couplers import BlockOutcome, Trajectory, cubic_block, regular_round, squarefree_step
 from .graphs import Graph
@@ -48,40 +49,68 @@ class Violation:
     detail: tuple
 
 
+def transition_counts(positions) -> Counter:
+    """How often each joint transition (positions[t], positions[t + 1]) occurs."""
+    return Counter(zip(positions, islice(positions, 1, None)))
+
+
+def tick_violations(g: Graph, pos, t: int) -> list[Violation]:
+    """The violations of tick t: walkers sharing pos[t], then, for the step
+    to t + 1, each walker's non-edge step and the swap B_t = A_{t+1} of a
+    two-walker run."""
+    out: list[Violation] = []
+    cur = pos[t]
+    for i in range(len(cur)):
+        for j in range(i + 1, len(cur)):
+            if cur[i] == cur[j]:
+                out.append(Violation(t, "collision_same_tick", (i, j, cur[i])))
+    if t + 1 < len(pos):
+        nxt = pos[t + 1]
+        for w in range(len(cur)):
+            # staying put is never a simple-random-walk step either
+            if not g.has_edge(cur[w], nxt[w]):
+                out.append(Violation(t, "non_edge_step", (w, cur[w], nxt[w])))
+        if len(cur) == 2 and cur[1] == nxt[0]:
+            out.append(Violation(t, "collision_swap", (cur[1],)))
+    return out
+
+
 def check_avoidance(g: Graph, traj: Trajectory) -> list[Violation]:
-    """All avoidance/consistency violations in a trajectory.
+    """All avoidance/consistency violations in a trajectory: those of each
+    tick, in tick order, then those of the block marks, in mark order.
 
     Checks per tick: every step is an edge; no two walkers share a vertex;
     for two-walker runs, B_t != A_{t+1} and distance >= 2 at each block
-    mark (only engines whose block ends are admissible write marks).
+    mark (only engines whose block ends are admissible write marks).  Each
+    check is a function of the pair (pos[t], pos[t+1]) or of one tick's
+    state, so it runs once per distinct transition, state or walker step;
+    `tick_violations` then reports only the ticks that carry a failing
+    transition, and the last tick if its state collides, and only marks on a
+    failing state are reported.
     Raises ValueError on a digest mismatch or a vertex id outside 0..n-1.
     """
     if traj.graph_digest != g.digest():
         raise ValueError("trajectory/graph digest mismatch")
-    ids = set(chain.from_iterable(traj.positions))
+    pos = traj.positions
+    steps = transition_counts(pos)
+    states = (*map(itemgetter(0), steps), *pos[-1:])  # every tick's state, some more than once
+    ids = set(chain.from_iterable(states))
     if ids and not 0 <= min(ids) <= max(ids) < g.n:
         raise ValueError(f"vertex {min(ids) if min(ids) < 0 else max(ids)} outside 0..{g.n - 1}")
-    out: list[Violation] = []
-    pos = traj.positions
-    for t in range(len(pos)):
-        cur = pos[t]
-        for i in range(len(cur)):
-            for j in range(i + 1, len(cur)):
-                if cur[i] == cur[j]:
-                    out.append(Violation(t, "collision_same_tick", (i, j, cur[i])))
-        if t + 1 < len(pos):
-            nxt = pos[t + 1]
-            for w in range(len(cur)):
-                # staying put is never a simple-random-walk step either
-                if not g.has_edge(cur[w], nxt[w]):
-                    out.append(Violation(t, "non_edge_step", (w, cur[w], nxt[w])))
-            if len(cur) == 2 and cur[1] == nxt[0]:
-                out.append(Violation(t, "collision_swap", (cur[1],)))
-    for t in traj.block_marks:
-        if t < len(pos) and len(pos[t]) == 2:
-            a, b = pos[t]
-            if a == b or g.has_edge(a, b):
-                out.append(Violation(t, "adjacency_at_block_end", (a, b)))
+    adj = g.adjacency
+    collided = {s for s in states if len(set(s)) < len(s)}
+    close = {s for s in states if len(s) == 2 and (s[0] == s[1] or s[1] in adj[s[0]])}
+    non_edges = {(u, v) for u, v in set(chain.from_iterable(starmap(zip, steps))) if v not in adj[u]}
+    bad = {(cur, nxt) for cur, nxt in steps
+           if cur in collided or (len(cur) == 2 and cur[1] == nxt[0])
+           or non_edges and not non_edges.isdisjoint(zip(cur, nxt))}
+    ticks = [t for t, step in enumerate(zip(pos, islice(pos, 1, None))) if step in bad] if bad else []
+    if pos and pos[-1] in collided:
+        ticks.append(len(pos) - 1)
+    out = [v for t in ticks for v in tick_violations(g, pos, t)]
+    if close:
+        out += [Violation(t, "adjacency_at_block_end", pos[t])
+                for t in traj.block_marks if t < len(pos) and pos[t] in close]
     return out
 
 
@@ -318,10 +347,14 @@ def chi_square_faithfulness(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     pos = traj.positions
     walkers = len(pos[0]) if pos else 0
-    counts: dict[tuple[int, int], dict[int, int]] = defaultdict(lambda: defaultdict(int))
-    for t in range(len(pos) - 1):
-        for w in range(walkers):
-            counts[(w, pos[t][w])][pos[t + 1][w]] += 1
+    steps = transition_counts(pos)
+    counts: dict[tuple[int, int], dict[int, int]] = defaultdict(dict)
+    for w in range(walkers):
+        walker_steps: dict[tuple[int, int], int] = defaultdict(int)
+        for (cur, nxt), c in steps.items():
+            walker_steps[cur[w], nxt[w]] += c
+        for (v, u), c in walker_steps.items():
+            counts[w, v][u] = c
 
     report = FaithfulnessReport(alpha=alpha)
     raw: list[tuple[CellResult, float | None]] = []

@@ -1,0 +1,60 @@
+"""scripts/bench_pairs.py against stub checkouts whose perfbench/run.py
+prints a fixed result line."""
+
+from __future__ import annotations
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_pairs.py"
+SPEC = {"end_to_end": [{"name": "wall_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+
+
+def load_bench_pairs():
+    spec = importlib.util.spec_from_file_location("bench_pairs", SCRIPT)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def checkout(root: Path, name: str, wall_s: float, correct: bool = True, failed: int = 0) -> Path:
+    """A directory whose perfbench/run.py prints one result line."""
+    line = {"correct": correct, "attempted": 4, "failed": failed, "metrics": {"wall_s": {"value": wall_s}}}
+    (root / name / "perfbench").mkdir(parents=True)
+    (root / name / "perfbench" / "run.py").write_text(f"print({json.dumps(json.dumps(line))})\n")
+    (root / name / "BENCHMARK.json").write_text(json.dumps(SPEC))
+    return root / name
+
+
+def bench(tmp_path, parent: Path, change: Path, pairs: int = 2) -> tuple[int, dict]:
+    out = tmp_path / "bench.json"
+    code = load_bench_pairs().main(["--parent", str(parent), "--change", str(change), "--workloads",
+                                    f"canonical={pairs}", "--first-seed", "5", "--seconds", "1",
+                                    "--parent-sha", "p" * 40, "--change-sha", "c" * 40, "-o", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_bench_pairs_records_operations_per_side(tmp_path):
+    code, doc = bench(tmp_path, checkout(tmp_path, "parent", 2.0), checkout(tmp_path, "change", 1.0))
+    summary = doc["workloads"]["canonical"]["summary"]
+    assert code == 0
+    assert summary["operations"] == {"parent": {"attempted": 8, "failed": 0},
+                                     "change": {"attempted": 8, "failed": 0}}
+    assert summary["wall_s"]["change_wins"] == "2/2" and summary["wall_s"]["median_change_pct"] == -50.0
+
+
+@pytest.mark.parametrize("side,correct,failed", [("change", True, 1), ("parent", False, 0)])
+def test_bench_pairs_stops_on_a_failed_run(tmp_path, capsys, side, correct, failed):
+    bad = {"correct": correct, "failed": failed}
+    parent = checkout(tmp_path, "parent", 2.0, **(bad if side == "parent" else {}))
+    change = checkout(tmp_path, "change", 1.0, **(bad if side == "change" else {}))
+    code, doc = bench(tmp_path, parent, change)
+    assert code == 1
+    assert capsys.readouterr().err == (f"error: canonical seed 5: the {side} run reports correct: "
+                                       f"{str(correct).lower()}, {failed} of 4 operations failed\n")
+    # the failing pair is kept, and no pair runs after it
+    assert doc["workloads"]["canonical"]["seeds"] == [5]
+    assert doc["workloads"]["canonical"]["summary"]["operations"][side]["failed"] == failed

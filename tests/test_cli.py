@@ -438,6 +438,21 @@ def test_simulate_rejects_bad_start_as_input(tmp_path, capsys, host, argv, messa
     assert not traj.exists()
 
 
+@pytest.mark.parametrize("engine", ["cycle", "auto"])
+@pytest.mark.parametrize("start", [("--a0", "3", "--b0", "4"), ("--a0", "3"), ("--b0", "4")])
+def test_simulate_cycle_rejects_a0_b0(tmp_path, capsys, engine, start):
+    # the cycle engine ignores a start: C10 with --a0 3 --b0 4 would write tick 0 as `0 2`
+    c10, traj = tmp_path / "c10.txt", tmp_path / "traj.txt"
+    run(capsys, "gen", "--family", "cycle", "--n", "10", "-o", str(c10))
+    code, stdout, err = run(capsys, "simulate", str(c10), "--engine", engine, "--walkers", "2", *start,
+                            "--ticks", "10", "-o", str(traj))
+    assert code == 2 and err == "error: the cycle engine starts its walkers on every second vertex; " \
+                                "--a0 and --b0 do not apply\n" and stdout == ""
+    assert not traj.exists()
+    assert run(capsys, "simulate", str(c10), "--engine", engine, "--walkers", "2", "--ticks", "10",
+               "-o", str(traj))[0] == 0
+
+
 @pytest.mark.parametrize("argv,code,message", [
     ([], 1, "regular engine hypothesis fails"),
     # a walker count the named engine cannot run is bad input on any graph
@@ -658,7 +673,10 @@ def test_unreadable_graph_file_exits_2(tmp_path, capsys, body):
 @pytest.mark.parametrize("graph,argv,message", [
     ("2 1\n0 1\n", ["transport", "{g}", "--a=0", "--b=1", "--e=1"], "requires degree >= 2 at a"),
     ("2 0\n", ["oracle", "lemma42", "{g}", "--a=0", "--b=1"], "requires min degree >= 3"),
-], ids=["transport-degree-1", "lemma42-degree-0"])
+    # degrees 3, 4, 4, 3, 5, 4, 3: this triple used to build a transport
+    ("7 13\n0 1\n0 4\n0 6\n1 4\n1 5\n1 6\n2 3\n2 4\n2 5\n2 6\n3 4\n3 5\n4 5\n",
+     ["transport", "{g}", "--a=3", "--b=0", "--e=4"], "requires a regular host: vertex 2 has degree 4, a=3"),
+], ids=["transport-degree-1", "lemma42-degree-0", "transport-irregular"])
 def test_degenerate_degrees_exit_2(tmp_path, capsys, graph, argv, message):
     # a single edge leaves no mover pair; on an edgeless pair the ratio l/k is 0/0
     path = tmp_path / "g.txt"

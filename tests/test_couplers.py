@@ -49,6 +49,70 @@ def test_trajectory_parse_errors():
         parse_trajectory("# graph-digest x\n# seed 0\n# engine cubic\n0 1 2\n1 3\n")
 
 
+HEADER = "# graph-digest x\n# seed 0\n# engine cubic\n"
+
+
+@pytest.mark.parametrize("text", [
+    "  # graph-digest x \n# seed 0\t\n\t# engine cubic\n  0 1 2  \n1 3 4\n# block 1\n",
+    "# graph-digest x\n# seed 0\n# engine cubic\n0\t1\t2\n1 \t3\t 4\n# block\t1\n",
+    "\n# graph-digest x\n\n  \n# seed 0\n\t\n# engine cubic\n0 1 2\n\n1 3 4\n# block 1\n\n",
+    "# graph-digest x\r\n# seed 0\r\n# engine cubic\r\n0 1 2\r\n1 3 4\r\n# block 1\r\n",
+    "#graph-digest x\n#seed 0\n#engine cubic\n0 1 2\n1 3 4\n#block 1\n",
+    "# graph-digest x\n# note written by hand\n# seed 0 extra\n# engine cubic\n#\tcomment\n0 1 2\n1 3 4\n"
+    "# block 1\n# unknown-key\n",
+], ids=["edge-whitespace", "tabs", "blank-lines", "crlf", "no-space-after-hash", "unknown-keys"])
+def test_trajectory_parse_tolerance(text):
+    assert parse_trajectory(text) == Trajectory("cubic", 0, "x", [(1, 2), (3, 4)], [1])
+
+
+def test_trajectory_text_writes_each_mark_inside_the_ticks_once():
+    traj = Trajectory("cubic", 7, "x", [(0, 2), (1, 3), (4, 2)], [2, 2, -1, 3, 0])
+    assert traj.to_text() == ("# graph-digest x\n# seed 7\n# engine cubic\n"
+                              "0 0 2\n# block 0\n1 1 3\n2 4 2\n# block 2\n")
+    with pytest.raises(ValueError, match="different walker counts"):
+        Trajectory("cycle", 7, "x", [(0, 2), (1, 3, 5)]).to_text()
+
+
+def test_trajectory_round_trip_five_cycle_walkers():
+    traj, _ = simulate(cycle(10), "cycle", 300, 4, walkers=5)
+    assert len(traj.positions[0]) == 5 and not traj.block_marks
+    assert parse_trajectory(traj.to_text()) == traj
+
+
+@pytest.mark.parametrize("body,message", [
+    ("0 1 2\n", "trajectory header incomplete"),
+    (HEADER + "0 1 2\n2 3 4\n", "non-contiguous tick 2"),
+    (HEADER + "#\n0 1 2\n", "bare '#' line"),
+    ("# graph-digest x\n# seed\n# engine cubic\n0 1 2\n", "'# seed' line without a value"),
+    (HEADER + "0 1 2\n# block\n", "'# block' line without a value"),
+    (HEADER + "0 1 2\n1\n", "tick 1 has no walker"),
+    (HEADER + "0\n", "tick 0 has no walker"),
+    (HEADER + "0 1 2\n1 3\n", "tick 1 has 1 walkers, tick 0 has 2"),
+    (HEADER + "0 1 2\n1 3 4\n2 5 6 7\n", "tick 2 has 3 walkers, tick 0 has 2"),
+    (HEADER + "0 1 x\n", "invalid literal for int() with base 10: 'x'"),
+    (HEADER + "0 1 2\n# block y\n", "invalid literal for int() with base 10: 'y'"),
+    (HEADER, "trajectory has no ticks"),
+    ("# graph-digest x\n# seed 0\n# engine bogus\n0 1 2\n", "unknown engine 'bogus'"),
+    (HEADER + "0 1 2 3\n", "engine 'cubic' runs exactly 2 walkers, got 3"),
+    (HEADER + "0 1 2\n# block 1\n", "block marks 1..1 outside ticks 0..0"),
+    (HEADER + "0 1 2\n# block -1\n", "block marks -1..-1 outside ticks 0..0"),
+    # the first error in file order wins
+    (HEADER + "0 1 2\n2 3 4\n#\n", "non-contiguous tick 2"),
+    (HEADER + "#\n0 1 2\n2 3 4\n", "bare '#' line"),
+    (HEADER + "0 1 2\n1 3\n3 x\n", "tick 1 has 1 walkers, tick 0 has 2"),
+    (HEADER + "0 1 2\n5 x 4\n", "invalid literal for int() with base 10: 'x'"),
+    ("0 1 2\n2 3 4\n", "non-contiguous tick 2"),
+    (HEADER + "0 1 2\n1\n2 3\n", "tick 1 has no walker"),
+], ids=["no-header", "gap", "bare-hash", "no-seed", "no-mark", "no-walker", "empty-first", "narrower",
+        "wider", "bad-int", "bad-mark", "no-ticks", "unknown-engine", "three-walkers", "mark-past-end",
+        "mark-below-0", "gap-before-bare", "bare-before-gap", "width-before-int", "int-before-gap",
+        "gap-before-header", "no-walker-before-width"])
+def test_trajectory_parse_error_messages(body, message):
+    with pytest.raises(ValueError) as err:
+        parse_trajectory(body)
+    assert str(err.value) == message
+
+
 def test_one_step_matching_is_bijection(pet, k33):
     for g in (pet, k33):
         for a in range(g.n):

@@ -411,6 +411,31 @@ def test_regular_transport_rejects_degree_one_mover():
         build_regular_transport(graph_from_edges(2, [(0, 1)]), 0, 1, 1)
 
 
+# 7 vertices of degrees 3, 4, 4, 3, 5, 4, 3
+IRREGULAR7 = [(0, 1), (0, 4), (0, 6), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (2, 6), (3, 4), (3, 5),
+              (4, 5)]
+
+
+def test_regular_transport_rejects_irregular_host():
+    """Each of the 82 valid triples names the first of b, N(a), N(b) whose
+    degree is not deg(a).  Without the check 80 failed on unequal totals,
+    (6, 0, 0) as infeasible, and (3, 0, 4) built a transport."""
+    g = graph_from_edges(7, IRREGULAR7)
+    adj = g.adjacency
+    triples = [(a, b, e) for a in range(7) for e in adj[a] for b in range(7)
+               if b != a and (not g.has_edge(a, b) or b == e)]
+    assert len(triples) == 82
+    for a, b, e in triples:
+        d = len(adj[a])
+        v = next(v for v in (b, *adj[a], *adj[b]) if len(adj[v]) != d)
+        with pytest.raises(ValueError) as err:
+            build_regular_transport(g, a, b, e)
+        want = f"vertex {v} has degree {len(adj[v])}, a={a} has degree {d}"
+        assert str(err.value) == f"requires a regular host: {want}"
+    with pytest.raises(ValueError, match="^requires a regular host: vertex 2 has degree 4, a=3 has degree 3$"):
+        build_regular_transport(g, 3, 0, 4)
+
+
 def test_squarefree_transport(pet, ag23):
     tm = build_squarefree_transport(pet, 0, 2)
     assert (tm.row_sum, tm.col_sum, tm.swapped) == (3, 3, False)

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 from array import array
+from collections import defaultdict
 from dataclasses import replace
 from fractions import Fraction
 from itertools import accumulate, chain
@@ -15,13 +16,16 @@ import pytest
 
 from avoidkit import verify
 from avoidkit.couplers import Trajectory, simulate
-from avoidkit.generate import complete, random_regular_simple
+from avoidkit.generate import complete, cycle, random_regular_simple
 from avoidkit.graphs import graph_from_edges
 from avoidkit.matching import build_regular_transport, build_squarefree_transport
 from avoidkit.rng import Xoshiro256
 from avoidkit.structure import contains_Hd, is_square_free
 from avoidkit.verify import (
+    CellResult,
     CertificationError,
+    FaithfulnessReport,
+    Violation,
     check_avoidance,
     chi2_sf,
     chi_square_faithfulness,
@@ -78,6 +82,115 @@ def test_check_avoidance_checks_marks_of_every_engine(circ9):
     t = next(t for t, (a, b) in enumerate(traj.positions) if circ9.has_edge(a, b))
     planted = Trajectory("regular", 1, traj.graph_digest, traj.positions, [t])
     assert [(v.tick, v.kind) for v in check_avoidance(circ9, planted)] == [(t, "adjacency_at_block_end")]
+
+
+def per_tick_check_avoidance(g, traj):
+    """The reference for check_avoidance: every check run at every tick and
+    every mark, in tick order and then mark order."""
+    out = []
+    pos = traj.positions
+    for t in range(len(pos)):
+        cur = pos[t]
+        for i in range(len(cur)):
+            for j in range(i + 1, len(cur)):
+                if cur[i] == cur[j]:
+                    out.append(Violation(t, "collision_same_tick", (i, j, cur[i])))
+        if t + 1 < len(pos):
+            nxt = pos[t + 1]
+            for w in range(len(cur)):
+                if not g.has_edge(cur[w], nxt[w]):
+                    out.append(Violation(t, "non_edge_step", (w, cur[w], nxt[w])))
+            if len(cur) == 2 and cur[1] == nxt[0]:
+                out.append(Violation(t, "collision_swap", (cur[1],)))
+    for t in traj.block_marks:
+        if t < len(pos) and len(pos[t]) == 2:
+            a, b = pos[t]
+            if a == b or g.has_edge(a, b):
+                out.append(Violation(t, "adjacency_at_block_end", (a, b)))
+    return out
+
+
+def per_tick_chi_square(g, traj, alpha, min_departures):
+    """The reference for chi_square_faithfulness: cells counted tick by tick
+    and walker by walker."""
+    pos = traj.positions
+    counts = defaultdict(lambda: defaultdict(int))
+    for t in range(len(pos) - 1):
+        for w in range(len(pos[0])):
+            counts[(w, pos[t][w])][pos[t + 1][w]] += 1
+    report = FaithfulnessReport(alpha=alpha)
+    pvalues = []
+    for (w, v), trans in sorted(counts.items()):
+        nbrs = g.adjacency[v]
+        n_dep = sum(trans.values())
+        if n_dep < min_departures or len(nbrs) < 2:
+            report.cells.append(CellResult(w, v, n_dep, None, None, False))
+            continue
+        expected = n_dep / len(nbrs)
+        stat = sum((trans.get(u, 0) - expected) ** 2 / expected for u in nbrs)
+        p = chi2_sf(stat, len(nbrs) - 1)
+        report.cells.append(CellResult(w, v, n_dep, stat, p, True))
+        pvalues.append(p)
+    report.tested_count = len(pvalues)
+    report.passed = all(p >= alpha / len(pvalues) for p in pvalues)
+    return report
+
+
+def mutated(rng, g, traj):
+    """traj with one to four planted faults: two walkers' vertices swapped,
+    a walker staying put, a teleport, two walkers collided, one state
+    planted at three ticks, or a block mark anywhere from -T to T + 4."""
+    pos, marks = list(traj.positions), list(traj.block_marks)
+    T, k = len(pos), len(pos[0])
+    for _ in range(rng.randint(1, 4)):
+        kind = rng.choice(["swap", "stay", "teleport", "collide", "plant", "mark"])
+        t, w = rng.randrange(T), rng.randrange(k)
+        p = list(pos[t])
+        if kind == "swap" or kind == "collide":
+            i, j = rng.sample(range(k), 2)
+            p[i], p[j] = (p[j], p[i]) if kind == "swap" else (p[j], p[j])
+        elif kind == "stay":
+            p[w] = pos[t - 1][w]
+        elif kind == "teleport":
+            p[w] = rng.randrange(g.n)
+        elif kind == "plant":
+            p = [rng.randrange(g.n) for _ in range(k)]
+            for u in rng.sample(range(T), 2):
+                pos[u] = tuple(p)
+        else:
+            marks.append(rng.randrange(-T, T + 5))
+        pos[t] = tuple(p)
+    return replace(traj, positions=pos, block_marks=marks)
+
+
+@pytest.mark.parametrize("host,engine,walkers", [("pet", "cubic", 2), ("hea", "squarefree", 2),
+                                                 ("circ9", "regular", 2), ("c10", "cycle", 5)])
+def test_verify_matches_per_tick_reference_on_mutated_runs(request, host, engine, walkers):
+    g = cycle(10) if host == "c10" else request.getfixturevalue(host)
+    traj, _ = simulate(g, engine, 400, 3, walkers=walkers)
+    rng = random.Random(f"{engine}-mutations")
+    kinds = set()
+    for trial in range(120):
+        bad = traj if trial == 0 else mutated(rng, g, traj)
+        got = check_avoidance(g, bad)
+        assert got == per_tick_check_avoidance(g, bad), trial
+        kinds.update(v.kind for v in got)
+        for min_departures in (5, 30):
+            assert chi_square_faithfulness(g, bad, 0.01, min_departures) == \
+                per_tick_chi_square(g, bad, 0.01, min_departures), trial
+    # every kind of violation this engine can show was produced
+    assert kinds == {"collision_same_tick", "non_edge_step"} | (
+        {"collision_swap", "adjacency_at_block_end"} if walkers == 2 else set())
+
+
+def test_check_avoidance_reports_each_tick_of_a_repeated_fault(pet):
+    # the collided state (1, 1) at ticks 1, 3 and the last, 5, is marked at 1
+    bad = _planted(pet, [(0, 2), (1, 1), (0, 2), (1, 1), (0, 2), (1, 1)])
+    bad.block_marks = [4, 1]
+    got = check_avoidance(pet, bad)
+    assert got == per_tick_check_avoidance(pet, bad)
+    assert [(v.tick, v.kind) for v in got] == [(1, "collision_same_tick"), (3, "collision_same_tick"),
+                                               (5, "collision_same_tick"), (1, "adjacency_at_block_end")]
 
 
 def test_exact_cubic_marginals_all_scenarios(pet, k33, s3b_host, s6_host):

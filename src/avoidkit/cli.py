@@ -46,6 +46,7 @@ from .verify import (
 )
 
 EXIT_OK, EXIT_DOMAIN, EXIT_INPUT = 0, 1, 2
+CYCLE_START = "the cycle engine starts its walkers on every second vertex; --a0 and --b0 do not apply"
 
 
 def _load_graph(path: str):
@@ -133,14 +134,19 @@ def cmd_simulate(args) -> int:
                       walkers=cfg.walkers if args.walkers is None else args.walkers)
     except (OSError, ValueError) as err:
         raise ValueError(f"bad run settings: {err}") from err
+    engine = args.engine or cfg.engine
+    start_given = args.a0 is not None or args.b0 is not None
+    # a named cycle engine is rejected before the run; `auto` is known to
+    # resolve to it only once simulate has chosen
+    if engine == "cycle" and start_given:
+        raise ValueError(CYCLE_START)
     traj, eng = simulate(
-        g, args.engine or cfg.engine, cfg.ticks, cfg.seed,
+        g, engine, cfg.ticks, cfg.seed,
         a0=args.a0, b0=args.b0, walkers=cfg.walkers,
         cache_capacity=cfg.cache_capacity,
     )
-    if traj.engine == "cycle" and (args.a0 is not None or args.b0 is not None):
-        raise ValueError("the cycle engine starts its walkers on every second vertex; "
-                         "--a0 and --b0 do not apply")
+    if traj.engine == "cycle" and start_given:
+        raise ValueError(CYCLE_START)
     Path(args.output).write_text(traj.to_text())
     blocks = max(0, len(traj.block_marks) - 1)  # first mark is the start
     print(f"wrote {args.output}: engine={traj.engine} ticks={len(traj.positions) - 1} "

@@ -3,15 +3,21 @@
 For each n, sample d-regular configuration-model multigraphs and record how
 often the relevant forbidden pattern (H~_3 for d=3, H_d for d>=4) appears
 in the simple support, together with a binomial confidence interval and
-the analytic containment bound for reference.  Cells fan out over a
-process pool sized by AVOIDKIT_THREADS and merge in deterministic order.
+the analytic containment bound for reference.
+
+Each cell (one sampled graph) draws from its own seed, derived from the
+experiment seed and the cell's index, so a cell's result does not depend on
+which process computes it.  With AVOIDKIT_THREADS > 1 the cells fan out
+over a process pool in about 16 chunks per worker, so that the larger n
+values spread over every worker instead of landing on one; the results
+come back in cell order, and the rows are byte-identical for every worker
+count and chunking.
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .generate import configuration_model, random_regular_simple
@@ -94,9 +100,7 @@ def _sample_cell(args) -> tuple[bool, int, int]:
         g, _ = random_regular_simple(n, d, seed, connected_required=True)
         loops = multi = 0
     else:
-        mg = configuration_model(n, d, seed)
-        loops, multi = mg.loop_count(), mg.multi_edge_count()
-        g = mg.simple_support()
+        loops, multi, g = configuration_model(n, d, seed).census()
     if d == 3:
         hit = contains_H3tilde(g) is not None
     else:
@@ -135,8 +139,11 @@ def prevalence_experiment(
             idx += 1
     workers = worker_count()
     if workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for the import
+
+        chunksize = max(1, math.ceil(len(cells) / (16 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sample_cell, cells, chunksize=64))
+            results = list(pool.map(_sample_cell, cells, chunksize=chunksize))
     else:
         results = [_sample_cell(c) for c in cells]
 

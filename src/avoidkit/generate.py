@@ -1,7 +1,8 @@
 """Graph constructors: deterministic families and the configuration model.
 
 The configuration model pairs half-edges via a Fisher-Yates shuffle, which
-is uniform over perfect matchings of the n*d half-edge slots.  Simple
+is uniform over perfect matchings of the n*d half-edge slots: after the
+shuffle, stubs 2k and 2k+1 form edge k, stored as (min, max).  Simple
 regular graphs are produced by rejection sampling on top of it: each
 attempt stops at its first loop or repeated pair, and only a simple
 pairing is built into a graph.
@@ -94,11 +95,8 @@ def configuration_model(n: int, d: int, seed: int) -> Multigraph:
     rng = Xoshiro256(seed)
     stubs = [v for v in range(n) for _ in range(d)]
     rng.shuffle(stubs)
-    edges = []
-    for i in range(0, len(stubs), 2):
-        u, v = stubs[i], stubs[i + 1]
-        edges.append((min(u, v), max(u, v)))
-    return Multigraph(n, edges)
+    pairs = iter(stubs)  # zipped with itself: (stubs[0], stubs[1]), (stubs[2], stubs[3]), ...
+    return Multigraph(n, [(u, v) if u <= v else (v, u) for u, v in zip(pairs, pairs)])
 
 
 def random_regular_simple(

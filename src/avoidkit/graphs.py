@@ -7,7 +7,7 @@ so every iteration order in the package is deterministic.
 from __future__ import annotations
 
 import hashlib
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 
@@ -236,11 +236,7 @@ class Multigraph:
 
     def multi_edge_count(self) -> int:
         """Number of edge slots beyond the first between each vertex pair (loops excluded)."""
-        seen: dict[tuple[int, int], int] = {}
-        for u, v in self.edges:
-            if u != v:
-                seen[(u, v)] = seen.get((u, v), 0) + 1
-        return sum(c - 1 for c in seen.values() if c > 1)
+        return sum(c - 1 for (u, v), c in Counter(self.edges).items() if u != v)
 
     def is_simple(self) -> bool:
         if self.loop_count():
@@ -248,7 +244,30 @@ class Multigraph:
         return self.multi_edge_count() == 0
 
     def simple_support(self) -> Graph:
-        """Underlying simple graph: drop loops, collapse multiplicities."""
-        return graph_from_edges(
-            self.n, ((u, v) for u, v in self.edges if u != v), dedupe=True
-        )
+        """Underlying simple graph: drop loops, collapse multiplicities.
+
+        One Counter pass over the edge slots; the adjacency is built from
+        the distinct non-loop pairs, and duplicate_edges_dropped is
+        multi_edge_count().
+        """
+        check_size(self.n)
+        adj: list[list[int]] = [[] for _ in range(self.n)]
+        dropped = m = 0
+        for (u, v), c in Counter(self.edges).items():
+            if u != v:
+                adj[u].append(v)
+                adj[v].append(u)
+                dropped += c - 1
+                m += 1
+        if m > MAX_EDGES:
+            raise ValueError(f"more than {MAX_EDGES} edges")
+        return Graph(self.n, tuple(map(tuple, map(sorted, adj))), dropped)
+
+    def census(self) -> tuple[int, int, Graph]:
+        """(loop_count(), multi_edge_count(), simple_support()) from simple_support's one pass.
+
+        Each edge slot is a loop, the first slot of a support edge or a
+        dropped repeat, so the loops are the slots the other two leave.
+        """
+        g = self.simple_support()
+        return self.edge_count - g.edge_count - g.duplicate_edges_dropped, g.duplicate_edges_dropped, g

@@ -91,10 +91,13 @@ class Xoshiro256:
         s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
         mask = MASK64
         span = mask + 1
+        # span % n < n <= len(items), so every draw below `safe` is also
+        # below the exact limit span - span % n; only the rare draw above it
+        # pays for the modulo.
+        safe = span - len(items)
         try:
             for i in range(len(items) - 1, 0, -1):
                 n = i + 1
-                limit = span - span % n
                 while True:
                     x = (s1 * 5) & mask
                     result = (((x << 7) | (x >> 57)) * 9) & mask
@@ -105,7 +108,7 @@ class Xoshiro256:
                     s0 ^= s3
                     s2 ^= t
                     s3 = ((s3 << 45) | (s3 >> 19)) & mask
-                    if result < limit:
+                    if result < safe or result < span - span % n:
                         break
                 j = result % n
                 items[i], items[j] = items[j], items[i]

@@ -453,6 +453,23 @@ def test_simulate_cycle_rejects_a0_b0(tmp_path, capsys, engine, start):
                "-o", str(traj))[0] == 0
 
 
+@pytest.mark.parametrize("named", [["--engine", "cycle"], ["--config", "CFG"]], ids=["flag", "config"])
+def test_simulate_named_cycle_rejects_a0_before_the_run(tmp_path, capsys, monkeypatch, named):
+    c10, cfg, traj = tmp_path / "c10.txt", tmp_path / "run.cfg", tmp_path / "traj.txt"
+    run(capsys, "gen", "--family", "cycle", "--n", "10", "-o", str(c10))
+    cfg.write_text("sim.engine = cycle\n")
+
+    def never(*args, **kwargs):
+        raise AssertionError("simulate ran although the named engine rejects --a0")
+
+    monkeypatch.setattr("avoidkit.cli.simulate", never)
+    argv = [str(cfg) if a == "CFG" else a for a in named]
+    code, stdout, err = run(capsys, "simulate", str(c10), *argv, "--a0", "3", "--ticks", "1000000",
+                            "-o", str(traj))
+    assert code == 2 and "--a0 and --b0 do not apply" in err and stdout == ""
+    assert not traj.exists()
+
+
 @pytest.mark.parametrize("argv,code,message", [
     ([], 1, "regular engine hypothesis fails"),
     # a walker count the named engine cannot run is bad input on any graph
@@ -517,17 +534,27 @@ def test_verify_rejects_alpha_outside_unit_interval(tmp_path, capsys, alpha):
     assert "verdict" not in stdout
 
 
-def test_import_loads_no_scipy_or_numpy():
+def modules_after_import(prefixes: tuple[str, ...]) -> list[str]:
+    """Modules starting with one of `prefixes` that a fresh interpreter has
+    loaded after importing avoidkit and its CLI."""
     root = Path(__file__).resolve().parents[1]
-    probe = ("import sys, avoidkit, avoidkit.cli; "
-             "print(' '.join(m for m in sys.modules if m.startswith(('scipy', 'numpy'))))")
+    probe = f"import sys, avoidkit, avoidkit.cli; print(' '.join(m for m in sys.modules if m.startswith({prefixes!r})))"
     done = subprocess.run(
         [sys.executable, "-c", probe],
         env=dict(os.environ, PYTHONPATH=str(root / "src")),
         capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.split() == []
+    return done.stdout.split()
+
+
+def test_import_loads_no_scipy_or_numpy():
+    assert modules_after_import(("scipy", "numpy")) == []
+
+
+def test_import_loads_no_process_pool():
+    # only a prevalence experiment with AVOIDKIT_THREADS > 1 starts a pool
+    assert modules_after_import(("concurrent.futures.process", "multiprocessing")) == []
 
 
 def test_oracle_commands(tmp_path, capsys):

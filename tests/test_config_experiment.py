@@ -128,11 +128,17 @@ def test_prevalence_experiment_small():
 
 
 def test_prevalence_deterministic_and_parallel_equal(monkeypatch):
-    monkeypatch.setenv("AVOIDKIT_THREADS", "1")
-    serial = prevalence_experiment(3, [16], samples=30, seed=2)
+    # 111 cells in chunks of 4 (2 workers) and 3 (3 workers): chunks
+    # straddle the n boundaries, and whole rows, loops and multi-edges
+    # included, must not depend on the worker count or the chunking
+    runs = []
+    for threads in ("1", "2", "3"):
+        monkeypatch.setenv("AVOIDKIT_THREADS", threads)
+        runs.append(prevalence_experiment(3, [16, 32, 64], samples=37, seed=2))
+    assert runs[0] == runs[1] == runs[2]
+    assert [r.n for r in runs[0]] == [16, 32, 64] and sum(r.loops + r.multi_edges for r in runs[0]) > 0
     monkeypatch.setenv("AVOIDKIT_THREADS", "2")
-    parallel = prevalence_experiment(3, [16], samples=30, seed=2)
-    assert [row_to_csv(r) for r in serial] == [row_to_csv(r) for r in parallel]
+    assert prevalence_experiment(3, [], samples=5, seed=2) == []
 
 
 def test_prevalence_validates():

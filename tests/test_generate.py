@@ -99,6 +99,16 @@ def test_configuration_model_deterministic():
     assert configuration_model(10, 3, 99).edges == configuration_model(10, 3, 99).edges
 
 
+@pytest.mark.parametrize("n,d", [(2, 1), (9, 2), (10, 3), (16, 4), (21, 6)])
+def test_configuration_model_pairs_consecutive_stubs(n, d):
+    # reference: shuffle the stubs, then pair stubs 2k, 2k+1 as (min, max)
+    for seed in range(200):
+        stubs = [v for v in range(n) for _ in range(d)]
+        Xoshiro256(seed).shuffle(stubs)
+        want = [(min(stubs[i], stubs[i + 1]), max(stubs[i], stubs[i + 1])) for i in range(0, len(stubs), 2)]
+        assert configuration_model(n, d, seed).edges == want
+
+
 def test_random_regular_simple():
     g, rejections = random_regular_simple(12, 3, 4, connected_required=True)
     assert rejections >= 0

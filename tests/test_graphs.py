@@ -164,3 +164,22 @@ def test_multigraph_counts():
     assert not mg.is_simple()
     support = mg.simple_support()
     assert support.edges() == [(0, 1), (1, 2)]
+
+
+@st.composite
+def random_multigraphs(draw):
+    # few vertices and many slots, so loops and repeated pairs are common
+    n = draw(st.integers(min_value=1, max_value=8))
+    slots = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).map(sorted).map(tuple)
+    return Multigraph(n, draw(st.lists(slots, max_size=40)))
+
+
+@given(random_multigraphs())
+def test_census_matches_the_separate_counts(mg):
+    loops, multi, support = mg.census()
+    assert (loops, multi) == (mg.loop_count(), mg.multi_edge_count())
+    assert support == mg.simple_support()
+    # the dedupe build of the non-loop slots is the support's definition
+    reference = graph_from_edges(mg.n, ((u, v) for u, v in mg.edges if u != v), dedupe=True)
+    assert support == reference and support.duplicate_edges_dropped == multi
+    assert mg.is_simple() == (loops == multi == 0)

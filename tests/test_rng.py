@@ -80,6 +80,34 @@ def test_fisher_yates_stopped_early(seed, length, data):
     assert rng.next_u64() == ref.next_u64()
 
 
+def with_first_draw(seed: int, draw: int) -> Xoshiro256:
+    """Xoshiro256(seed) with s1 set so that its next output is `draw`
+    (the output rotl(5·s1, 7)·9 depends on s1 alone)."""
+    rng = Xoshiro256(seed)
+    x = draw * pow(9, -1, MASK64 + 1) & MASK64
+    rng.s1 = ((x >> 7) | (x << 57)) * pow(5, -1, MASK64 + 1) & MASK64
+    return rng
+
+
+@pytest.mark.parametrize("length", [2, 3, 4, 5, 6, 7, 12])
+@pytest.mark.parametrize("back", [1, 2, 3, 5, 7, 11])
+def test_fisher_yates_near_the_rejection_limit(length, back):
+    # first draws in [2^64 - 12, 2^64): at or above the shuffle's shortcut
+    # bound 2^64 - len, where the exact limit 2^64 - 2^64 % n decides; some
+    # are rejected (e.g. 2^64 - 1 for n = 3), the rest are kept
+    first = MASK64 + 1 - back
+    for seed in range(3):
+        assert with_first_draw(seed, first).next_u64() == first
+        rng, ref = with_first_draw(seed, first), with_first_draw(seed, first)
+        items, ref_items = list(range(length)), list(range(length))
+        rng.shuffle(items)
+        for i in range(length - 1, 0, -1):
+            j = ref.randrange(i + 1)
+            ref_items[i], ref_items[j] = ref_items[j], ref_items[i]
+        assert items == ref_items
+        assert (rng.s0, rng.s1, rng.s2, rng.s3) == (ref.s0, ref.s1, ref.s2, ref.s3)
+
+
 def test_derive_seed_distinct_replicas():
     seeds = {derive_seed(7, i) for i in range(1000)}
     assert len(seeds) == 1000

@@ -31,7 +31,6 @@ from .generate import (
 )
 from .graphs import basic_profile, parse_graph
 from .matching import (
-    MoverPair,
     TransportInfeasible,
     build_regular_transport,
     build_squarefree_transport,
@@ -120,7 +119,9 @@ def cmd_transport(args) -> int:
           f"row_sum={tm.row_sum} col_sum={tm.col_sum} total={tm.total}"
           + (" (roles swapped)" if tm.swapped else ""))
     for label, row in zip(tm.row_labels, tm.entries):
-        print(f"{MoverPair(*label) if tm.kind == 'regular' else label}: {' '.join(str(x) for x in row)}")
+        if tm.kind == "regular":
+            label = "MoverPair(first_step={}, second_step={})".format(*label)
+        print(f"{label}: {' '.join(str(x) for x in row)}")
     return EXIT_OK
 
 

@@ -23,6 +23,7 @@ from .matching import (
     LruCache,
     TransportInfeasible,
     TransportMatrix,
+    avoiding_supports,
     build_regular_transport,
     build_squarefree_transport,
     solve_transport,
@@ -131,16 +132,15 @@ def one_step_matching(g: Graph, a: int, b: int) -> list[tuple[int, int]]:
     """A perfect matching sigma between N(a) and N(b) in the compatibility
     graph {(a', b') : b' not in {a'} u N(a')}, as (a', sigma(a')) pairs."""
     na, nb = g.adjacency[a], g.adjacency[b]
-    allowed = [[bp != ap and not g.has_edge(ap, bp) for bp in nb] for ap in na]
     try:
-        m = solve_transport([1] * len(na), [1] * len(nb), allowed)
+        cells, _ = solve_transport(1, 1, avoiding_supports(g, na, nb), len(nb))
     except TransportInfeasible as err:
         raise TransportInfeasible(
             f"scenario hypothesis violated at (a={a}, b={b})",
             err.hall_rows,
             err.hall_cols,
         ) from err
-    return [(na[i], nb[row.index(1)]) for i, row in enumerate(m)]
+    return [(na[f // len(nb)], nb[f % len(nb)]) for f in cells]
 
 
 def s3b_rows(g: Graph, a: int, b: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -166,13 +166,6 @@ def s3b_rows(g: Graph, a: int, b: int) -> list[tuple[tuple[int, int], tuple[int,
         ((ap, app1), (c1, c2)),
         ((ap, app2), (c2, c1)),
     ]
-
-
-def k22_excursion_coupling(
-    g: Graph, a: int, b: int, rng: Xoshiro256, quad: tuple[int, int, int, int]
-) -> BlockOutcome:
-    """The S6 block at (a, b) with the K_{2,2} witness quad."""
-    return cubic_block(g, a, b, rng, ScenarioClass("S6", quad))
 
 
 def cubic_block(g: Graph, a: int, b: int, rng, scenario: ScenarioClass | None = None,

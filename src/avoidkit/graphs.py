@@ -188,26 +188,6 @@ def is_connected(g: Graph) -> bool:
     return count == g.n
 
 
-def distance_capped(g: Graph, u: int, v: int, cap: int) -> int:
-    """BFS distance between u and v, or cap if the distance is >= cap."""
-    if u == v:
-        return 0
-    dist = {u: 0}
-    queue = deque([u])
-    while queue:
-        x = queue.popleft()
-        d = dist[x] + 1
-        if d >= cap:
-            return cap
-        for y in g.adjacency[x]:
-            if y not in dist:
-                if y == v:
-                    return d
-                dist[y] = d
-                queue.append(y)
-    return cap
-
-
 def common_neighbors(g: Graph, u: int, v: int) -> tuple[int, ...]:
     if u == v:
         raise ValueError("common_neighbors requires u != v")

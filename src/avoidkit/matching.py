@@ -1,22 +1,28 @@
-"""Compatibility relation and the integer transportation solver.
+"""Compatibility relation, the two support rules and the integer transportation solver.
 
 The multiset bipartite matchings behind both coupling laws are collapsed
-into integer transportation problems (row sums = supplies, column sums =
-demands, support restricted to compatible cells).  The solver fills the
-matrix greedily in row-major order, which is exactly the first stage of
-Dinic max flow on the fresh network, and runs the later Dinic stages, in
-deterministic augmentation order, only on the shortfall the fill leaves
-(`augment`).  They run on the nonzero cells and on bitmasks of the
-support, so no flow network is built.  Feasibility is equivalent to the
-original perfect-matching problem by flow integrality.
+into integer transportation problems: every row supplies the same amount,
+every column demands the same amount, and each row may use only the
+columns of its support, a bitmask (bit j for column j).  Two support rules
+make those bitmasks:
 
-The regular builder makes no allowed matrix: its fill walks only the
-columns whose demand is still unmet and tests each visited cell by the
-compatibility rule, and only when that fill leaves demand unmet does it
-build each row's support, per step b', and continue in `augment` from the
-fill's cells.  A solved transport is stored as its nonzero cells only
-(`TransportMatrix`), so a cache entry costs in proportion to its nonzero
-cells and labels, not to rows x columns.
+  regular_supports   - mover pairs (a', a'') against other pairs (b', e'),
+                       the `compatible` rule of the excluded-vertex rounds
+  avoiding_supports  - a vertex against every vertex that is neither it
+                       nor one of its neighbours, the rule of the
+                       square-free transport and of the cubic engine's
+                       one-step matching
+
+and `solve_transport` is the one solver for both.  It fills the matrix
+greedily in row-major order over each row's support and the columns whose
+demand is still unmet, which is exactly the first stage of Dinic max flow
+on the fresh network, and runs the later Dinic stages, in deterministic
+augmentation order, only on the shortfall the fill leaves (`augment`).
+Both run on the nonzero cells and the bitmasks, so neither a flow network
+nor a dense matrix is built.  Feasibility is equivalent to the original
+perfect-matching problem by flow integrality.  A solved transport is
+stored as its nonzero cells only (`TransportMatrix`), so a cache entry
+costs in proportion to its nonzero cells and labels, not to rows x columns.
 """
 
 from __future__ import annotations
@@ -24,32 +30,17 @@ from __future__ import annotations
 from array import array
 from collections import OrderedDict
 from dataclasses import dataclass
-from itertools import accumulate, chain, compress, islice
+from itertools import accumulate, chain, islice, repeat
 from operator import lt, sub
 
 from .graphs import check_vertices
 
 
-@dataclass(frozen=True)
-class MoverPair:
-    """Mover's two-step plan: (first_step, second_step) with second in N(first)."""
-
-    first_step: int
-    second_step: int
-
-
-@dataclass(frozen=True)
-class OtherPair:
-    """Other walker's plan: one step plus the next excluded vertex."""
-
-    step: int
-    next_excluded: int
-
-
-def compatible(g, mover: MoverPair, other: OtherPair) -> bool:
-    """True iff b' avoids {a', a''} and, when a'' neighbors b', e' = a''."""
-    ap, app = mover.first_step, mover.second_step
-    bp, ep = other.step, other.next_excluded
+def compatible(g, mover: tuple[int, int], other: tuple[int, int]) -> bool:
+    """True iff b' avoids {a', a''} and, when a'' neighbors b', e' = a'',
+    for the mover pair (a', a'') and the other pair (b', e')."""
+    ap, app = mover
+    bp, ep = other
     if bp == ap or bp == app:
         return False
     if g.has_edge(app, bp) and ep != app:
@@ -57,19 +48,16 @@ def compatible(g, mover: MoverPair, other: OtherPair) -> bool:
     return True
 
 
-def mover_pairs(g, a: int, e: int) -> list[MoverPair]:
-    """The set A: first step in N(a)\\{e}, second step any neighbor of the first."""
-    return [
-        MoverPair(ap, app)
-        for ap in g.adjacency[a]
-        if ap != e
-        for app in g.adjacency[ap]
-    ]
+def mover_pairs(g, a: int, e: int) -> tuple[tuple[int, int], ...]:
+    """The set A as (a', a'') pairs: a' in N(a)\\{e}, a'' any neighbor of a'."""
+    adj = g.adjacency
+    return tuple([(ap, app) for ap in adj[a] if ap != e for app in adj[ap]])
 
 
-def other_pairs(g, b: int) -> list[OtherPair]:
-    """The set B: step in N(b), next exclusion any neighbor of the step."""
-    return [OtherPair(bp, ep) for bp in g.adjacency[b] for ep in g.adjacency[bp]]
+def other_pairs(g, b: int) -> tuple[tuple[int, int], ...]:
+    """The set B as (b', e') pairs: b' in N(b), e' any neighbor of b'."""
+    adj = g.adjacency
+    return tuple([(bp, ep) for bp in adj[b] for ep in adj[bp]])
 
 
 def check_regular_triple(g, a: int, b: int, e: int) -> None:
@@ -108,56 +96,55 @@ class TransportInfeasible(RuntimeError):
         self.hall_cols = hall_cols
 
 
-def solve_transport(
-    supplies: list[int], demands: list[int], allowed: list[list[bool]]
-) -> list[list[int]]:
-    """Integer matrix m >= 0 with row sums = supplies, column sums = demands,
-    supported on allowed cells.  Raises TransportInfeasible with the min-cut
-    Hall certificate when no such matrix exists.
+def solve_transport(supply: int, demand: int, supports: list[int], nc: int) -> tuple[list[int], list[int]]:
+    """The integer matrix m >= 0 whose len(supports) rows each sum to
+    `supply` and whose nc columns each sum to `demand`, with row i
+    supported on the bitmask supports[i], as the ascending row-major flat
+    indices i*nc + j and the counts of its nonzero cells.  Raises
+    TransportInfeasible with the min-cut Hall certificate when no such
+    matrix exists.
 
     The result is that of deterministic Dinic max flow on the network
     src -> rows -> cols -> sink, arcs inserted src arcs first, then cells in
     row-major order, then sink arcs.  Dinic's first stage cannot use a
     reverse arc yet, and its DFS keeps its arc pointers: it walks the rows in
-    order and each row's allowed columns in order, pushing min(residual
-    supply, residual demand).  That fill is done here directly; `augment`
-    runs the later stages on whatever demand it leaves unmet."""
-    nr, nc = len(supplies), len(demands)
-    total = check_totals(supplies, demands)
-    if min(supplies, default=0) < 0 or min(demands, default=0) < 0:
+    order and each row's supported columns in ascending order, pushing
+    min(residual supply, residual demand).  That fill is done here
+    directly, over each row's support and the columns with demand still
+    unmet; `augment` runs the later stages on whatever demand it leaves
+    unmet."""
+    nr = len(supports)
+    total = supply * nr
+    if total != demand * nc:
+        raise ValueError("total supply must equal total demand")
+    if supply < 0 or demand < 0:
         raise ValueError("supplies and demands must be non-negative")
     cells: dict[int, int] = {}
-    unmet = list(demands)
-    spare = list(supplies)
-    for i in range(nr):
-        left = supplies[i]
-        if not left:
-            continue
-        ok = allowed[i]
-        for j in range(nc):
+    unmet = [demand] * nc
+    spare = [0] * nr
+    open_cols = (1 << nc) - 1 if demand else 0
+    for i, support in enumerate(supports):
+        left, base, todo = supply, i * nc, support & open_cols
+        while left and todo:
+            low = todo & -todo
+            j = low.bit_length() - 1
             need = unmet[j]
-            if need and ok[j]:
-                x = left if left < need else need
-                cells[i * nc + j] = x
-                unmet[j] = need - x
-                left -= x
-                if not left:
-                    break
+            if left < need:
+                cells[base + j] = left
+                unmet[j] = need - left
+                left = 0
+                break
+            cells[base + j] = need
+            unmet[j] = 0
+            open_cols ^= low
+            left -= need
+            todo ^= low
         spare[i] = left
-    if any(unmet):
-        augment(cells, spare, unmet, total, [sum(1 << j for j in compress(range(nc), ok)) for ok in allowed])
-    m = [[0] * nc for _ in range(nr)]
-    for f, x in cells.items():
-        m[f // nc][f % nc] = x
-    return m
-
-
-def check_totals(supplies: list[int], demands: list[int]) -> int:
-    """The common total of supplies and demands; ValueError when they differ."""
-    total = sum(supplies)
-    if total != sum(demands):
-        raise ValueError("total supply must equal total demand")
-    return total
+    if not open_cols:  # the fill went row-major, so the cells are in order
+        return list(cells), list(cells.values())
+    augment(cells, spare, unmet, total, supports)
+    order = sorted(cells)
+    return order, [cells[f] for f in order]
 
 
 def augment(cells: dict[int, int], spare: list[int], unmet: list[int], total: int,
@@ -278,72 +265,39 @@ def set_bits(x: int) -> list[int]:
     return out
 
 
-def regular_cells(g, a: int, b: int, rows: tuple, cols: tuple) -> tuple[list[int], list[int]]:
-    """The regular transport over the mover pairs `rows` of a and the other
-    pairs `cols` of b that solve_transport over the `compatible` matrix
-    would return, as the ascending row-major flat indices and the counts of
-    its nonzero cells.
+def regular_supports(g, rows: tuple, b: int) -> list[int]:
+    """Each mover pair's support over the other pairs of b, as a bitmask
+    over other_pairs(g, b): row (a', a'') may use cell (b', e') iff b' is
+    neither a' nor a'', and e' = a'' when b' neighbors a''.
 
-    Row (a', a'') may use cell (b', e') iff b' is neither a' nor a'', and
-    e' = a'' when b' neighbors a''.  The fill is solve_transport's, but it
-    walks only the columns with demand still unmet and tests each visited
-    cell by that rule, so no allowed matrix is made.  When the fill leaves
-    demand unmet, `augment` continues from the fill's cells, over each
-    row's support built per step b': no cell, the one cell (b', a''), or
-    all d(b') cells."""
+    This is `compatible`, decided per step b' instead of per cell.
+    group[b'] holds the bits of the d(b') cells of step b', and fix[x]
+    turns each step b' in N(x) into its one cell (b', x), so row (a', a'')
+    is every cell, minus fix[a''], minus the groups of a' and a''."""
     adj = g.adjacency
-    supply, demand = g.degree(a), g.degree(a) - 1
-    nr, nc = len(rows), len(cols)
-    total = check_totals([supply] * nr, [demand] * nc)
-    unmet = [demand] * nc
-    spare = [0] * nr
-    open_cols = list(range(nc))
-    cells: dict[int, int] = {}
-    for i, (ap, app) in enumerate(rows):
-        near, left, base, closed = adj[app], supply, i * nc, []
-        for j in open_cols:
-            bp, ep = cols[j]
-            if bp == ap or bp == app or (ep != app and bp in near):
-                continue
-            need = unmet[j]
-            if left < need:
-                cells[base + j] = left
-                unmet[j] = need - left
-                left = 0
-                break
-            cells[base + j] = need
-            unmet[j] = 0
-            closed.append(j)
-            left -= need
-            if not left:
-                break
-        spare[i] = left
-        for j in closed:
-            open_cols.remove(j)
-    if not open_cols:  # the fill went row-major, so the cells are in order
-        return list(cells), list(cells.values())
-
-    steps, lo = [], 0
+    group: dict[int, int] = {}
+    fix: dict[int, int] = {}
+    lo = 0
     for bp in adj[b]:
         nbp = adj[bp]
-        steps.append((bp, nbp, lo, ((1 << len(nbp)) - 1) << lo))
-        lo += len(nbp)
-    supports = []
-    for ap, app in rows:
-        near, support = adj[app], 0
-        for bp, nbp, lo, group in steps:
-            if bp != ap and bp != app:
-                support |= 1 << (lo + nbp.index(app)) if bp in near else group
-        supports.append(support)
-    augment(cells, spare, unmet, total, supports)
-    order = sorted(cells)
-    return order, [cells[f] for f in order]
+        mask = group[bp] = ((1 << len(nbp)) - 1) << lo
+        for ep in nbp:
+            fix[ep] = fix.get(ep, 0) | (mask ^ (1 << lo))
+            lo += 1
+    full = (1 << lo) - 1
+    return [(full ^ fix.get(app, 0)) & ~(group.get(ap, 0) | group.get(app, 0)) for ap, app in rows]
 
 
-def nonzero_cells(m: list[list[int]]) -> tuple[list[int], list[int]]:
-    """The row-major flat indices and counts of m's nonzero cells."""
-    flat = list(chain.from_iterable(m))
-    return list(compress(range(len(flat)), flat)), list(filter(None, flat))
+def avoiding_supports(g, rows, cols) -> list[int]:
+    """Each row vertex r's support over `cols`, as a bitmask: every column
+    vertex c with c != r and c not adjacent to r.  The rule is exact on any
+    host; on a host with a square it may leave the transport infeasible.
+    r and its neighbours are distinct, so the sum of their bits is their
+    union."""
+    index = {c: 1 << j for j, c in enumerate(cols)}
+    get, full = index.get, (1 << len(cols)) - 1
+    adj = g.adjacency
+    return [full ^ get(r, 0) ^ sum(map(get, adj[r], repeat(0))) for r in rows]
 
 
 @dataclass(frozen=True, slots=True)
@@ -383,10 +337,6 @@ class TransportMatrix:
         for f, x in zip(self.cells, self.counts):
             flat[f] = x
         return tuple(tuple(flat[i:i + c]) for i in range(0, len(flat), c))
-
-    def check_sums(self) -> None:
-        check_cells(list(self.cells), self.counts, len(self.row_labels), len(self.col_labels),
-                    self.row_sum, self.col_sum)
 
 
 def check_cells(cells: list[int], counts: list[int], nr: int, nc: int, row_sum: int, col_sum: int) -> None:
@@ -440,12 +390,12 @@ class LruCache:
 
 
 def solved_transport(kind: str, rows: tuple, cols: tuple, row_sum: int, col_sum: int,
-                     solve, violated: str, swapped: bool = False) -> TransportMatrix:
-    """Store the nonzero cells and counts that `solve()` returns, after
-    checking their sums.  An infeasible solve is re-raised as
+                     supports: list[int], violated: str, swapped: bool = False) -> TransportMatrix:
+    """Solve the transport over `supports` and store its nonzero cells and
+    counts, after checking their sums.  An infeasible solve is re-raised as
     "hypothesis violated {violated}", with its Hall certificate."""
     try:
-        cells, counts = solve()
+        cells, counts = solve_transport(row_sum, col_sum, supports, len(cols))
     except TransportInfeasible as err:
         raise TransportInfeasible(f"hypothesis violated {violated}", err.hall_rows, err.hall_cols) from err
     check_cells(cells, counts, len(rows), len(cols), row_sum, col_sum)
@@ -458,10 +408,9 @@ def build_regular_transport(g, a: int, b: int, e: int) -> TransportMatrix:
     row sums d over mover pairs (a', a''), column sums d-1 over other pairs
     (b', e'), both as int pairs."""
     check_regular_triple(g, a, b, e)
-    adj, d = g.adjacency, g.degree(a)
-    rows = tuple([(ap, app) for ap in adj[a] if ap != e for app in adj[ap]])
-    cols = tuple([(bp, ep) for bp in adj[b] for ep in adj[bp]])
-    return solved_transport("regular", rows, cols, d, d - 1, lambda: regular_cells(g, a, b, rows, cols),
+    d = g.degree(a)
+    rows = mover_pairs(g, a, e)
+    return solved_transport("regular", rows, other_pairs(g, b), d, d - 1, regular_supports(g, rows, b),
                             f"(H_{d} present?) at (a={a}, b={b}, e={e})")
 
 
@@ -476,8 +425,5 @@ def build_squarefree_transport(g, a: int, b: int) -> TransportMatrix:
     u, v = (b, a) if swapped else (a, b)
     rows = g.adjacency[u]  # k vertices
     cols = g.adjacency[v]  # l vertices, l <= k
-    allowed = [[cj != ri and not g.has_edge(ri, cj) for cj in cols] for ri in rows]
-    return solved_transport(
-        "squarefree", rows, cols, len(cols), len(rows),
-        lambda: nonzero_cells(solve_transport([len(cols)] * len(rows), [len(rows)] * len(cols), allowed)),
-        f"(square present?) at (a={a}, b={b})", swapped)
+    return solved_transport("squarefree", rows, cols, len(cols), len(rows), avoiding_supports(g, rows, cols),
+                            f"(square present?) at (a={a}, b={b})", swapped)

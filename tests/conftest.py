@@ -1,9 +1,39 @@
 from __future__ import annotations
 
+from collections import deque
+
 import pytest
 
 from avoidkit.generate import circulant, complete_bipartite, heawood, petersen
 from avoidkit.graphs import Graph, graph_from_edges
+from avoidkit.matching import TransportMatrix, check_cells
+
+
+def distance_capped(g: Graph, u: int, v: int, cap: int) -> int:
+    """BFS distance between u and v, or cap if the distance is >= cap: the
+    reference the tests measure distances with."""
+    if u == v:
+        return 0
+    dist = {u: 0}
+    queue = deque([u])
+    while queue:
+        x = queue.popleft()
+        d = dist[x] + 1
+        if d >= cap:
+            return cap
+        for y in g.adjacency[x]:
+            if y not in dist:
+                if y == v:
+                    return d
+                dist[y] = d
+                queue.append(y)
+    return cap
+
+
+def check_sums(tm: TransportMatrix) -> None:
+    """`check_cells` on a stored transport: its cells are ascending, its
+    counts positive, and every row sums to row_sum and column to col_sum."""
+    check_cells(list(tm.cells), tm.counts, len(tm.row_labels), len(tm.col_labels), tm.row_sum, tm.col_sum)
 
 
 def make_s3b_host() -> Graph:

@@ -14,13 +14,12 @@ from fractions import Fraction
 import pytest
 
 from avoidkit.cli import main as cli_main
-from avoidkit.couplers import k22_excursion_coupling, simulate
+from avoidkit.couplers import cubic_block, simulate
 from avoidkit.experiment import prevalence_experiment, row_to_csv
 from avoidkit.generate import circulant, complete_bipartite, heawood, petersen, random_regular_simple
-from avoidkit.graphs import distance_capped
 from avoidkit.matching import build_regular_transport, build_squarefree_transport
 from avoidkit.rng import Xoshiro256
-from avoidkit.structure import contains_Hd
+from avoidkit.structure import ScenarioClass, contains_Hd
 from avoidkit.verify import (
     chi_square_faithfulness,
     check_avoidance,
@@ -31,7 +30,7 @@ from avoidkit.verify import (
     lemma34_oracle,
     lemma42_oracle,
 )
-from conftest import make_s3b_host, make_s6_host
+from conftest import check_sums, distance_capped, make_s3b_host, make_s6_host
 
 CUBIC_TICKS = 1_000_000
 REGULAR_TICKS = 300_000
@@ -119,14 +118,14 @@ def test_criterion_04_exact_faithfulness():
                 if b == a or (c9.has_edge(a, b) and b != e):
                     continue
                 tm = build_regular_transport(c9, a, b, e)
-                tm.check_sums()  # row sums d, column sums d-1, exactly
+                check_sums(tm)  # row sums d, column sums d-1, exactly
                 exact_regular_index_laws(tm, 4)
                 triples += 1
     for g in (petersen(), heawood()):
         for a in range(g.n):
             for b in range(g.n):
                 if a != b and not g.has_edge(a, b):
-                    build_squarefree_transport(g, a, b).check_sums()
+                    check_sums(build_squarefree_transport(g, a, b))
     report(4, True,
            f"exact marginals on {checked} cubic pairs, index laws + sum identities "
            f"on {triples} regular triples, tolerance 0")
@@ -238,7 +237,8 @@ def test_criterion_10_s6_excursions():
     rep = exact_cubic_marginals(g, 0, 1)  # raises unless exactly uniform
     assert rep.scenario == "S6"
     rng = Xoshiro256(6)
-    lengths = Counter(k22_excursion_coupling(g, 0, 1, rng, quad).T for _ in range(100_000))
+    s6 = ScenarioClass("S6", quad)
+    lengths = Counter(cubic_block(g, 0, 1, rng, s6).T for _ in range(100_000))
     support_ok = all(lengths[t] > 0 for t in (1, 2, 3))
     report(10, support_ok,
            f"{len(outcomes)} excursions <= 8 safe (residual {residual}), first step uniform, "

@@ -15,7 +15,6 @@ from avoidkit.couplers import (
     Trajectory,
     cubic_block,
     default_b0,
-    k22_excursion_coupling,
     one_step_matching,
     parse_trajectory,
     s3b_rows,
@@ -23,11 +22,11 @@ from avoidkit.couplers import (
     squarefree_step,
 )
 from avoidkit.generate import complete, cycle, random_regular_simple
-from avoidkit.graphs import distance_capped
 from avoidkit.matching import build_regular_transport, build_squarefree_transport
 from avoidkit.rng import Xoshiro256
-from avoidkit.structure import HypothesisError, admissibility_verdict, classify_scenario
+from avoidkit.structure import HypothesisError, ScenarioClass, admissibility_verdict, classify_scenario
 from avoidkit.verify import check_avoidance
+from conftest import distance_capped
 
 
 def test_trajectory_text_round_trip(pet):
@@ -148,7 +147,7 @@ def test_k22_excursion(s6_host):
     rng = Xoshiro256(1)
     lengths = Counter()
     for _ in range(3000):
-        out = k22_excursion_coupling(s6_host, 0, 1, rng, (2, 3, 4, 5))
+        out = cubic_block(s6_host, 0, 1, rng, ScenarioClass("S6", (2, 3, 4, 5)))
         lengths[out.T] += 1
         assert len(out.alice_steps) == len(out.bob_steps) == out.T
         # block-level avoidance within the excursion

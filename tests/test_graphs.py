@@ -21,11 +21,11 @@ from avoidkit.graphs import (
     Multigraph,
     basic_profile,
     common_neighbors,
-    distance_capped,
     graph_from_edges,
     is_connected,
     parse_graph,
 )
+from conftest import distance_capped
 
 
 @st.composite

@@ -1,37 +1,41 @@
 from __future__ import annotations
 
+import math
 import random
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
+from avoidkit.couplers import one_step_matching
 from avoidkit.generate import complete, complete_bipartite, random_regular_simple
 from avoidkit.graphs import graph_from_edges
 from avoidkit.matching import (
     LruCache,
-    MoverPair,
-    OtherPair,
     TransportInfeasible,
+    avoiding_supports,
     build_regular_transport,
     build_squarefree_transport,
+    check_cells,
     compatible,
     mover_pairs,
     other_pairs,
+    regular_supports,
     solve_transport,
 )
 from avoidkit.structure import contains_Hd
+from conftest import check_sums
 
 
 def test_compatibility_rule(circ9):
     g = circ9
     # b' colliding with either of the mover's steps is incompatible
-    assert not compatible(g, MoverPair(1, 2), OtherPair(1, 3))
-    assert not compatible(g, MoverPair(1, 2), OtherPair(2, 3))
+    assert not compatible(g, (1, 2), (1, 3))
+    assert not compatible(g, (1, 2), (2, 3))
     # when a'' neighbors b', the exclusion must equal a''
     bp = next(v for v in g.adjacency[5] if g.has_edge(2, v) and v not in (1, 2))
-    assert compatible(g, MoverPair(1, 2), OtherPair(bp, 2))
-    assert not compatible(g, MoverPair(1, 2), OtherPair(bp, next(x for x in g.adjacency[bp] if x != 2)))
+    assert compatible(g, (1, 2), (bp, 2))
+    assert not compatible(g, (1, 2), (bp, next(x for x in g.adjacency[bp] if x != 2)))
 
 
 def test_pair_set_sizes(circ9):
@@ -41,29 +45,41 @@ def test_pair_set_sizes(circ9):
 
 
 def test_mover_pairs_excludes_e(circ9):
-    for mp in mover_pairs(circ9, 0, 2):
-        assert mp.first_step != 2
-        assert mp.second_step in circ9.adjacency[mp.first_step]
+    for ap, app in mover_pairs(circ9, 0, 2):
+        assert ap != 2
+        assert app in circ9.adjacency[ap]
+
+
+def masks(allowed: list[list[bool]]) -> list[int]:
+    """Each row of a dense support as a bitmask, bit j for column j."""
+    return [sum(1 << j for j, ok in enumerate(row) if ok) for row in allowed]
+
+
+def dense(cells: list[int], counts: list[int], nr: int, nc: int) -> list[list[int]]:
+    """The nr x nc matrix whose nonzero cells are `cells` with `counts`."""
+    m = [[0] * nc for _ in range(nr)]
+    for f, x in zip(cells, counts):
+        m[f // nc][f % nc] = x
+    return m
 
 
 def test_solve_transport_simple():
-    m = solve_transport([2, 2], [2, 2], [[True, True], [True, True]])
-    assert [sum(r) for r in m] == [2, 2]
-    assert [sum(c) for c in zip(*m)] == [2, 2]
+    cells, counts = solve_transport(2, 2, [0b11, 0b11], 2)
+    assert dense(cells, counts, 2, 2) == [[2, 0], [0, 2]]
 
 
 def test_solve_transport_infeasible_certificate():
     with pytest.raises(TransportInfeasible) as exc:
-        solve_transport([1, 1], [1, 1], [[True, False], [True, False]])
+        solve_transport(1, 1, [0b01, 0b01], 2)
     assert exc.value.hall_rows == [0, 1]
     assert exc.value.hall_cols == [0]
 
 
 def test_solve_transport_total_mismatch():
-    with pytest.raises(ValueError):
-        solve_transport([1], [2], [[True]])
+    with pytest.raises(ValueError, match="total supply must equal total demand"):
+        solve_transport(1, 2, [0b1], 1)
     with pytest.raises(ValueError, match="non-negative"):
-        solve_transport([2, -1], [1, 0], [[True, True], [True, True]])
+        solve_transport(-1, -1, [0b11, 0b11], 2)
 
 
 class _Dinic:
@@ -161,39 +177,43 @@ def dinic_from_scratch(supplies, demands, allowed):
 
 @st.composite
 def transport_instances(draw):
+    """Uniform row supply s and column demand t with s*nr = t*nc, and one
+    support bitmask per row: all columns, or any subset of them."""
     nr = draw(st.integers(1, 6))
     nc = draw(st.integers(1, 6))
-    supplies = draw(st.lists(st.integers(0, 4), min_size=nr, max_size=nr))
-    cols = draw(st.lists(st.integers(0, nc - 1), min_size=sum(supplies), max_size=sum(supplies)))
-    demands = [cols.count(j) for j in range(nc)]
-    allowed = draw(st.lists(st.lists(st.booleans(), min_size=nc, max_size=nc),
-                            min_size=nr, max_size=nr))
-    return supplies, demands, allowed
+    total = draw(st.integers(0, 3)) * math.lcm(nr, nc)
+    full = (1 << nc) - 1
+    supports = draw(st.lists(st.one_of(st.just(full), st.integers(0, full)), min_size=nr, max_size=nr))
+    return total // nr, total // nc, supports, nc
 
 
-def solve_as_from_scratch(supplies, demands, allowed):
-    """solve_transport's matrix, or its TransportInfeasible, after checking
-    that it equals the matrix, or the min-cut certificate, of Dinic run
-    from scratch."""
-    nr, nc = len(supplies), len(demands)
-    flow, ref, cut = dinic_from_scratch(supplies, demands, allowed)
+def solve_as_from_scratch(supply: int, demand: int, supports: list[int], nc: int):
+    """solve_transport's cells as a dense matrix, or its TransportInfeasible,
+    after checking that it equals the matrix, or the min-cut certificate, of
+    Dinic run from scratch on the dense support."""
+    nr = len(supports)
+    allowed = [[bool(s >> j & 1) for j in range(nc)] for s in supports]
+    flow, ref, cut = dinic_from_scratch([supply] * nr, [demand] * nc, allowed)
     try:
-        m = solve_transport(supplies, demands, allowed)
+        cells, counts = solve_transport(supply, demand, supports, nc)
     except TransportInfeasible as err:
-        assert flow < sum(supplies)
+        assert flow < supply * nr
         assert err.hall_rows == [i for i in range(nr) if i in cut]
         assert err.hall_cols == [j for j in range(nc) if nr + j in cut]
         return err
-    assert flow == sum(supplies)
+    assert flow == supply * nr
+    check_cells(cells, counts, nr, nc, supply, demand)
+    m = dense(cells, counts, nr, nc)
     assert m == ref
     return m
 
 
-def greedy_leaves_shortfall(supplies, demands, allowed):
-    unmet = list(demands)
-    for i, left in enumerate(supplies):
+def greedy_leaves_shortfall(supply: int, demand: int, supports: list[int], nc: int) -> bool:
+    unmet = [demand] * nc
+    for s in supports:
+        left = supply
         for j, need in enumerate(unmet):
-            if left and need and allowed[i][j]:
+            if left and need and s >> j & 1:
                 x = min(left, need)
                 unmet[j] -= x
                 left -= x
@@ -203,18 +223,18 @@ def greedy_leaves_shortfall(supplies, demands, allowed):
 @settings(max_examples=300)
 @given(transport_instances())
 def test_solve_transport_exact_or_hall_certificate(instance):
-    supplies, demands, allowed = instance
-    m = solve_as_from_scratch(supplies, demands, allowed)
+    supply, demand, supports, nc = instance
+    m = solve_as_from_scratch(*instance)
     if isinstance(m, TransportInfeasible):
         rows, cols = m.hall_rows, m.hall_cols
-        reach = {j for i in rows for j in range(len(demands)) if allowed[i][j]}
+        reach = {j for i in rows for j in range(nc) if supports[i] >> j & 1}
         assert reach <= set(cols)
-        assert sum(supplies[i] for i in rows) > sum(demands[j] for j in cols)
+        assert supply * len(rows) > demand * len(cols)
         return
-    assert [sum(row) for row in m] == supplies
-    assert [sum(col) for col in zip(*m)] == demands
-    assert all(x >= 0 for row in m for x in row)
-    assert all(allowed[i][j] for i, row in enumerate(m) for j, x in enumerate(row) if x)
+    event("greedy fill short" if greedy_leaves_shortfall(*instance) else "greedy fill complete")
+    assert [sum(row) for row in m] == [supply] * len(supports)
+    assert [sum(col) for col in zip(*m)] == [demand] * nc
+    assert all(supports[i] >> j & 1 for i, row in enumerate(m) for j, x in enumerate(row) if x)
 
 
 @st.composite
@@ -233,10 +253,10 @@ def regular_shaped_instances(draw):
         cols = rnd.sample(range(nc), draw(st.integers(1, 3)))
         pile = [i * nc + j for i in range(nr) for j in cols]
         cells = rnd.sample(pile, min(blocked, len(pile)))
-    allowed = [[True] * nc for _ in range(nr)]
+    supports = [(1 << nc) - 1] * nr
     for c in cells:
-        allowed[c // nc][c % nc] = False
-    return [d] * nr, [d - 1] * nc, allowed
+        supports[c // nc] &= ~(1 << c % nc)
+    return d, d - 1, supports, nc
 
 
 @settings(max_examples=200, deadline=None)
@@ -281,7 +301,7 @@ def regular_reference(g, a: int, b: int, e: int):
     TransportInfeasible the builder must raise instead."""
     d = g.degree(a)
     allowed = regular_allowed(g, a, b, e)
-    m = solve_as_from_scratch([d] * len(allowed), [d - 1] * len(allowed[0]), allowed)
+    m = solve_as_from_scratch(d, d - 1, masks(allowed), len(allowed[0]))
     if isinstance(m, TransportInfeasible):
         return TransportInfeasible(f"hypothesis violated (H_{d} present?) at (a={a}, b={b}, e={e})",
                                    m.hall_rows, m.hall_cols)
@@ -325,7 +345,7 @@ def test_solve_transport_recorded_rr5_instances(monkeypatch):
     for a, b, e in seen:
         assert not isinstance(build_as_reference(rr5, a, b, e), TransportInfeasible)
         allowed = regular_allowed(rr5, a, b, e)
-        short += greedy_leaves_shortfall([5] * len(allowed), [4] * len(allowed[0]), allowed)
+        short += greedy_leaves_shortfall(5, 4, masks(allowed), len(allowed[0]))
     assert short > len(seen) // 10  # the Dinic continuation is exercised
 
 
@@ -367,17 +387,117 @@ def test_regular_build_equals_dense_solve(circ9):
         assert sum(isinstance(x, TransportInfeasible) for x in built) == infeasible
 
 
+def test_regular_supports_match_regular_allowed(circ9):
+    """The bitmask rule equals the dense `regular_allowed` rule on every
+    triple of C9(1,2) and complete(5), and on 200 triples of rr5-n64."""
+    rr5 = random_regular_simple(64, 5, 0, connected_required=True)[0]
+    k5 = complete(5)
+    for g, triples in ((circ9, regular_triples(circ9)), (k5, regular_triples(k5)),
+                       (rr5, random.Random(1).sample(regular_triples(rr5), 200))):
+        for a, b, e in triples:
+            assert regular_supports(g, mover_pairs(g, a, e), b) == masks(regular_allowed(g, a, b, e)), (a, b, e)
+
+
+def planted_square_host():
+    """N(0) and N(1) joined by a K_{3,3}: every neighbour of 1 lies in N(a')
+    for every a' in N(0), so the square-free transport at (0, 1) fails."""
+    return graph_from_edges(8, [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]
+                            + [(x, y) for x in (2, 3, 4) for y in (5, 6, 7)])
+
+
+@pytest.fixture(scope="module")
+def avoiding_hosts(pet, hea, ag23, k33):
+    return {"petersen": pet, "heawood": hea, "ag23": ag23, "k33": k33, "k44": complete_bipartite(4, 4),
+            "planted-square": planted_square_host()}
+
+
+def avoiding_allowed(g, rows, cols) -> list[list[bool]]:
+    """The dense reference rule: column c is allowed to row r iff c != r
+    and c is not adjacent to r."""
+    return [[c != r and not g.has_edge(r, c) for c in cols] for r in rows]
+
+
+def test_avoiding_supports_match_the_dense_rule(avoiding_hosts):
+    for name, g in avoiding_hosts.items():
+        adj = g.adjacency
+        for a in range(g.n):
+            for b in range(g.n):
+                assert avoiding_supports(g, adj[a], adj[b]) == masks(avoiding_allowed(g, adj[a], adj[b])), \
+                    (name, a, b)
+
+
+def squarefree_reference(g, a: int, b: int):
+    """The square-free transport at (a, b) as the dense reference solve
+    gives it, or the TransportInfeasible the builder must raise instead."""
+    u, v = (b, a) if g.degree(a) < g.degree(b) else (a, b)
+    rows, cols = g.adjacency[u], g.adjacency[v]
+    m = solve_as_from_scratch(len(cols), len(rows), masks(avoiding_allowed(g, rows, cols)), len(cols))
+    if isinstance(m, TransportInfeasible):
+        return TransportInfeasible(f"hypothesis violated (square present?) at (a={a}, b={b})",
+                                   m.hall_rows, m.hall_cols)
+    return tuple(map(tuple, m))
+
+
+def one_step_reference(g, a: int, b: int):
+    """The one-step matching at (a, b) as the dense reference solve gives
+    it, or the TransportInfeasible one_step_matching must raise instead."""
+    na, nb = g.adjacency[a], g.adjacency[b]
+    m = solve_as_from_scratch(1, 1, masks(avoiding_allowed(g, na, nb)), len(nb))
+    if isinstance(m, TransportInfeasible):
+        return TransportInfeasible(f"scenario hypothesis violated at (a={a}, b={b})", m.hall_rows, m.hall_cols)
+    return [(na[i], nb[row.index(1)]) for i, row in enumerate(m)]
+
+
+def same_result(got, want) -> bool:
+    """Equal results, or errors with the same message, Hall rows and columns."""
+    if isinstance(want, TransportInfeasible):
+        return (isinstance(got, TransportInfeasible)
+                and (str(got), got.hall_rows, got.hall_cols) == (str(want), want.hall_rows, want.hall_cols))
+    return got == want
+
+
+def test_avoiding_builds_equal_the_dense_solve(avoiding_hosts):
+    """build_squarefree_transport on every valid pair and one_step_matching
+    on every pair of equal degrees equal the dense reference solve: the same
+    entries or matching, or the same message, Hall rows and Hall columns.
+    Only the planted square blocks a square-free transport; one-step
+    matchings are also blocked at adjacent pairs and by the squares of
+    K3,3 and K4,4."""
+    fails = {"squarefree": Counter(), "one-step": Counter()}
+    for name, g in avoiding_hosts.items():
+        for a in range(g.n):
+            for b in range(g.n):
+                if b == a:
+                    continue
+                builds = [("squarefree", build_squarefree_transport, squarefree_reference)]
+                if g.has_edge(a, b) or min(g.degree(a), g.degree(b)) < 3:
+                    builds = []
+                if g.degree(a) == g.degree(b):
+                    builds.append(("one-step", one_step_matching, one_step_reference))
+                for kind, build, reference in builds:
+                    try:
+                        got = build(g, a, b)
+                    except TransportInfeasible as err:
+                        got = err
+                        fails[kind][name] += 1
+                    if kind == "squarefree" and not isinstance(got, TransportInfeasible):
+                        got = got.entries
+                    assert same_result(got, reference(g, a, b)), (kind, name, a, b)
+    assert fails["squarefree"] == {"planted-square": 2}
+    assert fails["one-step"] == {"heawood": 42, "k44": 32, "petersen": 30, "planted-square": 20, "k33": 18}
+
+
 def test_regular_transport(circ9):
     tm = build_regular_transport(circ9, 0, 4, 1)
     assert tm.kind == "regular"
     assert len(tm.row_labels) == 12 and len(tm.col_labels) == 16
     assert (tm.row_sum, tm.col_sum, tm.total) == (4, 3, 48)
-    tm.check_sums()
+    check_sums(tm)
     # support respects compatibility; labels are (a', a'') and (b', e') pairs
     for mp, row in zip(tm.row_labels, tm.entries):
         for op, x in zip(tm.col_labels, row):
             if x:
-                assert compatible(circ9, MoverPair(*mp), OtherPair(*op))
+                assert compatible(circ9, mp, op)
 
 
 def test_regular_transport_hypothesis_failure():
@@ -439,13 +559,13 @@ def test_regular_transport_rejects_irregular_host():
 def test_squarefree_transport(pet, ag23):
     tm = build_squarefree_transport(pet, 0, 2)
     assert (tm.row_sum, tm.col_sum, tm.swapped) == (3, 3, False)
-    tm.check_sums()
+    check_sums(tm)
     # mixed degrees: rows are the degree-4 point side
     b = next(v for v in range(9, 21) if not ag23.has_edge(0, v))
     tm2 = build_squarefree_transport(ag23, 0, b)
     assert len(tm2.row_labels) == 4 and len(tm2.col_labels) == 3
     assert (tm2.row_sum, tm2.col_sum) == (3, 4)
-    tm2.check_sums()
+    check_sums(tm2)
     # same pair from the other side comes back role-swapped
     tm3 = build_squarefree_transport(ag23, b, 0)
     assert tm3.swapped

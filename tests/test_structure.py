@@ -12,7 +12,7 @@ from avoidkit.generate import (
     petersen,
     random_regular_simple,
 )
-from avoidkit.graphs import common_neighbors, distance_capped, graph_from_edges
+from avoidkit.graphs import common_neighbors, graph_from_edges
 from avoidkit.structure import (
     admissibility_verdict,
     admits_K22,
@@ -24,6 +24,7 @@ from avoidkit.structure import (
     is_square_free,
     require_engine_applicable,
 )
+from conftest import distance_capped
 
 
 # Reference detectors: the pairwise scans the co-degree pass replaced.

@@ -573,13 +573,8 @@ def test_squarefree_transport(pet, ag23):
 
 
 def test_squarefree_transport_square_failure():
-    # planted worst case: every neighbor of b lies inside N(a') for all a'
-    from avoidkit.graphs import graph_from_edges
-
-    g = graph_from_edges(8, [(0, 2), (0, 3), (0, 4), (1, 5), (1, 6), (1, 7)]
-                         + [(x, y) for x in (2, 3, 4) for y in (5, 6, 7)])
     with pytest.raises(TransportInfeasible, match="square"):
-        build_squarefree_transport(g, 0, 1)
+        build_squarefree_transport(planted_square_host(), 0, 1)
 
 
 def test_lru_cache_caps_and_counts():

@@ -2,7 +2,9 @@
 
 `Engine` holds what every engine shares: the generator, the transport
 cache, the start rule and the one run loop.  An engine adds its block law;
-its hypothesis is stated in `structure.engine_obstruction`.
+its hypothesis is stated in `structure.engine_obstruction`.  A block that
+hits the cache costs one cache lookup, one call to the law and the law's
+random draws: each cache entry is stored ready to draw from.
 
   cubic      - scenario-classified blocks: one-step matchings, a 9-row
                two-step table, and an excursion through a local K_{2,2}
@@ -15,8 +17,12 @@ Every engine is deterministic given its seed.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_right
+from collections import Counter
 from dataclasses import dataclass, field
+from itertools import islice
+from typing import Callable, NamedTuple
 
 from .graphs import Graph, check_vertices, graph_from_edges
 from .matching import (
@@ -44,13 +50,33 @@ class BlockOutcome:
         return len(self.alice_steps)
 
 
+def transition_counts(positions) -> Counter:
+    """How often each joint transition (positions[t], positions[t + 1]) occurs."""
+    return Counter(zip(positions, islice(positions, 1, None)))
+
+
 @dataclass
 class Trajectory:
+    """A run's ticks.  `positions` is stored as a tuple, so the transition
+    counts that every check of the run reads are counted once."""
+
     engine: str
     seed: int
     graph_digest: str
-    positions: list[tuple[int, ...]]  # positions[t] = (A_t, B_t) or k walkers
+    positions: tuple[tuple[int, ...], ...]  # positions[t] = (A_t, B_t) or k walkers
     block_marks: list[int] = field(default_factory=list)
+    _transitions: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.positions = tuple(self.positions)
+
+    def transitions(self) -> Counter:
+        """`transition_counts(positions)`, counted on first use and kept
+        while `positions` is the same tuple.  Callers must not change it."""
+        memo = self._transitions
+        if memo is None or memo[0] is not self.positions:
+            memo = self._transitions = (self.positions, transition_counts(self.positions))
+        return memo[1]
 
     def to_text(self) -> str:
         """A three-line header, then one `t v_1 .. v_k` line per tick, each
@@ -168,61 +194,112 @@ def s3b_rows(g: Graph, a: int, b: int) -> list[tuple[tuple[int, int], tuple[int,
     ]
 
 
+class CubicPlan(NamedTuple):
+    """A pair's cubic block law, ready to draw: `law(rng, arg, ticks)`
+    appends the block's (A, B) ticks to `ticks`."""
+
+    scenario: ScenarioClass
+    law: Callable
+    arg: tuple
+
+
+def independent_steps(rng, neighbours: tuple, ticks: list) -> None:
+    """S1: Alice, then Bob, steps to a uniform neighbour."""
+    na, nb = neighbours
+    ticks.append((rng.choice(na), rng.choice(nb)))
+
+
+def matched_step(rng, sigma: tuple, ticks: list) -> None:
+    """S2, S3a, S4, S5: one step through the perfect matching sigma."""
+    ticks.append(rng.choice(sigma))
+
+
+def two_step_row(rng, rows: tuple, ticks: list) -> None:
+    """S3b: one of the nine equally likely two-tick rows."""
+    ticks.extend(rng.choice(rows))
+
+
+def k22_excursion(g: Graph, a: int, b: int, witness: tuple, rng, alice: list, bob: list) -> None:
+    """S6: one of three strategies around the K_{2,2} witness (a1, a2, b1,
+    b2), appending each walker's steps to `alice` and `bob` as they are
+    drawn."""
+    a1, a2, b1, b2 = witness
+    strategy = rng.randrange(3)
+    if strategy == 0:  # Alice exits, Bob enters
+        alice.append(next(v for v in g.adjacency[a] if v not in (a1, a2)))
+        bob.append(rng.choice((b1, b2)))
+    elif strategy == 1:  # Alice enters, Bob exits
+        alice.append(rng.choice((a1, a2)))
+        bob.append(next(v for v in g.adjacency[b] if v not in (b1, b2)))
+    else:
+        # both enter the K_{2,2}: Alice walks until she hits {a, b}, and
+        # Bob, one step behind, takes the partner of each of her interior
+        # positions; once she exits he flips for the side parity leaves
+        # him and steps out to b or a
+        partner = {a1: a2, a2: a1, b1: b2, b2: b1}
+        v = rng.choice((a1, a2))
+        alice.append(v)
+        while True:
+            v = rng.choice(g.adjacency[v])
+            alice.append(v)
+            if v == a or v == b:
+                break
+            bob.append(partner[v])
+        x, y = (b1, b2) if len(alice) % 2 == 0 else (a1, a2)
+        bob.append(x if rng.coin() else y)
+        bob.append(b if len(alice) % 2 == 0 else a)
+
+
+def k22_ticks(rng, arg: tuple, ticks: list) -> None:
+    """S6 in tick form: `k22_excursion` over arg = (g, a, b, witness)."""
+    alice: list[int] = []
+    bob: list[int] = []
+    k22_excursion(*arg, rng, alice, bob)
+    ticks.extend(zip(alice, bob))
+
+
+def cubic_plan(g: Graph, a: int, b: int, scenario: ScenarioClass | None = None,
+               sigma: list[tuple[int, int]] | None = None) -> CubicPlan:
+    """The block law from positions (a, b) at distance >= 2, resolved once:
+    the scenario (classified unless given), its law and what the law draws
+    from.  S2-S5 draw from the matching `sigma` when it is given."""
+    if scenario is None:
+        scenario = classify_scenario(g, a, b)
+    tag = scenario.tag
+    if tag == "S1":
+        return CubicPlan(scenario, independent_steps, (g.adjacency[a], g.adjacency[b]))
+    if tag == "S3b":
+        rows = tuple(((a1, b1), (a2, b2)) for (a1, a2), (b1, b2) in s3b_rows(g, a, b))
+        return CubicPlan(scenario, two_step_row, rows)
+    if tag == "S6":
+        return CubicPlan(scenario, k22_ticks, (g, a, b, scenario.witness))
+    return CubicPlan(scenario, matched_step, tuple(one_step_matching(g, a, b) if sigma is None else sigma))
+
+
 def cubic_block(g: Graph, a: int, b: int, rng, scenario: ScenarioClass | None = None,
                 sigma: list[tuple[int, int]] | None = None, out: BlockOutcome | None = None) -> BlockOutcome:
     """One jointly planned block from positions (a, b) at distance >= 2.
 
-    This is the one definition of the cubic law.  `rng` is any chooser with
-    `choice`, `randrange` and `coin`: the engine passes its Xoshiro256, and
-    the exact certifier in verify.py passes a chooser that enumerates every
-    option.  S2-S5 draw from the matching `sigma` when it is given.  Steps
-    are appended to `out` as they are drawn, so a caller that passes `out`
-    sees the partial block if the chooser stops early.
+    This draws the one cubic law, `cubic_plan`'s, which the engine draws
+    too.  `rng` is any chooser with `choice`, `randrange` and `coin`: the
+    engine passes its Xoshiro256, and the exact certifier in verify.py
+    passes a chooser that enumerates every option.  S6 steps are appended
+    to `out` as they are drawn, so a caller that passes `out` sees the
+    partial excursion if the chooser stops early; every other block is
+    one draw and is appended whole.
     """
-    if scenario is None:
-        scenario = classify_scenario(g, a, b)
+    plan = cubic_plan(g, a, b, scenario, sigma)
     if out is None:
         out = BlockOutcome([], [])
-    out.scenario = scenario
-    alice, bob = out.alice_steps, out.bob_steps
-    tag = scenario.tag
-    if tag == "S1":  # independent steps
-        alice.append(rng.choice(g.adjacency[a]))
-        bob.append(rng.choice(g.adjacency[b]))
-    elif tag == "S3b":  # one of nine two-step rows
-        (a1, a2), (b1, b2) = rng.choice(s3b_rows(g, a, b))
-        alice += (a1, a2)
-        bob += (b1, b2)
-    elif tag == "S6":
-        a1, a2, b1, b2 = scenario.witness
-        strategy = rng.randrange(3)
-        if strategy == 0:  # Alice exits, Bob enters
-            alice.append(next(v for v in g.adjacency[a] if v not in (a1, a2)))
-            bob.append(rng.choice((b1, b2)))
-        elif strategy == 1:  # Alice enters, Bob exits
-            alice.append(rng.choice((a1, a2)))
-            bob.append(next(v for v in g.adjacency[b] if v not in (b1, b2)))
-        else:
-            # both enter the K_{2,2}: Alice walks until she hits {a, b}, and
-            # Bob, one step behind, takes the partner of each of her interior
-            # positions; once she exits he flips for the side parity leaves
-            # him and steps out to b or a
-            partner = {a1: a2, a2: a1, b1: b2, b2: b1}
-            v = rng.choice((a1, a2))
-            alice.append(v)
-            while True:
-                v = rng.choice(g.adjacency[v])
-                alice.append(v)
-                if v == a or v == b:
-                    break
-                bob.append(partner[v])
-            x, y = (b1, b2) if len(alice) % 2 == 0 else (a1, a2)
-            bob.append(x if rng.coin() else y)
-            bob.append(b if len(alice) % 2 == 0 else a)
-    else:  # S2, S3a, S4, S5: one step through a perfect matching
-        ap, bp = rng.choice(one_step_matching(g, a, b) if sigma is None else sigma)
-        alice.append(ap)
-        bob.append(bp)
+    out.scenario = plan.scenario
+    if plan.law is k22_ticks:
+        k22_excursion(*plan.arg, rng, out.alice_steps, out.bob_steps)
+    else:
+        ticks: list[tuple[int, int]] = []
+        plan.law(rng, plan.arg, ticks)
+        for ap, bp in ticks:
+            out.alice_steps.append(ap)
+            out.bob_steps.append(bp)
     return out
 
 
@@ -239,16 +316,34 @@ def regular_round(tm: TransportMatrix, rng) -> tuple[int, int, int, int]:
     return tm.row_labels[i] + tm.col_labels[j]
 
 
-def squarefree_step(tm: TransportMatrix, rng) -> tuple[int, int]:
-    """The step law, for any chooser `rng` with `randrange`: row i uniform,
-    then the cell whose cumulative count first exceeds i*l + r, r uniform
-    below the row sum l.  Rows are Bob's when the transport swapped the
-    roles.  Returns (a', b')."""
+class SquarefreeSampler(NamedTuple):
+    """A square-free transport ready to draw: k rows, l columns, the
+    cumulative counts of the nonzero cells and each cell's step (a', b'),
+    with the roles swapped back when the transport swapped them."""
+
+    k: int
+    l: int
+    cum: array
+    steps: tuple
+
+
+def squarefree_sampler(tm: TransportMatrix) -> SquarefreeSampler:
+    """The draw-ready form of a square-free transport; it stores one step
+    per nonzero cell."""
     rows, cols = tm.row_labels, tm.col_labels
     l = len(cols)
-    i, j = divmod(tm.cells[bisect_right(tm.cum, rng.randrange(len(rows)) * l + rng.randrange(l))], l)
-    u, v = rows[i], cols[j]
-    return (v, u) if tm.swapped else (u, v)
+    steps = [(rows[f // l], cols[f % l]) for f in tm.cells]
+    if tm.swapped:
+        steps = [(v, u) for u, v in steps]
+    return SquarefreeSampler(len(rows), l, tm.cum, tuple(steps))
+
+
+def squarefree_step(sampler: SquarefreeSampler, rng) -> tuple[int, int]:
+    """The step law, for any chooser `rng` with `randrange`: row i uniform,
+    then the cell whose cumulative count first exceeds i*l + r, r uniform
+    below the row sum l.  Returns that cell's step (a', b')."""
+    k, l, cum, steps = sampler
+    return steps[bisect_right(cum, rng.randrange(k) * l + rng.randrange(l))]
 
 
 def default_b0(g: Graph, a0: int) -> int:
@@ -265,10 +360,10 @@ class Engine:
 
     A subclass names its engine, says whether its block ends are written as
     `# block` marks (they are exactly when every block ends at distance >= 2),
-    and defines `block()`, which advances the engine and returns the position
-    tuples of the ticks that block adds.  Two-walker engines hold the
-    walkers' positions in `alice` and `bob`, starting at (a0, b0) through
-    `start_b0`."""
+    and defines `block(ticks)`: it draws one block from the state
+    `ticks[-1]` and appends the position tuples of the ticks it adds.
+    `state` is the current tick's positions; two-walker engines start at
+    (a0, b0) through `start_b0`."""
 
     name: str
     marks_blocks = False
@@ -278,7 +373,7 @@ class Engine:
         self.seed = seed
         self.rng = Xoshiro256(seed)
         self.cache = LruCache(cache_capacity)
-        self.alice, self.bob = a0, self.start_b0(a0, b0)
+        self.state = (a0, self.start_b0(a0, b0))
 
     def start_b0(self, a0: int, b0: int | None) -> int:
         """The start rule: b0 (default `default_b0`) at distance >= 2 from a0."""
@@ -288,31 +383,25 @@ class Engine:
             raise ValueError(f"{self.name} engine requires distance(a0, b0) >= 2")
         return b0
 
-    def current(self) -> tuple[int, ...]:
-        return (self.alice, self.bob)
-
-    def sampler(self, build, *state) -> TransportMatrix:
-        """The transport build(g, *state), cached by state."""
-        cached = self.cache.get(state)
-        if cached is None:
-            cached = build(self.g, *state)
-            self.cache.put(state, cached)
-        return cached
-
     def run(self, ticks: int) -> Trajectory:
-        """Whole blocks until at least `ticks` ticks are drawn."""
-        positions = [self.current()]
+        """Whole blocks from `state` until at least `ticks` ticks are drawn;
+        `state` is then the last tick."""
+        positions = [self.state]
         marks = [0]
-        while len(positions) <= ticks:
-            positions += self.block()
-            marks.append(len(positions) - 1)
+        block = self.block
+        t = 0
+        while t < ticks:
+            block(positions)
+            t = len(positions) - 1
+            marks.append(t)
+        self.state = positions[-1]
         return Trajectory(self.name, self.seed, self.g.digest(), positions,
                           marks if self.marks_blocks else [])
 
 
 class CubicEngine(Engine):
-    """Cubic blocks from one bounded cache of (scenario, sigma) per
-    non-S1 pair (a, b); an S1 pair costs only a capped BFS and is not cached."""
+    """Cubic blocks from one bounded cache of `CubicPlan`s per non-S1 pair
+    (a, b); an S1 pair costs only a capped BFS and is not cached."""
 
     name = "cubic"
     marks_blocks = True
@@ -321,21 +410,17 @@ class CubicEngine(Engine):
         super().__init__(*args, **kwargs)
         self.scenario_counts: dict[str, int] = {}
 
-    def block(self) -> list[tuple[int, int]]:
-        g, a, b = self.g, self.alice, self.bob
-        cached = self.cache.get((a, b))
-        if cached is None:
-            sc = classify_scenario(g, a, b)
-            sigma = one_step_matching(g, a, b) if sc.tag in ("S2", "S3a", "S4", "S5") else None
-            if sc.tag != "S1":
-                self.cache.put((a, b), (sc, sigma))
-        else:
-            sc, sigma = cached
-        out = cubic_block(g, a, b, self.rng, sc, sigma)
-        self.scenario_counts[sc.tag] = self.scenario_counts.get(sc.tag, 0) + 1
-        self.alice = out.alice_steps[-1]
-        self.bob = out.bob_steps[-1]
-        return list(zip(out.alice_steps, out.bob_steps))
+    def block(self, ticks: list) -> None:
+        key = ticks[-1]
+        plan = self.cache.get(key)
+        if plan is None:
+            plan = cubic_plan(self.g, *key)
+            if plan.scenario.tag != "S1":
+                self.cache.put(key, plan)
+        scenario, law, arg = plan
+        counts = self.scenario_counts
+        counts[scenario.tag] = counts.get(scenario.tag, 0) + 1
+        law(self.rng, arg, ticks)
 
 
 class SquarefreeEngine(Engine):
@@ -344,11 +429,13 @@ class SquarefreeEngine(Engine):
     name = "squarefree"
     marks_blocks = True
 
-    def block(self) -> list[tuple[int, int]]:
-        a, b = self.alice, self.bob
-        ap, bp = squarefree_step(self.sampler(build_squarefree_transport, a, b), self.rng)
-        self.alice, self.bob = ap, bp
-        return [(ap, bp)]
+    def block(self, ticks: list) -> None:
+        key = ticks[-1]
+        sampler = self.cache.get(key)
+        if sampler is None:
+            sampler = squarefree_sampler(build_squarefree_transport(self.g, *key))
+            self.cache.put(key, sampler)
+        ticks.append(squarefree_step(sampler, self.rng))
 
 
 class RegularEngine(Engine):
@@ -369,18 +456,23 @@ class RegularEngine(Engine):
         returns (mover_step1, mover_step2, other_step, next_excluded)."""
         if b == a:
             raise AssertionError("round invariant violated: other == mover")
-        if self.g.has_edge(a, b) and b != e:
+        if b != e and b in self.g.adjacency[a]:
             raise AssertionError("round invariant violated: adjacent other != excluded")
         self.round_checks += 1
-        return regular_round(self.sampler(build_regular_transport, a, b, e), self.rng)
+        key = (a, b, e)
+        tm = self.cache.get(key)
+        if tm is None:
+            tm = build_regular_transport(self.g, a, b, e)
+            self.cache.put(key, tm)
+        return regular_round(tm, self.rng)
 
-    def block(self) -> list[tuple[int, int]]:
+    def block(self, ticks: list) -> None:
         """Alice moves twice while Bob steps once, then Bob moves twice
         while Alice steps once; `excluded` carries over between rounds."""
-        a1, a2, b1, e2 = self.sample_round(self.alice, self.bob, self.excluded)
+        a, b = ticks[-1]
+        a1, a2, b1, e2 = self.sample_round(a, b, self.excluded)
         x1, x2, y, self.excluded = self.sample_round(b1, a2, e2)
-        self.alice, self.bob = y, x2
-        return [(a1, b1), (a2, x1), (y, x2)]
+        ticks.extend(((a1, b1), (a2, x1), (y, x2)))
 
 
 def cyclic_order(g: Graph) -> tuple[int, ...]:
@@ -397,7 +489,9 @@ class CycleEngine(Engine):
     shift the same direction.
 
     `order` lists the cycle's vertices in cyclic order (default 0..n-1, the
-    canonical C_n); walkers start at every second vertex of it.
+    canonical C_n); walkers start at every second vertex of it.  After a net
+    shift s along the order, walker i is at order[(2i + s) % n], so the
+    walkers' positions are one of n tuples, each made on its first visit.
     """
 
     name = "cycle"
@@ -410,22 +504,19 @@ class CycleEngine(Engine):
             raise ValueError("order must list each vertex 0..n-1 once")
         self.seed = seed
         self.rng = Xoshiro256(seed)
-        self._succ, self._pred = [0] * n, [0] * n
-        for u, v in zip(self.order, self.order[1:] + self.order[:1]):
-            self._succ[u], self._pred[v] = v, u
-        self.g = graph_from_edges(n, enumerate(self._succ))
-        self.positions = self.order[: 2 * k : 2]
+        self.g = graph_from_edges(n, zip(self.order, self.order[1:] + self.order[:1]))
+        self.k = k
+        self.shift = 0
+        self.states: list[tuple[int, ...] | None] = [None] * n  # states[s]: the positions at shift s
+        self.state = self.states[0] = self.order[: 2 * k : 2]
 
-    def current(self) -> tuple[int, ...]:
-        return self.positions
-
-    def step(self) -> tuple[int, ...]:
-        move = self._succ if self.rng.coin() else self._pred
-        self.positions = tuple(move[p] for p in self.positions)
-        return self.positions
-
-    def block(self) -> list[tuple[int, ...]]:
-        return [self.step()]
+    def block(self, ticks: list) -> None:
+        s = self.shift = (self.shift + (1 if self.rng.coin() else -1)) % len(self.states)
+        state = self.states[s]
+        if state is None:
+            order, n = self.order, len(self.order)
+            state = self.states[s] = tuple(order[(2 * i + s) % n] for i in range(self.k))
+        ticks.append(state)
 
 
 TWO_WALKER_ENGINES = {"cubic": CubicEngine, "regular": RegularEngine, "squarefree": SquarefreeEngine}

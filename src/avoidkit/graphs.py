@@ -27,17 +27,21 @@ class Graph:
     duplicate_edges_dropped: int = 0
 
     def __post_init__(self):
-        if len(self.adjacency) != self.n:
+        """Reject the first fault in vertex order: parallel edges at v, then,
+        neighbour by neighbour, a loop, an id outside 0..n-1 or an edge that
+        the neighbour does not list back.  A neighbour costs one test."""
+        adj, n = self.adjacency, self.n
+        if len(adj) != n:
             raise ValueError("adjacency length must equal n")
-        for v, nbrs in enumerate(self.adjacency):
+        for v, nbrs in enumerate(adj):
             if len(set(nbrs)) != len(nbrs):
                 raise ValueError(f"parallel edges at vertex {v}")
             for u in nbrs:
-                if u == v:
-                    raise ValueError(f"loop at vertex {v}")
-                if not 0 <= u < self.n:
-                    raise ValueError(f"vertex {u} out of range")
-                if v not in self.adjacency[u]:
+                if u == v or not 0 <= u < n or v not in adj[u]:
+                    if u == v:
+                        raise ValueError(f"loop at vertex {v}")
+                    if not 0 <= u < n:
+                        raise ValueError(f"vertex {u} out of range")
                     raise ValueError(f"asymmetric edge ({v},{u})")
 
     def degree(self, v: int) -> int:

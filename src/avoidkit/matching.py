@@ -361,7 +361,9 @@ def check_cells(cells: list[int], counts: list[int], nr: int, nc: int, row_sum: 
 
 
 class LruCache:
-    """Bounded memo for transport matrices, keyed per state triple/pair."""
+    """Bounded memo for transport matrices and block plans, keyed per state
+    triple/pair; values are never None.  A hit is one dict lookup plus the
+    move to the most recently used end."""
 
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
@@ -370,12 +372,15 @@ class LruCache:
         self.misses = 0
 
     def get(self, key):
-        if key in self._data:
-            self.hits += 1
-            self._data.move_to_end(key)
-            return self._data[key]
-        self.misses += 1
-        return None
+        """The value stored under key, now the most recently used, or None."""
+        data = self._data
+        value = data.get(key)
+        if value is None:
+            self.misses += 1
+            return None
+        self.hits += 1
+        data.move_to_end(key)
+        return value
 
     def put(self, key, value) -> None:
         self._data[key] = value

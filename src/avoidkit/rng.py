@@ -4,6 +4,12 @@ All randomness in the package flows through Xoshiro256 below, so that a
 fixed seed gives bit-identical runs on every platform.  Replica seeds for
 parallel experiments are derived with mix64 (the splitmix64 finalizer).
 
+Integer draws reject every draw at or above the exact limit 2^64 - 2^64 % n,
+so there is no modulo bias.  For 0 < n <= 2^32 that limit is above FAST_ACCEPT = 2^64 -
+2^32, so `randrange` accepts any draw below that constant at once and
+computes the exact limit only for the one draw in 2^32 at or above it; the
+values and the draws consumed are exactly those of the exact rule.
+
 Xoshiro256.fisher_yates is the one in-place Fisher-Yates shuffle.  It is a
 generator that yields each index as soon as the element there is final, so
 a consumer can act on a prefix of the permutation and stop early; the
@@ -15,6 +21,11 @@ from __future__ import annotations
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
+
+# 2^64 % n < n, so for n <= FAST_N every draw below FAST_ACCEPT is also
+# below the exact rejection limit 2^64 - 2^64 % n.
+FAST_N = 1 << 32
+FAST_ACCEPT = (MASK64 + 1) - FAST_N
 
 
 def mix64(z: int) -> int:
@@ -33,8 +44,8 @@ def derive_seed(seed: int, replica_index: int) -> int:
 class Xoshiro256:
     """xoshiro256** with splitmix64 state initialization.
 
-    Integer draws use rejection below the largest multiple of the range,
-    so there is no modulo bias.
+    Every draw goes through `next_u64`.  Integer draws use rejection below
+    the largest multiple of the range, so there is no modulo bias.
     """
 
     __slots__ = ("s0", "s1", "s2", "s3")
@@ -67,10 +78,9 @@ class Xoshiro256:
         """Uniform integer in [0, n)."""
         if n <= 0:
             raise ValueError(f"randrange requires n >= 1, got {n}")
-        limit = (MASK64 + 1) - ((MASK64 + 1) % n)
         while True:
             x = self.next_u64()
-            if x < limit:
+            if (x < FAST_ACCEPT and n <= FAST_N) or x < (MASK64 + 1) - (MASK64 + 1) % n:
                 return x % n
 
     def choice(self, seq):

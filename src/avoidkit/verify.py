@@ -14,13 +14,20 @@ to confirm the two Hall-condition inequalities the constructions rest on.
 from __future__ import annotations
 
 import math
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice, starmap
 from operator import itemgetter
 
-from .couplers import BlockOutcome, Trajectory, cubic_block, regular_round, squarefree_step
+from .couplers import (
+    BlockOutcome,
+    Trajectory,
+    cubic_block,
+    regular_round,
+    squarefree_sampler,
+    squarefree_step,
+)
 from .graphs import Graph
 from .matching import (
     TransportMatrix,
@@ -47,11 +54,6 @@ class Violation:
     tick: int
     kind: str  # collision_same_tick | collision_swap | adjacency_at_block_end | non_edge_step
     detail: tuple
-
-
-def transition_counts(positions) -> Counter:
-    """How often each joint transition (positions[t], positions[t + 1]) occurs."""
-    return Counter(zip(positions, islice(positions, 1, None)))
 
 
 def tick_violations(g: Graph, pos, t: int) -> list[Violation]:
@@ -83,7 +85,8 @@ def check_avoidance(g: Graph, traj: Trajectory) -> list[Violation]:
     for two-walker runs, B_t != A_{t+1} and distance >= 2 at each block
     mark (only engines whose block ends are admissible write marks).  Each
     check is a function of the pair (pos[t], pos[t+1]) or of one tick's
-    state, so it runs once per distinct transition, state or walker step;
+    state, so it runs once per distinct transition, state or walker step
+    of `traj.transitions()`, the counts `chi_square_faithfulness` reuses;
     `tick_violations` then reports only the ticks that carry a failing
     transition, and the last tick if its state collides, and only marks on a
     failing state are reported.
@@ -92,7 +95,7 @@ def check_avoidance(g: Graph, traj: Trajectory) -> list[Violation]:
     if traj.graph_digest != g.digest():
         raise ValueError("trajectory/graph digest mismatch")
     pos = traj.positions
-    steps = transition_counts(pos)
+    steps = traj.transitions()
     states = (*map(itemgetter(0), steps), *pos[-1:])  # every tick's state, some more than once
     ids = set(chain.from_iterable(states))
     if ids and not 0 <= min(ids) <= max(ids) < g.n:
@@ -201,11 +204,11 @@ def exact_cubic_marginals(g: Graph, a: int, b: int) -> MarginalReport:
 
 
 def exact_squarefree_law(g: Graph, a: int, b: int) -> MarginalReport:
-    """Exact law of `squarefree_step` from (a, b) over the transport the
+    """Exact law of `squarefree_step` from (a, b) over the sampler the
     engine draws from.  Raises CertificationError unless every branch has b'
     outside {a'} u N(a') and each walker's step is uniform on its neighbors."""
-    tm = build_squarefree_transport(g, a, b)
-    steps = [(p, *step) for p, step, _ in enumerate_law(lambda rng, out: squarefree_step(tm, rng))]
+    sampler = squarefree_sampler(build_squarefree_transport(g, a, b))
+    steps = [(p, *step) for p, step, _ in enumerate_law(lambda rng, out: squarefree_step(sampler, rng))]
     bad = next(((ap, bp) for _, ap, bp in steps if bp == ap or g.has_edge(ap, bp)), None)
     if bad is not None:
         raise CertificationError(f"step ({a}, {b}) -> {bad} does not avoid")
@@ -347,7 +350,7 @@ def chi_square_faithfulness(
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
     pos = traj.positions
     walkers = len(pos[0]) if pos else 0
-    steps = transition_counts(pos)
+    steps = traj.transitions()
     counts: dict[tuple[int, int], dict[int, int]] = defaultdict(dict)
     for w in range(walkers):
         walker_steps: dict[tuple[int, int], int] = defaultdict(int)

@@ -263,13 +263,13 @@ def test_criterion_12_cycle_engine():
     from avoidkit.couplers import CycleEngine
 
     eng = CycleEngine(10, 5, 1)
-    prev = eng.positions
     plus = 0
     steps = 1_000_000
     collisions = 0
     gap_breaks = 0
-    for _ in range(steps):
-        pos = eng.step()
+    positions = eng.run(steps).positions
+    prev = positions[0]
+    for pos in positions[1:]:
         if (pos[0] - prev[0]) % 10 == 1:
             plus += 1
         if len(set(pos)) != 5:

@@ -19,6 +19,7 @@ from avoidkit.couplers import (
     parse_trajectory,
     s3b_rows,
     simulate,
+    squarefree_sampler,
     squarefree_step,
 )
 from avoidkit.generate import complete, cycle, random_regular_simple
@@ -200,8 +201,8 @@ def test_cubic_engine_cache_is_bounded():
     small, wide = CubicEngine(g, 5, cache_capacity=8), CubicEngine(g, 5)
     assert small.run(3000).to_text() == wide.run(3000).to_text()
     assert len(small.cache._data) <= 8 and small.cache.misses > wide.cache.misses
-    # S1 pairs are never stored; every stored entry is (scenario, sigma)
-    assert all(sc.tag != "S1" for sc, _ in wide.cache._data.values())
+    # S1 pairs are never stored; every stored entry is a block plan
+    assert all(plan.scenario.tag != "S1" for plan in wide.cache._data.values())
     assert 0 < len(wide.cache._data) < sum(wide.scenario_counts.values())
 
 
@@ -313,16 +314,15 @@ def test_squarefree_step_matches_per_row_draw(pet, hea, ag23):
                     for r in range(tm.row_sum):
                         u, v = tm.row_labels[i], tm.col_labels[bisect_right(cum, r)]
                         want = (v, u) if tm.swapped else (u, v)
-                        assert squarefree_step(tm, Scripted(i, r)) == want
+                        assert squarefree_step(squarefree_sampler(tm), Scripted(i, r)) == want
                         cases += 1
     assert (cases, swapped) == (5868, 72)
 
 
 def test_cycle_engine_preserves_gaps():
     eng = CycleEngine(10, 5, 3)
-    start = eng.positions
-    for _ in range(500):
-        pos = eng.step()
+    start = eng.state
+    for pos in eng.run(500).positions[1:]:
         gaps = {(pos[(i + 1) % 5] - pos[i]) % 10 for i in range(5)}
         assert gaps == {2}
     assert len(set(start)) == 5
@@ -394,3 +394,62 @@ def test_simulate_rejects_walkers_on_two_walker_engines(pet, circ9, engine, walk
     g = circ9 if engine == "regular" else pet
     with pytest.raises(ValueError, match="exactly 2 walkers"):
         simulate(g, engine, 10, 0, walkers=walkers)
+
+
+class CountingXoshiro(Xoshiro256):
+    """The engines' generator counting its draws by overriding only
+    `next_u64`, as the benchmark's tracer does."""
+
+    __slots__ = ("draws",)
+
+    def __init__(self, seed: int):
+        super().__init__(seed)
+        self.draws = 0
+
+    def next_u64(self) -> int:
+        self.draws += 1
+        return Xoshiro256.next_u64(self)
+
+
+# 3,000 ticks at seed 11: (draws, scenario_counts, round_checks, cache hits,
+# cache misses, calls of the builders, `solve_transport` and
+# `classify_scenario` through the couplers module).  The counters the
+# benchmark reports are these; a faster path that skips `next_u64`, the
+# cache or a module-level lookup changes one of them.
+PINNED_COUNTERS = {
+    "petersen/cubic": (3000, {"S4": 3000}, 0, 2944, 56,
+                       {"classify_scenario": 56, "solve_transport": 56}),
+    "heawood/squarefree": (6000, {}, 0, 2919, 81, {"build_squarefree_transport": 81}),
+    "c9/regular": (2001, {}, 2000, 1820, 180, {"build_regular_transport": 180}),
+    "c10/cycle": (3000, {}, 0, None, None, {}),
+    "rr5-n64/regular": (2001, {}, 2000, 150, 1850, {"build_regular_transport": 1850}),
+    "rr3-n250/cubic": (5687, {"S1": 2687, "S4": 142, "S5": 171}, 0, 85, 2915,
+                       {"classify_scenario": 2915, "solve_transport": 228}),
+}
+
+
+@pytest.mark.parametrize("label", list(PINNED_COUNTERS))
+def test_engine_counters_are_pinned(label, monkeypatch):
+    from avoidkit import couplers
+    from avoidkit.generate import circulant, heawood, petersen
+
+    hosts = {
+        "petersen": petersen, "heawood": heawood, "c9": lambda: circulant(9, [1, 2]), "c10": lambda: cycle(10),
+        "rr5-n64": lambda: random_regular_simple(64, 5, 0, connected_required=True)[0],
+        "rr3-n250": lambda: random_regular_simple(250, 3, 0, connected_required=True)[0],
+    }
+    host, engine = label.split("/")
+    g = hosts[host]()
+    calls: Counter = Counter()
+    for name in ("build_regular_transport", "build_squarefree_transport", "solve_transport", "classify_scenario"):
+        def counted(*args, _fn=getattr(couplers, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(couplers, name, counted)
+    monkeypatch.setattr(couplers, "Xoshiro256", CountingXoshiro)
+    traj, eng = simulate(g, engine, 3000, 11, walkers=5 if engine == "cycle" else 2)
+    cache = getattr(eng, "cache", None)
+    got = (eng.rng.draws, getattr(eng, "scenario_counts", {}), getattr(eng, "round_checks", 0),
+           cache and cache.hits, cache and cache.misses, dict(calls))
+    assert len(traj.positions) == 3001
+    assert got == PINNED_COUNTERS[label]

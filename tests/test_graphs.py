@@ -55,6 +55,68 @@ def test_graph_validates_adjacency():
         Graph(2, ((1,), ()))  # asymmetric
 
 
+def per_neighbour_fault(n, adjacency):
+    """The reference for Graph's checks: the first fault's message, found
+    neighbour by neighbour with three separate tests, or None."""
+    if len(adjacency) != n:
+        return "adjacency length must equal n"
+    for v, nbrs in enumerate(adjacency):
+        if len(set(nbrs)) != len(nbrs):
+            return f"parallel edges at vertex {v}"
+        for u in nbrs:
+            if u == v:
+                return f"loop at vertex {v}"
+            if not 0 <= u < n:
+                return f"vertex {u} out of range"
+            if v not in adjacency[u]:
+                return f"asymmetric edge ({v},{u})"
+    return None
+
+
+@st.composite
+def faulty_adjacencies(draw):
+    """A simple graph's adjacency with up to four planted faults: loops,
+    repeated neighbours, ids outside 0..n-1 and arcs one end does not list
+    back (added or removed), each row shuffled; sometimes a row added or
+    dropped too."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    rows = [[] for _ in range(n)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    for _ in range(draw(st.integers(min_value=0, max_value=4))):
+        kind = draw(st.sampled_from(["loop", "repeat", "range", "one-way", "drop-arc"]))
+        v = draw(st.integers(min_value=0, max_value=n - 1))
+        if kind == "loop":
+            rows[v].append(v)
+        elif kind == "repeat" and rows[v]:
+            rows[v].append(draw(st.sampled_from(rows[v])))
+        elif kind == "range":
+            rows[v].append(draw(st.sampled_from([-1, -n, n, n + 3])))
+        elif kind == "one-way":
+            rows[v].append(draw(st.integers(min_value=0, max_value=n - 1)))
+        elif kind == "drop-arc" and rows[v]:
+            rows[v].remove(draw(st.sampled_from(rows[v])))
+    rows = [draw(st.permutations(row)) for row in rows]
+    resize = draw(st.sampled_from([0] * 8 + [-1, 1]))
+    rows = rows[:resize] if resize < 0 else rows + [[]] * resize
+    return n, tuple(map(tuple, rows))
+
+
+@given(faulty_adjacencies())
+def test_graph_reports_the_per_neighbour_first_fault(case):
+    n, adjacency = case
+    want = per_neighbour_fault(n, adjacency)
+    if want is None:
+        assert Graph(n, adjacency).adjacency == adjacency
+    else:
+        with pytest.raises(ValueError) as err:
+            Graph(n, adjacency)
+        assert str(err.value) == want
+
+
 def test_parse_round_trip(pet):
     assert parse_graph(pet.to_text()).adjacency == pet.adjacency
     assert parse_graph(pet.to_text()).digest() == pet.digest()

@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, strategies as st
 
-from avoidkit.rng import GOLDEN_GAMMA, MASK64, Xoshiro256, derive_seed, mix64
+from avoidkit.rng import FAST_ACCEPT, GOLDEN_GAMMA, MASK64, Xoshiro256, derive_seed, mix64
 
 # Reference outputs of splitmix64 with seed 0 (the widely published test
 # vector); output i equals mix64((i+1) * golden gamma).
@@ -106,6 +106,41 @@ def test_fisher_yates_near_the_rejection_limit(length, back):
             ref_items[i], ref_items[j] = ref_items[j], ref_items[i]
         assert items == ref_items
         assert (rng.s0, rng.s1, rng.s2, rng.s3) == (ref.s0, ref.s1, ref.s2, ref.s3)
+
+
+def exact_randrange(rng: Xoshiro256, n: int) -> int:
+    """The reference rule: reject each draw at or above 2^64 - 2^64 % n."""
+    limit = (MASK64 + 1) - (MASK64 + 1) % n
+    while True:
+        x = rng.next_u64()
+        if x < limit:
+            return x % n
+
+
+@pytest.mark.parametrize("n", [3, 48, (1 << 32) - 1, 1 << 32, (1 << 32) + 1])
+def test_randrange_at_the_fast_bound(n):
+    # first draws just below the fast bound 2^64 - 2^32, at it, between it
+    # and the exact limit, at the limit and at 2^64 - 1; a draw at or above
+    # the limit is rejected and the next one decides
+    fast, limit = FAST_ACCEPT, (MASK64 + 1) - (MASK64 + 1) % n
+    firsts = {fast - 2, fast - 1, fast, (fast + limit) // 2, limit - 1, min(limit, MASK64), MASK64}
+    rejected = 0
+    for first in sorted(firsts):
+        for seed in range(3):
+            rng, ref = with_first_draw(seed, first), with_first_draw(seed, first)
+            assert rng.randrange(n) == exact_randrange(ref, n)
+            assert (rng.s0, rng.s1, rng.s2, rng.s3) == (ref.s0, ref.s1, ref.s2, ref.s3)
+            rejected += first >= limit
+    assert (rejected > 0) == (n != 1 << 32)  # 2^32 divides 2^64: nothing is rejected
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_randrange_rejects_nonpositive_before_drawing(n):
+    rng = Xoshiro256(4)
+    before = (rng.s0, rng.s1, rng.s2, rng.s3)
+    with pytest.raises(ValueError):
+        rng.randrange(n)
+    assert (rng.s0, rng.s1, rng.s2, rng.s3) == before
 
 
 def test_derive_seed_distinct_replicas():

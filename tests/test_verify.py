@@ -84,6 +84,26 @@ def test_check_avoidance_checks_marks_of_every_engine(circ9):
     assert [(v.tick, v.kind) for v in check_avoidance(circ9, planted)] == [(t, "adjacency_at_block_end")]
 
 
+def test_verify_counts_transitions_once(pet, tmp_path, monkeypatch, capsys):
+    """check_avoidance and chi-square share one count of the transitions,
+    also through `avoidkit verify`; a new positions tuple is counted anew."""
+    from avoidkit import cli, couplers
+
+    counted = []
+    count = couplers.transition_counts
+    monkeypatch.setattr(couplers, "transition_counts", lambda pos: counted.append(len(pos)) or count(pos))
+    traj, _ = simulate(pet, "cubic", 200, 5)
+    assert check_avoidance(pet, traj) == [] and chi_square_faithfulness(pet, traj).passed
+    assert counted == [len(traj.positions)]
+    planted = replace(traj, positions=[*traj.positions[:-1], traj.positions[0]])
+    assert check_avoidance(pet, planted) and counted == [len(traj.positions)] * 2
+    (tmp_path / "g.txt").write_text(pet.to_text())
+    (tmp_path / "t.txt").write_text(traj.to_text())
+    assert cli.main(["verify", str(tmp_path / "g.txt"), str(tmp_path / "t.txt")]) == 0
+    assert counted == [len(traj.positions)] * 3
+    capsys.readouterr()
+
+
 def per_tick_check_avoidance(g, traj):
     """The reference for check_avoidance: every check run at every tick and
     every mark, in tick order and then mark order."""
@@ -274,9 +294,9 @@ def test_squarefree_law_catches_unswapped_roles(ag23, monkeypatch):
     a, b = 9, 3
     assert ag23.degree(a) < ag23.degree(b)
     assert build_squarefree_transport(ag23, a, b).swapped
-    step = verify.squarefree_step
+    sampler = verify.squarefree_sampler
     # a step law that ignores the transport's swap hands Bob's rows to Alice
-    monkeypatch.setattr(verify, "squarefree_step", lambda tm, rng: step(replace(tm, swapped=False), rng))
+    monkeypatch.setattr(verify, "squarefree_sampler", lambda tm: sampler(replace(tm, swapped=False)))
     with pytest.raises(CertificationError):
         exact_squarefree_law(ag23, a, b)
 

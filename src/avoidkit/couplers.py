@@ -58,7 +58,7 @@ def transition_counts(positions) -> Counter:
 @dataclass
 class Trajectory:
     """A run's ticks.  `positions` is stored as a tuple, so the transition
-    counts that every check of the run reads are counted once."""
+    counts that both checks of a verification read are counted once."""
 
     engine: str
     seed: int
@@ -71,12 +71,18 @@ class Trajectory:
         self.positions = tuple(self.positions)
 
     def transitions(self) -> Counter:
-        """`transition_counts(positions)`, counted on first use and kept
-        while `positions` is the same tuple.  Callers must not change it."""
+        """`transition_counts(positions)`, shared by two readers: a call
+        with no count kept counts and keeps it, and the next call, while
+        `positions` is the same tuple, returns it and lets it go.  So the
+        two checks of one verification count once, and a verified
+        trajectory holds no count.  Callers must not change it."""
         memo = self._transitions
-        if memo is None or memo[0] is not self.positions:
-            memo = self._transitions = (self.positions, transition_counts(self.positions))
-        return memo[1]
+        if memo is not None and memo[0] is self.positions:
+            self._transitions = None
+            return memo[1]
+        counts = transition_counts(self.positions)
+        self._transitions = (self.positions, counts)
+        return counts
 
     def to_text(self) -> str:
         """A three-line header, then one `t v_1 .. v_k` line per tick, each

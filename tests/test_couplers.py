@@ -396,43 +396,33 @@ def test_simulate_rejects_walkers_on_two_walker_engines(pet, circ9, engine, walk
         simulate(g, engine, 10, 0, walkers=walkers)
 
 
-class CountingXoshiro(Xoshiro256):
-    """The engines' generator counting its draws by overriding only
-    `next_u64`, as the benchmark's tracer does."""
 
-    __slots__ = ("draws",)
-
-    def __init__(self, seed: int):
-        super().__init__(seed)
-        self.draws = 0
-
-    def next_u64(self) -> int:
-        self.draws += 1
-        return Xoshiro256.next_u64(self)
-
-
-# 3,000 ticks at seed 11: (draws, scenario_counts, round_checks, cache hits,
-# cache misses, calls of the builders, `solve_transport` and
-# `classify_scenario` through the couplers module).  The counters the
-# benchmark reports are these; a faster path that skips `next_u64`, the
-# cache or a module-level lookup changes one of them.
+# 3,000 ticks at seed 11, through the benchmark's own tracer: (draws,
+# scenario_counts, round_checks, cache hits, cache misses, and the spans of
+# the transport builds, of `solve_transport` and of `classify_scenario`).
+# These are the counters the benchmark reports; a faster path that skips
+# `next_u64`, the cache or a patched module-level lookup changes one.
 PINNED_COUNTERS = {
-    "petersen/cubic": (3000, {"S4": 3000}, 0, 2944, 56,
-                       {"classify_scenario": 56, "solve_transport": 56}),
-    "heawood/squarefree": (6000, {}, 0, 2919, 81, {"build_squarefree_transport": 81}),
-    "c9/regular": (2001, {}, 2000, 1820, 180, {"build_regular_transport": 180}),
-    "c10/cycle": (3000, {}, 0, None, None, {}),
-    "rr5-n64/regular": (2001, {}, 2000, 150, 1850, {"build_regular_transport": 1850}),
-    "rr3-n250/cubic": (5687, {"S1": 2687, "S4": 142, "S5": 171}, 0, 85, 2915,
-                       {"classify_scenario": 2915, "solve_transport": 228}),
+    "petersen/cubic": (3000, {"S4": 3000}, 0, 2944, 56, (0, 56, 56)),
+    "heawood/squarefree": (6000, {}, 0, 2919, 81, (81, 81, 0)),
+    "c9/regular": (2001, {}, 2000, 1820, 180, (180, 180, 0)),
+    "c10/cycle": (3000, {}, 0, None, None, (0, 0, 0)),
+    "rr5-n64/regular": (2001, {}, 2000, 150, 1850, (1850, 1850, 0)),
+    "rr3-n250/cubic": (5687, {"S1": 2687, "S4": 142, "S5": 171}, 0, 85, 2915, (0, 228, 2915)),
 }
 
 
 @pytest.mark.parametrize("label", list(PINNED_COUNTERS))
-def test_engine_counters_are_pinned(label, monkeypatch):
-    from avoidkit import couplers
+def test_engine_counters_are_pinned(label):
+    import importlib.util
+    from pathlib import Path
+
     from avoidkit.generate import circulant, heawood, petersen
 
+    tracing_py = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", tracing_py)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
     hosts = {
         "petersen": petersen, "heawood": heawood, "c9": lambda: circulant(9, [1, 2]), "c10": lambda: cycle(10),
         "rr5-n64": lambda: random_regular_simple(64, 5, 0, connected_required=True)[0],
@@ -440,16 +430,14 @@ def test_engine_counters_are_pinned(label, monkeypatch):
     }
     host, engine = label.split("/")
     g = hosts[host]()
-    calls: Counter = Counter()
-    for name in ("build_regular_transport", "build_squarefree_transport", "solve_transport", "classify_scenario"):
-        def counted(*args, _fn=getattr(couplers, name), _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-        monkeypatch.setattr(couplers, name, counted)
-    monkeypatch.setattr(couplers, "Xoshiro256", CountingXoshiro)
-    traj, eng = simulate(g, engine, 3000, 11, walkers=5 if engine == "cycle" else 2)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        traj, eng = simulate(g, engine, 3000, 11, walkers=5 if engine == "cycle" else 2)
+    spans = Counter(span[3] for span in tracer.spans)
     cache = getattr(eng, "cache", None)
-    got = (eng.rng.draws, getattr(eng, "scenario_counts", {}), getattr(eng, "round_checks", 0),
-           cache and cache.hits, cache and cache.misses, dict(calls))
+    got = (tracer.take_draws(), getattr(eng, "scenario_counts", {}), getattr(eng, "round_checks", 0),
+           cache and cache.hits, cache and cache.misses,
+           tuple(spans[name] for name in ("matching.build_transport", "matching.solve_transport",
+                                          "structure.classify_scenario")))
     assert len(traj.positions) == 3001
     assert got == PINNED_COUNTERS[label]

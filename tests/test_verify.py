@@ -86,7 +86,8 @@ def test_check_avoidance_checks_marks_of_every_engine(circ9):
 
 def test_verify_counts_transitions_once(pet, tmp_path, monkeypatch, capsys):
     """check_avoidance and chi-square share one count of the transitions,
-    also through `avoidkit verify`; a new positions tuple is counted anew."""
+    also through `avoidkit verify`, and the trajectory keeps none after
+    both; a new positions tuple is counted anew."""
     from avoidkit import cli, couplers
 
     counted = []
@@ -94,7 +95,7 @@ def test_verify_counts_transitions_once(pet, tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(couplers, "transition_counts", lambda pos: counted.append(len(pos)) or count(pos))
     traj, _ = simulate(pet, "cubic", 200, 5)
     assert check_avoidance(pet, traj) == [] and chi_square_faithfulness(pet, traj).passed
-    assert counted == [len(traj.positions)]
+    assert counted == [len(traj.positions)] and traj._transitions is None
     planted = replace(traj, positions=[*traj.positions[:-1], traj.positions[0]])
     assert check_avoidance(pet, planted) and counted == [len(traj.positions)] * 2
     (tmp_path / "g.txt").write_text(pet.to_text())

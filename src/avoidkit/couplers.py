@@ -22,7 +22,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable, NamedTuple
+from typing import Callable
 
 from .graphs import Graph, check_vertices, graph_from_edges
 from .matching import (
@@ -200,15 +200,6 @@ def s3b_rows(g: Graph, a: int, b: int) -> list[tuple[tuple[int, int], tuple[int,
     ]
 
 
-class CubicPlan(NamedTuple):
-    """A pair's cubic block law, ready to draw: `law(rng, arg, ticks)`
-    appends the block's (A, B) ticks to `ticks`."""
-
-    scenario: ScenarioClass
-    law: Callable
-    arg: tuple
-
-
 def independent_steps(rng, neighbours: tuple, ticks: list) -> None:
     """S1: Alice, then Bob, steps to a uniform neighbour."""
     na, nb = neighbours
@@ -265,21 +256,22 @@ def k22_ticks(rng, arg: tuple, ticks: list) -> None:
 
 
 def cubic_plan(g: Graph, a: int, b: int, scenario: ScenarioClass | None = None,
-               sigma: list[tuple[int, int]] | None = None) -> CubicPlan:
-    """The block law from positions (a, b) at distance >= 2, resolved once:
-    the scenario (classified unless given), its law and what the law draws
-    from.  S2-S5 draw from the matching `sigma` when it is given."""
+               sigma: list[tuple[int, int]] | None = None) -> tuple[ScenarioClass, Callable, tuple]:
+    """The block law from positions (a, b) at distance >= 2, resolved once
+    and ready to draw: (scenario, law, arg), where the scenario is
+    classified unless given and `law(rng, arg, ticks)` appends the block's
+    (A, B) ticks to `ticks`.  S2-S5 draw from the matching `sigma` when it
+    is given."""
     if scenario is None:
         scenario = classify_scenario(g, a, b)
     tag = scenario.tag
     if tag == "S1":
-        return CubicPlan(scenario, independent_steps, (g.adjacency[a], g.adjacency[b]))
+        return scenario, independent_steps, (g.adjacency[a], g.adjacency[b])
     if tag == "S3b":
-        rows = tuple(((a1, b1), (a2, b2)) for (a1, a2), (b1, b2) in s3b_rows(g, a, b))
-        return CubicPlan(scenario, two_step_row, rows)
+        return scenario, two_step_row, tuple(((a1, b1), (a2, b2)) for (a1, a2), (b1, b2) in s3b_rows(g, a, b))
     if tag == "S6":
-        return CubicPlan(scenario, k22_ticks, (g, a, b, scenario.witness))
-    return CubicPlan(scenario, matched_step, tuple(one_step_matching(g, a, b) if sigma is None else sigma))
+        return scenario, k22_ticks, (g, a, b, scenario.witness)
+    return scenario, matched_step, tuple(one_step_matching(g, a, b) if sigma is None else sigma)
 
 
 def cubic_block(g: Graph, a: int, b: int, rng, scenario: ScenarioClass | None = None,
@@ -294,15 +286,13 @@ def cubic_block(g: Graph, a: int, b: int, rng, scenario: ScenarioClass | None = 
     partial excursion if the chooser stops early; every other block is
     one draw and is appended whole.
     """
-    plan = cubic_plan(g, a, b, scenario, sigma)
-    if out is None:
-        out = BlockOutcome([], [])
-    out.scenario = plan.scenario
-    if plan.law is k22_ticks:
-        k22_excursion(*plan.arg, rng, out.alice_steps, out.bob_steps)
+    out = BlockOutcome([], []) if out is None else out
+    out.scenario, law, arg = cubic_plan(g, a, b, scenario, sigma)
+    if law is k22_ticks:
+        k22_excursion(*arg, rng, out.alice_steps, out.bob_steps)
     else:
         ticks: list[tuple[int, int]] = []
-        plan.law(rng, plan.arg, ticks)
+        law(rng, arg, ticks)
         for ap, bp in ticks:
             out.alice_steps.append(ap)
             out.bob_steps.append(bp)
@@ -322,29 +312,20 @@ def regular_round(tm: TransportMatrix, rng) -> tuple[int, int, int, int]:
     return tm.row_labels[i] + tm.col_labels[j]
 
 
-class SquarefreeSampler(NamedTuple):
-    """A square-free transport ready to draw: k rows, l columns, the
-    cumulative counts of the nonzero cells and each cell's step (a', b'),
-    with the roles swapped back when the transport swapped them."""
-
-    k: int
-    l: int
-    cum: array
-    steps: tuple
-
-
-def squarefree_sampler(tm: TransportMatrix) -> SquarefreeSampler:
-    """The draw-ready form of a square-free transport; it stores one step
-    per nonzero cell."""
+def squarefree_sampler(tm: TransportMatrix) -> tuple[int, int, array, tuple]:
+    """A square-free transport ready to draw: (k, l, cum, steps), its k
+    rows, l columns, the cumulative counts of its nonzero cells and each
+    cell's step (a', b'), with the roles swapped back when the transport
+    swapped them.  It stores one step per nonzero cell."""
     rows, cols = tm.row_labels, tm.col_labels
     l = len(cols)
     steps = [(rows[f // l], cols[f % l]) for f in tm.cells]
     if tm.swapped:
         steps = [(v, u) for u, v in steps]
-    return SquarefreeSampler(len(rows), l, tm.cum, tuple(steps))
+    return len(rows), l, tm.cum, tuple(steps)
 
 
-def squarefree_step(sampler: SquarefreeSampler, rng) -> tuple[int, int]:
+def squarefree_step(sampler: tuple[int, int, array, tuple], rng) -> tuple[int, int]:
     """The step law, for any chooser `rng` with `randrange`: row i uniform,
     then the cell whose cumulative count first exceeds i*l + r, r uniform
     below the row sum l.  Returns that cell's step (a', b')."""
@@ -406,7 +387,7 @@ class Engine:
 
 
 class CubicEngine(Engine):
-    """Cubic blocks from one bounded cache of `CubicPlan`s per non-S1 pair
+    """Cubic blocks from one bounded cache of `cubic_plan`s per non-S1 pair
     (a, b); an S1 pair costs only a capped BFS and is not cached."""
 
     name = "cubic"
@@ -421,7 +402,7 @@ class CubicEngine(Engine):
         plan = self.cache.get(key)
         if plan is None:
             plan = cubic_plan(self.g, *key)
-            if plan.scenario.tag != "S1":
+            if plan[0].tag != "S1":
                 self.cache.put(key, plan)
         scenario, law, arg = plan
         counts = self.scenario_counts

@@ -201,8 +201,8 @@ def test_cubic_engine_cache_is_bounded():
     small, wide = CubicEngine(g, 5, cache_capacity=8), CubicEngine(g, 5)
     assert small.run(3000).to_text() == wide.run(3000).to_text()
     assert len(small.cache._data) <= 8 and small.cache.misses > wide.cache.misses
-    # S1 pairs are never stored; every stored entry is a block plan
-    assert all(plan.scenario.tag != "S1" for plan in wide.cache._data.values())
+    # S1 pairs are never stored; every stored entry is a (scenario, law, arg) plan
+    assert all(sc.tag != "S1" for sc, _, _ in wide.cache._data.values())
     assert 0 < len(wide.cache._data) < sum(wide.scenario_counts.values())
 
 

@@ -5,13 +5,11 @@ from __future__ import annotations
 
 from .config import RunConfig
 from .couplers import (
-    BlockOutcome,
     CubicEngine,
     CycleEngine,
     RegularEngine,
     SquarefreeEngine,
     Trajectory,
-    cubic_block,
     parse_trajectory,
     simulate,
 )
@@ -56,7 +54,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockOutcome",
     "CubicEngine",
     "CycleEngine",
     "Graph",
@@ -82,7 +79,6 @@ __all__ = [
     "configuration_model",
     "contains_H3tilde",
     "contains_Hd",
-    "cubic_block",
     "cycle",
     "derive_seed",
     "exact_cubic_marginals",

@@ -7,7 +7,9 @@ hits the cache costs one cache lookup, one call to the law and the law's
 random draws: each cache entry is stored ready to draw from.
 
   cubic      - scenario-classified blocks: one-step matchings, a 9-row
-               two-step table, and an excursion through a local K_{2,2}
+               two-step table, and an excursion through a local K_{2,2},
+               each a law that appends ticks, which the exact certifiers
+               in verify.py enumerate as they are
   regular    - the excluded-vertex protocol, two transport rounds per block
   squarefree - one-step transport blocks
   cycle      - k synchronized walkers, one shift per tick
@@ -24,7 +26,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable
 
-from .graphs import Graph, check_vertices, graph_from_edges
+from .graphs import Graph, check_vertices
 from .matching import (
     LruCache,
     TransportInfeasible,
@@ -36,18 +38,6 @@ from .matching import (
 )
 from .rng import Xoshiro256
 from .structure import ScenarioClass, classify_scenario, require_engine_applicable
-
-
-@dataclass
-class BlockOutcome:
-    alice_steps: list[int]
-    bob_steps: list[int]
-    scenario: ScenarioClass | None = None
-
-    @property
-    def T(self) -> int:
-        """The block's length in ticks."""
-        return len(self.alice_steps)
 
 
 def transition_counts(positions) -> Counter:
@@ -206,97 +196,61 @@ def independent_steps(rng, neighbours: tuple, ticks: list) -> None:
     ticks.append((rng.choice(na), rng.choice(nb)))
 
 
-def matched_step(rng, sigma: tuple, ticks: list) -> None:
-    """S2, S3a, S4, S5: one step through the perfect matching sigma."""
-    ticks.append(rng.choice(sigma))
-
-
-def two_step_row(rng, rows: tuple, ticks: list) -> None:
-    """S3b: one of the nine equally likely two-tick rows."""
+def uniform_row(rng, rows: tuple, ticks: list) -> None:
+    """S2-S5 and S3b: one of the equally likely rows, each a tuple of ticks:
+    the one-tick steps (a', sigma(a')) of the perfect matching sigma, or the
+    nine two-tick rows of the S3b table."""
     ticks.extend(rng.choice(rows))
 
 
-def k22_excursion(g: Graph, a: int, b: int, witness: tuple, rng, alice: list, bob: list) -> None:
+def k22_excursion(rng, arg: tuple, ticks: list) -> None:
     """S6: one of three strategies around the K_{2,2} witness (a1, a2, b1,
-    b2), appending each walker's steps to `alice` and `bob` as they are
-    drawn."""
-    a1, a2, b1, b2 = witness
+    b2) of arg = (g, a, b, witness), appending each tick (A, B) as soon as
+    Bob's step is known."""
+    g, a, b, (a1, a2, b1, b2) = arg
     strategy = rng.randrange(3)
     if strategy == 0:  # Alice exits, Bob enters
-        alice.append(next(v for v in g.adjacency[a] if v not in (a1, a2)))
-        bob.append(rng.choice((b1, b2)))
+        ticks.append((next(v for v in g.adjacency[a] if v not in (a1, a2)), rng.choice((b1, b2))))
     elif strategy == 1:  # Alice enters, Bob exits
-        alice.append(rng.choice((a1, a2)))
-        bob.append(next(v for v in g.adjacency[b] if v not in (b1, b2)))
+        ticks.append((rng.choice((a1, a2)), next(v for v in g.adjacency[b] if v not in (b1, b2))))
     else:
         # both enter the K_{2,2}: Alice walks until she hits {a, b}, and
         # Bob, one step behind, takes the partner of each of her interior
         # positions; once she exits he flips for the side parity leaves
         # him and steps out to b or a
         partner = {a1: a2, a2: a1, b1: b2, b2: b1}
-        v = rng.choice((a1, a2))
-        alice.append(v)
+        start = len(ticks)  # `ticks` may hold earlier blocks
+        u = rng.choice((a1, a2))
         while True:
-            v = rng.choice(g.adjacency[v])
-            alice.append(v)
+            v = rng.choice(g.adjacency[u])
             if v == a or v == b:
                 break
-            bob.append(partner[v])
-        x, y = (b1, b2) if len(alice) % 2 == 0 else (a1, a2)
-        bob.append(x if rng.coin() else y)
-        bob.append(b if len(alice) % 2 == 0 else a)
+            ticks.append((u, partner[v]))
+            u = v
+        even = (len(ticks) - start) % 2 == 0  # Alice's two last steps are still to append
+        x, y = (b1, b2) if even else (a1, a2)
+        ticks.append((u, x if rng.coin() else y))
+        ticks.append((v, b if even else a))
 
 
-def k22_ticks(rng, arg: tuple, ticks: list) -> None:
-    """S6 in tick form: `k22_excursion` over arg = (g, a, b, witness)."""
-    alice: list[int] = []
-    bob: list[int] = []
-    k22_excursion(*arg, rng, alice, bob)
-    ticks.extend(zip(alice, bob))
-
-
-def cubic_plan(g: Graph, a: int, b: int, scenario: ScenarioClass | None = None,
-               sigma: list[tuple[int, int]] | None = None) -> tuple[ScenarioClass, Callable, tuple]:
+def cubic_plan(g: Graph, a: int, b: int) -> tuple[ScenarioClass, Callable, tuple]:
     """The block law from positions (a, b) at distance >= 2, resolved once
-    and ready to draw: (scenario, law, arg), where the scenario is
-    classified unless given and `law(rng, arg, ticks)` appends the block's
-    (A, B) ticks to `ticks`.  S2-S5 draw from the matching `sigma` when it
-    is given."""
-    if scenario is None:
-        scenario = classify_scenario(g, a, b)
+    and ready to draw: (scenario, law, arg), where `law(rng, arg, ticks)`
+    appends the block's (A, B) ticks to `ticks`.  `rng` is any chooser with
+    `choice`, `randrange` and `coin`: the engine passes its Xoshiro256, and
+    the exact certifiers in verify.py pass a chooser that enumerates every
+    option."""
+    scenario = classify_scenario(g, a, b)
     tag = scenario.tag
     if tag == "S1":
         return scenario, independent_steps, (g.adjacency[a], g.adjacency[b])
-    if tag == "S3b":
-        return scenario, two_step_row, tuple(((a1, b1), (a2, b2)) for (a1, a2), (b1, b2) in s3b_rows(g, a, b))
     if tag == "S6":
-        return scenario, k22_ticks, (g, a, b, scenario.witness)
-    return scenario, matched_step, tuple(one_step_matching(g, a, b) if sigma is None else sigma)
-
-
-def cubic_block(g: Graph, a: int, b: int, rng, scenario: ScenarioClass | None = None,
-                sigma: list[tuple[int, int]] | None = None, out: BlockOutcome | None = None) -> BlockOutcome:
-    """One jointly planned block from positions (a, b) at distance >= 2.
-
-    This draws the one cubic law, `cubic_plan`'s, which the engine draws
-    too.  `rng` is any chooser with `choice`, `randrange` and `coin`: the
-    engine passes its Xoshiro256, and the exact certifier in verify.py
-    passes a chooser that enumerates every option.  S6 steps are appended
-    to `out` as they are drawn, so a caller that passes `out` sees the
-    partial excursion if the chooser stops early; every other block is
-    one draw and is appended whole.
-    """
-    out = BlockOutcome([], []) if out is None else out
-    out.scenario, law, arg = cubic_plan(g, a, b, scenario, sigma)
-    if law is k22_ticks:
-        k22_excursion(*arg, rng, out.alice_steps, out.bob_steps)
+        return scenario, k22_excursion, (g, a, b, scenario.witness)
+    if tag == "S3b":
+        rows = tuple(((a1, b1), (a2, b2)) for (a1, a2), (b1, b2) in s3b_rows(g, a, b))
     else:
-        ticks: list[tuple[int, int]] = []
-        law(rng, arg, ticks)
-        for ap, bp in ticks:
-            out.alice_steps.append(ap)
-            out.bob_steps.append(bp)
-    return out
+        rows = tuple((step,) for step in one_step_matching(g, a, b))
+    return scenario, uniform_row, rows
 
 
 # ---------------------------------------------------------------------------
@@ -463,38 +417,41 @@ class RegularEngine(Engine):
 
 
 def cyclic_order(g: Graph) -> tuple[int, ...]:
-    """Vertices of a connected 2-regular graph in cycle order, from 0 towards its smaller neighbor."""
+    """Vertices of a connected 2-regular graph in cycle order, from 0 towards
+    its smaller neighbor; raises ValueError unless g is one cycle through
+    all its vertices."""
+    if g.n < 3 or any(len(nbrs) != 2 for nbrs in g.adjacency):
+        raise ValueError("cycle engine requires a 2-regular graph")
     order = [0, g.adjacency[0][0]]
     while len(order) < g.n:
         x, y = g.adjacency[order[-1]]
         order.append(y if x == order[-2] else x)
+        if order[-1] == 0:
+            raise ValueError("cycle engine requires a connected graph")
     return tuple(order)
 
 
 class CycleEngine(Engine):
-    """k synchronized walkers on a cycle: one fair coin per tick, all walkers
-    shift the same direction.
+    """k synchronized walkers on the cycle g: one fair coin per tick, all
+    walkers shift the same direction.
 
-    `order` lists the cycle's vertices in cyclic order (default 0..n-1, the
-    canonical C_n); walkers start at every second vertex of it.  After a net
-    shift s along the order, walker i is at order[(2i + s) % n], so the
+    Walkers start at every second vertex of `cyclic_order(g)`.  After a net
+    shift s along that order, walker i is at order[(2i + s) % n], so the
     walkers' positions are one of n tuples, each made on its first visit.
     """
 
     name = "cycle"
 
-    def __init__(self, n: int, k: int, seed: int, order: tuple[int, ...] | None = None):
-        if k < 1 or 2 * k > n:
+    def __init__(self, g: Graph, seed: int, k: int):
+        if k < 1 or 2 * k > g.n:
             raise ValueError("cycle engine requires 1 <= k <= n/2")
-        self.order = tuple(range(n)) if order is None else tuple(order)
-        if sorted(self.order) != list(range(n)):
-            raise ValueError("order must list each vertex 0..n-1 once")
+        self.g = g
+        self.order = cyclic_order(g)
         self.seed = seed
         self.rng = Xoshiro256(seed)
-        self.g = graph_from_edges(n, zip(self.order, self.order[1:] + self.order[:1]))
         self.k = k
         self.shift = 0
-        self.states: list[tuple[int, ...] | None] = [None] * n  # states[s]: the positions at shift s
+        self.states: list[tuple[int, ...] | None] = [None] * g.n  # states[s]: the positions at shift s
         self.state = self.states[0] = self.order[: 2 * k : 2]
 
     def block(self, ticks: list) -> None:
@@ -537,7 +494,7 @@ def simulate(
     engine = require_engine_applicable(g, engine)
     check_walkers(engine, walkers)  # the engine "auto" picked
     if engine == "cycle":  # the only k-walker engine: a0 and b0 do not apply
-        eng = CycleEngine(g.n, walkers, seed, cyclic_order(g))
+        eng = CycleEngine(g, seed, walkers)
     else:
         eng = TWO_WALKER_ENGINES[engine](g, seed, 0 if a0 is None else a0, b0, cache_capacity)
     return eng.run(ticks), eng

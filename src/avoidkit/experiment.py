@@ -8,7 +8,8 @@ the analytic containment bound for reference.
 Each cell (one sampled graph) draws from its own seed, derived from the
 experiment seed and the cell's index, so a cell's result does not depend on
 which process computes it.  With AVOIDKIT_THREADS > 1 the cells fan out
-over a process pool in about 16 chunks per worker, so that the larger n
+over a process pool of that many workers, but no more than there are cells
+or CPUs, in about 16 chunks per worker, so that the larger n
 values spread over every worker instead of landing on one; the results
 come back in cell order, and the rows are byte-identical for every worker
 count and chunking.
@@ -137,7 +138,8 @@ def prevalence_experiment(
         for _ in range(samples):
             cells.append((n, d, derive_seed(seed, idx), simple_connected))
             idx += 1
-    workers = worker_count()
+    # under the fork start method a pool starts all its workers at once
+    workers = min(worker_count(), len(cells), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for the import
 

@@ -2,7 +2,8 @@
 
 Exact checks (fractions, zero tolerance) enumerate every draw of the
 engines' own laws through a replaying chooser: the first-step marginals
-of `cubic_block`, the index laws of `regular_round`, and the marginals
+of the law `cubic_plan` resolves, the K_{2,2} excursion law of
+`k22_excursion`, the index laws of `regular_round`, and the marginals
 and avoidance of `squarefree_step`; transport sum identities are checked
 too.  Statistical checks: Pearson chi-square of empirical transition
 counts against the uniform neighbor law, with a Bonferroni family-wise
@@ -21,9 +22,9 @@ from itertools import chain, islice, starmap
 from operator import itemgetter
 
 from .couplers import (
-    BlockOutcome,
     Trajectory,
-    cubic_block,
+    cubic_plan,
+    k22_excursion,
     regular_round,
     squarefree_sampler,
     squarefree_step,
@@ -38,7 +39,7 @@ from .matching import (
     mover_pairs,
     other_pairs,
 )
-from .structure import ScenarioClass, classify_scenario, closed_neighborhood_duplicates, contains_Hd
+from .structure import closed_neighborhood_duplicates, contains_Hd
 
 
 class CertificationError(ValueError):
@@ -141,7 +142,7 @@ class _Replay:
     `given` calls.  Before each call past the forced prefix it asks
     `stop(out)` and cuts the branch when that holds."""
 
-    def __init__(self, prefix: tuple[int, ...], given: int, stop, out: BlockOutcome):
+    def __init__(self, prefix: tuple[int, ...], given: int, stop, out: list):
         self.prefix, self.given, self.stop, self.out = prefix, given, stop, out
         self.arity: list[int] = []
         self.weight = Fraction(1)
@@ -167,40 +168,39 @@ class _Replay:
 
 
 def enumerate_law(law, stop=lambda out: False, given: tuple[int, ...] = ()):
-    """Yield (probability, value, complete) for every branch of law(chooser, out).
+    """Yield (probability, out, complete) for every branch of law(chooser,
+    out), where `out` is a fresh list the law appends its draws to.
 
     Branches come depth-first, in lexicographic order of their option
     indices.  The first len(given) draws are forced to `given` and carry no
     weight, so probabilities are conditional on them.  A branch that asks
-    for a draw while stop(out) holds is cut: complete is False and its value
-    is the partial `out`; a complete branch's value is what the law returned."""
+    for a draw while stop(out) holds is cut: complete is False and `out`
+    holds what the law appended before the cut."""
     stack = [tuple(given)]
     while stack:
         prefix = stack.pop()
-        out = BlockOutcome([], [])
+        out: list = []
         replay = _Replay(prefix, len(given), stop, out)
         try:
-            value = law(replay, out)
+            law(replay, out)
             complete = True
         except _Cut:
-            value, complete = out, False
+            complete = False
         taken = prefix + (0,) * (len(replay.arity) - len(prefix))
         for k in range(len(prefix), len(taken)):
             stack.extend(taken[:k] + (j,) for j in range(replay.arity[k] - 1, 0, -1))
-        yield replay.weight, value, complete
+        yield replay.weight, out, complete
 
 
 def exact_cubic_marginals(g: Graph, a: int, b: int) -> MarginalReport:
-    """First-step law of each walker under `cubic_block`, by exact
-    enumeration of its draws, each branch cut once both first steps are
-    fixed.  Raises CertificationError unless both laws are exactly uniform."""
-    sc = classify_scenario(g, a, b)
-    branches = enumerate_law(
-        lambda rng, out: cubic_block(g, a, b, rng, sc, out=out),
-        lambda out: out.alice_steps and out.bob_steps,
-    )
-    steps = [(p, out.alice_steps[0], out.bob_steps[0]) for p, out, _ in branches]
-    return MarginalReport(sc.tag, *uniform_step_laws(g, a, b, steps))
+    """First-step law of each walker under the block law `cubic_plan`
+    resolves at (a, b), by exact enumeration of its draws, each branch cut
+    once its first tick is drawn.  Raises CertificationError unless both
+    laws are exactly uniform."""
+    scenario, law, arg = cubic_plan(g, a, b)
+    branches = enumerate_law(lambda rng, ticks: law(rng, arg, ticks), bool)
+    steps = [(p, *ticks[0]) for p, ticks, _ in branches]
+    return MarginalReport(scenario.tag, *uniform_step_laws(g, a, b, steps))
 
 
 def exact_squarefree_law(g: Graph, a: int, b: int) -> MarginalReport:
@@ -208,7 +208,8 @@ def exact_squarefree_law(g: Graph, a: int, b: int) -> MarginalReport:
     engine draws from.  Raises CertificationError unless every branch has b'
     outside {a'} u N(a') and each walker's step is uniform on its neighbors."""
     sampler = squarefree_sampler(build_squarefree_transport(g, a, b))
-    steps = [(p, *step) for p, step, _ in enumerate_law(lambda rng, out: squarefree_step(sampler, rng))]
+    branches = enumerate_law(lambda rng, out: out.append(squarefree_step(sampler, rng)))
+    steps = [(p, *out[0]) for p, out, _ in branches]
     bad = next(((ap, bp) for _, ap, bp in steps if bp == ap or g.has_edge(ap, bp)), None)
     if bad is not None:
         raise CertificationError(f"step ({a}, {b}) -> {bad} does not avoid")
@@ -229,21 +230,29 @@ def uniform_step_laws(g: Graph, a: int, b: int, steps) -> tuple[dict, dict]:
 
 def enumerate_k22_blocks(g: Graph, a: int, b: int, quad, max_len: int = 16):
     """Exhaustive law of the K_{2,2} excursion strategy (strategy 3 only)
-    of `cubic_block`: returns (outcomes, truncated, residual) where outcomes
-    are (prob, alice_steps, bob_steps) for excursions with T <= max_len and
-    truncated holds (prob, alice_prefix) for the mass beyond max_len."""
+    of `k22_excursion` around quad = (a1, a2, b1, b2): returns (outcomes,
+    truncated, residual) where outcomes are (prob, alice_steps, bob_steps)
+    for excursions with T <= max_len and truncated holds (prob,
+    alice_prefix), Alice's first max_len steps, for the mass beyond
+    max_len.  Every such excursion has at least two ticks, so max_len must
+    be at least 2."""
+    if max_len < 2:
+        raise ValueError(f"max_len must be >= 2, got {max_len}")
+    a1, a2, b1, b2 = quad
+    arg = (g, a, b, (a1, a2, b1, b2))
+    partner = {a1: a2, a2: a1, b1: b2, b2: b1}
     outcomes: list[tuple[Fraction, list[int], list[int]]] = []
     truncated: list[tuple[Fraction, list[int]]] = []
-    branches = enumerate_law(
-        lambda rng, out: cubic_block(g, a, b, rng, ScenarioClass("S6", tuple(quad)), out=out),
-        lambda out: len(out.alice_steps) >= max_len and out.alice_steps[-1] not in (a, b),
-        given=(2,),
-    )
-    for p, out, complete in branches:
+    # Alice has s steps and ticks 1..s - 1 are appended before the draw of
+    # her step s + 1, so that is where a branch with s = max_len is cut
+    branches = enumerate_law(lambda rng, ticks: k22_excursion(rng, arg, ticks),
+                             lambda ticks: len(ticks) + 1 >= max_len, given=(2,))
+    for p, ticks, complete in branches:
+        alice = [ap for ap, _ in ticks]
         if complete:
-            outcomes.append((p, out.alice_steps, out.bob_steps))
-        else:
-            truncated.append((p, out.alice_steps))
+            outcomes.append((p, alice, [bp for _, bp in ticks]))
+        else:  # Bob's last step is the partner of Alice's step s
+            truncated.append((p, [*alice, partner[ticks[-1][1]]]))
     residual = sum((p for p, _ in truncated), Fraction(0))
     return outcomes, truncated, residual
 
@@ -270,7 +279,7 @@ def exact_regular_index_laws(tm: TransportMatrix, d: int) -> IndexLaws:
     if tm.cum[-1] != total:
         raise CertificationError(f"matrix total {tm.cum[-1]}, expected {total}")
     p_i, p_ik, p_j, p_jl = (defaultdict(Fraction) for _ in range(4))
-    for p, (i, k, j, l), _ in enumerate_law(lambda rng, out: regular_round(tm, rng)):
+    for p, ((i, k, j, l),), _ in enumerate_law(lambda rng, out: out.append(regular_round(tm, rng))):
         p_i[i] += p
         p_ik[(i, k)] += p
         p_j[j] += p
@@ -360,26 +369,21 @@ def chi_square_faithfulness(
             counts[w, v][u] = c
 
     report = FaithfulnessReport(alpha=alpha)
-    raw: list[tuple[CellResult, float | None]] = []
+    least_p = math.inf
     for (w, v), trans in sorted(counts.items()):
         nbrs = g.adjacency[v]
         n_dep = sum(trans.values())
         if n_dep < min_departures or len(nbrs) < 2:
-            raw.append((CellResult(w, v, n_dep, None, None, False), None))
+            report.cells.append(CellResult(w, v, n_dep, None, None, False))
             continue
         expected = n_dep / len(nbrs)
         stat = sum((trans.get(u, 0) - expected) ** 2 / expected for u in nbrs)
         p = chi2_sf(stat, len(nbrs) - 1)
-        raw.append((CellResult(w, v, n_dep, stat, p, True), p))
-    tested = sum(1 for _, p in raw if p is not None)
-    threshold = alpha / tested if tested else 0.0
-    passed = True
-    for cell, p in raw:
-        report.cells.append(cell)
-        if p is not None and p < threshold:
-            passed = False
-    report.tested_count = tested
-    report.passed = passed
+        report.cells.append(CellResult(w, v, n_dep, stat, p, True))
+        report.tested_count += 1
+        least_p = min(least_p, p)
+    # some p-value is below alpha / tested exactly when the least one is
+    report.passed = least_p >= alpha / max(report.tested_count, 1)
     return report
 
 

@@ -36,6 +36,33 @@ def check_sums(tm: TransportMatrix) -> None:
     check_cells(list(tm.cells), tm.counts, len(tm.row_labels), len(tm.col_labels), tm.row_sum, tm.col_sum)
 
 
+def per_walker_k22_excursion(g, a, b, witness, rng, alice, bob):
+    """The S6 excursion written per walker, appending each walker's steps
+    to `alice` and `bob` as they are drawn: the reference for the tick
+    form `k22_excursion`."""
+    a1, a2, b1, b2 = witness
+    strategy = rng.randrange(3)
+    if strategy == 0:
+        alice.append(next(v for v in g.adjacency[a] if v not in (a1, a2)))
+        bob.append(rng.choice((b1, b2)))
+    elif strategy == 1:
+        alice.append(rng.choice((a1, a2)))
+        bob.append(next(v for v in g.adjacency[b] if v not in (b1, b2)))
+    else:
+        partner = {a1: a2, a2: a1, b1: b2, b2: b1}
+        v = rng.choice((a1, a2))
+        alice.append(v)
+        while True:
+            v = rng.choice(g.adjacency[v])
+            alice.append(v)
+            if v == a or v == b:
+                break
+            bob.append(partner[v])
+        x, y = (b1, b2) if len(alice) % 2 == 0 else (a1, a2)
+        bob.append(x if rng.coin() else y)
+        bob.append(b if len(alice) % 2 == 0 else a)
+
+
 def make_s3b_host() -> Graph:
     """3-regular host where the pair (0, 1) has two adjacent common neighbors.
 

@@ -14,12 +14,12 @@ from fractions import Fraction
 import pytest
 
 from avoidkit.cli import main as cli_main
-from avoidkit.couplers import cubic_block, simulate
+from avoidkit.couplers import k22_excursion, simulate
 from avoidkit.experiment import prevalence_experiment, row_to_csv
-from avoidkit.generate import circulant, complete_bipartite, heawood, petersen, random_regular_simple
+from avoidkit.generate import circulant, complete_bipartite, cycle, heawood, petersen, random_regular_simple
 from avoidkit.matching import build_regular_transport, build_squarefree_transport
 from avoidkit.rng import Xoshiro256
-from avoidkit.structure import ScenarioClass, contains_Hd
+from avoidkit.structure import contains_Hd
 from avoidkit.verify import (
     chi_square_faithfulness,
     check_avoidance,
@@ -237,8 +237,11 @@ def test_criterion_10_s6_excursions():
     rep = exact_cubic_marginals(g, 0, 1)  # raises unless exactly uniform
     assert rep.scenario == "S6"
     rng = Xoshiro256(6)
-    s6 = ScenarioClass("S6", quad)
-    lengths = Counter(cubic_block(g, 0, 1, rng, s6).T for _ in range(100_000))
+    lengths = Counter()
+    for _ in range(100_000):
+        ticks = []
+        k22_excursion(rng, (g, 0, 1, quad), ticks)
+        lengths[len(ticks)] += 1
     support_ok = all(lengths[t] > 0 for t in (1, 2, 3))
     report(10, support_ok,
            f"{len(outcomes)} excursions <= 8 safe (residual {residual}), first step uniform, "
@@ -262,7 +265,7 @@ def test_criterion_11_prevalence_trend():
 def test_criterion_12_cycle_engine():
     from avoidkit.couplers import CycleEngine
 
-    eng = CycleEngine(10, 5, 1)
+    eng = CycleEngine(cycle(10), 1, 5)
     plus = 0
     steps = 1_000_000
     collisions = 0

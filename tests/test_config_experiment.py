@@ -131,6 +131,7 @@ def test_prevalence_deterministic_and_parallel_equal(monkeypatch):
     # 111 cells in chunks of 4 (2 workers) and 3 (3 workers): chunks
     # straddle the n boundaries, and whole rows, loops and multi-edges
     # included, must not depend on the worker count or the chunking
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)  # 3 workers on any machine
     runs = []
     for threads in ("1", "2", "3"):
         monkeypatch.setenv("AVOIDKIT_THREADS", threads)
@@ -139,6 +140,36 @@ def test_prevalence_deterministic_and_parallel_equal(monkeypatch):
     assert [r.n for r in runs[0]] == [16, 32, 64] and sum(r.loops + r.multi_edges for r in runs[0]) > 0
     monkeypatch.setenv("AVOIDKIT_THREADS", "2")
     assert prevalence_experiment(3, [], samples=5, seed=2) == []
+
+
+def test_prevalence_pool_is_bounded(monkeypatch):
+    """The pool starts no more workers than there are cells or CPUs, however
+    many AVOIDKIT_THREADS asks for; no process is started here."""
+    import concurrent.futures
+
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, cells, chunksize=1):
+            return map(fn, cells)
+
+    monkeypatch.setenv("AVOIDKIT_THREADS", "1")
+    serial = prevalence_experiment(3, [8, 10], samples=2, seed=5)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("AVOIDKIT_THREADS", str(10**6))
+    for cpus, want in ((64, [4]), (3, [4, 3]), (None, [4, 3])):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert prevalence_experiment(3, [8, 10], samples=2, seed=5) == serial
+        assert sizes == want
 
 
 def test_prevalence_validates():

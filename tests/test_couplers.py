@@ -13,8 +13,9 @@ from avoidkit.couplers import (
     RegularEngine,
     SquarefreeEngine,
     Trajectory,
-    cubic_block,
+    cubic_plan,
     default_b0,
+    k22_excursion,
     one_step_matching,
     parse_trajectory,
     s3b_rows,
@@ -23,11 +24,19 @@ from avoidkit.couplers import (
     squarefree_step,
 )
 from avoidkit.generate import complete, cycle, random_regular_simple
+from avoidkit.graphs import graph_from_edges
 from avoidkit.matching import build_regular_transport, build_squarefree_transport
 from avoidkit.rng import Xoshiro256
-from avoidkit.structure import HypothesisError, ScenarioClass, admissibility_verdict, classify_scenario
+from avoidkit.structure import HypothesisError, admissibility_verdict, classify_scenario
 from avoidkit.verify import check_avoidance
-from conftest import distance_capped
+from conftest import distance_capped, per_walker_k22_excursion
+
+
+def test_package_exports_resolve():
+    import avoidkit
+
+    assert all(hasattr(avoidkit, name) for name in avoidkit.__all__)
+    assert len(set(avoidkit.__all__)) == len(avoidkit.__all__)
 
 
 def test_trajectory_text_round_trip(pet):
@@ -148,37 +157,50 @@ def test_k22_excursion(s6_host):
     rng = Xoshiro256(1)
     lengths = Counter()
     for _ in range(3000):
-        out = cubic_block(s6_host, 0, 1, rng, ScenarioClass("S6", (2, 3, 4, 5)))
-        lengths[out.T] += 1
-        assert len(out.alice_steps) == len(out.bob_steps) == out.T
+        ticks = [(0, 1)]  # the block appends after the ticks already drawn
+        k22_excursion(rng, (s6_host, 0, 1, (2, 3, 4, 5)), ticks)
+        lengths[len(ticks) - 1] += 1
         # block-level avoidance within the excursion
-        A = [0] + out.alice_steps
-        B = [1] + out.bob_steps
-        for s in range(out.T):
+        A, B = [ap for ap, _ in ticks], [bp for _, bp in ticks]
+        for s in range(len(ticks) - 1):
             assert B[s] != A[s] and B[s] != A[s + 1]
         assert distance_capped(s6_host, A[-1], B[-1], 2) == 2
     assert lengths[1] > 0 and lengths[2] > 0 and lengths[3] > 0
 
 
+@pytest.mark.parametrize("seed", [0, 1, 6, 2**40 + 3])
+def test_k22_excursion_matches_per_walker_reference(s6_host, seed):
+    """The same draws give the same ticks, appended after earlier blocks of
+    either parity, and leave the generator in the same state."""
+    rng, ref = Xoshiro256(seed), Xoshiro256(seed)
+    ticks = []
+    lengths = Counter()
+    for _ in range(2000):
+        start = len(ticks)
+        k22_excursion(rng, (s6_host, 0, 1, (2, 3, 4, 5)), ticks)
+        alice, bob = [], []
+        per_walker_k22_excursion(s6_host, 0, 1, (2, 3, 4, 5), ref, alice, bob)
+        assert ticks[start:] == list(zip(alice, bob)) and len(alice) == len(bob)
+        lengths[len(alice)] += 1
+    assert [rng.next_u64() for _ in range(4)] == [ref.next_u64() for _ in range(4)]
+    assert {1, 2, 3, 4} <= set(lengths)
+
+
 def test_cubic_block_dispatch(pet, s3b_host, s6_host, k33):
+    assert cubic_plan(pet, 0, 2)[0].tag == "S4"
+    assert cubic_plan(k33, 0, 1)[0].tag == "S2"
     rng = Xoshiro256(2)
-    assert cubic_block(pet, 0, 2, rng).scenario.tag == "S4"
-    assert cubic_block(k33, 0, 1, rng).scenario.tag == "S2"
+    scenario, law, arg = cubic_plan(s3b_host, 0, 1)
     rows = s3b_rows(s3b_host, 0, 1)
     for _ in range(50):
-        out = cubic_block(s3b_host, 0, 1, rng)
-        assert out.scenario.tag == "S3b" and out.T == 2
-        assert (tuple(out.alice_steps), tuple(out.bob_steps)) in rows
-    assert cubic_block(s6_host, 0, 1, rng).T >= 1
-
-
-def test_cubic_block_draws_from_given_matching(pet):
-    """S2-S5 draw from the matching the engine passes, not a fresh solve."""
-    sigma = one_step_matching(pet, 0, 2)[::-1]
-    out = cubic_block(pet, 0, 2, Xoshiro256(0), classify_scenario(pet, 0, 2), sigma)
-    fresh = cubic_block(pet, 0, 2, Xoshiro256(0))
-    assert (out.alice_steps[0], out.bob_steps[0]) == Xoshiro256(0).choice(sigma)
-    assert out.alice_steps != fresh.alice_steps
+        ticks = []
+        law(rng, arg, ticks)
+        assert scenario.tag == "S3b" and len(ticks) == 2
+        assert tuple(zip(*ticks)) in rows
+    scenario, law, arg = cubic_plan(s6_host, 0, 1)
+    ticks = []
+    law(rng, arg, ticks)
+    assert scenario.tag == "S6" and law is k22_excursion and len(ticks) >= 1
 
 
 def test_default_b0(pet):
@@ -320,7 +342,7 @@ def test_squarefree_step_matches_per_row_draw(pet, hea, ag23):
 
 
 def test_cycle_engine_preserves_gaps():
-    eng = CycleEngine(10, 5, 3)
+    eng = CycleEngine(cycle(10), 3, 5)
     start = eng.state
     for pos in eng.run(500).positions[1:]:
         gaps = {(pos[(i + 1) % 5] - pos[i]) % 10 for i in range(5)}
@@ -330,9 +352,25 @@ def test_cycle_engine_preserves_gaps():
 
 def test_cycle_engine_validates():
     with pytest.raises(ValueError):
-        CycleEngine(10, 6, 0)
-    with pytest.raises(ValueError, match="order"):
-        CycleEngine(6, 2, 0, (0, 2, 4, 1, 3, 3))
+        CycleEngine(cycle(10), 0, 6)
+
+
+def test_cycle_engine_walks_the_graph_it_is_given():
+    """A relabelled cycle is walked as given: its own graph, its own order."""
+    order = (0, 3, 6, 1, 4, 7, 2, 5)
+    g = graph_from_edges(8, zip(order, order[1:] + order[:1]))
+    eng = CycleEngine(g, 4, 3)
+    assert eng.g is g and eng.order == order and eng.state == (0, 6, 4)
+    traj = eng.run(300)
+    assert traj.graph_digest == g.digest() and check_avoidance(g, traj) == []
+
+
+@pytest.mark.parametrize("edges,n", [([(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)], 6),
+                                     ([(0, 1), (1, 2), (2, 3)], 4)])
+def test_cycle_engine_rejects_other_graphs(edges, n):
+    """Two triangles or a path are not one cycle: a ValueError, not a hang."""
+    with pytest.raises(ValueError, match="cycle engine requires"):
+        CycleEngine(graph_from_edges(n, edges), 0, 1)
 
 
 @pytest.mark.parametrize("engine,marks", [("cubic", True), ("squarefree", True),

@@ -3,8 +3,8 @@
 The trajectory pins in test_golden_trajectories.py never leave S1, S4 and
 S5: Petersen is all S4, and the random 3-regular host gives only S1, S4
 and S5.  These pins cover every scenario on the hand-built S3b and S6
-hosts, Petersen and K3,3: direct `cubic_block` draws from every ordered
-pair at distance >= 2, fixed-seed `CubicEngine` runs on the S3b and S6
+hosts, Petersen and K3,3: direct draws of the law `cubic_plan` resolves
+at every ordered pair at distance >= 2, fixed-seed `CubicEngine` runs on the S3b and S6
 hosts, every exact first-step certificate, and the exact K_{2,2}
 excursion law.
 """
@@ -16,7 +16,7 @@ import hashlib
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from avoidkit.couplers import CubicEngine, cubic_block
+from avoidkit.couplers import CubicEngine, cubic_plan
 from avoidkit.generate import complete_bipartite, petersen, random_regular_simple
 from avoidkit.rng import Xoshiro256
 from avoidkit.structure import contains_H3tilde
@@ -43,9 +43,12 @@ def block_lines(g, draws: int = 200):
     lines = []
     for a, b in _pairs(g):
         rng = Xoshiro256(1000 * a + b)
+        scenario, law, arg = cubic_plan(g, a, b)
         for _ in range(draws):
-            out = cubic_block(g, a, b, rng)
-            lines.append(f"{a} {b} {out.scenario.tag} {out.T} {out.alice_steps} {out.bob_steps}")
+            ticks = []
+            law(rng, arg, ticks)
+            alice, bob = [ap for ap, _ in ticks], [bp for _, bp in ticks]
+            lines.append(f"{a} {b} {scenario.tag} {len(ticks)} {alice} {bob}")
     return lines
 
 

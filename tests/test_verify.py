@@ -38,6 +38,7 @@ from avoidkit.verify import (
     lemma34_oracle,
     lemma42_oracle,
 )
+from conftest import per_walker_k22_excursion
 
 
 def _planted(g, positions, seed=0):
@@ -239,6 +240,36 @@ def test_enumerate_k22_blocks(s6_host):
         A, B = [0] + alice, [1] + bob
         for s in range(len(alice)):
             assert B[s] != A[s] and B[s] != A[s + 1]
+
+
+def per_walker_k22_blocks(g, a, b, quad, max_len):
+    """`enumerate_k22_blocks` over the per-walker reference excursion, each
+    branch cut once Alice has max_len steps and the last is not a or b."""
+    def law(rng, out):
+        out += ([], [])
+        per_walker_k22_excursion(g, a, b, quad, rng, *out)
+
+    outcomes, truncated = [], []
+    for p, (alice, bob), complete in verify.enumerate_law(
+            law, lambda out: len(out[0]) >= max_len and out[0][-1] not in (a, b), given=(2,)):
+        if complete:
+            outcomes.append((p, alice, bob))
+        else:
+            truncated.append((p, alice))
+    return outcomes, truncated, sum((p for p, _ in truncated), Fraction(0))
+
+
+@pytest.mark.parametrize("quad", [(2, 3, 4, 5), (3, 2, 5, 4)])
+def test_enumerate_k22_blocks_matches_per_walker_reference(s6_host, quad):
+    for max_len in range(2, 11):
+        assert enumerate_k22_blocks(s6_host, 0, 1, quad, max_len) == \
+            per_walker_k22_blocks(s6_host, 0, 1, quad, max_len), max_len
+
+
+@pytest.mark.parametrize("max_len", [1, 0, -1])
+def test_enumerate_k22_blocks_rejects_short_max_len(s6_host, max_len):
+    with pytest.raises(ValueError, match="max_len"):
+        enumerate_k22_blocks(s6_host, 0, 1, (2, 3, 4, 5), max_len)
 
 
 def test_exact_regular_index_laws(circ9):

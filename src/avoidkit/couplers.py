@@ -150,9 +150,10 @@ def parse_trajectory(text: str) -> Trajectory:
 # cubic engine (3-regular, H~3-free)
 
 
-def one_step_matching(g: Graph, a: int, b: int) -> list[tuple[int, int]]:
+def one_step_matching(g: Graph, a: int, b: int) -> tuple[tuple[tuple[int, int]], ...]:
     """A perfect matching sigma between N(a) and N(b) in the compatibility
-    graph {(a', b') : b' not in {a'} u N(a')}, as (a', sigma(a')) pairs."""
+    graph {(a', b') : b' not in {a'} u N(a')}, as the one-tick rows
+    ((a', sigma(a')),) that `uniform_row` draws from."""
     na, nb = g.adjacency[a], g.adjacency[b]
     try:
         cells, _ = solve_transport(1, 1, avoiding_supports(g, na, nb), len(nb))
@@ -162,7 +163,7 @@ def one_step_matching(g: Graph, a: int, b: int) -> list[tuple[int, int]]:
             err.hall_rows,
             err.hall_cols,
         ) from err
-    return [(na[f // len(nb)], nb[f % len(nb)]) for f in cells]
+    return tuple([((na[f // len(nb)], nb[f % len(nb)]),) for f in cells])
 
 
 def s3b_rows(g: Graph, a: int, b: int) -> list[tuple[tuple[int, int], tuple[int, int]]]:
@@ -227,7 +228,7 @@ def k22_excursion(rng, arg: tuple, ticks: list) -> None:
                 break
             ticks.append((u, partner[v]))
             u = v
-        even = (len(ticks) - start) % 2 == 0  # Alice's two last steps are still to append
+        even = (len(ticks) - start) % 2 == 0  # the excursion is two ticks longer: same parity
         x, y = (b1, b2) if even else (a1, a2)
         ticks.append((u, x if rng.coin() else y))
         ticks.append((v, b if even else a))
@@ -247,10 +248,8 @@ def cubic_plan(g: Graph, a: int, b: int) -> tuple[ScenarioClass, Callable, tuple
     if tag == "S6":
         return scenario, k22_excursion, (g, a, b, scenario.witness)
     if tag == "S3b":
-        rows = tuple(((a1, b1), (a2, b2)) for (a1, a2), (b1, b2) in s3b_rows(g, a, b))
-    else:
-        rows = tuple((step,) for step in one_step_matching(g, a, b))
-    return scenario, uniform_row, rows
+        return scenario, uniform_row, tuple(((a1, b1), (a2, b2)) for (a1, a2), (b1, b2) in s3b_rows(g, a, b))
+    return scenario, uniform_row, one_step_matching(g, a, b)
 
 
 # ---------------------------------------------------------------------------

@@ -130,7 +130,7 @@ def test_one_step_matching_is_bijection(pet, k33):
                     continue
                 if classify_scenario(g, a, b).tag not in ("S2", "S3a", "S4", "S5"):
                     continue
-                sigma = one_step_matching(g, a, b)
+                sigma = [step for (step,) in one_step_matching(g, a, b)]
                 firsts = [x for x, _ in sigma]
                 seconds = [y for _, y in sigma]
                 assert sorted(firsts) == sorted(g.adjacency[a])

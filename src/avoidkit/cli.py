@@ -183,7 +183,7 @@ def cmd_verify(args) -> int:
 def cmd_oracle(args) -> int:
     g = _load_graph(args.graph)
     if args.lemma == "lemma31":
-        agree, preds = lemma31_equivalence(g, basic_profile(g).regular_degree)
+        agree, preds = lemma31_equivalence(g)
         print(f"predicates: Hd-free={preds[0]} no-duplicates={preds[1]} difference-nonempty={preds[2]}")
         print(f"agreement: {agree}")
         return EXIT_OK if agree else EXIT_DOMAIN
@@ -257,7 +257,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--alpha", type=float, default=0.001)
     v.set_defaults(func=cmd_verify)
 
-    o = sub.add_parser("oracle", help="brute-force lemma oracles")
+    o = sub.add_parser("oracle", help="Hall lemma oracles (by max flow) and the lemma 3.1 check")
     o.add_argument("lemma", choices=["lemma34", "lemma42", "lemma31"])
     o.add_argument("graph")
     o.add_argument("--a", type=int, default=0)

@@ -129,6 +129,8 @@ def prevalence_experiment(
     if samples * len(n_list) > MAX_SAMPLES:
         raise ValueError(f"{samples} samples at each of {len(n_list)} n values exceed the limit of "
                          f"{MAX_SAMPLES} graphs")
+    if d < 2:
+        raise ValueError(f"d must be >= 2, got d={d}")
     for n in n_list:
         if (n * d) % 2 != 0:
             raise ValueError(f"n*d must be even (n={n}, d={d})")

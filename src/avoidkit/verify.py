@@ -1,15 +1,16 @@
 """Exact and statistical verification of coupling runs.
 
-Exact checks (fractions, zero tolerance) enumerate every draw of the
-engines' own laws through a replaying chooser: the first-step marginals
-of the law `cubic_plan` resolves, the K_{2,2} excursion law of
-`k22_excursion`, the index laws of `regular_round`, and the marginals
-and avoidance of `squarefree_step`; transport sum identities are checked
-too.  Statistical checks: Pearson chi-square of empirical transition
-counts against the uniform neighbor law, with a Bonferroni family-wise
-verdict; p-values come from the closed-form chi-square tail for integer
-degrees of freedom (`chi2_sf`).  Brute-force oracles sweep all subsets
-to confirm the two Hall-condition inequalities the constructions rest on.
+Exact checks (fractions, zero tolerance) take a graph and a state and
+enumerate every draw of the engines' own laws through a replaying
+chooser: the first-step marginals of the law `cubic_plan` resolves, the
+K_{2,2} excursion law of `k22_excursion`, the index laws and matrix
+total of `regular_round`, and the marginals and avoidance of
+`squarefree_step`.  Statistical checks: Pearson chi-square of empirical
+transition counts against the uniform neighbor law, with a Bonferroni
+family-wise verdict; p-values come from the closed-form chi-square tail
+for integer degrees of freedom (`chi2_sf`).  Hall oracles decide the two
+Hall-type inequalities the constructions rest on, at any degree, by the
+transport solver's max flow and min cut.
 """
 
 from __future__ import annotations
@@ -18,8 +19,9 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from itertools import chain, islice, starmap
-from operator import itemgetter
+from operator import itemgetter, or_
 
 from .couplers import (
     Trajectory,
@@ -31,13 +33,16 @@ from .couplers import (
 )
 from .graphs import Graph
 from .matching import (
-    TransportMatrix,
+    TransportInfeasible,
+    build_regular_transport,
     build_squarefree_transport,
+    check_cells,
     check_regular_triple,
     check_squarefree_pair,
     compatible,
     mover_pairs,
     other_pairs,
+    solve_transport,
 )
 from .structure import closed_neighborhood_duplicates, contains_Hd
 
@@ -228,18 +233,21 @@ def uniform_step_laws(g: Graph, a: int, b: int, steps) -> tuple[dict, dict]:
     return dict(laws[0]), dict(laws[1])
 
 
-def enumerate_k22_blocks(g: Graph, a: int, b: int, quad, max_len: int = 16):
+def enumerate_k22_blocks(g: Graph, a: int, b: int, max_len: int = 16):
     """Exhaustive law of the K_{2,2} excursion strategy (strategy 3 only)
-    of `k22_excursion` around quad = (a1, a2, b1, b2): returns (outcomes,
-    truncated, residual) where outcomes are (prob, alice_steps, bob_steps)
-    for excursions with T <= max_len and truncated holds (prob,
-    alice_prefix), Alice's first max_len steps, for the mass beyond
-    max_len.  Every such excursion has at least two ticks, so max_len must
-    be at least 2."""
+    of `k22_excursion` around the witness (a1, a2, b1, b2) that
+    `cubic_plan` resolves at (a, b): returns (outcomes, truncated,
+    residual) where outcomes are (prob, alice_steps, bob_steps) for
+    excursions with T <= max_len and truncated holds (prob, alice_prefix),
+    Alice's first max_len steps, for the mass beyond max_len.  Every such
+    excursion has at least two ticks, so max_len must be at least 2.
+    Raises ValueError unless (a, b) is an S6 pair."""
     if max_len < 2:
         raise ValueError(f"max_len must be >= 2, got {max_len}")
-    a1, a2, b1, b2 = quad
-    arg = (g, a, b, (a1, a2, b1, b2))
+    scenario, law, arg = cubic_plan(g, a, b)
+    if law is not k22_excursion:
+        raise ValueError(f"({a}, {b}) is scenario {scenario.tag}, not the K_{{2,2}} excursion of S6")
+    a1, a2, b1, b2 = arg[3]
     partner = {a1: a2, a2: a1, b1: b2, b2: b1}
     outcomes: list[tuple[Fraction, list[int], list[int]]] = []
     truncated: list[tuple[Fraction, list[int]]] = []
@@ -269,12 +277,12 @@ class IndexLaws:
     p_l_given_j: dict[tuple[int, int], Fraction]
 
 
-def exact_regular_index_laws(tm: TransportMatrix, d: int) -> IndexLaws:
-    """The four sampled-index laws of a regular transport matrix, found by
-    exact enumeration of `regular_round` over it; certifies P(I)=1/(d-1),
-    P(K|I)=P(J)=P(L|J)=1/d."""
-    if tm.kind != "regular":
-        raise ValueError("expected a regular-kind transport matrix")
+def exact_regular_index_laws(g: Graph, a: int, b: int, e: int) -> IndexLaws:
+    """The four sampled-index laws of the regular transport at (a, b, e),
+    found by exact enumeration of `regular_round` over it; certifies
+    P(I)=1/(d-1), P(K|I)=P(J)=P(L|J)=1/d with d = deg(a)."""
+    tm = build_regular_transport(g, a, b, e)
+    d = g.degree(a)
     total = d * d * (d - 1)
     if tm.cum[-1] != total:
         raise CertificationError(f"matrix total {tm.cum[-1]}, expected {total}")
@@ -388,91 +396,74 @@ def chi_square_faithfulness(
 
 
 # ---------------------------------------------------------------------------
-# brute-force lemma oracles
-
-SUBSET_CAP = 1 << 20
+# Hall lemma oracles
 
 
 @dataclass
 class OracleResult:
     holds: bool
     worst_subset: tuple
-    worst_margin: Fraction  # min over subsets of |cmp(S)| - ratio * |S|
+    worst_margin: Fraction  # min over subsets of |cmp(S)| - ratio * |S|, or 0 when it holds
 
 
-def _subset_sweep(masks: list[int], ratio: Fraction, labels) -> OracleResult:
-    n = len(masks)
-    if (1 << n) > SUBSET_CAP:
-        raise ValueError(f"2^{n} subsets exceed the cap of 2^20; use sampling instead")
-    cmp_bits = [0] * (1 << n)
-    worst = (Fraction(0), 0)  # margin, subset
-    for s in range(1, 1 << n):
-        low = s & -s
-        cmp_bits[s] = cmp_bits[s ^ low] | masks[low.bit_length() - 1]
-        margin = Fraction(cmp_bits[s].bit_count()) - ratio * s.bit_count()
-        if margin < worst[0]:
-            worst = (margin, s)
-    subset = tuple(labels[i] for i in range(n) if worst[1] >> i & 1)
-    return OracleResult(worst[0] >= 0, subset, worst[0])
+def _hall_oracle(supply: int, demand: int, masks: list[int], nc: int, labels) -> OracleResult:
+    """Decide |cmp(S)| >= (supply/demand)*|S| for every subset S of the
+    rows, cmp(S) the union of their column bitmasks, by `solve_transport`.
+    A solution, checked here, proves it: S's cells lie in cmp(S).  A cut
+    with row side S costs supply*(rows - |S|) + demand*|cmp(S)|, so on
+    TransportInfeasible the rows the max flow's residual graph reaches,
+    the least min cut, are the inclusion-smallest subset of least margin;
+    that margin is recomputed from the masks and must be negative."""
+    try:
+        cells, counts = solve_transport(supply, demand, masks, nc)
+    except TransportInfeasible as err:
+        rows = err.hall_rows
+        margin = reduce(or_, (masks[i] for i in rows), 0).bit_count() - Fraction(supply, demand) * len(rows)
+        if margin >= 0:
+            raise CertificationError(f"min-cut rows {rows} have margin {margin} >= 0") from err
+        return OracleResult(False, tuple(labels[i] for i in rows), margin)
+    if any(not masks[f // nc] >> f % nc & 1 for f in cells):
+        raise CertificationError("a transport cell lies off its row's mask")
+    check_cells(cells, counts, len(masks), nc, supply, demand)
+    return OracleResult(True, (), Fraction(0))
 
 
 def lemma34_oracle(g: Graph, a: int, b: int, e: int) -> OracleResult:
-    """Exhaustively verify d/(d-1)*|A0| <= |cmp(A0)| over every subset A0
-    of the mover-pair set at (a, b, e)."""
+    """Verify d/(d-1)*|A0| <= |cmp(A0)| for every subset A0 of the
+    mover-pair set at (a, b, e), with masks from `compatible`."""
     check_regular_triple(g, a, b, e)
     d = g.degree(a)
     rows = mover_pairs(g, a, e)
     cols = other_pairs(g, b)
-    col_index = {op: idx for idx, op in enumerate(cols)}
-    masks = []
-    for mp in rows:
-        bits = 0
-        for op, idx in col_index.items():
-            if compatible(g, mp, op):
-                bits |= 1 << idx
-        masks.append(bits)
-    return _subset_sweep(masks, Fraction(d, d - 1), rows)
+    masks = [sum(1 << j for j, op in enumerate(cols) if compatible(g, mp, op)) for mp in rows]
+    return _hall_oracle(d, d - 1, masks, len(cols), rows)
 
 
 def lemma42_oracle(g: Graph, a: int, b: int) -> OracleResult:
-    """Exhaustively verify |cmp(N0)| >= (l/k)*|N0| over every subset N0 of
-    N(a), where k = deg(a) and l = deg(b), for the pairs the square-free
-    transport serves."""
+    """Verify |cmp(N0)| >= (l/k)*|N0| for every subset N0 of N(a), where
+    k = deg(a) and l = deg(b), for the pairs the square-free transport
+    serves."""
     check_squarefree_pair(g, a, b)
     na, nb = g.adjacency[a], g.adjacency[b]
-    if len(na) > 20:
-        raise ValueError("degree over the 2^20 subset cap")
-    masks = []
-    for ap in na:
-        bits = 0
-        for idx, bp in enumerate(nb):
-            if bp != ap and not g.has_edge(ap, bp):
-                bits |= 1 << idx
-        masks.append(bits)
-    return _subset_sweep(masks, Fraction(len(nb), len(na)), na)
+    masks = [sum(1 << j for j, bp in enumerate(nb) if bp != ap and not g.has_edge(ap, bp)) for ap in na]
+    return _hall_oracle(len(nb), len(na), masks, len(nb), na)
 
 
-def lemma31_equivalence(g: Graph, d: int) -> tuple[bool, tuple[bool, bool, bool]]:
+def lemma31_equivalence(g: Graph) -> tuple[bool, tuple[bool, bool, bool]]:
     """Evaluate the three H_d-freeness predicates independently and report
     whether they agree (they must, on d-regular graphs); raises ValueError
-    unless g is d-regular with d >= 2."""
+    unless g is d-regular with d >= 2.  Predicate 3 only visits b within
+    distance 2 of a: beyond it N(a) \\ N(b) \\ {b} = N(a), never empty."""
+    d = g.degree(0) if g.n else 0
     if any(len(nbrs) != d for nbrs in g.adjacency):
         raise ValueError("lemma31 requires a regular graph of degree d")
     if d < 2:
         raise ValueError("lemma31 requires a d-regular graph with d >= 2")
     p1 = contains_Hd(g, d) is None
     p2 = not closed_neighborhood_duplicates(g)
-    p3 = True
-    for a in range(g.n):
-        na = set(g.adjacency[a])
-        for b in range(g.n):
-            if b == a or set(g.adjacency[b]) == na:
-                continue
-            if not (na - set(g.adjacency[b]) - {b}):
-                p3 = False
-                break
-        if not p3:
-            break
+    # the filter skips every b with N(b) = N(a), b = a among them
+    p3 = all(na - set(g.adjacency[b]) - {b} for na in map(set, g.adjacency)
+             for b in na.union(*(g.adjacency[v] for v in na)) if set(g.adjacency[b]) != na)
     return (p1 == p2 == p3), (p1, p2, p3)
 
 

@@ -1,12 +1,13 @@
 from __future__ import annotations
 
 from collections import deque
+from fractions import Fraction
 
 import pytest
 
 from avoidkit.generate import circulant, complete_bipartite, heawood, petersen
 from avoidkit.graphs import Graph, graph_from_edges
-from avoidkit.matching import TransportMatrix, check_cells
+from avoidkit.matching import TransportMatrix, check_cells, compatible, mover_pairs, other_pairs
 
 
 def distance_capped(g: Graph, u: int, v: int, cap: int) -> int:
@@ -34,6 +35,53 @@ def check_sums(tm: TransportMatrix) -> None:
     """`check_cells` on a stored transport: its cells are ascending, its
     counts positive, and every row sums to row_sum and column to col_sum."""
     check_cells(list(tm.cells), tm.counts, len(tm.row_labels), len(tm.col_labels), tm.row_sum, tm.col_sum)
+
+
+def subset_sweep(masks: list[int], supply: int, demand: int) -> tuple[Fraction, int]:
+    """The least margin |cmp(S)| - (supply/demand)*|S| over every subset S
+    of the rows, cmp(S) the union of their column bitmasks, floored at 0,
+    and the intersection of every subset of that margin as a row bitmask
+    (0 when the least margin is 0): the exhaustive reference the Hall
+    oracles are checked against."""
+    n = len(masks)
+    cmp_bits = [0] * (1 << n)
+    worst, least = 0, 0  # demand * margin, intersection of its minimisers
+    for s in range(1, 1 << n):
+        low = s & -s
+        cmp_bits[s] = cmp_bits[s ^ low] | masks[low.bit_length() - 1]
+        margin = demand * cmp_bits[s].bit_count() - supply * s.bit_count()
+        if margin < worst:
+            worst, least = margin, s
+        elif margin == worst and worst < 0:
+            least &= s
+    return Fraction(worst, demand), least
+
+
+def lemma34_masks(g: Graph, a: int, b: int, e: int) -> tuple[tuple, list[int]]:
+    """The mover pairs at (a, b, e) and each one's `compatible` other pairs
+    of b as a bitmask."""
+    rows, cols = mover_pairs(g, a, e), other_pairs(g, b)
+    return rows, [sum(1 << j for j, op in enumerate(cols) if compatible(g, mp, op)) for mp in rows]
+
+
+def lemma42_masks(g: Graph, a: int, b: int) -> list[int]:
+    """Each a' in N(a)'s neighbours b' of b with b' != a' and b' not adjacent to a', as a bitmask over N(b)."""
+    nb = g.adjacency[b]
+    return [sum(1 << j for j, bp in enumerate(nb) if bp != ap and not g.has_edge(ap, bp)) for ap in g.adjacency[a]]
+
+
+def lemma31_all_pairs_p3(g: Graph) -> bool:
+    """Predicate 3 of lemma 3.1 over every pair (a, b): N(a) \\ N(b) \\ {b}
+    is nonempty whenever b != a and N(b) != N(a).  The reference for
+    `lemma31_equivalence`, which visits only b within distance 2 of a."""
+    for a in range(g.n):
+        na = set(g.adjacency[a])
+        for b in range(g.n):
+            if b == a or set(g.adjacency[b]) == na:
+                continue
+            if not (na - set(g.adjacency[b]) - {b}):
+                return False
+    return True
 
 
 def per_walker_k22_excursion(g, a, b, witness, rng, alice, bob):

@@ -117,9 +117,8 @@ def test_criterion_04_exact_faithfulness():
             for b in range(9):
                 if b == a or (c9.has_edge(a, b) and b != e):
                     continue
-                tm = build_regular_transport(c9, a, b, e)
-                check_sums(tm)  # row sums d, column sums d-1, exactly
-                exact_regular_index_laws(tm, 4)
+                check_sums(build_regular_transport(c9, a, b, e))  # row sums d, column sums d-1, exactly
+                exact_regular_index_laws(c9, a, b, e)
                 triples += 1
     for g in (petersen(), heawood()):
         for a in range(g.n):
@@ -158,20 +157,29 @@ def test_criterion_05_chi_square_and_power(cubic_runs, regular_runs, squarefree_
 
 
 def test_criterion_06_lemma34_oracle_sweep():
-    c9 = circulant(9, [1, 2])
+    """Every triple of three H_d-free hosts: C9(1,2) (d=4), the benchmark's
+    rr5-n64 (d=5) and C13(1,2,3) (d=6)."""
+    rr5, _ = random_regular_simple(64, 5, 0, connected_required=True)
+    hosts = {"C9(1,2)": circulant(9, [1, 2]), "rr5-n64": rr5, "C13(1,2,3)": circulant(13, [1, 2, 3])}
     start = time.monotonic()
-    triples = 0
-    for a in range(9):
-        for e in c9.adjacency[a]:
-            for b in range(9):
-                if b == a or (c9.has_edge(a, b) and b != e):
-                    continue
-                res = lemma34_oracle(c9, a, b, e)
-                assert res.holds, (a, b, e, res.worst_subset)
-                triples += 1
+    triples = {}
+    for name, g in hosts.items():
+        d = g.degree(0)
+        assert contains_Hd(g, d) is None
+        triples[name] = 0
+        for a in range(g.n):
+            for e in g.adjacency[a]:
+                for b in range(g.n):
+                    if b == a or (g.has_edge(a, b) and b != e):
+                        continue
+                    res = lemma34_oracle(g, a, b, e)
+                    assert res.holds, (name, a, b, e, res.worst_subset)
+                    triples[name] += 1
     elapsed = time.monotonic() - start
+    assert triples == {"C9(1,2)": 180, "rr5-n64": 18_880, "C13(1,2,3)": 546}
+    counts = ", ".join(f"{name} {count}" for name, count in triples.items())
     report(6, elapsed < 300,
-           f"{triples} triples x 2^12 subsets hold, {elapsed:.1f}s (< 300s)")
+           f"lemma 3.4 holds on every triple by max flow ({counts}), {elapsed:.1f}s (< 300s)")
 
 
 def test_criterion_07_lemma42_oracle_sweep():
@@ -197,7 +205,7 @@ def test_criterion_08_lemma31_equivalence():
         n = sizes[d][graphs % len(sizes[d])]
         g, _ = random_regular_simple(n, d, seed)
         seed += 1
-        agree, _ = lemma31_equivalence(g, d)
+        agree, _ = lemma31_equivalence(g)
         assert agree, (n, d, seed)
         graphs += 1
     report(8, True, f"three H_d-freeness predicates agree on {graphs} random regular graphs")
@@ -228,7 +236,7 @@ def test_criterion_09_s3b_table_exact():
 def test_criterion_10_s6_excursions():
     g = make_s6_host()
     quad = (2, 3, 4, 5)
-    outcomes, _, residual = enumerate_k22_blocks(g, 0, 1, quad, max_len=8)
+    outcomes, _, residual = enumerate_k22_blocks(g, 0, 1, max_len=8)
     for _, alice, bob in outcomes:
         A, B = [0] + alice, [1] + bob
         for s in range(len(alice)):

@@ -570,6 +570,18 @@ def test_oracle_commands(tmp_path, capsys):
     assert code == 0 and "agreement: True" in stdout
 
 
+def test_oracle_commands_at_any_degree(tmp_path, capsys):
+    """Lemma 3.4 on the 6-regular C13(1,2,3) and lemma 4.2 at degree 21,
+    past the 2^20 subsets an exhaustive sweep would need."""
+    cir, k21 = tmp_path / "cir.txt", tmp_path / "k21.txt"
+    run(capsys, "gen", "--family", "circulant", "--n", "13", "--offsets", "1,2,3", "-o", str(cir))
+    run(capsys, "gen", "--family", "complete_bipartite", "--p", "21", "--q", "21", "-o", str(k21))
+    code, stdout, _ = run(capsys, "oracle", "lemma34", str(cir), "--a", "0", "--b", "4", "--e", "1")
+    assert code == 0 and "holds: True" in stdout
+    code, stdout, _ = run(capsys, "oracle", "lemma42", str(k21), "--a", "0", "--b", "1")
+    assert code == 0 and "holds: True" in stdout
+
+
 def test_oracle_lemma31_takes_d_from_the_graph(tmp_path, capsys):
     star = tmp_path / "star.txt"
     star.write_text("4 3\n0 1\n0 2\n0 3\n")
@@ -837,7 +849,6 @@ def test_transport_argv_fuzz(fuzz_hosts, data):
 def test_oracle_argv_fuzz(fuzz_hosts, data):
     root, hosts = fuzz_hosts
     lemma = data.draw(st.sampled_from(["lemma34", "lemma42", "lemma31"]), label="lemma")
-    # the lemma34 sweep is 2^(d(d-1)) subsets: only the fuzz hosts (d <= 4)
     path, n = _draw_graph(data, root, hosts, hosts_only=lemma == "lemma34")
     _exits_cleanly(["oracle", lemma, path, *_vertex_flags(data, path, n, ["a", "b", "e"])])
 

@@ -179,6 +179,24 @@ def test_prevalence_validates():
         prevalence_experiment(3, [10], samples=0, seed=0)
 
 
+@pytest.mark.parametrize("d", [1, 0, -2])
+def test_prevalence_rejects_d_below_two(monkeypatch, d):
+    """d < 2 is refused before any graph is sampled or any pool is made."""
+    import concurrent.futures
+
+    from avoidkit import experiment
+
+    calls = []
+    monkeypatch.setattr(experiment, "configuration_model", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiment, "random_regular_simple", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kw: calls.append(args))
+    monkeypatch.setenv("AVOIDKIT_THREADS", "2")
+    for simple_connected in (False, True):
+        with pytest.raises(ValueError, match=f"d must be >= 2, got d={d}"):
+            prevalence_experiment(d, [4, 6], samples=2, seed=0, simple_connected=simple_connected)
+    assert calls == []
+
+
 def test_run_prevalence_script_matches_cli(tmp_path):
     root = Path(__file__).resolve().parents[1]
     args = ["--d", "3", "--n-list", "10,12", "--samples", "8", "--seed", "2"]

@@ -108,7 +108,7 @@ def test_s3b_and_s6_reached():
 
 
 def test_k22_excursion_law_pinned():
-    outcomes, truncated, residual = enumerate_k22_blocks(make_s6_host(), 0, 1, (2, 3, 4, 5), max_len=8)
+    outcomes, truncated, residual = enumerate_k22_blocks(make_s6_host(), 0, 1, max_len=8)
     lines = [f"{p} {alice} {bob}" for p, alice, bob in outcomes]
     lines += [f"cut {p} {prefix}" for p, prefix in truncated]
     lines.append(str(residual))

@@ -16,7 +16,7 @@ import pytest
 
 from avoidkit import verify
 from avoidkit.couplers import Trajectory, simulate
-from avoidkit.generate import complete, cycle, random_regular_simple
+from avoidkit.generate import circulant, complete, complete_bipartite, cycle, random_regular_simple
 from avoidkit.graphs import graph_from_edges
 from avoidkit.matching import build_regular_transport, build_squarefree_transport
 from avoidkit.rng import Xoshiro256
@@ -38,7 +38,13 @@ from avoidkit.verify import (
     lemma34_oracle,
     lemma42_oracle,
 )
-from conftest import per_walker_k22_excursion
+from conftest import (
+    lemma31_all_pairs_p3,
+    lemma34_masks,
+    lemma42_masks,
+    per_walker_k22_excursion,
+    subset_sweep,
+)
 
 
 def _planted(g, positions, seed=0):
@@ -231,7 +237,7 @@ def test_exact_cubic_marginals_all_scenarios(pet, k33, s3b_host, s6_host):
 
 
 def test_enumerate_k22_blocks(s6_host):
-    outcomes, truncated, residual = enumerate_k22_blocks(s6_host, 0, 1, (2, 3, 4, 5), max_len=8)
+    outcomes, truncated, residual = enumerate_k22_blocks(s6_host, 0, 1, max_len=8)
     assert residual == Fraction(128, 2187)
     assert sum(p for p, _, _ in outcomes) + residual == 1
     assert all(len(path) >= 8 for _, path in truncated)
@@ -259,22 +265,26 @@ def per_walker_k22_blocks(g, a, b, quad, max_len):
     return outcomes, truncated, sum((p for p, _ in truncated), Fraction(0))
 
 
-@pytest.mark.parametrize("quad", [(2, 3, 4, 5), (3, 2, 5, 4)])
+@pytest.mark.parametrize("quad", [(2, 3, 4, 5)])  # the witness `cubic_plan` resolves
 def test_enumerate_k22_blocks_matches_per_walker_reference(s6_host, quad):
     for max_len in range(2, 11):
-        assert enumerate_k22_blocks(s6_host, 0, 1, quad, max_len) == \
+        assert enumerate_k22_blocks(s6_host, 0, 1, max_len) == \
             per_walker_k22_blocks(s6_host, 0, 1, quad, max_len), max_len
+
+
+def test_enumerate_k22_blocks_rejects_non_s6_pair(pet):
+    with pytest.raises(ValueError, match=r"\(0, 2\) is scenario S\d+, not the K_\{2,2\} excursion of S6"):
+        enumerate_k22_blocks(pet, 0, 2)
 
 
 @pytest.mark.parametrize("max_len", [1, 0, -1])
 def test_enumerate_k22_blocks_rejects_short_max_len(s6_host, max_len):
     with pytest.raises(ValueError, match="max_len"):
-        enumerate_k22_blocks(s6_host, 0, 1, (2, 3, 4, 5), max_len)
+        enumerate_k22_blocks(s6_host, 0, 1, max_len)
 
 
 def test_exact_regular_index_laws(circ9):
-    tm = build_regular_transport(circ9, 0, 4, 1)
-    laws = exact_regular_index_laws(tm, 4)
+    laws = exact_regular_index_laws(circ9, 0, 4, 1)
     assert set(laws.p_i.values()) == {Fraction(1, 3)}
     assert set(laws.p_j.values()) == {Fraction(1, 4)}
     assert set(laws.p_k_given_i.values()) == {Fraction(1, 4)}
@@ -298,9 +308,8 @@ def test_regular_round_law_on_random_hosts():
             hosts.append((g, 30))
     hosts.append((random_regular_simple(64, 5, 0, connected_required=True)[0], 50))
     for g, count in hosts:
-        d = g.degree(0)
         for a, b, e in random.Random(0).sample(valid_triples(g), count):
-            laws = exact_regular_index_laws(build_regular_transport(g, a, b, e), d)
+            laws = exact_regular_index_laws(g, a, b, e)
             assert sum(laws.p_i.values()) == 1 and sum(laws.p_j.values()) == 1
 
 
@@ -331,12 +340,6 @@ def test_squarefree_law_catches_unswapped_roles(ag23, monkeypatch):
     monkeypatch.setattr(verify, "squarefree_sampler", lambda tm: sampler(replace(tm, swapped=False)))
     with pytest.raises(CertificationError):
         exact_squarefree_law(ag23, a, b)
-
-
-def test_exact_regular_index_laws_rejects_wrong_kind(pet):
-    tm = build_squarefree_transport(pet, 0, 2)
-    with pytest.raises(ValueError):
-        exact_regular_index_laws(tm, 3)
 
 
 def test_chi_square_passes_on_fair_run(pet):
@@ -436,11 +439,88 @@ def test_lemma42_oracle(pet, hea, ag23):
         lemma42_oracle(pet, 0, 1)
 
 
+def labels_of(bits: int, labels) -> tuple:
+    return tuple(x for i, x in enumerate(labels) if bits >> i & 1)
+
+
+def h4_triples(count: int) -> list:
+    """`count` triples drawn evenly from the first six random 4-regular hosts
+    on 10 vertices that contain H_4, so that some of them fail lemma 3.4."""
+    rng = random.Random(34)
+    hosts = [g for seed in range(40) if contains_Hd(g := random_regular_simple(10, 4, seed)[0], 4) is not None]
+    return [(g, *t) for g in hosts[:6] for t in rng.sample(valid_triples(g), count // 6)]
+
+
+@pytest.mark.parametrize("host", ["circ9", "k5", "h4"])
+def test_lemma34_oracle_matches_subset_sweep(circ9, host):
+    """`holds` and `worst_margin` equal the sweep's, and `worst_subset` is
+    the intersection of every subset of least margin: on every triple of
+    C9(1,2) and K5, and on half the triples of six random hosts that
+    contain H_4."""
+    if host == "h4":
+        cases = h4_triples(720)
+    else:
+        g = circ9 if host == "circ9" else complete(5)
+        cases = [(g, *t) for t in valid_triples(g)]
+    failed = 0
+    for g, a, b, e in cases:
+        d = g.degree(a)
+        rows, masks = lemma34_masks(g, a, b, e)
+        margin, least = subset_sweep(masks, d, d - 1)
+        res = lemma34_oracle(g, a, b, e)
+        assert (res.holds, res.worst_margin, res.worst_subset) == \
+            (margin >= 0, margin, labels_of(least, rows)), (a, b, e)
+        failed += not res.holds
+    assert (len(cases), failed) == {"circ9": (180, 0), "k5": (20, 20), "h4": (720, 14)}[host]
+
+
+def test_lemma42_oracle_matches_subset_sweep(pet, hea, ag23, k33):
+    """As for lemma 3.4, on every pair of Petersen, Heawood, AG(2,3), K3,3
+    and 30 random cubic hosts on 12 vertices that have squares; 8 of the
+    3,440 pairs fail."""
+    hosts = [pet, hea, ag23, k33]
+    hosts += [g for seed in range(40)
+              if is_square_free(g := random_regular_simple(12, 3, seed)[0]) is not None][:30]
+    pairs = failed = 0
+    for g in hosts:
+        for a in range(g.n):
+            for b in range(g.n):
+                if b == a or g.has_edge(a, b):
+                    continue
+                k, l = g.degree(a), g.degree(b)
+                margin, least = subset_sweep(lemma42_masks(g, a, b), l, k)
+                res = lemma42_oracle(g, a, b)
+                assert (res.holds, res.worst_margin, res.worst_subset) == \
+                    (margin >= 0, margin, labels_of(least, g.adjacency[a])), (a, b)
+                pairs += 1
+                failed += not res.holds
+    assert (len(hosts), pairs, failed) == (34, 3440, 8)
+
+
+def _no_hall_violator(supply, demand, masks, nc):
+    raise verify.TransportInfeasible("stand-in", list(range(len(masks))), [])
+
+
+def _every_cell(supply, demand, masks, nc):
+    return list(range(len(masks) * nc)), [1] * (len(masks) * nc)
+
+
+@pytest.mark.parametrize("solve,message", [(_no_hall_violator, "margin 0 >= 0"), (_every_cell, "off its row's mask")],
+                         ids=["infeasible", "solved"])
+def test_hall_oracle_checks_the_solver(pet, monkeypatch, solve, message):
+    """Petersen's pair (0, 2) satisfies lemma 4.2 with margin 0 on all of
+    N(0), and its common neighbour's cell is off the mask: neither a Hall
+    set of margin >= 0 nor a matrix off the masks is reported."""
+    monkeypatch.setattr(verify, "solve_transport", solve)
+    with pytest.raises(CertificationError, match=message):
+        lemma42_oracle(pet, 0, 2)
+
+
 def test_lemma31_equivalence(pet, circ9):
-    assert lemma31_equivalence(pet, 3) == (True, (True, True, True))
-    agree, preds = lemma31_equivalence(complete(5), 4)
+    assert lemma31_equivalence(pet) == (True, (True, True, True))
+    agree, preds = lemma31_equivalence(complete(5))
     assert agree and preds == (False, False, False)
-    assert lemma31_equivalence(circ9, 4)[1][0]
+    assert lemma31_equivalence(circ9)[1][0]
 
 
 @pytest.mark.parametrize("oracle,host,ids,message", [
@@ -471,18 +551,30 @@ def test_check_avoidance_rejects_non_vertex_ids(pet):
         check_avoidance(pet, _planted(pet, [(0, 2), (4, 10)]))
 
 
-def test_lemma31_equivalence_requires_d_regular(pet):
+def test_lemma31_equivalence_requires_d_regular():
     with pytest.raises(ValueError, match="requires a regular graph"):
-        lemma31_equivalence(pet, 4)
-    with pytest.raises(ValueError, match="requires a regular graph"):
-        lemma31_equivalence(graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]), 3)
+        lemma31_equivalence(graph_from_edges(4, [(0, 1), (0, 2), (0, 3)]))
 
 
-@pytest.mark.parametrize("edges,d", [([(0, 1), (2, 3)], 1), ([], 0)], ids=["perfect-matching", "edgeless"])
-def test_lemma31_equivalence_requires_degree_two(edges, d):
+@pytest.mark.parametrize("edges", [[(0, 1), (2, 3)], []], ids=["perfect-matching", "edgeless"])
+def test_lemma31_equivalence_requires_degree_two(edges):
     # checked before H_d detection, which has no meaning below d = 2
     with pytest.raises(ValueError, match=r"lemma31 requires a d-regular graph with d >= 2"):
-        lemma31_equivalence(graph_from_edges(4, edges), d)
+        lemma31_equivalence(graph_from_edges(4, edges))
+
+
+def test_lemma31_predicate3_matches_all_pairs_reference():
+    """Predicate 3 over pairs within distance 2 equals the all-pairs loop
+    on 120 random regular graphs (n <= 12, d = 2..5), K5-K7 and K3,3."""
+    hosts = [complete(5), complete(6), complete(7), complete_bipartite(3, 3)]
+    rng = random.Random(31)
+    while len(hosts) < 124:
+        d = rng.randrange(2, 6)
+        n = rng.choice([n for n in range(d + 1, 13) if n * d % 2 == 0])
+        hosts.append(random_regular_simple(n, d, rng.randrange(10**6))[0])
+    p3 = [lemma31_equivalence(g)[1][2] for g in hosts]
+    assert p3 == [lemma31_all_pairs_p3(g) for g in hosts]
+    assert p3[:3] == [False] * 3 and True in p3 and False in p3[4:]
 
 
 def test_hd_bound_values():
@@ -496,12 +588,13 @@ def test_hd_bound_values():
         hd_probability_upper_bound(100, 3, 9, 7)  # m <= n0
 
 
-def test_certification_error_raised_on_bad_matrix(circ9):
+def test_certification_error_raised_on_bad_matrix(circ9, monkeypatch):
     tm = build_regular_transport(circ9, 0, 4, 1)
     rows = list(tm.entries)
     rows[0] = rows[1]  # break the column marginals, keep the total
     flat = list(chain.from_iterable(rows))
     broken = replace(tm, cells=array("I", (f for f, x in enumerate(flat) if x)),
                      cum=array("I", accumulate(x for x in flat if x)))
+    monkeypatch.setattr(verify, "build_regular_transport", lambda *args: broken)
     with pytest.raises(CertificationError):
-        exact_regular_index_laws(broken, 4)
+        exact_regular_index_laws(circ9, 0, 4, 1)

@@ -16,7 +16,7 @@ import pytest
 
 from avoidkit import verify
 from avoidkit.couplers import Trajectory, simulate
-from avoidkit.generate import circulant, complete, complete_bipartite, cycle, random_regular_simple
+from avoidkit.generate import complete, complete_bipartite, cycle, random_regular_simple
 from avoidkit.graphs import graph_from_edges
 from avoidkit.matching import build_regular_transport, build_squarefree_transport
 from avoidkit.rng import Xoshiro256

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 
 _KEYMAP = {
@@ -34,11 +34,6 @@ class RunConfig:
         if self.cache_capacity < 1:
             raise ValueError("cache capacity must be positive")
 
-    def to_text(self) -> str:
-        rev = {attr: key for key, (attr, _) in _KEYMAP.items()}
-        lines = [f"{rev[f.name]} = {getattr(self, f.name)}" for f in fields(self)]
-        return "\n".join(lines) + "\n"
-
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":
         kwargs = {}
@@ -55,9 +50,6 @@ class RunConfig:
             attr, conv = _KEYMAP[key]
             kwargs[attr] = conv(value.strip())
         return cls(**kwargs)
-
-    def save(self, path) -> None:
-        Path(path).write_text(self.to_text())
 
     @classmethod
     def load(cls, path) -> "RunConfig":

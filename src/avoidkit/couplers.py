@@ -259,10 +259,14 @@ def cubic_plan(g: Graph, a: int, b: int) -> tuple[ScenarioClass, Callable, tuple
 def regular_round(tm: TransportMatrix, rng) -> tuple[int, int, int, int]:
     """The round law, for any chooser `rng` with `randrange`: the cell whose
     cumulative count first exceeds r, r uniform below the total, so a cell's
-    probability is entry/total.  Returns (a', a'', b', e')."""
-    cum = tm.cum
-    i, j = divmod(tm.cells[bisect_right(cum, rng.randrange(cum[-1]))], len(tm.col_labels))
-    return tm.row_labels[i] + tm.col_labels[j]
+    probability is entry/total.  Returns (a', a'', b', e'), the cell's flat
+    index read as four base-d digits, d = row_sum."""
+    cum, d, adj = tm.cum, tm.row_sum, tm.adj
+    f, l = divmod(tm.cells[bisect_right(cum, rng.randrange(cum[-1]))], d)
+    f, j = divmod(f, d)
+    i, k = divmod(f, d)
+    ap, bp = tm.rows[i], tm.cols[j]
+    return ap, adj[ap][k], bp, adj[bp][l]
 
 
 def squarefree_sampler(tm: TransportMatrix) -> tuple[int, int, array, tuple]:
@@ -270,7 +274,7 @@ def squarefree_sampler(tm: TransportMatrix) -> tuple[int, int, array, tuple]:
     rows, l columns, the cumulative counts of its nonzero cells and each
     cell's step (a', b'), with the roles swapped back when the transport
     swapped them.  It stores one step per nonzero cell."""
-    rows, cols = tm.row_labels, tm.col_labels
+    rows, cols = tm.rows, tm.cols
     l = len(cols)
     steps = [(rows[f // l], cols[f % l]) for f in tm.cells]
     if tm.swapped:

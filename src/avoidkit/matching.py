@@ -21,15 +21,18 @@ augmentation order, only on the shortfall the fill leaves (`augment`).
 Both run on the nonzero cells and the bitmasks, so neither a flow network
 nor a dense matrix is built.  Feasibility is equivalent to the original
 perfect-matching problem by flow integrality.  A solved transport is
-stored as its nonzero cells only (`TransportMatrix`), so a cache entry
-costs in proportion to its nonzero cells and labels, not to rows x columns.
+stored as its nonzero cells and its index space (`TransportMatrix`): a
+regular transport keeps the first steps N(a)\\{e}, N(b) and the host's
+shared adjacency instead of its pair labels, so a cache entry costs in
+proportion to its nonzero cells, not to rows x columns, and its labels are
+derived only when they are read.
 """
 
 from __future__ import annotations
 
 from array import array
 from collections import OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import accumulate, chain, islice, repeat
 from operator import lt, sub
 
@@ -265,27 +268,33 @@ def set_bits(x: int) -> list[int]:
     return out
 
 
-def regular_supports(g, rows: tuple, b: int) -> list[int]:
+def regular_supports(g, heads: tuple, b: int) -> list[int]:
     """Each mover pair's support over the other pairs of b, as a bitmask
-    over other_pairs(g, b): row (a', a'') may use cell (b', e') iff b' is
-    neither a' nor a'', and e' = a'' when b' neighbors a''.
+    over other_pairs(g, b), for the mover pairs (a', a'') of the first steps
+    a' in `heads`, in mover_pairs order: row (a', a'') may use cell (b', e')
+    iff b' is neither a' nor a'', and e' = a'' when b' neighbors a''.
 
     This is `compatible`, decided per step b' instead of per cell.
-    group[b'] holds the bits of the d(b') cells of step b', and fix[x]
-    turns each step b' in N(x) into its one cell (b', x), so row (a', a'')
-    is every cell, minus fix[a''], minus the groups of a' and a''."""
+    group[b'] holds the bits of the d(b') cells of step b', and drop[x]
+    those of group[x] and, for each step b' in N(x), every cell of b' but
+    (b', x), so row (a', a'') is every cell minus group[a'] and drop[a'']."""
     adj = g.adjacency
     group: dict[int, int] = {}
-    fix: dict[int, int] = {}
+    drop: dict[int, int] = {}
     lo = 0
     for bp in adj[b]:
         nbp = adj[bp]
         mask = group[bp] = ((1 << len(nbp)) - 1) << lo
+        drop[bp] = drop.get(bp, 0) | mask
         for ep in nbp:
-            fix[ep] = fix.get(ep, 0) | (mask ^ (1 << lo))
+            drop[ep] = drop.get(ep, 0) | (mask ^ (1 << lo))
             lo += 1
     full = (1 << lo) - 1
-    return [(full ^ fix.get(app, 0)) & ~(group.get(ap, 0) | group.get(app, 0)) for ap, app in rows]
+    out: list[int] = []
+    for ap in heads:
+        keep = full ^ group.get(ap, 0)
+        out += [keep & ~drop.get(app, 0) for app in adj[ap]]
+    return out
 
 
 def avoiding_supports(g, rows, cols) -> list[int]:
@@ -300,25 +309,54 @@ def avoiding_supports(g, rows, cols) -> list[int]:
     return [full ^ get(r, 0) ^ sum(map(get, adj[r], repeat(0))) for r in rows]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class TransportMatrix:
-    """A solved coupling transport over row/column label tuples.
+    """A solved coupling transport: its index space and its nonzero cells.
 
     Only the nonzero cells are stored: `cells` holds their row-major flat
     indices, ascending, and `cum` their cumulative counts, which the
     engines' draws bisect.  A zero cell would repeat its predecessor's
     cumulative count, so bisecting the dense cumulative counts lands on
-    the same cell for every r.  Regular labels are (a', a'') rows and
-    (b', e') columns; square-free labels are vertices."""
+    the same cell for every r.
+
+    Square-free rows and columns are the vertices `rows` and `cols`.  A
+    regular transport's are pairs: with `rows` = N(a)\\{e}, `cols` = N(b),
+    `adj` the host's adjacency (shared, not copied) and d = row_sum, row i
+    is the mover pair (rows[i // d], adj[rows[i // d]][i % d]) and column j
+    the other pair (cols[j // d], adj[cols[j // d]][j % d]).  So a flat
+    index is the four base-d digits of (a', a'', b', e').  The labels are
+    derived on access; equality compares them, and neither equality nor
+    repr reads the rest of the adjacency."""
 
     kind: str  # "regular" or "squarefree"
-    row_labels: tuple
-    col_labels: tuple
+    rows: tuple
+    cols: tuple
     cells: array
     cum: array
     row_sum: int
     col_sum: int
     swapped: bool = False  # squarefree only: rows index b's neighbors, not a's
+    adj: tuple | None = field(default=None, repr=False)  # regular only
+
+    def _labels(self, steps: tuple) -> tuple:
+        adj = self.adj
+        return steps if adj is None else tuple([(s, x) for s in steps for x in adj[s]])
+
+    @property
+    def row_labels(self) -> tuple:
+        """The row vertices, or the regular mover pairs (a', a'')."""
+        return self._labels(self.rows)
+
+    @property
+    def col_labels(self) -> tuple:
+        """The column vertices, or the regular other pairs (b', e')."""
+        return self._labels(self.cols)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TransportMatrix):
+            return NotImplemented
+        return all(getattr(self, name) == getattr(other, name)
+                   for name in ("kind", "cells", "cum", "row_sum", "col_sum", "swapped", "row_labels", "col_labels"))
 
     @property
     def total(self) -> int:
@@ -394,29 +432,33 @@ class LruCache:
         return self.hits / lookups if lookups else 0.0
 
 
-def solved_transport(kind: str, rows: tuple, cols: tuple, row_sum: int, col_sum: int,
-                     supports: list[int], violated: str, swapped: bool = False) -> TransportMatrix:
-    """Solve the transport over `supports` and store its nonzero cells and
-    counts, after checking their sums.  An infeasible solve is re-raised as
-    "hypothesis violated {violated}", with its Hall certificate."""
+def solved_cells(row_sum: int, col_sum: int, supports: list[int], nr: int, nc: int,
+                 violated: str) -> tuple[array, array]:
+    """Solve the transport over `supports` and return its nonzero cells and
+    their cumulative counts, after checking their sums over nr rows and nc
+    columns.  An infeasible solve is re-raised as "hypothesis violated
+    {violated}", with its Hall certificate."""
     try:
-        cells, counts = solve_transport(row_sum, col_sum, supports, len(cols))
+        cells, counts = solve_transport(row_sum, col_sum, supports, nc)
     except TransportInfeasible as err:
         raise TransportInfeasible(f"hypothesis violated {violated}", err.hall_rows, err.hall_cols) from err
-    check_cells(cells, counts, len(rows), len(cols), row_sum, col_sum)
-    return TransportMatrix(kind, rows, cols, array("I", cells), array("I", accumulate(counts)),
-                           row_sum, col_sum, swapped)
+    check_cells(cells, counts, nr, nc, row_sum, col_sum)
+    return array("I", cells), array("I", accumulate(counts))
 
 
 def build_regular_transport(g, a: int, b: int, e: int) -> TransportMatrix:
     """Transport matrix m(i,j,k,l) for the d-regular protocol at (a, b, e):
     row sums d over mover pairs (a', a''), column sums d-1 over other pairs
-    (b', e'), both as int pairs."""
+    (b', e').  `check_regular_triple` makes every first step and N(b)
+    degree d, so the index space is d-1 first steps and d steps of b, each
+    times d neighbours."""
     check_regular_triple(g, a, b, e)
-    d = g.degree(a)
-    rows = mover_pairs(g, a, e)
-    return solved_transport("regular", rows, other_pairs(g, b), d, d - 1, regular_supports(g, rows, b),
-                            f"(H_{d} present?) at (a={a}, b={b}, e={e})")
+    adj = g.adjacency
+    d = len(adj[a])
+    heads = tuple([v for v in adj[a] if v != e])
+    cells, cum = solved_cells(d, d - 1, regular_supports(g, heads, b), len(heads) * d, d * d,
+                              f"(H_{d} present?) at (a={a}, b={b}, e={e})")
+    return TransportMatrix("regular", heads, adj[b], cells, cum, d, d - 1, adj=adj)
 
 
 def build_squarefree_transport(g, a: int, b: int) -> TransportMatrix:
@@ -430,5 +472,6 @@ def build_squarefree_transport(g, a: int, b: int) -> TransportMatrix:
     u, v = (b, a) if swapped else (a, b)
     rows = g.adjacency[u]  # k vertices
     cols = g.adjacency[v]  # l vertices, l <= k
-    return solved_transport("squarefree", rows, cols, len(cols), len(rows), avoiding_supports(g, rows, cols),
-                            f"(square present?) at (a={a}, b={b})", swapped)
+    cells, cum = solved_cells(len(cols), len(rows), avoiding_supports(g, rows, cols), len(rows), len(cols),
+                              f"(square present?) at (a={a}, b={b})")
+    return TransportMatrix("squarefree", rows, cols, cells, cum, len(cols), len(rows), swapped)

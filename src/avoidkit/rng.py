@@ -75,13 +75,16 @@ class Xoshiro256:
         return result
 
     def randrange(self, n: int) -> int:
-        """Uniform integer in [0, n)."""
+        """Uniform integer in [0, n), for 1 <= n <= 2^64; a larger n raises
+        ValueError after one draw."""
         if n <= 0:
             raise ValueError(f"randrange requires n >= 1, got {n}")
         while True:
             x = self.next_u64()
             if (x < FAST_ACCEPT and n <= FAST_N) or x < (MASK64 + 1) - (MASK64 + 1) % n:
                 return x % n
+            if n > MASK64 + 1:  # the exact limit is 0: no draw would ever be accepted
+                raise ValueError(f"randrange requires n <= 2^64, got {n}")
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]

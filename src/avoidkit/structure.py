@@ -82,6 +82,9 @@ class ScenarioClass:
     witness: tuple[int, ...]
 
 
+S1 = ScenarioClass("S1", ())  # every far pair's class, made once
+
+
 def classify_scenario(g: Graph, a: int, b: int) -> ScenarioClass:
     """Case label for a cubic position pair at distance >= 2.
 
@@ -96,7 +99,7 @@ def classify_scenario(g: Graph, a: int, b: int) -> ScenarioClass:
         raise ValueError("classify_scenario requires distance(a, b) >= 2")
     adj = g.adjacency
     if set(adj[a]).isdisjoint(chain(adj[b], *(adj[y] for y in adj[b]))):
-        return ScenarioClass("S1", ())
+        return S1
     cn = common_neighbors(g, a, b)
     if len(cn) == 3:
         return ScenarioClass("S2", cn)

@@ -375,12 +375,13 @@ def test_simulate_rejects_negative_ticks_or_seed(tmp_path, capsys, argv, config)
 
 def test_simulate_with_config(tmp_path, capsys):
     from avoidkit.config import RunConfig
+    from conftest import config_text
 
     pet = tmp_path / "pet.txt"
     cfg = tmp_path / "run.cfg"
     traj = tmp_path / "traj.txt"
     run(capsys, "gen", "--family", "petersen", "-o", str(pet))
-    RunConfig(seed=3, ticks=120, engine="squarefree").save(cfg)
+    cfg.write_text(config_text(RunConfig(seed=3, ticks=120, engine="squarefree")))
     code, stdout, _ = run(capsys, "simulate", str(pet), "--config", str(cfg), "-o", str(traj))
     assert code == 0 and "engine=squarefree" in stdout
     assert "# seed 3" in traj.read_text()

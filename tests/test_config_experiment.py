@@ -21,19 +21,21 @@ from avoidkit.experiment import (
     wilson_interval,
     worker_count,
 )
+from conftest import config_text
 
 
 def test_config_round_trip(tmp_path):
     cfg = RunConfig(seed=9, ticks=500, engine="cubic", cache_capacity=64)
     path = tmp_path / "run.cfg"
-    cfg.save(path)
+    path.write_text(config_text(cfg))
     assert RunConfig.load(path) == cfg
 
 
 def test_config_text_format():
-    text = RunConfig().to_text()
+    text = config_text(RunConfig())
     assert "rng.seed = 0" in text
     assert "sim.engine = auto" in text
+    assert RunConfig.from_text(text) == RunConfig()
 
 
 def test_config_parse_errors():

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 from bisect import bisect_right
 from collections import Counter
 from itertools import accumulate
@@ -269,6 +271,27 @@ def ref_sampler(tm):
                 cells.append((mp, op))
                 weights.append(x)
     return cells, list(accumulate(weights)), tm.total
+
+
+def test_regular_cache_entries_stay_small():
+    """The benchmark's rr5-n64 run misses the cache on most rounds; each
+    entry holds the transport's cells and index space, not its labels, so
+    the engine and its cache take at most 1 KiB per entry (3.6 KiB when
+    entries held label tuples)."""
+    rr5 = random_regular_simple(64, 5, 0, connected_required=True)[0]
+    tracemalloc.start()
+    try:
+        _, eng = simulate(rr5, "regular", 2_900, 0)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0]
+        entries = eng.cache.misses  # each miss stores one entry; none is evicted below capacity
+        assert 1_500 < entries < eng.cache.capacity
+        del eng
+        gc.collect()
+        freed = held - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert freed <= 1024 * entries, freed / entries
 
 
 class FixedDraw:

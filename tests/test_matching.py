@@ -3,12 +3,13 @@ from __future__ import annotations
 import math
 import random
 from collections import Counter, deque
+from dataclasses import replace
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from avoidkit.couplers import one_step_matching
-from avoidkit.generate import complete, complete_bipartite, random_regular_simple
+from avoidkit.generate import circulant, complete, complete_bipartite, random_regular_simple
 from avoidkit.graphs import graph_from_edges
 from avoidkit.matching import (
     LruCache,
@@ -387,6 +388,27 @@ def test_regular_build_equals_dense_solve(circ9):
         assert sum(isinstance(x, TransportInfeasible) for x in built) == infeasible
 
 
+def test_regular_labels_are_derived_from_the_index_space(circ9):
+    """A regular transport stores N(a)\\{e}, N(b) and the shared adjacency,
+    not its labels: the labels it derives are mover_pairs and other_pairs,
+    and its entries the dense reference rows, on every triple of C9(1,2)
+    and 200 of rr5-n64.  Equality compares the labels, repr leaves out the
+    adjacency."""
+    rr5 = random_regular_simple(64, 5, 0, connected_required=True)[0]
+    for g, triples in ((circ9, regular_triples(circ9)), (rr5, random.Random(2).sample(regular_triples(rr5), 200))):
+        for a, b, e in triples:
+            tm = build_as_reference(g, a, b, e)
+            assert tm.rows == tuple(v for v in g.adjacency[a] if v != e) and tm.cols is g.adjacency[b]
+            assert tm.adj is g.adjacency
+            assert tm.row_labels == mover_pairs(g, a, e), (a, b, e)
+            assert tm.col_labels == other_pairs(g, b), (a, b, e)
+    tm = build_regular_transport(circ9, 0, 4, 1)
+    assert tm == build_regular_transport(circ9, 0, 4, 1)
+    assert tm != build_regular_transport(circ9, 0, 4, 8)
+    assert replace(tm, adj=circulant(9, [1, 3]).adjacency) != tm  # same index space, other labels
+    assert "adj" not in repr(tm) and len(repr(tm)) < 400
+
+
 def test_regular_supports_match_regular_allowed(circ9):
     """The bitmask rule equals the dense `regular_allowed` rule on every
     triple of C9(1,2) and complete(5), and on 200 triples of rr5-n64."""
@@ -395,7 +417,8 @@ def test_regular_supports_match_regular_allowed(circ9):
     for g, triples in ((circ9, regular_triples(circ9)), (k5, regular_triples(k5)),
                        (rr5, random.Random(1).sample(regular_triples(rr5), 200))):
         for a, b, e in triples:
-            assert regular_supports(g, mover_pairs(g, a, e), b) == masks(regular_allowed(g, a, b, e)), (a, b, e)
+            heads = tuple(v for v in g.adjacency[a] if v != e)
+            assert regular_supports(g, heads, b) == masks(regular_allowed(g, a, b, e)), (a, b, e)
 
 
 def planted_square_host():

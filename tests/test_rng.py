@@ -143,6 +143,14 @@ def test_randrange_rejects_nonpositive_before_drawing(n):
     assert (rng.s0, rng.s1, rng.s2, rng.s3) == before
 
 
+def test_randrange_above_2_64_raises_and_2_64_draws():
+    # above 2^64 the exact limit 2^64 - 2^64 % n is 0, so no draw could be accepted
+    with pytest.raises(ValueError, match=str(2**64 + 1)):
+        Xoshiro256(5).randrange(2**64 + 1)
+    rng, ref = Xoshiro256(5), Xoshiro256(5)
+    assert rng.randrange(2**64) == ref.next_u64()
+
+
 def test_derive_seed_distinct_replicas():
     seeds = {derive_seed(7, i) for i in range(1000)}
     assert len(seeds) == 1000

@@ -276,8 +276,8 @@ def ref_sampler(tm):
 def test_regular_cache_entries_stay_small():
     """The benchmark's rr5-n64 run misses the cache on most rounds; each
     entry holds the transport's cells and index space, not its labels, so
-    the engine and its cache take at most 1 KiB per entry (3.6 KiB when
-    entries held label tuples)."""
+    the engine and its cache take at most 1 KiB per entry; with a label
+    tuple per row and column an entry takes about 3.6 KiB."""
     rr5 = random_regular_simple(64, 5, 0, connected_required=True)[0]
     tracemalloc.start()
     try:

@@ -144,7 +144,6 @@ def cmd_simulate(args) -> int:
     traj, eng = simulate(
         g, engine, cfg.ticks, cfg.seed,
         a0=args.a0, b0=args.b0, walkers=cfg.walkers,
-        cache_capacity=cfg.cache_capacity,
     )
     if traj.engine == "cycle" and start_given:
         raise ValueError(CYCLE_START)

@@ -5,12 +5,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from pathlib import Path
 
+from .rng import check_seed
+
 _KEYMAP = {
     "rng.seed": ("seed", int),
     "sim.ticks": ("ticks", int),
     "sim.engine": ("engine", str),
     "sim.walkers": ("walkers", int),
-    "cache.capacity": ("cache_capacity", int),
 }
 
 ENGINES = ("auto", "cycle", "cubic", "regular", "squarefree")
@@ -22,17 +23,13 @@ class RunConfig:
     ticks: int = 1000
     engine: str = "auto"
     walkers: int = 2
-    cache_capacity: int = 4096
 
     def __post_init__(self):
-        if not 0 <= self.seed < 2**64:
-            raise ValueError("seed must fit in 64 unsigned bits")
+        check_seed(self.seed)
         if self.ticks < 0 or self.walkers < 1:
             raise ValueError("ticks must be >= 0 and walkers >= 1")
         if self.engine not in ENGINES:
             raise ValueError(f"unknown engine {self.engine!r}, expected one of {', '.join(ENGINES)}")
-        if self.cache_capacity < 1:
-            raise ValueError("cache capacity must be positive")
 
     @classmethod
     def from_text(cls, text: str) -> "RunConfig":

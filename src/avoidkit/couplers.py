@@ -312,11 +312,11 @@ class Engine:
     name: str
     marks_blocks = False
 
-    def __init__(self, g: Graph, seed: int, a0: int = 0, b0: int | None = None, cache_capacity: int = 4096):
+    def __init__(self, g: Graph, seed: int, a0: int = 0, b0: int | None = None):
         self.g = g
         self.seed = seed
         self.rng = Xoshiro256(seed)
-        self.cache = LruCache(cache_capacity)
+        self.cache = LruCache()
         self.state = (a0, self.start_b0(a0, b0))
 
     def start_b0(self, a0: int, b0: int | None) -> int:
@@ -483,7 +483,6 @@ def simulate(
     a0: int | None = None,
     b0: int | None = None,
     walkers: int = 2,
-    cache_capacity: int = 4096,
 ):
     """Run an engine for >= ticks ticks; returns (trajectory, engine instance).
 
@@ -499,5 +498,5 @@ def simulate(
     if engine == "cycle":  # the only k-walker engine: a0 and b0 do not apply
         eng = CycleEngine(g, seed, walkers)
     else:
-        eng = TWO_WALKER_ENGINES[engine](g, seed, 0 if a0 is None else a0, b0, cache_capacity)
+        eng = TWO_WALKER_ENGINES[engine](g, seed, 0 if a0 is None else a0, b0)
     return eng.run(ticks), eng

@@ -132,6 +132,8 @@ def prevalence_experiment(
     if d < 2:
         raise ValueError(f"d must be >= 2, got d={d}")
     for n in n_list:
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got n={n}")
         if (n * d) % 2 != 0:
             raise ValueError(f"n*d must be even (n={n}, d={d})")
     cells = []

@@ -87,6 +87,8 @@ def configuration_model(n: int, d: int, seed: int) -> Multigraph:
     Each matched pair of half-edges contributes one edge slot, so the
     output always has exactly n*d/2 edges counted with multiplicity.
     """
+    if n < 1:
+        raise ValueError(f"configuration_model requires n >= 1, got n={n}")
     if d < 1:
         raise ValueError("configuration_model requires d >= 1")
     if (n * d) % 2 != 0:

@@ -432,17 +432,17 @@ class LruCache:
         return self.hits / lookups if lookups else 0.0
 
 
-def solved_cells(row_sum: int, col_sum: int, supports: list[int], nr: int, nc: int,
+def solved_cells(row_sum: int, col_sum: int, supports: list[int], nc: int,
                  violated: str) -> tuple[array, array]:
     """Solve the transport over `supports` and return its nonzero cells and
-    their cumulative counts, after checking their sums over nr rows and nc
-    columns.  An infeasible solve is re-raised as "hypothesis violated
-    {violated}", with its Hall certificate."""
+    their cumulative counts, after checking their sums over one row per
+    support and nc columns.  An infeasible solve is re-raised as
+    "hypothesis violated {violated}", with its Hall certificate."""
     try:
         cells, counts = solve_transport(row_sum, col_sum, supports, nc)
     except TransportInfeasible as err:
         raise TransportInfeasible(f"hypothesis violated {violated}", err.hall_rows, err.hall_cols) from err
-    check_cells(cells, counts, nr, nc, row_sum, col_sum)
+    check_cells(cells, counts, len(supports), nc, row_sum, col_sum)
     return array("I", cells), array("I", accumulate(counts))
 
 
@@ -456,7 +456,7 @@ def build_regular_transport(g, a: int, b: int, e: int) -> TransportMatrix:
     adj = g.adjacency
     d = len(adj[a])
     heads = tuple([v for v in adj[a] if v != e])
-    cells, cum = solved_cells(d, d - 1, regular_supports(g, heads, b), len(heads) * d, d * d,
+    cells, cum = solved_cells(d, d - 1, regular_supports(g, heads, b), d * d,
                               f"(H_{d} present?) at (a={a}, b={b}, e={e})")
     return TransportMatrix("regular", heads, adj[b], cells, cum, d, d - 1, adj=adj)
 
@@ -472,6 +472,6 @@ def build_squarefree_transport(g, a: int, b: int) -> TransportMatrix:
     u, v = (b, a) if swapped else (a, b)
     rows = g.adjacency[u]  # k vertices
     cols = g.adjacency[v]  # l vertices, l <= k
-    cells, cum = solved_cells(len(cols), len(rows), avoiding_supports(g, rows, cols), len(rows), len(cols),
+    cells, cum = solved_cells(len(cols), len(rows), avoiding_supports(g, rows, cols), len(cols),
                               f"(square present?) at (a={a}, b={b})")
     return TransportMatrix("squarefree", rows, cols, cells, cum, len(cols), len(rows), swapped)

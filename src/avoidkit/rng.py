@@ -3,6 +3,8 @@
 All randomness in the package flows through Xoshiro256 below, so that a
 fixed seed gives bit-identical runs on every platform.  Replica seeds for
 parallel experiments are derived with mix64 (the splitmix64 finalizer).
+A seed is a 64-bit unsigned integer: `check_seed` rejects any other
+instead of reducing it mod 2^64, so -1 and 2^64 - 1 are not one seed.
 
 Integer draws reject every draw at or above the exact limit 2^64 - 2^64 % n,
 so there is no modulo bias.  For 0 < n <= 2^32 that limit is above FAST_ACCEPT = 2^64 -
@@ -36,8 +38,15 @@ def mix64(z: int) -> int:
     return z ^ (z >> 31)
 
 
+def check_seed(seed: int) -> None:
+    """Raise ValueError unless seed is a 64-bit unsigned integer."""
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
+
+
 def derive_seed(seed: int, replica_index: int) -> int:
     """Replica seed contract: mix64(seed XOR replica_index * golden gamma)."""
+    check_seed(seed)
     return mix64(seed ^ ((replica_index * GOLDEN_GAMMA) & MASK64))
 
 
@@ -51,7 +60,8 @@ class Xoshiro256:
     __slots__ = ("s0", "s1", "s2", "s3")
 
     def __init__(self, seed: int):
-        z = seed & MASK64
+        check_seed(seed)
+        z = seed
         state = []
         for _ in range(4):
             z = (z + GOLDEN_GAMMA) & MASK64

@@ -36,7 +36,7 @@ def config_text(cfg: RunConfig) -> str:
     """The flat `key = value` text of a run configuration, as
     `RunConfig.from_text` reads it."""
     return (f"rng.seed = {cfg.seed}\nsim.ticks = {cfg.ticks}\nsim.engine = {cfg.engine}\n"
-            f"sim.walkers = {cfg.walkers}\ncache.capacity = {cfg.cache_capacity}\n")
+            f"sim.walkers = {cfg.walkers}\n")
 
 
 def check_sums(tm: TransportMatrix) -> None:

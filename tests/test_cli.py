@@ -629,6 +629,32 @@ def test_experiment_command(tmp_path, capsys):
     assert len(lines) == 3
 
 
+_SEED_CMDS = {
+    "gen": ["gen", "--family", "random_regular", "--n", "10", "--d", "3"],
+    "experiment": ["experiment", "prevalence", "--d", "3", "--n-list", "10", "--samples", "2"],
+}
+
+
+@pytest.mark.parametrize("cmd", sorted(_SEED_CMDS))
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_is_an_input_error(tmp_path, capsys, cmd, seed):
+    """-1 is not taken as 2^64 - 1: the seed range is checked where a seed is used."""
+    out = tmp_path / "out.txt"
+    code, stdout, err = run(capsys, *_SEED_CMDS[cmd], "--seed", str(seed), "-o", str(out))
+    assert code == 2 and stdout == ""
+    assert err == f"error: seed must fit in 64 unsigned bits, got {seed}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", sorted(_SEED_CMDS))
+def test_seed_range_ends_are_accepted(tmp_path, capsys, cmd):
+    for seed in (0, 2**64 - 1):
+        out = tmp_path / "out.txt"
+        code, _, err = run(capsys, *_SEED_CMDS[cmd], "--seed", str(seed), "-o", str(out))
+        assert code == 0 and out.exists(), err
+        out.unlink()
+
+
 @pytest.fixture
 def c9_and_pet(tmp_path, capsys):
     cir, pet = tmp_path / "cir.txt", tmp_path / "pet.txt"

@@ -2,9 +2,6 @@ from __future__ import annotations
 
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -25,7 +22,7 @@ from conftest import config_text
 
 
 def test_config_round_trip(tmp_path):
-    cfg = RunConfig(seed=9, ticks=500, engine="cubic", cache_capacity=64)
+    cfg = RunConfig(seed=9, ticks=500, engine="cubic")
     path = tmp_path / "run.cfg"
     path.write_text(config_text(cfg))
     assert RunConfig.load(path) == cfg
@@ -50,9 +47,9 @@ def test_config_parse_errors():
     assert cfg.ticks == 7
 
 
-@pytest.mark.parametrize("line", ["verify.alpha = 0.01", "gen.rejection_budget = 10"])
+@pytest.mark.parametrize("line", ["verify.alpha = 0.01", "gen.rejection_budget = 10", "cache.capacity = 64"])
 def test_dropped_config_keys_are_unknown(tmp_path, capsys, line):
-    """Neither key was ever read by a run; a config that sets one now fails."""
+    """No run reads any of these keys; a config that sets one fails."""
     g, cfg = tmp_path / "pet.txt", tmp_path / "run.cfg"
     assert cli_main(["gen", "--family", "petersen", "-o", str(g)]) == 0
     cfg.write_text(f"sim.ticks = 10\n{line}\n")
@@ -64,8 +61,6 @@ def test_dropped_config_keys_are_unknown(tmp_path, capsys, line):
 def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(seed=-1)
-    with pytest.raises(ValueError):
-        RunConfig(cache_capacity=0)
     with pytest.raises(ValueError):
         RunConfig(walkers=0)
 
@@ -199,17 +194,23 @@ def test_prevalence_rejects_d_below_two(monkeypatch, d):
     assert calls == []
 
 
-def test_run_prevalence_script_matches_cli(tmp_path):
-    root = Path(__file__).resolve().parents[1]
-    args = ["--d", "3", "--n-list", "10,12", "--samples", "8", "--seed", "2"]
-    script_csv, cli_csv = tmp_path / "script.csv", tmp_path / "cli.csv"
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    done = subprocess.run(
-        [sys.executable, str(root / "scripts" / "run_prevalence.py"), *args, "-o", str(script_csv)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
-    assert done.returncode == 0, done.stderr
-    assert f"wrote {script_csv}" in done.stdout
-    assert cli_main(["experiment", "prevalence", *args, "-o", str(cli_csv)]) == 0
-    assert script_csv.read_bytes() == cli_csv.read_bytes()
-    assert len(script_csv.read_text().splitlines()) == 3
+@pytest.mark.parametrize("n", [0, -4])
+def test_prevalence_rejects_n_below_one(monkeypatch, capsys, n):
+    """n < 1 is refused, naming n, before any graph is sampled or any pool is made."""
+    import concurrent.futures
+
+    from avoidkit import experiment
+
+    calls = []
+    monkeypatch.setattr(experiment, "configuration_model", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiment, "random_regular_simple", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kw: calls.append(args))
+    monkeypatch.setenv("AVOIDKIT_THREADS", "2")
+    for simple_connected in (False, True):
+        with pytest.raises(ValueError, match=f"n must be >= 1, got n={n}"):
+            prevalence_experiment(4, [6, n], samples=2, seed=0, simple_connected=simple_connected)
+    assert calls == []
+    code = cli_main(["experiment", "prevalence", "--d", "3", "--n-list", str(n), "--samples", "2"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: n must be >= 1, got n={n}\n"

@@ -222,7 +222,8 @@ def test_cubic_engine_runs_and_marks(pet):
 
 def test_cubic_engine_cache_is_bounded():
     g, _ = random_regular_simple(250, 3, 0, connected_required=True)
-    small, wide = CubicEngine(g, 5, cache_capacity=8), CubicEngine(g, 5)
+    small, wide = CubicEngine(g, 5), CubicEngine(g, 5)
+    small.cache.capacity = 8
     assert small.run(3000).to_text() == wide.run(3000).to_text()
     assert len(small.cache._data) <= 8 and small.cache.misses > wide.cache.misses
     # S1 pairs are never stored; every stored entry is a (scenario, law, arg) plan

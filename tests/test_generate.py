@@ -95,6 +95,12 @@ def test_configuration_model_invariants(n, d, seed):
     assert all(stub_degree[v] == d for v in range(n))
 
 
+@pytest.mark.parametrize("n", [0, -4])
+def test_configuration_model_rejects_n_below_one(n):
+    with pytest.raises(ValueError, match=f"requires n >= 1, got n={n}"):
+        configuration_model(n, 2, 0)
+
+
 def test_configuration_model_deterministic():
     assert configuration_model(10, 3, 99).edges == configuration_model(10, 3, 99).edges
 

@@ -6,7 +6,7 @@ from itertools import islice
 import pytest
 from hypothesis import given, strategies as st
 
-from avoidkit.rng import FAST_ACCEPT, GOLDEN_GAMMA, MASK64, Xoshiro256, derive_seed, mix64
+from avoidkit.rng import FAST_ACCEPT, GOLDEN_GAMMA, MASK64, Xoshiro256, check_seed, derive_seed, mix64
 
 # Reference outputs of splitmix64 with seed 0 (the widely published test
 # vector); output i equals mix64((i+1) * golden gamma).
@@ -149,6 +149,21 @@ def test_randrange_above_2_64_raises_and_2_64_draws():
         Xoshiro256(5).randrange(2**64 + 1)
     rng, ref = Xoshiro256(5), Xoshiro256(5)
     assert rng.randrange(2**64) == ref.next_u64()
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_seed_outside_64_bits_raises(seed):
+    """-1 is not reduced to 2^64 - 1: every generator's seed is checked."""
+    for make in (check_seed, Xoshiro256, lambda s: derive_seed(s, 0)):
+        with pytest.raises(ValueError, match=f"seed must fit in 64 unsigned bits, got {seed}"):
+            make(seed)
+
+
+def test_seed_range_ends_are_accepted():
+    for seed in (0, MASK64):
+        check_seed(seed)
+        assert Xoshiro256(seed).next_u64() == Xoshiro256(seed).next_u64()
+        assert derive_seed(seed, 1) == mix64(seed ^ GOLDEN_GAMMA)
 
 
 def test_derive_seed_distinct_replicas():

@@ -3,7 +3,6 @@ simple random walkers on finite graphs."""
 
 from __future__ import annotations
 
-from .config import RunConfig
 from .couplers import (
     CubicEngine,
     CycleEngine,
@@ -61,7 +60,6 @@ __all__ = [
     "HypothesisError",
     "PrevalenceRow",
     "RegularEngine",
-    "RunConfig",
     "ScenarioClass",
     "SquarefreeEngine",
     "Trajectory",

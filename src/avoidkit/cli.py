@@ -14,11 +14,9 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
-from .config import ENGINES, RunConfig
-from .couplers import parse_trajectory, simulate
+from .couplers import ENGINES, parse_trajectory, simulate
 from .experiment import CSV_HEADER, prevalence_experiment, row_to_csv
 from .generate import (
     RejectionBudgetExceeded,
@@ -127,24 +125,12 @@ def cmd_transport(args) -> int:
 
 def cmd_simulate(args) -> int:
     g = _load_graph(args.graph)
-    try:
-        cfg = RunConfig.load(args.config) if args.config else RunConfig()
-        # argv overrides the file; RunConfig re-validates the merged values
-        cfg = replace(cfg, ticks=cfg.ticks if args.ticks is None else args.ticks,
-                      seed=cfg.seed if args.seed is None else args.seed,
-                      walkers=cfg.walkers if args.walkers is None else args.walkers)
-    except (OSError, ValueError) as err:
-        raise ValueError(f"bad run settings: {err}") from err
-    engine = args.engine or cfg.engine
     start_given = args.a0 is not None or args.b0 is not None
     # a named cycle engine is rejected before the run; `auto` is known to
     # resolve to it only once simulate has chosen
-    if engine == "cycle" and start_given:
+    if args.engine == "cycle" and start_given:
         raise ValueError(CYCLE_START)
-    traj, eng = simulate(
-        g, engine, cfg.ticks, cfg.seed,
-        a0=args.a0, b0=args.b0, walkers=cfg.walkers,
-    )
+    traj, eng = simulate(g, args.engine, args.ticks, args.seed, a0=args.a0, b0=args.b0, walkers=args.walkers)
     if traj.engine == "cycle" and start_given:
         raise ValueError(CYCLE_START)
     Path(args.output).write_text(traj.to_text())
@@ -238,15 +224,16 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--e", type=int, default=None)
     t.set_defaults(func=cmd_transport)
 
-    s = sub.add_parser("simulate", help="run a coupling engine")
+    # `@FILE` reads arguments from FILE, one per line (`--ticks=100000`);
+    # an argument after it overrides the file
+    s = sub.add_parser("simulate", help="run a coupling engine", fromfile_prefix_chars="@")
     s.add_argument("graph")
-    s.add_argument("--ticks", type=int, default=None)
-    s.add_argument("--seed", type=int, default=None)
-    s.add_argument("--engine", choices=ENGINES, default=None)
-    s.add_argument("--walkers", type=int, default=None)
+    s.add_argument("--ticks", type=int, default=1000)
+    s.add_argument("--seed", type=int, default=0)
+    s.add_argument("--engine", choices=ENGINES, default="auto")
+    s.add_argument("--walkers", type=int, default=2)
     s.add_argument("--a0", type=int, default=None)
     s.add_argument("--b0", type=int, default=None)
-    s.add_argument("--config", default=None)
     s.add_argument("-o", "--output", required=True)
     s.set_defaults(func=cmd_simulate)
 
@@ -278,7 +265,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except (RecursionError, UnicodeDecodeError) as err:  # an @file that reads itself, or not text
+        return _fail(EXIT_INPUT, f"cannot read argument file: {err}")
     try:
         return args.func(args)
     except HypothesisError as err:  # a ValueError, so it must come first

@@ -29,14 +29,14 @@ from typing import Callable
 from .graphs import Graph, check_vertices
 from .matching import (
     LruCache,
-    TransportInfeasible,
     TransportMatrix,
     avoiding_supports,
     build_regular_transport,
     build_squarefree_transport,
-    solve_transport,
+    solve_transport,  # not called here: perfbench's tracer patches couplers.solve_transport
+    solved_cells,
 )
-from .rng import Xoshiro256
+from .rng import Xoshiro256, check_seed
 from .structure import ScenarioClass, classify_scenario, require_engine_applicable
 
 
@@ -155,14 +155,7 @@ def one_step_matching(g: Graph, a: int, b: int) -> tuple[tuple[tuple[int, int]],
     graph {(a', b') : b' not in {a'} u N(a')}, as the one-tick rows
     ((a', sigma(a')),) that `uniform_row` draws from."""
     na, nb = g.adjacency[a], g.adjacency[b]
-    try:
-        cells, _ = solve_transport(1, 1, avoiding_supports(g, na, nb), len(nb))
-    except TransportInfeasible as err:
-        raise TransportInfeasible(
-            f"scenario hypothesis violated at (a={a}, b={b})",
-            err.hall_rows,
-            err.hall_cols,
-        ) from err
+    cells, _ = solved_cells(1, 1, avoiding_supports(g, na, nb), len(nb), f"(H~_3 present?) at (a={a}, b={b})")
     return tuple([((na[f // len(nb)], nb[f % len(nb)]),) for f in cells])
 
 
@@ -467,6 +460,7 @@ class CycleEngine(Engine):
 
 
 TWO_WALKER_ENGINES = {"cubic": CubicEngine, "regular": RegularEngine, "squarefree": SquarefreeEngine}
+ENGINES = ("auto", "cycle", *TWO_WALKER_ENGINES)  # the engine names `simulate` accepts
 
 
 def check_walkers(engine: str, walkers: int) -> None:
@@ -487,10 +481,17 @@ def simulate(
     """Run an engine for >= ticks ticks; returns (trajectory, engine instance).
 
     `engine` may be "auto": `require_engine_applicable` then picks the
-    verdict's engine, deciding the hypothesis once.  A failed hypothesis
-    raises HypothesisError, any other bad argument a ValueError.  The cycle
-    engine puts its walkers on every second vertex of the cycle order and
-    ignores a0 and b0 (they are still range-checked)."""
+    verdict's engine, deciding the hypothesis once.  The seed, ticks,
+    walker count, engine name and start vertices are checked before any
+    hypothesis work, so a bad one raises ValueError on any graph; a failed
+    hypothesis raises HypothesisError.  The cycle engine puts its walkers
+    on every second vertex of the cycle order and ignores a0 and b0 (they
+    are still range-checked)."""
+    check_seed(seed)
+    if ticks < 0 or walkers < 1:
+        raise ValueError(f"ticks must be >= 0 and walkers >= 1, got ticks={ticks}, walkers={walkers}")
+    if engine not in ENGINES:
+        raise ValueError(f"unknown engine {engine!r}, expected one of {', '.join(ENGINES)}")
     check_vertices(g, a0=a0, b0=b0)
     check_walkers(engine, walkers)  # a named engine's: bad input on any graph
     engine = require_engine_applicable(g, engine)

@@ -112,7 +112,8 @@ def parse_graph(text: str) -> Graph:
     """Parse the interchange edge-list format: 'n m' then m lines 'u v'.
 
     Duplicate edges are deduplicated (counted on the returned Graph);
-    loops and out-of-range vertices are errors naming the line number.
+    loops, out-of-range vertices and a non-blank line after the m-th edge
+    line are errors naming the line number.
     """
     lines = text.splitlines()
     if not lines:
@@ -148,6 +149,10 @@ def parse_graph(text: str) -> Graph:
             if u == v:
                 raise GraphParseError(f"loop at line {lineno}")
             yield u, v
+        for lineno in range(m + 2, len(lines) + 1):
+            if lines[lineno - 1].strip():
+                raise GraphParseError(f"extra line {lineno} after the header's {m} edge line(s): "
+                                      f"{lines[lineno - 1]!r}")
 
     return graph_from_edges(n, edges(), dedupe=True)
 

@@ -1,7 +1,7 @@
 """Forbidden-subgraph detectors, scenario classification, and engine verdicts.
 
-Every detector derives from one co-degree pass, `codegrees`, which counts
-the common neighbors of each pair over the 2-paths u-c-v in O(n·d²).  H_d
+Each detector makes its own co-degree pass, `codegrees`, which counts the
+common neighbors of each pair over the 2-paths u-c-v in O(n·d²).  H_d
 (an edge whose endpoints share d-1 further neighbors) is an adjacent pair
 of codegree >= d-1; in a d-regular graph this is exactly two vertices with
 equal closed neighborhoods.  The cubic obstruction H~_3 (K_{2,3} plus one
@@ -121,9 +121,17 @@ class HypothesisError(ValueError):
 @dataclass(frozen=True)
 class Verdict:
     engine: str  # cycle | cubic | regular | squarefree | none
-    obstruction: str | None = None
-    also_squarefree: bool = False
-    checks: tuple[tuple[str, str | None], ...] = ()  # (engine, its obstruction or None), in checking order
+    checks: tuple[tuple[str, str | None], ...]  # (engine, its obstruction or None), in checking order
+
+    @property
+    def obstruction(self) -> str | None:
+        """Every checked engine's obstruction when none holds, else None."""
+        return "; ".join(f"{e}: {why}" for e, why in self.checks) if self.engine == "none" else None
+
+    @property
+    def also_squarefree(self) -> bool:
+        """Whether squarefree holds too, beside the other engine picked."""
+        return self.engine != "squarefree" and ("squarefree", None) in self.checks
 
 
 def engine_obstruction(g: Graph, engine: str, prof: Profile) -> str | None:
@@ -166,10 +174,8 @@ def admissibility_verdict(g: Graph) -> Verdict:
     sq = engine_obstruction(g, "squarefree", prof)
     checks = ((engine, why), ("squarefree", sq))
     if why is None:
-        return Verdict(engine, also_squarefree=sq is None, checks=checks)
-    if sq is None:
-        return Verdict("squarefree", checks=checks)
-    return Verdict("none", obstruction=f"{engine}: {why}; squarefree: {sq}", checks=checks)
+        return Verdict(engine, checks)
+    return Verdict("squarefree" if sq is None else "none", checks)
 
 
 def require_engine_applicable(g: Graph, engine: str) -> str:

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from avoidkit.config import RunConfig
 from avoidkit.generate import circulant, complete_bipartite, heawood, petersen
 from avoidkit.graphs import Graph, graph_from_edges
 from avoidkit.matching import TransportMatrix, check_cells, compatible, mover_pairs, other_pairs
@@ -30,13 +29,6 @@ def distance_capped(g: Graph, u: int, v: int, cap: int) -> int:
                 dist[y] = d
                 queue.append(y)
     return cap
-
-
-def config_text(cfg: RunConfig) -> str:
-    """The flat `key = value` text of a run configuration, as
-    `RunConfig.from_text` reads it."""
-    return (f"rng.seed = {cfg.seed}\nsim.ticks = {cfg.ticks}\nsim.engine = {cfg.engine}\n"
-            f"sim.walkers = {cfg.walkers}\n")
 
 
 def check_sums(tm: TransportMatrix) -> None:

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidkit.cli import main
-from avoidkit.config import ENGINES
+from avoidkit.couplers import ENGINES
 from avoidkit.graphs import parse_graph
 
 
@@ -197,6 +197,15 @@ def test_analyze_parse_failure(tmp_path, capsys):
     assert code == 2 and "cannot read graph" in err
 
 
+def test_analyze_rejects_edge_lines_past_the_header(tmp_path, capsys):
+    # read as a 1-edge graph, this host would print `connected=False` and exit 1
+    extra = tmp_path / "extra.txt"
+    extra.write_text("3 1\n0 1\n1 2\n")
+    code, stdout, err = run(capsys, "analyze", str(extra))
+    assert code == 2 and stdout == ""
+    assert err == f"error: cannot read graph {extra}: extra line 3 after the header's 1 edge line(s): '1 2'\n"
+
+
 def test_transport_command(tmp_path, capsys):
     cir = tmp_path / "cir.txt"
     run(capsys, "gen", "--family", "circulant", "--n", "9", "--offsets", "1,2", "-o", str(cir))
@@ -357,16 +366,16 @@ def test_simulate_cycle_on_relabelled_cycle(tmp_path, capsys):
     (["--ticks", "-5"], None),
     (["--seed", "-1"], None),
     (["--ticks", "-5", "--seed", "-1"], None),
-    ([], "sim.ticks = -5\n"),
-    ([], "rng.seed = -1\n"),
+    ([], "--ticks=-5\n"),
+    ([], "--seed=-1\n"),
 ])
 def test_simulate_rejects_negative_ticks_or_seed(tmp_path, capsys, argv, config):
     pet = tmp_path / "pet.txt"
     run(capsys, "gen", "--family", "petersen", "-o", str(pet))
     if config is not None:
-        cfg = tmp_path / "run.cfg"
+        cfg = tmp_path / "run.args"
         cfg.write_text(config)
-        argv = [*argv, "--config", str(cfg)]
+        argv = [*argv, f"@{cfg}"]
     traj = tmp_path / "traj.txt"
     code, _, err = run(capsys, "simulate", str(pet), *argv, "-o", str(traj))
     assert code == 2 and err.startswith("error:")
@@ -374,33 +383,53 @@ def test_simulate_rejects_negative_ticks_or_seed(tmp_path, capsys, argv, config)
 
 
 def test_simulate_with_config(tmp_path, capsys):
-    from avoidkit.config import RunConfig
-    from conftest import config_text
-
-    pet = tmp_path / "pet.txt"
-    cfg = tmp_path / "run.cfg"
-    traj = tmp_path / "traj.txt"
+    """A settings file read through `@FILE`, one argument a line, writes the
+    bytes of the same flags; a flag after the file overrides it."""
+    pet, cfg = tmp_path / "pet.txt", tmp_path / "run.args"
+    from_file, from_flags = tmp_path / "file.txt", tmp_path / "flags.txt"
     run(capsys, "gen", "--family", "petersen", "-o", str(pet))
-    cfg.write_text(config_text(RunConfig(seed=3, ticks=120, engine="squarefree")))
-    code, stdout, _ = run(capsys, "simulate", str(pet), "--config", str(cfg), "-o", str(traj))
-    assert code == 0 and "engine=squarefree" in stdout
-    assert "# seed 3" in traj.read_text()
+    cfg.write_text("--seed=3\n--ticks=120\n--engine=squarefree\n")
+    for after, seed in (([], "3"), (["--seed", "4"], "4")):
+        code, stdout, _ = run(capsys, "simulate", str(pet), f"@{cfg}", *after, "-o", str(from_file))
+        assert code == 0 and "engine=squarefree" in stdout
+        run(capsys, "simulate", str(pet), "--seed", seed, "--ticks", "120", "--engine", "squarefree",
+            "-o", str(from_flags))
+        assert f"# seed {seed}" in from_file.read_text() and from_file.read_bytes() == from_flags.read_bytes()
+
+
+def test_simulate_rejects_a_missing_args_file(tmp_path, capsys):
+    pet, traj = tmp_path / "pet.txt", tmp_path / "traj.txt"
+    run(capsys, "gen", "--family", "petersen", "-o", str(pet))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(pet), f"@{tmp_path / 'missing.args'}", "-o", str(traj)])
+    assert exc.value.code == 2 and "missing.args" in capsys.readouterr().err
+    assert not traj.exists()
+
+
+@pytest.mark.parametrize("content", [b"@SELF\n", b"--seed=3\n\xff\n"], ids=["reads-itself", "not-text"])
+def test_simulate_rejects_an_unreadable_args_file(tmp_path, capsys, content):
+    pet, cfg, traj = tmp_path / "pet.txt", tmp_path / "run.args", tmp_path / "traj.txt"
+    run(capsys, "gen", "--family", "petersen", "-o", str(pet))
+    cfg.write_bytes(content.replace(b"SELF", str(cfg).encode()))
+    code, stdout, err = run(capsys, "simulate", str(pet), f"@{cfg}", "-o", str(traj))
+    assert code == 2 and err.startswith("error: cannot read argument file:") and stdout == ""
+    assert not traj.exists()
 
 
 def test_simulate_walkers_from_config(tmp_path, capsys):
     c10 = tmp_path / "c10.txt"
-    cfg = tmp_path / "run.cfg"
+    cfg = tmp_path / "run.args"
     traj = tmp_path / "traj.txt"
     run(capsys, "gen", "--family", "cycle", "--n", "10", "-o", str(c10))
-    cfg.write_text("sim.walkers = 5\nsim.engine = cycle\nsim.ticks = 20\n")
-    code, _, err = run(capsys, "simulate", str(c10), "--config", str(cfg), "-o", str(traj))
+    cfg.write_text("--walkers=5\n--engine=cycle\n--ticks=20\n")
+    code, _, err = run(capsys, "simulate", str(c10), f"@{cfg}", "-o", str(traj))
     assert code == 0, err
     assert len(traj.read_text().splitlines()[3].split()) == 1 + 5
-    code, _, err = run(capsys, "simulate", str(c10), "--config", str(cfg),
+    code, _, err = run(capsys, "simulate", str(c10), f"@{cfg}",
                        "--walkers", "3", "-o", str(traj))
     assert code == 0, err
     assert len(traj.read_text().splitlines()[3].split()) == 1 + 3
-    code, _, err = run(capsys, "simulate", str(c10), "--config", str(cfg),
+    code, _, err = run(capsys, "simulate", str(c10), f"@{cfg}",
                        "--walkers", "0", "-o", str(tmp_path / "none.txt"))
     assert code == 2 and "walkers" in err
 
@@ -408,16 +437,16 @@ def test_simulate_walkers_from_config(tmp_path, capsys):
 @pytest.mark.parametrize("argv,config", [
     (["--engine", "cubic", "--walkers", "5"], None),
     (["--engine", "auto", "--walkers", "3"], None),
-    ([], "sim.walkers = 5\nsim.engine = squarefree\n"),
-    ([], "sim.walkers = 4\n"),
+    ([], "--walkers=5\n--engine=squarefree\n"),
+    ([], "--walkers=4\n"),
 ])
 def test_simulate_rejects_walkers_on_two_walker_engines(tmp_path, capsys, argv, config):
     pet = tmp_path / "pet.txt"
     run(capsys, "gen", "--family", "petersen", "-o", str(pet))
     if config is not None:
-        cfg = tmp_path / "run.cfg"
+        cfg = tmp_path / "run.args"
         cfg.write_text(config)
-        argv = [*argv, "--config", str(cfg)]
+        argv = [*argv, f"@{cfg}"]
     traj = tmp_path / "traj.txt"
     code, _, err = run(capsys, "simulate", str(pet), *argv, "-o", str(traj))
     assert code == 2 and "exactly 2 walkers" in err
@@ -454,17 +483,17 @@ def test_simulate_cycle_rejects_a0_b0(tmp_path, capsys, engine, start):
                "-o", str(traj))[0] == 0
 
 
-@pytest.mark.parametrize("named", [["--engine", "cycle"], ["--config", "CFG"]], ids=["flag", "config"])
+@pytest.mark.parametrize("named", [["--engine", "cycle"], ["@CFG"]], ids=["flag", "config"])
 def test_simulate_named_cycle_rejects_a0_before_the_run(tmp_path, capsys, monkeypatch, named):
-    c10, cfg, traj = tmp_path / "c10.txt", tmp_path / "run.cfg", tmp_path / "traj.txt"
+    c10, cfg, traj = tmp_path / "c10.txt", tmp_path / "run.args", tmp_path / "traj.txt"
     run(capsys, "gen", "--family", "cycle", "--n", "10", "-o", str(c10))
-    cfg.write_text("sim.engine = cycle\n")
+    cfg.write_text("--engine=cycle\n")
 
     def never(*args, **kwargs):
         raise AssertionError("simulate ran although the named engine rejects --a0")
 
     monkeypatch.setattr("avoidkit.cli.simulate", never)
-    argv = [str(cfg) if a == "CFG" else a for a in named]
+    argv = [f"@{cfg}" if a == "@CFG" else a for a in named]
     code, stdout, err = run(capsys, "simulate", str(c10), *argv, "--a0", "3", "--ticks", "1000000",
                             "-o", str(traj))
     assert code == 2 and "--a0 and --b0 do not apply" in err and stdout == ""
@@ -695,14 +724,6 @@ def test_experiment_rejects_malformed_n_list(capsys):
     code, stdout, err = run(capsys, "experiment", "prevalence", "--d", "3",
                             "--n-list", "16,x", "--samples", "2")
     assert code == 2 and "--n-list must be comma-separated integers" in err and stdout == ""
-
-
-def test_simulate_rejects_unknown_engine_in_config(c9_and_pet, tmp_path, capsys):
-    cfg, traj = tmp_path / "run.cfg", tmp_path / "traj.txt"
-    cfg.write_text("sim.engine = bogus\n")
-    code, _, err = run(capsys, "simulate", c9_and_pet[1], "--config", str(cfg), "-o", str(traj))
-    assert code == 2 and err.startswith("error: bad run settings: unknown engine 'bogus'")
-    assert not traj.exists()
 
 
 @pytest.mark.parametrize("argv", [
@@ -948,26 +969,29 @@ def test_experiment_argv_fuzz(fuzz_hosts, data):
         _exits_cleanly(argv, out)
 
 
-_CONFIG_LINES = st.tuples(
-    st.sampled_from(["rng.seed", "sim.ticks", "sim.engine", "sim.walkers", "cache.capacity", "bogus", ""]),
-    st.sampled_from([" = ", "=", " "]),
-    st.sampled_from(ENGINES) | _FUZZ_TOKENS | st.integers(-3, 2**64 + 3).map(str),
-).map("".join) | st.sampled_from(["", "# note", "=", "sim.ticks = 1 = 2"])
+_ARGS_FILE_VALUES = {"--seed": st.integers(-3, 2**64 + 3).map(str), "--ticks": st.integers(-3, 9).map(str),
+                     "--walkers": st.integers(-1, 12).map(str), "--engine": st.sampled_from(ENGINES)}
+# a flag's value is one of its own or a fuzz token; a fifth of the lines are
+# malformed or name an option that simulate does not have
+_ARGS_FILE_LINES = st.sampled_from([*_ARGS_FILE_VALUES, None]).flatmap(
+    lambda flag: (_ARGS_FILE_VALUES[flag] | _FUZZ_TOKENS).map(f"{flag}={{}}".format) if flag
+    else st.sampled_from(["", "# note", "=", "--ticks=1=2", "--seed 3", "sim.ticks = 1", "--config=run.cfg",
+                          "--walkers"]))
 
 
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(data=st.data())
 def test_simulate_config_fuzz(fuzz_hosts, data):
-    from avoidkit.config import RunConfig
-
+    """A settings file read through `@FILE`, one flag a line: exit 0, 1 or 2,
+    where argparse rejects a line with its own exit 2."""
     root, hosts = fuzz_hosts
-    text = "\n".join(data.draw(st.lists(_CONFIG_LINES, max_size=6), label="config")) + "\n"
-    try:
-        RunConfig.from_text(text)
-    except ValueError:
-        pass
-    cfg, traj = root / "run.cfg", root / "traj.txt"
-    cfg.write_text(text)
+    cfg, traj = root / "run.args", root / "traj.txt"
+    cfg.write_text("".join(f"{line}\n" for line in data.draw(st.lists(_ARGS_FILE_LINES, max_size=4),
+                                                              label="args file")))
     path, _ = data.draw(st.sampled_from(hosts), label="host")
-    # --ticks overrides the file, so no example runs long
-    _exits_cleanly(["simulate", path, "--config", str(cfg), "--ticks=5", "-o", str(traj)], traj)
+    traj.unlink(missing_ok=True)  # the verify fuzz leaves its input trajectory here
+    try:
+        # --ticks after the file overrides it, so no example runs long
+        _exits_cleanly(["simulate", path, f"@{cfg}", "--ticks=5", "-o", str(traj)], traj)
+    except SystemExit as exc:
+        assert exc.code == 2 and not traj.exists()

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from avoidkit.cli import main as cli_main
-from avoidkit.config import RunConfig
 from avoidkit.experiment import (
     CSV_HEADER,
     PrevalenceRow,
@@ -18,51 +17,20 @@ from avoidkit.experiment import (
     wilson_interval,
     worker_count,
 )
-from conftest import config_text
 
 
-def test_config_round_trip(tmp_path):
-    cfg = RunConfig(seed=9, ticks=500, engine="cubic")
-    path = tmp_path / "run.cfg"
-    path.write_text(config_text(cfg))
-    assert RunConfig.load(path) == cfg
-
-
-def test_config_text_format():
-    text = config_text(RunConfig())
-    assert "rng.seed = 0" in text
-    assert "sim.engine = auto" in text
-    assert RunConfig.from_text(text) == RunConfig()
-
-
-def test_config_parse_errors():
-    with pytest.raises(ValueError, match="unknown config key"):
-        RunConfig.from_text("sim.warp = 9\n")
-    with pytest.raises(ValueError, match="unknown engine 'bogus'"):
-        RunConfig.from_text("sim.engine = bogus\n")
-    with pytest.raises(ValueError, match="line 1"):
-        RunConfig.from_text("no equals sign\n")
-    # comments and blanks are fine
-    cfg = RunConfig.from_text("# comment\n\nsim.ticks = 7\n")
-    assert cfg.ticks == 7
-
-
-@pytest.mark.parametrize("line", ["verify.alpha = 0.01", "gen.rejection_budget = 10", "cache.capacity = 64"])
+@pytest.mark.parametrize("line", ["verify.alpha = 0.01", "gen.rejection_budget = 10", "cache.capacity = 64",
+                                  "sim.ticks = 10", "--config=run.cfg"])
 def test_dropped_config_keys_are_unknown(tmp_path, capsys, line):
-    """No run reads any of these keys; a config that sets one fails."""
-    g, cfg = tmp_path / "pet.txt", tmp_path / "run.cfg"
+    """No run reads a config key or a --config flag; a settings file that
+    holds one fails with argparse's exit 2."""
+    g, cfg = tmp_path / "pet.txt", tmp_path / "run.args"
     assert cli_main(["gen", "--family", "petersen", "-o", str(g)]) == 0
-    cfg.write_text(f"sim.ticks = 10\n{line}\n")
-    code = cli_main(["simulate", str(g), "--config", str(cfg), "-o", str(tmp_path / "t.txt")])
-    err = capsys.readouterr().err
-    assert code == 2 and f"unknown config key {line.split()[0]!r}" in err
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        RunConfig(seed=-1)
-    with pytest.raises(ValueError):
-        RunConfig(walkers=0)
+    cfg.write_text(f"--ticks=10\n{line}\n")
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["simulate", str(g), f"@{cfg}", "-o", str(tmp_path / "t.txt")])
+    assert exc.value.code == 2 and f"unrecognized arguments: {line}" in capsys.readouterr().err
+    assert not (tmp_path / "t.txt").exists()
 
 
 @given(st.integers(min_value=0, max_value=500), st.integers(min_value=1, max_value=500))

@@ -141,6 +141,19 @@ def test_one_step_matching_is_bijection(pet, k33):
                     assert bp != ap and not g.has_edge(ap, bp)
 
 
+def test_one_step_matching_is_sum_checked(pet, monkeypatch):
+    """The cubic one-step matching is solved through `solved_cells`, which
+    sum-checks its cells like every other transport build."""
+    import avoidkit.matching as matching
+
+    calls = []
+    check = matching.check_cells
+    monkeypatch.setattr(matching, "check_cells", lambda *args: calls.append(args[2:]) or check(*args))
+    scenario, _, rows = cubic_plan(pet, 0, 2)
+    assert scenario.tag == "S4" and len(rows) == 3
+    assert calls == [(3, 3, 1, 1)]  # nr, nc, row_sum, col_sum
+
+
 def test_s3b_rows_structure(s3b_host):
     rows = s3b_rows(s3b_host, 0, 1)
     assert len(rows) == 9
@@ -456,6 +469,30 @@ def test_simulate_rejects_walkers_on_two_walker_engines(pet, circ9, engine, walk
     g = circ9 if engine == "regular" else pet
     with pytest.raises(ValueError, match="exactly 2 walkers"):
         simulate(g, engine, 10, 0, walkers=walkers)
+
+
+@pytest.mark.parametrize("engine", ["auto", "regular"])
+@pytest.mark.parametrize("args,message", [
+    ({"seed": -1}, "seed must fit"),
+    ({"seed": 2**64}, "seed must fit"),
+    ({"ticks": -1}, "ticks must be >= 0"),
+    ({"walkers": 0}, "walkers >= 1"),
+    ({"engine": "bogus"}, "unknown engine 'bogus'"),
+], ids=["seed-negative", "seed-2^64", "ticks", "walkers", "engine"])
+def test_simulate_checks_its_arguments_before_the_hypothesis(monkeypatch, engine, args, message):
+    """On K5, which no engine admits, a bad seed, tick count, walker count or
+    engine name is a ValueError, not a HypothesisError: it is rejected
+    before any hypothesis is decided."""
+    import avoidkit.couplers as couplers
+
+    def never(*args):
+        raise AssertionError("simulate decided a hypothesis before checking its arguments")
+
+    monkeypatch.setattr(couplers, "require_engine_applicable", never)
+    call = {"engine": engine, "ticks": 10, "seed": 0, "walkers": 2, **args}
+    with pytest.raises(ValueError, match=message) as err:
+        simulate(complete(5), **call)
+    assert not isinstance(err.value, HypothesisError)
 
 
 

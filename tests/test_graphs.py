@@ -133,6 +133,17 @@ def test_parse_errors_name_lines():
         parse_graph("3 1\n0 7\n")
 
 
+def test_parse_rejects_lines_past_the_declared_edges():
+    with pytest.raises(GraphParseError, match="extra line 3 after the header's 1 edge line"):
+        parse_graph("3 1\n0 1\n1 2\n")
+    with pytest.raises(GraphParseError, match="extra line 5 .*'x'"):
+        parse_graph("3 1\n0 1\n\n \nx\n")
+    # a malformed edge line comes first in file order
+    with pytest.raises(GraphParseError, match="malformed edge at line 2"):
+        parse_graph("3 1\n0 x\n1 2\n")
+    assert parse_graph("3 1\n0 1\n\n  \n").edge_count == 1  # trailing blank lines stay allowed
+
+
 def test_parse_counts_duplicates():
     g = parse_graph("3 3\n0 1\n1 2\n1 0\n")
     assert g.duplicate_edges_dropped == 1

@@ -467,7 +467,8 @@ def one_step_reference(g, a: int, b: int):
     na, nb = g.adjacency[a], g.adjacency[b]
     m = solve_as_from_scratch(1, 1, masks(avoiding_allowed(g, na, nb)), len(nb))
     if isinstance(m, TransportInfeasible):
-        return TransportInfeasible(f"scenario hypothesis violated at (a={a}, b={b})", m.hall_rows, m.hall_cols)
+        return TransportInfeasible(f"hypothesis violated (H~_3 present?) at (a={a}, b={b})",
+                                   m.hall_rows, m.hall_cols)
     return tuple(((na[i], nb[row.index(1)]),) for i, row in enumerate(m))
 
 

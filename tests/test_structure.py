@@ -214,18 +214,22 @@ def test_closed_neighborhood_duplicates():
 def test_verdicts(pet, hea, circ9, k33, ag23):
     assert admissibility_verdict(cycle(7)).engine == "cycle"
     v = admissibility_verdict(pet)
-    assert v.engine == "cubic" and v.also_squarefree
+    assert v.engine == "cubic" and v.also_squarefree and v.obstruction is None
+    assert v.checks == (("cubic", None), ("squarefree", None))
     assert admissibility_verdict(circ9).engine == "regular"
     assert admissibility_verdict(k33).engine == "cubic"
     assert admissibility_verdict(hea).engine == "cubic"
-    assert admissibility_verdict(ag23).engine == "squarefree"
+    v = admissibility_verdict(ag23)
+    assert v.engine == "squarefree" and not v.also_squarefree and v.obstruction is None
+    v = admissibility_verdict(circ9)
+    assert not v.also_squarefree and v.checks[1] == ("squarefree", "contains a 4-cycle (0, 2, 1, 8)")
 
 
 def test_verdict_none_with_obstruction():
     # K_4 is 3-regular but too small; K_5 contains H_4
     v = admissibility_verdict(complete(5))
-    assert v.engine == "none"
-    assert "H_4" in v.obstruction
+    assert v.engine == "none" and not v.also_squarefree
+    assert v.obstruction == "regular: contains H_4 at pair (0, 1); squarefree: contains a 4-cycle (0, 2, 1, 3)"
     with pytest.raises(ValueError):
         admissibility_verdict(graph_from_edges(4, [(0, 1), (2, 3)]))
 

@@ -12,7 +12,7 @@ from .couplers import (
     parse_trajectory,
     simulate,
 )
-from .experiment import PrevalenceRow, prevalence_experiment, wilson_interval
+from .experiment import PrevalenceRow, hd_probability_upper_bound, prevalence_experiment, wilson_interval
 from .generate import (
     configuration_model,
     cycle,
@@ -44,7 +44,6 @@ from .verify import (
     check_avoidance,
     exact_cubic_marginals,
     exact_regular_index_laws,
-    hd_probability_upper_bound,
     lemma31_equivalence,
     lemma34_oracle,
     lemma42_oracle,

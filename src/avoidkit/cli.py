@@ -2,12 +2,13 @@
 
 Each command loads its input, makes its library call and prints; the
 library checks its own arguments, and `main` alone maps a failure to an
-exit code.  Exit codes: 0 success; 1 domain failure, either a raised
+exit code and one `error:` line; it returns for every argv, 0 after
+`--help`.  Exit codes: 0 success; 1 domain failure, either a raised
 HypothesisError (no engine applies, a failed engine hypothesis),
 TransportInfeasible or RejectionBudgetExceeded, or a result the command
 computes (violations, a chi-square FAIL, `holds: False`, verdict `none`);
 2 input failure, any other ValueError or any OSError (a malformed or
-unreadable input, an unwritable output path) and argparse usage errors.
+unreadable input, an unwritable output path, a usage error).
 """
 
 from __future__ import annotations
@@ -60,9 +61,14 @@ def _ints(flag: str, text: str) -> list[int]:
         raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from err
 
 
-def _fail(code: int, message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return code
+class _Parser(argparse.ArgumentParser):
+    """Usage errors raise ValueError; an `@FILE`'s blank lines are skipped."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+    def convert_arg_line_to_args(self, arg_line):
+        return [arg_line] if arg_line.strip() else []
 
 
 def cmd_gen(args) -> int:
@@ -196,7 +202,7 @@ def cmd_experiment(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(prog="avoidkit", description=__doc__)
+    p = _Parser(prog="avoidkit", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("gen", help="generate a graph file")
@@ -224,8 +230,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--e", type=int, default=None)
     t.set_defaults(func=cmd_transport)
 
-    # `@FILE` reads arguments from FILE, one per line (`--ticks=100000`);
-    # an argument after it overrides the file
+    # `@FILE` reads arguments from FILE, one per line (`--ticks=100000`),
+    # blank lines skipped; an argument after it overrides the file
     s = sub.add_parser("simulate", help="run a coupling engine", fromfile_prefix_chars="@")
     s.add_argument("graph")
     s.add_argument("--ticks", type=int, default=1000)
@@ -266,17 +272,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-    except (RecursionError, UnicodeDecodeError) as err:  # an @file that reads itself, or not text
-        return _fail(EXIT_INPUT, f"cannot read argument file: {err}")
-    try:
+        try:
+            args, extra = build_parser().parse_known_args(argv)
+        except SystemExit:  # only --help exits the parser: a usage error raises ValueError
+            return EXIT_OK
+        except (RecursionError, UnicodeDecodeError) as err:  # an @file that reads itself, or not text
+            raise ValueError(f"cannot read argument file: {err}") from err
+        if extra:
+            raise ValueError(f"avoidkit {args.command}: unrecognized arguments: {' '.join(extra)}")
         return args.func(args)
-    except HypothesisError as err:  # a ValueError, so it must come first
-        return _fail(EXIT_DOMAIN, str(err))
+    # HypothesisError is a ValueError, so the exit-1 classes come first
+    except (HypothesisError, TransportInfeasible, RejectionBudgetExceeded) as err:
+        code, message = EXIT_DOMAIN, str(err)
     except (OSError, ValueError) as err:
-        return _fail(EXIT_INPUT, str(err))
-    except (TransportInfeasible, RejectionBudgetExceeded) as err:
-        return _fail(EXIT_DOMAIN, str(err))
+        code, message = EXIT_INPUT, str(err)
+    print(f"error: {message}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

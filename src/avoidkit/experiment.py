@@ -94,6 +94,18 @@ def pattern_parameters(d: int) -> tuple[int, int]:
     return d + 1, 2 * d - 1
 
 
+def hd_probability_upper_bound(n: int, d: int, n0: int, m_edges: int) -> float:
+    """Upper bound n^n0 * (d/(n-2m))^m on the probability that a fixed
+    pattern with n0 vertices and m edges appears in the d-regular
+    configuration model; computed in logs to avoid overflow."""
+    if m_edges <= n0:
+        raise ValueError("bound requires m_edges > n0")
+    if n <= 2 * m_edges:
+        raise ValueError("bound requires n > 2*m_edges")
+    log_val = n0 * math.log(n) + m_edges * (math.log(d) - math.log(n - 2 * m_edges))
+    return math.exp(log_val)
+
+
 def _sample_cell(args) -> tuple[bool, int, int]:
     """One (n, replica) cell: returns (hit, loops, multi_edges)."""
     n, d, seed, simple_connected = args
@@ -161,8 +173,6 @@ def prevalence_experiment(
         lo, hi = wilson_interval(hits, samples)
         bound = None
         if m > n0 and n > 2 * m:
-            from .verify import hd_probability_upper_bound
-
             bound = hd_probability_upper_bound(n, d, n0, m)
         rows.append(
             PrevalenceRow(

@@ -5,7 +5,8 @@ is uniform over perfect matchings of the n*d half-edge slots: after the
 shuffle, stubs 2k and 2k+1 form edge k, stored as (min, max).  Simple
 regular graphs are produced by rejection sampling on top of it: each
 attempt stops at its first loop or repeated pair, and only a simple
-pairing is built into a graph.
+pairing is built into a graph.  A request no attempt can meet (connected,
+d=1, n > 2) is a ValueError before the first attempt.
 """
 
 from __future__ import annotations
@@ -17,14 +18,9 @@ DEFAULT_REJECTION_BUDGET = 10**5
 
 
 class RejectionBudgetExceeded(RuntimeError):
-    def __init__(self, budget: int, reason: str | None = None):
-        super().__init__(reason or f"rejection budget of {budget} attempts exceeded")
+    def __init__(self, budget: int):
+        super().__init__(f"rejection budget of {budget} attempts exceeded")
         self.budget = budget
-
-
-class HopelessRequest(RejectionBudgetExceeded, ValueError):
-    """A request no attempt can meet: it exceeds every budget, so it is
-    rejected as bad input before the first attempt."""
 
 
 def cycle(n: int) -> Graph:
@@ -114,8 +110,8 @@ def random_regular_simple(
     does, where s_k is the k-th draw of Xoshiro256(seed), and pairs them as
     the shuffle makes them final, so the attempt is rejected at its first
     loop or repeated pair.  Returns (graph, rejections).  Raises
-    RejectionBudgetExceeded past `budget`, and HopelessRequest up front for
-    a request no attempt can meet.
+    RejectionBudgetExceeded past `budget`, and ValueError before the first
+    attempt for a request no attempt can meet.
     """
     if (n * d) % 2 != 0:
         raise ValueError("random_regular_simple requires n*d even")
@@ -123,7 +119,7 @@ def random_regular_simple(
         raise ValueError("random_regular_simple requires 0 < d < n")
     check_size(n, n * d // 2)
     if d == 1 and n > 2 and connected_required:
-        raise HopelessRequest(budget, "a 1-regular graph on more than 2 vertices is never connected")
+        raise ValueError("a 1-regular graph on more than 2 vertices is never connected")
     rng = Xoshiro256(seed)
     all_stubs = [v for v in range(n) for _ in range(d)]
     rejections = 0

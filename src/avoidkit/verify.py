@@ -34,6 +34,7 @@ from .couplers import (
 from .graphs import Graph
 from .matching import (
     TransportInfeasible,
+    avoiding_supports,
     build_regular_transport,
     build_squarefree_transport,
     check_cells,
@@ -445,8 +446,7 @@ def lemma42_oracle(g: Graph, a: int, b: int) -> OracleResult:
     serves."""
     check_squarefree_pair(g, a, b)
     na, nb = g.adjacency[a], g.adjacency[b]
-    masks = [sum(1 << j for j, bp in enumerate(nb) if bp != ap and not g.has_edge(ap, bp)) for ap in na]
-    return _hall_oracle(len(nb), len(na), masks, len(nb), na)
+    return _hall_oracle(len(nb), len(na), avoiding_supports(g, na, nb), len(nb), na)
 
 
 def lemma31_equivalence(g: Graph) -> tuple[bool, tuple[bool, bool, bool]]:
@@ -465,19 +465,3 @@ def lemma31_equivalence(g: Graph) -> tuple[bool, tuple[bool, bool, bool]]:
     p3 = all(na - set(g.adjacency[b]) - {b} for na in map(set, g.adjacency)
              for b in na.union(*(g.adjacency[v] for v in na)) if set(g.adjacency[b]) != na)
     return (p1 == p2 == p3), (p1, p2, p3)
-
-
-# ---------------------------------------------------------------------------
-# analytic containment bound
-
-
-def hd_probability_upper_bound(n: int, d: int, n0: int, m_edges: int) -> float:
-    """Upper bound n^n0 * (d/(n-2m))^m on the probability that a fixed
-    pattern with n0 vertices and m edges appears in the d-regular
-    configuration model; computed in logs to avoid overflow."""
-    if m_edges <= n0:
-        raise ValueError("bound requires m_edges > n0")
-    if n <= 2 * m_edges:
-        raise ValueError("bound requires n > 2*m_edges")
-    log_val = n0 * math.log(n) + m_edges * (math.log(d) - math.log(n - 2 * m_edges))
-    return math.exp(log_val)

@@ -397,13 +397,48 @@ def test_simulate_with_config(tmp_path, capsys):
         assert f"# seed {seed}" in from_file.read_text() and from_file.read_bytes() == from_flags.read_bytes()
 
 
+def test_simulate_skips_blank_lines_of_an_args_file(tmp_path, capsys):
+    pet, cfg = tmp_path / "pet.txt", tmp_path / "run.args"
+    from_file, from_flags = tmp_path / "file.txt", tmp_path / "flags.txt"
+    run(capsys, "gen", "--family", "petersen", "-o", str(pet))
+    cfg.write_text("--seed=3\n\n--ticks=5\n")
+    code, _, err = run(capsys, "simulate", str(pet), f"@{cfg}", "-o", str(from_file))
+    assert code == 0, err
+    run(capsys, "simulate", str(pet), "--seed=3", "--ticks=5", "-o", str(from_flags))
+    assert from_file.read_bytes() == from_flags.read_bytes()
+
+
 def test_simulate_rejects_a_missing_args_file(tmp_path, capsys):
     pet, traj = tmp_path / "pet.txt", tmp_path / "traj.txt"
     run(capsys, "gen", "--family", "petersen", "-o", str(pet))
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", str(pet), f"@{tmp_path / 'missing.args'}", "-o", str(traj)])
-    assert exc.value.code == 2 and "missing.args" in capsys.readouterr().err
+    code, stdout, err = run(capsys, "simulate", str(pet), f"@{tmp_path / 'missing.args'}", "-o", str(traj))
+    assert (code, stdout) == (2, "") and err.startswith("error: avoidkit simulate:") and "missing.args" in err
     assert not traj.exists()
+
+
+@pytest.mark.parametrize("argv,message", [
+    (["gen", "--family", "petersen", "--bogus", "-o", "{out}"], "avoidkit gen: unrecognized arguments: --bogus"),
+    (["simulate", "{pet}", "--ticks", "x", "-o", "{out}"],
+     "avoidkit simulate: argument --ticks: invalid int value: 'x'"),
+    ([], "avoidkit: the following arguments are required: command"),
+    (["simulate", "{pet}", "--engine", "x", "-o", "{out}"],
+     "avoidkit simulate: argument --engine: invalid choice: 'x'"),
+    (["simulate", "{pet}"], "avoidkit simulate: the following arguments are required: -o/--output"),
+], ids=["unknown-flag", "bad-int", "no-command", "bad-engine", "no-output"])
+def test_usage_errors_return_2(tmp_path, capsys, argv, message):
+    """A usage error is one `error:` line from main, never argparse's exit."""
+    pet, out = tmp_path / "pet.txt", tmp_path / "out.txt"
+    run(capsys, "gen", "--family", "petersen", "-o", str(pet))
+    code, stdout, err = run(capsys, *(a.format(pet=pet, out=out) for a in argv))
+    assert (code, stdout) == (2, "") and err.startswith(f"error: {message}") and err.count("\n") == 1
+    assert sorted(tmp_path.iterdir()) == [pet]
+
+
+@pytest.mark.parametrize("argv,usage", [(["--help"], "usage: avoidkit [-h]"),
+                                        (["simulate", "--help"], "usage: avoidkit simulate [-h]")])
+def test_help_returns_0(capsys, argv, usage):
+    code, stdout, err = run(capsys, *argv)
+    assert (code, err) == (0, "") and stdout.startswith(usage)
 
 
 @pytest.mark.parametrize("content", [b"@SELF\n", b"--seed=3\n\xff\n"], ids=["reads-itself", "not-text"])
@@ -414,6 +449,17 @@ def test_simulate_rejects_an_unreadable_args_file(tmp_path, capsys, content):
     code, stdout, err = run(capsys, "simulate", str(pet), f"@{cfg}", "-o", str(traj))
     assert code == 2 and err.startswith("error: cannot read argument file:") and stdout == ""
     assert not traj.exists()
+
+
+def test_recursion_in_a_command_is_not_an_args_file_error(tmp_path, capsys, monkeypatch):
+    """Only argument parsing reads @FILEs, so only there is a RecursionError
+    reported as an unreadable argument file."""
+    def recurse(args):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr("avoidkit.cli.cmd_analyze", recurse)
+    with pytest.raises(RecursionError):
+        main(["analyze", str(tmp_path / "g.txt")])
 
 
 def test_simulate_walkers_from_config(tmp_path, capsys):
@@ -617,9 +663,8 @@ def test_oracle_lemma31_takes_d_from_the_graph(tmp_path, capsys):
     star.write_text("4 3\n0 1\n0 2\n0 3\n")
     code, stdout, err = run(capsys, "oracle", "lemma31", str(star))
     assert code == 2 and "requires a regular graph" in err and "agreement" not in stdout
-    with pytest.raises(SystemExit) as exc:
-        main(["oracle", "lemma31", str(star), "--d", "99"])
-    assert exc.value.code == 2
+    code, stdout, err = run(capsys, "oracle", "lemma31", str(star), "--d", "99")
+    assert (code, stdout) == (2, "") and err == "error: avoidkit oracle: unrecognized arguments: --d 99\n"
 
 
 @pytest.mark.parametrize("text", ["4 2\n0 1\n2 3\n", "3 0\n"], ids=["perfect-matching", "edgeless"])
@@ -971,10 +1016,12 @@ def test_experiment_argv_fuzz(fuzz_hosts, data):
 
 _ARGS_FILE_VALUES = {"--seed": st.integers(-3, 2**64 + 3).map(str), "--ticks": st.integers(-3, 9).map(str),
                      "--walkers": st.integers(-1, 12).map(str), "--engine": st.sampled_from(ENGINES)}
-# a flag's value is one of its own or a fuzz token; a fifth of the lines are
-# malformed or name an option that simulate does not have
-_ARGS_FILE_LINES = st.sampled_from([*_ARGS_FILE_VALUES, None]).flatmap(
-    lambda flag: (_ARGS_FILE_VALUES[flag] | _FUZZ_TOKENS).map(f"{flag}={{}}".format) if flag
+# a flag's value is its own three times in four and a fuzz token otherwise;
+# a ninth of the lines are blank, malformed or name an option that simulate
+# does not have, so that most files parse and reach simulate
+_ARGS_FILE_LINES = st.sampled_from([*_ARGS_FILE_VALUES, *_ARGS_FILE_VALUES, None]).flatmap(
+    lambda flag: st.sampled_from([_ARGS_FILE_VALUES[flag]] * 3 + [_FUZZ_TOKENS]).flatmap(
+        lambda values: values.map(f"{flag}={{}}".format)) if flag
     else st.sampled_from(["", "# note", "=", "--ticks=1=2", "--seed 3", "sim.ticks = 1", "--config=run.cfg",
                           "--walkers"]))
 
@@ -983,15 +1030,12 @@ _ARGS_FILE_LINES = st.sampled_from([*_ARGS_FILE_VALUES, None]).flatmap(
 @given(data=st.data())
 def test_simulate_config_fuzz(fuzz_hosts, data):
     """A settings file read through `@FILE`, one flag a line: exit 0, 1 or 2,
-    where argparse rejects a line with its own exit 2."""
+    a line the parser rejects among the exit-2 failures."""
     root, hosts = fuzz_hosts
     cfg, traj = root / "run.args", root / "traj.txt"
     cfg.write_text("".join(f"{line}\n" for line in data.draw(st.lists(_ARGS_FILE_LINES, max_size=4),
                                                               label="args file")))
     path, _ = data.draw(st.sampled_from(hosts), label="host")
     traj.unlink(missing_ok=True)  # the verify fuzz leaves its input trajectory here
-    try:
-        # --ticks after the file overrides it, so no example runs long
-        _exits_cleanly(["simulate", path, f"@{cfg}", "--ticks=5", "-o", str(traj)], traj)
-    except SystemExit as exc:
-        assert exc.code == 2 and not traj.exists()
+    # --ticks after the file overrides it, so no example runs long
+    _exits_cleanly(["simulate", path, f"@{cfg}", "--ticks=5", "-o", str(traj)], traj)

@@ -10,6 +10,7 @@ from avoidkit.cli import main as cli_main
 from avoidkit.experiment import (
     CSV_HEADER,
     PrevalenceRow,
+    hd_probability_upper_bound,
     pattern_parameters,
     prevalence_experiment,
     row_to_csv,
@@ -23,13 +24,12 @@ from avoidkit.experiment import (
                                   "sim.ticks = 10", "--config=run.cfg"])
 def test_dropped_config_keys_are_unknown(tmp_path, capsys, line):
     """No run reads a config key or a --config flag; a settings file that
-    holds one fails with argparse's exit 2."""
+    holds one is a usage error, exit 2."""
     g, cfg = tmp_path / "pet.txt", tmp_path / "run.args"
     assert cli_main(["gen", "--family", "petersen", "-o", str(g)]) == 0
     cfg.write_text(f"--ticks=10\n{line}\n")
-    with pytest.raises(SystemExit) as exc:
-        cli_main(["simulate", str(g), f"@{cfg}", "-o", str(tmp_path / "t.txt")])
-    assert exc.value.code == 2 and f"unrecognized arguments: {line}" in capsys.readouterr().err
+    assert cli_main(["simulate", str(g), f"@{cfg}", "-o", str(tmp_path / "t.txt")]) == 2
+    assert capsys.readouterr().err == f"error: avoidkit simulate: unrecognized arguments: {line}\n"
     assert not (tmp_path / "t.txt").exists()
 
 
@@ -53,6 +53,17 @@ def test_pattern_parameters():
     assert pattern_parameters(3) == (5, 7)
     assert pattern_parameters(4) == (5, 7)
     assert pattern_parameters(5) == (6, 9)
+
+
+def test_hd_bound_values():
+    # n^5 * (3/(n-14))^7 at n=32: computed independently
+    want = 32**5 * (3 / 18) ** 7
+    got = hd_probability_upper_bound(32, 3, 5, 7)
+    assert math.isclose(got, want, rel_tol=1e-12)
+    with pytest.raises(ValueError):
+        hd_probability_upper_bound(10, 3, 5, 7)  # n <= 2m
+    with pytest.raises(ValueError):
+        hd_probability_upper_bound(100, 3, 9, 7)  # m <= n0
 
 
 def test_prevalence_row_validation():

@@ -152,4 +152,8 @@ def test_random_regular_simple_matches_reference(d, n, seed, connected, budget):
     if (n * d) % 2:
         n += 1
     args = (n, d, seed, connected, budget)
+    if d == 1 and n > 2 and connected:  # never met: refused before the attempts the reference spends
+        with pytest.raises(ValueError, match="never connected"):
+            random_regular_simple(*args)
+        return
     assert _outcome(random_regular_simple, *args) == _outcome(ref_random_regular_simple, *args)

@@ -57,9 +57,10 @@ def test_random_regular_simple_pinned(d):
 
 
 def test_random_regular_budget_exhausted():
-    # d=1 on 6 vertices is a perfect matching, never connected
+    # K_10 is the only 9-regular graph on 10 vertices, but a pairing of its
+    # 90 stubs is simple with probability about 1e-13
     with pytest.raises(RejectionBudgetExceeded) as err:
-        random_regular_simple(6, 1, 1, connected_required=True, budget=50)
+        random_regular_simple(10, 9, 1, budget=50)
     assert err.value.budget == 50
 
 

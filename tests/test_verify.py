@@ -33,7 +33,6 @@ from avoidkit.verify import (
     exact_cubic_marginals,
     exact_regular_index_laws,
     exact_squarefree_law,
-    hd_probability_upper_bound,
     lemma31_equivalence,
     lemma34_oracle,
     lemma42_oracle,
@@ -575,17 +574,6 @@ def test_lemma31_predicate3_matches_all_pairs_reference():
     p3 = [lemma31_equivalence(g)[1][2] for g in hosts]
     assert p3 == [lemma31_all_pairs_p3(g) for g in hosts]
     assert p3[:3] == [False] * 3 and True in p3 and False in p3[4:]
-
-
-def test_hd_bound_values():
-    # n^5 * (3/(n-14))^7 at n=32: computed independently
-    want = 32**5 * (3 / 18) ** 7
-    got = hd_probability_upper_bound(32, 3, 5, 7)
-    assert math.isclose(got, want, rel_tol=1e-12)
-    with pytest.raises(ValueError):
-        hd_probability_upper_bound(10, 3, 5, 7)  # n <= 2m
-    with pytest.raises(ValueError):
-        hd_probability_upper_bound(100, 3, 9, 7)  # m <= n0
 
 
 def test_certification_error_raised_on_bad_matrix(circ9, monkeypatch):

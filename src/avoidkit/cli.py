@@ -61,14 +61,20 @@ def _ints(flag: str, text: str) -> list[int]:
         raise ValueError(f"{flag} must be comma-separated integers, got {text!r}") from err
 
 
+ARGS_FILE_ERROR = "cannot read argument file"
+
+
 class _Parser(argparse.ArgumentParser):
-    """Usage errors raise ValueError; an `@FILE`'s blank lines are skipped."""
+    """Usage errors raise ValueError; an `@FILE` line is split at
+    whitespace, so a blank line gives no argument."""
 
     def error(self, message):
+        if isinstance(sys.exc_info()[1], OSError):  # argparse could not open an @FILE
+            raise ValueError(f"{ARGS_FILE_ERROR}: {message}")
         raise ValueError(f"{self.prog}: {message}")
 
     def convert_arg_line_to_args(self, arg_line):
-        return [arg_line] if arg_line.strip() else []
+        return arg_line.split()
 
 
 def cmd_gen(args) -> int:
@@ -230,8 +236,8 @@ def build_parser() -> argparse.ArgumentParser:
     t.add_argument("--e", type=int, default=None)
     t.set_defaults(func=cmd_transport)
 
-    # `@FILE` reads arguments from FILE, one per line (`--ticks=100000`),
-    # blank lines skipped; an argument after it overrides the file
+    # `@FILE` reads arguments from FILE, split at whitespace (`--ticks 100000`
+    # or `--ticks=100000`); an argument after it overrides the file
     s = sub.add_parser("simulate", help="run a coupling engine", fromfile_prefix_chars="@")
     s.add_argument("graph")
     s.add_argument("--ticks", type=int, default=1000)
@@ -277,7 +283,7 @@ def main(argv=None) -> int:
         except SystemExit:  # only --help exits the parser: a usage error raises ValueError
             return EXIT_OK
         except (RecursionError, UnicodeDecodeError) as err:  # an @file that reads itself, or not text
-            raise ValueError(f"cannot read argument file: {err}") from err
+            raise ValueError(f"{ARGS_FILE_ERROR}: {err}") from err
         if extra:
             raise ValueError(f"avoidkit {args.command}: unrecognized arguments: {' '.join(extra)}")
         return args.func(args)

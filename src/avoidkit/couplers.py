@@ -33,11 +33,12 @@ from .matching import (
     avoiding_supports,
     build_regular_transport,
     build_squarefree_transport,
+    regular_table,
     solve_transport,  # not called here: perfbench's tracer patches couplers.solve_transport
     solved_cells,
 )
 from .rng import Xoshiro256, check_seed
-from .structure import ScenarioClass, classify_scenario, require_engine_applicable
+from .structure import ScenarioClass, classify_scenario, radius2_set, require_engine_applicable
 
 
 def transition_counts(positions) -> Counter:
@@ -227,14 +228,16 @@ def k22_excursion(rng, arg: tuple, ticks: list) -> None:
         ticks.append((v, b if even else a))
 
 
-def cubic_plan(g: Graph, a: int, b: int) -> tuple[ScenarioClass, Callable, tuple]:
+def cubic_plan(g: Graph, a: int, b: int,
+               near_b: frozenset[int] | None = None) -> tuple[ScenarioClass, Callable, tuple]:
     """The block law from positions (a, b) at distance >= 2, resolved once
     and ready to draw: (scenario, law, arg), where `law(rng, arg, ticks)`
     appends the block's (A, B) ticks to `ticks`.  `rng` is any chooser with
     `choice`, `randrange` and `coin`: the engine passes its Xoshiro256, and
     the exact certifiers in verify.py pass a chooser that enumerates every
-    option."""
-    scenario = classify_scenario(g, a, b)
+    option.  `near_b` is b's `radius2_set`, made by `classify_scenario`
+    when the caller keeps none."""
+    scenario = classify_scenario(g, a, b, near_b)
     tag = scenario.tag
     if tag == "S1":
         return scenario, independent_steps, (g.adjacency[a], g.adjacency[b])
@@ -300,7 +303,11 @@ class Engine:
     and defines `block(ticks)`: it draws one block from the state
     `ticks[-1]` and appends the position tuples of the ticks it adds.
     `state` is the current tick's positions; two-walker engines start at
-    (a0, b0) through `start_b0`."""
+    (a0, b0) through `start_b0`.
+
+    The one `LruCache` holds ready-to-draw entries under their state tuples
+    and, for cubic and regular, each vertex's table under its vertex id,
+    made when a cache miss first needs it as b (`LruCache.table`)."""
 
     name: str
     marks_blocks = False
@@ -338,7 +345,8 @@ class Engine:
 
 class CubicEngine(Engine):
     """Cubic blocks from one bounded cache of `cubic_plan`s per non-S1 pair
-    (a, b); an S1 pair costs only a capped BFS and is not cached."""
+    (a, b); an S1 pair is not cached, and costs one test of N(a) against
+    b's cached `radius2_set`."""
 
     name = "cubic"
     marks_blocks = True
@@ -349,11 +357,13 @@ class CubicEngine(Engine):
 
     def block(self, ticks: list) -> None:
         key = ticks[-1]
-        plan = self.cache.get(key)
+        cache = self.cache
+        plan = cache.get(key)
         if plan is None:
-            plan = cubic_plan(self.g, *key)
+            g, (a, b) = self.g, key
+            plan = cubic_plan(g, a, b, cache.table(b, radius2_set, g, b))
             if plan[0].tag != "S1":
-                self.cache.put(key, plan)
+                cache.put(key, plan)
         scenario, law, arg = plan
         counts = self.scenario_counts
         counts[scenario.tag] = counts.get(scenario.tag, 0) + 1
@@ -397,10 +407,12 @@ class RegularEngine(Engine):
             raise AssertionError("round invariant violated: adjacent other != excluded")
         self.round_checks += 1
         key = (a, b, e)
-        tm = self.cache.get(key)
+        cache = self.cache
+        tm = cache.get(key)
         if tm is None:
-            tm = build_regular_transport(self.g, a, b, e)
-            self.cache.put(key, tm)
+            g = self.g
+            tm = build_regular_transport(g, a, b, e, cache.table(b, regular_table, g, b))
+            cache.put(key, tm)
         return regular_round(tm, self.rng)
 
     def block(self, ticks: list) -> None:

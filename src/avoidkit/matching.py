@@ -268,16 +268,11 @@ def set_bits(x: int) -> list[int]:
     return out
 
 
-def regular_supports(g, heads: tuple, b: int) -> list[int]:
-    """Each mover pair's support over the other pairs of b, as a bitmask
-    over other_pairs(g, b), for the mover pairs (a', a'') of the first steps
-    a' in `heads`, in mover_pairs order: row (a', a'') may use cell (b', e')
-    iff b' is neither a' nor a'', and e' = a'' when b' neighbors a''.
-
-    This is `compatible`, decided per step b' instead of per cell.
-    group[b'] holds the bits of the d(b') cells of step b', and drop[x]
-    those of group[x] and, for each step b' in N(x), every cell of b' but
-    (b', x), so row (a', a'') is every cell minus group[a'] and drop[a'']."""
+def regular_table(g, b: int) -> tuple[int, dict[int, int], dict[int, int]]:
+    """b's per-vertex table for `regular_supports`: (full, group, drop),
+    bitmasks over other_pairs(g, b).  group[b'] holds the bits of the d(b')
+    cells of step b', and drop[x] those of group[x] and, for each step b'
+    in N(x), every cell of b' but (b', x); full holds every cell."""
     adj = g.adjacency
     group: dict[int, int] = {}
     drop: dict[int, int] = {}
@@ -289,7 +284,20 @@ def regular_supports(g, heads: tuple, b: int) -> list[int]:
         for ep in nbp:
             drop[ep] = drop.get(ep, 0) | (mask ^ (1 << lo))
             lo += 1
-    full = (1 << lo) - 1
+    return (1 << lo) - 1, group, drop
+
+
+def regular_supports(g, heads: tuple, b: int, table: tuple | None = None) -> list[int]:
+    """Each mover pair's support over the other pairs of b, as a bitmask
+    over other_pairs(g, b), for the mover pairs (a', a'') of the first steps
+    a' in `heads`, in mover_pairs order: row (a', a'') may use cell (b', e')
+    iff b' is neither a' nor a'', and e' = a'' when b' neighbors a''.
+
+    This is `compatible`, decided per step b' instead of per cell: row
+    (a', a'') is every cell minus group[a'] and drop[a''] of
+    `regular_table(g, b)`, which is made here when `table` is None."""
+    full, group, drop = regular_table(g, b) if table is None else table
+    adj = g.adjacency
     out: list[int] = []
     for ap in heads:
         keep = full ^ group.get(ap, 0)
@@ -400,8 +408,10 @@ def check_cells(cells: list[int], counts: list[int], nr: int, nc: int, row_sum: 
 
 class LruCache:
     """Bounded memo for transport matrices and block plans, keyed per state
-    triple/pair; values are never None.  A hit is one dict lookup plus the
-    move to the most recently used end."""
+    triple/pair, and for per-vertex tables, keyed by the vertex id; values
+    are never None.  A hit is one dict lookup plus the move to the most
+    recently used end.  Entries of both kinds share the capacity and the
+    recency order; `hits` and `misses` count only `get`."""
 
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
@@ -420,6 +430,19 @@ class LruCache:
         data.move_to_end(key)
         return value
 
+    def table(self, v: int, make, *args):
+        """The table stored under vertex id v, now the most recently used;
+        on its first use it is made by `make(*args)` and stored.  Counts
+        neither a hit nor a miss."""
+        data = self._data
+        value = data.get(v)
+        if value is None:
+            value = make(*args)
+            self.put(v, value)
+        else:
+            data.move_to_end(v)
+        return value
+
     def put(self, key, value) -> None:
         self._data[key] = value
         self._data.move_to_end(key)
@@ -436,27 +459,32 @@ def solved_cells(row_sum: int, col_sum: int, supports: list[int], nc: int,
                  violated: str) -> tuple[array, array]:
     """Solve the transport over `supports` and return its nonzero cells and
     their cumulative counts, after checking their sums over one row per
-    support and nc columns.  An infeasible solve is re-raised as
-    "hypothesis violated {violated}", with its Hall certificate."""
+    support and nc columns.  Both are `array("H")` when the matrix total
+    and its flat size fit below 2**16, else `array("I")`.  An infeasible
+    solve is re-raised as "hypothesis violated {violated}", with its Hall
+    certificate."""
     try:
         cells, counts = solve_transport(row_sum, col_sum, supports, nc)
     except TransportInfeasible as err:
         raise TransportInfeasible(f"hypothesis violated {violated}", err.hall_rows, err.hall_cols) from err
-    check_cells(cells, counts, len(supports), nc, row_sum, col_sum)
-    return array("I", cells), array("I", accumulate(counts))
+    nr = len(supports)
+    check_cells(cells, counts, nr, nc, row_sum, col_sum)
+    typecode = "H" if max(nr * row_sum, nr * nc) < 1 << 16 else "I"
+    return array(typecode, cells), array(typecode, accumulate(counts))
 
 
-def build_regular_transport(g, a: int, b: int, e: int) -> TransportMatrix:
+def build_regular_transport(g, a: int, b: int, e: int, table: tuple | None = None) -> TransportMatrix:
     """Transport matrix m(i,j,k,l) for the d-regular protocol at (a, b, e):
     row sums d over mover pairs (a', a''), column sums d-1 over other pairs
     (b', e').  `check_regular_triple` makes every first step and N(b)
     degree d, so the index space is d-1 first steps and d steps of b, each
-    times d neighbours."""
+    times d neighbours.  `table` is `regular_table(g, b)`, made here when
+    the caller keeps none."""
     check_regular_triple(g, a, b, e)
     adj = g.adjacency
     d = len(adj[a])
     heads = tuple([v for v in adj[a] if v != e])
-    cells, cum = solved_cells(d, d - 1, regular_supports(g, heads, b), d * d,
+    cells, cum = solved_cells(d, d - 1, regular_supports(g, heads, b, table), d * d,
                               f"(H_{d} present?) at (a={a}, b={b}, e={e})")
     return TransportMatrix("regular", heads, adj[b], cells, cum, d, d - 1, adj=adj)
 

@@ -85,7 +85,14 @@ class ScenarioClass:
 S1 = ScenarioClass("S1", ())  # every far pair's class, made once
 
 
-def classify_scenario(g: Graph, a: int, b: int) -> ScenarioClass:
+def radius2_set(g: Graph, v: int) -> frozenset[int]:
+    """The vertices within distance 2 of v, v itself included when it has
+    a neighbour: the per-vertex table behind the cubic S1 test."""
+    adj = g.adjacency
+    return frozenset(chain(adj[v], *(adj[y] for y in adj[v])))
+
+
+def classify_scenario(g: Graph, a: int, b: int, near_b: frozenset[int] | None = None) -> ScenarioClass:
     """Case label for a cubic position pair at distance >= 2.
 
     Decision order: 3 common neighbors -> S2; 2 -> S3a/S3b by adjacency of
@@ -93,12 +100,14 @@ def classify_scenario(g: Graph, a: int, b: int) -> ScenarioClass:
     distance 3 -> S5; distance >= 4 -> S1.  A common neighbor or a K_{2,2}
     witness (a-a1-b1-b) forces distance <= 3, so distance >= 4 is tested
     first, and returns S1 without the other tests: it holds exactly when
-    N(a) misses every vertex within distance 2 of b.
+    N(a) misses every vertex within distance 2 of b.  `near_b` is
+    `radius2_set(g, b)`, made here when the caller keeps none.
     """
     if a == b or g.has_edge(a, b):
         raise ValueError("classify_scenario requires distance(a, b) >= 2")
-    adj = g.adjacency
-    if set(adj[a]).isdisjoint(chain(adj[b], *(adj[y] for y in adj[b]))):
+    if near_b is None:
+        near_b = radius2_set(g, b)
+    if near_b.isdisjoint(g.adjacency[a]):
         return S1
     cn = common_neighbors(g, a, b)
     if len(cn) == 3:

@@ -397,6 +397,24 @@ def test_simulate_with_config(tmp_path, capsys):
         assert f"# seed {seed}" in from_file.read_text() and from_file.read_bytes() == from_flags.read_bytes()
 
 
+@pytest.mark.parametrize("body", ["--seed 3\n--ticks 5\n--engine cubic\n",
+                                  "--seed=3 \n--ticks=5\t\n--engine=cubic \n",
+                                  "--seed 3 --ticks=5\n\n  --engine=cubic\n"],
+                         ids=["flag-space-value", "trailing-blanks", "two-per-line"])
+def test_simulate_splits_args_file_lines_at_whitespace(tmp_path, capsys, body):
+    """An `@FILE` line is split at whitespace, argparse's documented
+    recipe: the command-line form `--ticks 5` and a line with trailing
+    blanks read as the same flags."""
+    pet, cfg = tmp_path / "pet.txt", tmp_path / "run.args"
+    from_file, from_flags = tmp_path / "file.txt", tmp_path / "flags.txt"
+    run(capsys, "gen", "--family", "petersen", "-o", str(pet))
+    cfg.write_text(body)
+    code, stdout, err = run(capsys, "simulate", str(pet), f"@{cfg}", "-o", str(from_file))
+    assert code == 0 and "engine=cubic" in stdout, err
+    run(capsys, "simulate", str(pet), "--seed=3", "--ticks=5", "--engine=cubic", "-o", str(from_flags))
+    assert from_file.read_bytes() == from_flags.read_bytes()
+
+
 def test_simulate_skips_blank_lines_of_an_args_file(tmp_path, capsys):
     pet, cfg = tmp_path / "pet.txt", tmp_path / "run.args"
     from_file, from_flags = tmp_path / "file.txt", tmp_path / "flags.txt"
@@ -412,7 +430,8 @@ def test_simulate_rejects_a_missing_args_file(tmp_path, capsys):
     pet, traj = tmp_path / "pet.txt", tmp_path / "traj.txt"
     run(capsys, "gen", "--family", "petersen", "-o", str(pet))
     code, stdout, err = run(capsys, "simulate", str(pet), f"@{tmp_path / 'missing.args'}", "-o", str(traj))
-    assert (code, stdout) == (2, "") and err.startswith("error: avoidkit simulate:") and "missing.args" in err
+    assert (code, stdout) == (2, "") and err.startswith("error: cannot read argument file: [Errno 2]")
+    assert "missing.args" in err and err.count("\n") == 1
     assert not traj.exists()
 
 

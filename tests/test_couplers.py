@@ -29,7 +29,7 @@ from avoidkit.generate import complete, cycle, random_regular_simple
 from avoidkit.graphs import graph_from_edges
 from avoidkit.matching import build_regular_transport, build_squarefree_transport
 from avoidkit.rng import Xoshiro256
-from avoidkit.structure import HypothesisError, admissibility_verdict, classify_scenario
+from avoidkit.structure import HypothesisError, admissibility_verdict, classify_scenario, radius2_set
 from avoidkit.verify import check_avoidance
 from conftest import distance_capped, per_walker_k22_excursion
 
@@ -239,9 +239,50 @@ def test_cubic_engine_cache_is_bounded():
     small.cache.capacity = 8
     assert small.run(3000).to_text() == wide.run(3000).to_text()
     assert len(small.cache._data) <= 8 and small.cache.misses > wide.cache.misses
-    # S1 pairs are never stored; every stored entry is a (scenario, law, arg) plan
-    assert all(sc.tag != "S1" for sc, _, _ in wide.cache._data.values())
-    assert 0 < len(wide.cache._data) < sum(wide.scenario_counts.values())
+    # S1 pairs are never stored: a pair's entry is its (scenario, law, arg)
+    # plan, and a vertex's is its radius-2 set
+    plans = [v for k, v in wide.cache._data.items() if isinstance(k, tuple)]
+    assert all(sc.tag != "S1" for sc, _, _ in plans)
+    assert 0 < len(plans) < sum(wide.scenario_counts.values())
+    tables = {k: v for k, v in wide.cache._data.items() if isinstance(k, int)}
+    assert 0 < len(tables) <= g.n and all(v == radius2_set(g, k) for k, v in tables.items())
+
+
+def test_cubic_cache_stays_bounded_on_a_host_larger_than_it():
+    """On a cubic host with 5,000 vertices the radius-2 tables and the plans
+    share the fixed 4,096 entries: the run fills the cache and evicts, and
+    draws what an engine with room for every entry draws."""
+    g, _ = random_regular_simple(5_000, 3, 0, connected_required=True)
+    eng, roomy = CubicEngine(g, 2), CubicEngine(g, 2)
+    roomy.cache.capacity = 10**6
+    assert eng.run(20_000).to_text() == roomy.run(20_000).to_text()
+    assert len(eng.cache._data) == eng.cache.capacity == 4_096
+    assert sum(isinstance(k, int) for k in roomy.cache._data) > 4_096
+
+
+@pytest.mark.parametrize("engine", ["cubic", "regular"])
+def test_cache_counts_one_lookup_per_block_or_round(engine):
+    """Table lookups are not counted: hits and misses add up to the cubic
+    blocks and to the regular rounds."""
+    d, n = (3, 250) if engine == "cubic" else (5, 64)
+    g = random_regular_simple(n, d, 0, connected_required=True)[0]
+    traj, eng = simulate(g, engine, 3_000, 4)
+    lookups = len(traj.block_marks) - 1 if engine == "cubic" else eng.round_checks
+    assert eng.cache.hits + eng.cache.misses == lookups
+    assert any(isinstance(k, int) for k in eng.cache._data)
+
+
+def test_cubic_plan_is_the_same_with_a_supplied_table(pet, k33, s3b_host, s6_host):
+    """`cubic_plan` resolves the same (scenario, law, arg) from b's cached
+    radius-2 set as from the one it makes, on every pair at distance >= 2
+    of five cubic hosts."""
+    rr3 = random_regular_simple(250, 3, 0, connected_required=True)[0]
+    for g in (pet, k33, s3b_host, s6_host, rr3):
+        tables = [radius2_set(g, b) for b in range(g.n)]
+        for a in range(g.n):
+            for b in range(g.n):
+                if a != b and not g.has_edge(a, b):
+                    assert cubic_plan(g, a, b, tables[b]) == cubic_plan(g, a, b), (a, b)
 
 
 def test_cubic_engine_rejects_adjacent_start(pet):

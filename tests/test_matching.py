@@ -22,7 +22,9 @@ from avoidkit.matching import (
     mover_pairs,
     other_pairs,
     regular_supports,
+    regular_table,
     solve_transport,
+    solved_cells,
 )
 from avoidkit.structure import contains_Hd
 from conftest import check_sums
@@ -334,9 +336,9 @@ def test_solve_transport_recorded_rr5_instances(monkeypatch):
     build = couplers.build_regular_transport
     seen = []
 
-    def record(g, a, b, e):
+    def record(g, a, b, e, table):
         seen.append((a, b, e))
-        return build(g, a, b, e)
+        return build(g, a, b, e, table)
 
     monkeypatch.setattr(couplers, "build_regular_transport", record)
     rr5 = random_regular_simple(64, 5, 0, connected_required=True)[0]
@@ -410,15 +412,45 @@ def test_regular_labels_are_derived_from_the_index_space(circ9):
 
 
 def test_regular_supports_match_regular_allowed(circ9):
-    """The bitmask rule equals the dense `regular_allowed` rule on every
-    triple of C9(1,2) and complete(5), and on 200 triples of rr5-n64."""
+    """The bitmask rule, with b's table made per call or supplied as the
+    regular engine supplies it, equals the dense `regular_allowed` rule on
+    every triple of C9(1,2), complete(5), C13(1,2,3) and rr5-n64."""
     rr5 = random_regular_simple(64, 5, 0, connected_required=True)[0]
-    k5 = complete(5)
-    for g, triples in ((circ9, regular_triples(circ9)), (k5, regular_triples(k5)),
-                       (rr5, random.Random(1).sample(regular_triples(rr5), 200))):
+    for g in (circ9, complete(5), circulant(13, [1, 2, 3]), rr5):
+        tables = [regular_table(g, b) for b in range(g.n)]
+        triples = regular_triples(g)
+        assert len(triples) == {9: 180, 5: 20, 13: 546, 64: 18_880}[g.n]
         for a, b, e in triples:
             heads = tuple(v for v in g.adjacency[a] if v != e)
-            assert regular_supports(g, heads, b) == masks(regular_allowed(g, a, b, e)), (a, b, e)
+            want = masks(regular_allowed(g, a, b, e))
+            assert regular_supports(g, heads, b, tables[b]) == want, (a, b, e)
+            assert regular_supports(g, heads, b) == want, (a, b, e)
+
+
+def test_regular_build_is_the_same_with_a_supplied_table(circ9):
+    """A build from the engine's cached table of b equals the build that
+    makes the table itself, cells, counts, array type and labels, on every
+    triple of C9(1,2) and C13(1,2,3) and 300 of rr5-n64."""
+    rr5 = random_regular_simple(64, 5, 0, connected_required=True)[0]
+    c13 = circulant(13, [1, 2, 3])
+    for g, triples in ((circ9, regular_triples(circ9)), (c13, regular_triples(c13)),
+                       (rr5, random.Random(3).sample(regular_triples(rr5), 300))):
+        tables = {}
+        for a, b, e in triples:
+            table = tables.setdefault(b, regular_table(g, b))
+            tm, ref = build_regular_transport(g, a, b, e, table), build_regular_transport(g, a, b, e)
+            assert tm == ref and tm.cells.typecode == ref.cells.typecode == "H", (a, b, e)
+
+
+def test_solved_cells_store_16_bit_arrays_when_they_fit():
+    """`cells` and `cum` are `array("H")` while the flat size and the total
+    both fit below 2**16, else `array("I")`."""
+    for k, want in ((255, "H"), (256, "I")):  # the k x k identity: flat size k*k
+        cells, cum = solved_cells(1, 1, [1 << i for i in range(k)], k, "")
+        assert cells.typecode == cum.typecode == want and list(cells) == [i * (k + 1) for i in range(k)]
+    for total, want in ((65_535, "H"), (65_536, "I")):  # one cell holding the total
+        cells, cum = solved_cells(total, total, [1], 1, "")
+        assert cells.typecode == cum.typecode == want and list(cum) == [total]
 
 
 def planted_square_host():
@@ -599,6 +631,27 @@ def test_squarefree_transport(pet, ag23):
 def test_squarefree_transport_square_failure():
     with pytest.raises(TransportInfeasible, match="square"):
         build_squarefree_transport(planted_square_host(), 0, 1)
+
+
+def test_lru_cache_tables_share_the_capacity_not_the_counters():
+    """A table is made on its first use only, moves to the most recently
+    used end like a hit, and is evicted like any entry, but neither `hits`
+    nor `misses` counts it."""
+    made = []
+
+    def make(v):
+        made.append(v)
+        return f"t{v}"
+
+    cache = LruCache(capacity=2)
+    assert cache.table(7, make, 7) == "t7"
+    cache.put((0, 1), "plan")
+    assert cache.table(7, make, 7) == "t7"  # not made again; (0, 1) is now the oldest
+    cache.put((0, 2), "plan")
+    assert len(cache._data) == 2 and cache.get((0, 1)) is None and made == [7]
+    cache.put((0, 3), "plan")  # evicts the table
+    assert cache.table(7, make, 7) == "t7" and made == [7, 7] and len(cache._data) == 2
+    assert (cache.hits, cache.misses) == (0, 1)
 
 
 def test_lru_cache_caps_and_counts():

@@ -14,6 +14,7 @@ from avoidkit.generate import (
 )
 from avoidkit.graphs import common_neighbors, graph_from_edges
 from avoidkit.structure import (
+    S1,
     admissibility_verdict,
     admits_K22,
     classify_scenario,
@@ -22,6 +23,7 @@ from avoidkit.structure import (
     contains_H3tilde,
     contains_Hd,
     is_square_free,
+    radius2_set,
     require_engine_applicable,
 )
 from conftest import distance_capped
@@ -177,6 +179,26 @@ def test_classify_s1_is_distance_at_least_4():
         for b in range(g.n):
             if a != b and not g.has_edge(a, b):
                 assert (classify_scenario(g, a, b).tag == "S1") == (distance_capped(g, a, b, 4) >= 4)
+
+
+def test_table_driven_s1_is_distance_at_least_4(pet, k33, s3b_host, s6_host):
+    """b's radius-2 set is every vertex within distance 2 of b, and the S1
+    decision made against it, as the cubic engine makes it, agrees with a
+    capped BFS on every pair at distance >= 2 of five cubic hosts."""
+    rr3 = random_regular_simple(250, 3, 0, connected_required=True)[0]
+    for g in (pet, k33, s3b_host, s6_host, rr3):
+        tables = [radius2_set(g, b) for b in range(g.n)]
+        for b in range(g.n):
+            assert tables[b] == {v for v in range(g.n) if distance_capped(g, b, v, 3) <= 2}
+        far = 0
+        for a in range(g.n):
+            for b in range(g.n):
+                if a != b and not g.has_edge(a, b):
+                    scenario = classify_scenario(g, a, b, tables[b])
+                    assert scenario == classify_scenario(g, a, b)
+                    assert (scenario is S1) == (distance_capped(g, a, b, 4) >= 4), (a, b)
+                    far += scenario is S1
+        assert far > 0 if g is rr3 else far == 0
 
 
 def test_classify_witness_consistency(s3b_host, s6_host, hea):

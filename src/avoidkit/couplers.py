@@ -306,8 +306,9 @@ class Engine:
     (a0, b0) through `start_b0`.
 
     The one `LruCache` holds ready-to-draw entries under their state tuples
-    and, for cubic and regular, each vertex's table under its vertex id,
-    made when a cache miss first needs it as b (`LruCache.table`)."""
+    and, for cubic and regular on a host with no more vertices than the
+    cache has entries, each vertex's table under its vertex id, made when a
+    cache miss first needs it as b (`LruCache.table`)."""
 
     name: str
     marks_blocks = False
@@ -346,7 +347,8 @@ class Engine:
 class CubicEngine(Engine):
     """Cubic blocks from one bounded cache of `cubic_plan`s per non-S1 pair
     (a, b); an S1 pair is not cached, and costs one test of N(a) against
-    b's cached `radius2_set`."""
+    b's cached `radius2_set` (or against `radius2(g, b)` on a host too
+    large to keep the sets)."""
 
     name = "cubic"
     marks_blocks = True
@@ -361,7 +363,7 @@ class CubicEngine(Engine):
         plan = cache.get(key)
         if plan is None:
             g, (a, b) = self.g, key
-            plan = cubic_plan(g, a, b, cache.table(b, radius2_set, g, b))
+            plan = cubic_plan(g, a, b, cache.table(g, b, radius2_set))
             if plan[0].tag != "S1":
                 cache.put(key, plan)
         scenario, law, arg = plan
@@ -411,7 +413,7 @@ class RegularEngine(Engine):
         tm = cache.get(key)
         if tm is None:
             g = self.g
-            tm = build_regular_transport(g, a, b, e, cache.table(b, regular_table, g, b))
+            tm = build_regular_transport(g, a, b, e, cache.table(g, b, regular_table))
             cache.put(key, tm)
         return regular_round(tm, self.rng)
 

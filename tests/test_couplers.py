@@ -27,7 +27,7 @@ from avoidkit.couplers import (
 )
 from avoidkit.generate import complete, cycle, random_regular_simple
 from avoidkit.graphs import graph_from_edges
-from avoidkit.matching import build_regular_transport, build_squarefree_transport
+from avoidkit.matching import build_regular_transport, build_squarefree_transport, regular_table
 from avoidkit.rng import Xoshiro256
 from avoidkit.structure import HypothesisError, admissibility_verdict, classify_scenario, radius2_set
 from avoidkit.verify import check_avoidance
@@ -249,15 +249,27 @@ def test_cubic_engine_cache_is_bounded():
 
 
 def test_cubic_cache_stays_bounded_on_a_host_larger_than_it():
-    """On a cubic host with 5,000 vertices the radius-2 tables and the plans
-    share the fixed 4,096 entries: the run fills the cache and evicts, and
-    draws what an engine with room for every entry draws."""
+    """A cubic host with 5,000 vertices, more than the cache's 4,096
+    entries, keeps no radius-2 set; a cache with room for every vertex
+    keeps one per vertex visited as b, and both draw the same blocks."""
     g, _ = random_regular_simple(5_000, 3, 0, connected_required=True)
     eng, roomy = CubicEngine(g, 2), CubicEngine(g, 2)
     roomy.cache.capacity = 10**6
     assert eng.run(20_000).to_text() == roomy.run(20_000).to_text()
-    assert len(eng.cache._data) == eng.cache.capacity == 4_096
+    assert 0 < len(eng.cache._data) <= 4_096 and not any(isinstance(k, int) for k in eng.cache._data)
     assert sum(isinstance(k, int) for k in roomy.cache._data) > 4_096
+
+
+def test_regular_tables_share_a_full_cache():
+    """On a 5-regular host with 1,000 vertices the 3,997 transports built
+    and the per-vertex tables overflow the 4,096 entries together, and the
+    tables are b's `regular_table`."""
+    g, _ = random_regular_simple(1_000, 5, 0, connected_required=True)
+    traj, eng = simulate(g, "regular", 6_000, 2)
+    tables = {k: v for k, v in eng.cache._data.items() if isinstance(k, int)}
+    assert len(eng.cache._data) == eng.cache.capacity == 4_096 > eng.cache.misses
+    assert tables and all(v == regular_table(g, k) for k, v in tables.items())
+    assert check_avoidance(g, traj) == []
 
 
 @pytest.mark.parametrize("engine", ["cubic", "regular"])

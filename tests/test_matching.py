@@ -634,23 +634,26 @@ def test_squarefree_transport_square_failure():
 
 
 def test_lru_cache_tables_share_the_capacity_not_the_counters():
-    """A table is made on its first use only, moves to the most recently
-    used end like a hit, and is evicted like any entry, but neither `hits`
-    nor `misses` counts it."""
+    """A table is made on its vertex's first use only, moves to the most
+    recently used end like a hit and is evicted like any entry, but
+    neither `hits` nor `misses` counts it; a host with more vertices than
+    the cache has entries gets no table."""
     made = []
 
-    def make(v):
+    def make(g, v):
         made.append(v)
         return f"t{v}"
 
+    g = graph_from_edges(2, [(0, 1)])
     cache = LruCache(capacity=2)
-    assert cache.table(7, make, 7) == "t7"
+    assert cache.table(g, 1, make) == "t1"
     cache.put((0, 1), "plan")
-    assert cache.table(7, make, 7) == "t7"  # not made again; (0, 1) is now the oldest
+    assert cache.table(g, 1, make) == "t1"  # not made again; (0, 1) is now the oldest
     cache.put((0, 2), "plan")
-    assert len(cache._data) == 2 and cache.get((0, 1)) is None and made == [7]
+    assert len(cache._data) == 2 and cache.get((0, 1)) is None and made == [1]
     cache.put((0, 3), "plan")  # evicts the table
-    assert cache.table(7, make, 7) == "t7" and made == [7, 7] and len(cache._data) == 2
+    assert cache.table(g, 1, make) == "t1" and made == [1, 1] and len(cache._data) == 2
+    assert cache.table(graph_from_edges(3, [(0, 1), (1, 2)]), 0, make) is None and made == [1, 1]
     assert (cache.hits, cache.misses) == (0, 1)
 
 

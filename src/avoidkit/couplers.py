@@ -235,8 +235,8 @@ def cubic_plan(g: Graph, a: int, b: int,
     appends the block's (A, B) ticks to `ticks`.  `rng` is any chooser with
     `choice`, `randrange` and `coin`: the engine passes its Xoshiro256, and
     the exact certifiers in verify.py pass a chooser that enumerates every
-    option.  `near_b` is b's `radius2_set`, made by `classify_scenario`
-    when the caller keeps none."""
+    option.  `near_b` is b's `radius2_set` when the caller keeps it, and is
+    passed on to `classify_scenario`."""
     scenario = classify_scenario(g, a, b, near_b)
     tag = scenario.tag
     if tag == "S1":

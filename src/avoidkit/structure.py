@@ -113,7 +113,8 @@ def classify_scenario(g: Graph, a: int, b: int, near_b: frozenset[int] | None = 
     if a == b or g.has_edge(a, b):
         raise ValueError("classify_scenario requires distance(a, b) >= 2")
     adj = g.adjacency
-    if set(adj[a]).isdisjoint(radius2(g, b)) if near_b is None else near_b.isdisjoint(adj[a]):
+    far = set(adj[a]).isdisjoint(radius2(g, b)) if near_b is None else near_b.isdisjoint(adj[a])
+    if far:
         return S1
     cn = common_neighbors(g, a, b)
     if len(cn) == 3:

@@ -172,21 +172,13 @@ def test_classify_scenarios(pet, k33, s3b_host, s6_host):
         classify_scenario(pet, 0, 1)
 
 
-def test_classify_s1_is_distance_at_least_4():
-    """The neighbourhood test behind S1 agrees with a capped BFS."""
-    g, _ = random_regular_simple(100, 3, 3, connected_required=True)
-    for a in range(g.n):
-        for b in range(g.n):
-            if a != b and not g.has_edge(a, b):
-                assert (classify_scenario(g, a, b).tag == "S1") == (distance_capped(g, a, b, 4) >= 4)
-
-
-def test_table_driven_s1_is_distance_at_least_4(pet, k33, s3b_host, s6_host):
+def test_classify_s1_is_distance_at_least_4(pet, k33, s3b_host, s6_host):
     """b's radius-2 set is every vertex within distance 2 of b, and the S1
-    decision made against it, as the cubic engine makes it, agrees with a
-    capped BFS on every pair at distance >= 2 of five cubic hosts."""
-    rr3 = random_regular_simple(250, 3, 0, connected_required=True)[0]
-    for g in (pet, k33, s3b_host, s6_host, rr3):
+    decision, made against that set as the cubic engine makes it or
+    without it, agrees with a capped BFS on every pair at distance >= 2 of
+    seven cubic hosts."""
+    rr3 = [random_regular_simple(n, 3, seed, connected_required=True)[0] for n, seed in ((100, 3), (250, 0))]
+    for g in (pet, k33, s3b_host, s6_host, *rr3):
         tables = [radius2_set(g, b) for b in range(g.n)]
         for b in range(g.n):
             assert tables[b] == {v for v in range(g.n) if distance_capped(g, b, v, 3) <= 2}
@@ -198,7 +190,7 @@ def test_table_driven_s1_is_distance_at_least_4(pet, k33, s3b_host, s6_host):
                     assert scenario == classify_scenario(g, a, b)
                     assert (scenario is S1) == (distance_capped(g, a, b, 4) >= 4), (a, b)
                     far += scenario is S1
-        assert far > 0 if g is rr3 else far == 0
+        assert far > 0 if g in rr3 else far == 0
 
 
 def test_classify_witness_consistency(s3b_host, s6_host, hea):

@@ -145,10 +145,10 @@ def cmd_simulate(args) -> int:
     traj, eng = simulate(g, args.engine, args.ticks, args.seed, a0=args.a0, b0=args.b0, walkers=args.walkers)
     if traj.engine == "cycle" and start_given:
         raise ValueError(CYCLE_START)
-    Path(args.output).write_text(traj.to_text())
-    blocks = max(0, len(traj.block_marks) - 1)  # first mark is the start
+    with Path(args.output).open("w") as out:
+        out.writelines(traj.text_chunks())
     print(f"wrote {args.output}: engine={traj.engine} ticks={len(traj.positions) - 1} "
-          f"blocks={blocks}")
+          f"blocks={eng.blocks}")
     counts = getattr(eng, "scenario_counts", None)
     if counts:
         hist = " ".join(f"{k}:{v}" for k, v in sorted(counts.items()))

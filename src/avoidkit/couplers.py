@@ -24,7 +24,8 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Callable
+from operator import eq
+from typing import Callable, Iterator
 
 from .graphs import Graph, check_vertices
 from .matching import (
@@ -39,6 +40,10 @@ from .matching import (
 )
 from .rng import Xoshiro256, check_seed
 from .structure import ScenarioClass, classify_scenario, radius2_set, require_engine_applicable
+
+
+TEXT_CHUNK_TICKS = 4096  # ticks per piece of `Trajectory.text_chunks`
+PARSE_CHUNK_CHARS = 1 << 16  # characters per slice that `parse_trajectory` splits into lines
 
 
 def transition_counts(positions) -> Counter:
@@ -75,19 +80,37 @@ class Trajectory:
         self._transitions = (self.positions, counts)
         return counts
 
-    def to_text(self) -> str:
-        """A three-line header, then one `t v_1 .. v_k` line per tick, each
-        marked tick followed by a `# block t` line."""
+    def text_chunks(self) -> Iterator[str]:
+        """The text form in bounded pieces: a three-line header, then one
+        `t v_1 .. v_k` line per tick, each marked tick followed by a
+        `# block t` line, `TEXT_CHUNK_TICKS` ticks to a piece.  Each
+        distinct state of a piece is formatted once."""
         pos = self.positions
-        k = len(pos[0]) if pos else 0
+        n = len(pos)
         if len(set(map(len, pos))) > 1:
             raise ValueError("ticks with different walker counts have no text form")
-        lines = [f"# graph-digest {self.graph_digest}", f"# seed {self.seed}", f"# engine {self.engine}",
-                 *map(("{}" + " {}" * k).format, range(len(pos)), *zip(*pos))]
-        for t in set(self.block_marks):
-            if 0 <= t < len(pos):
-                lines[3 + t] += f"\n# block {t}"
-        return "\n".join(lines) + "\n"
+        yield f"# graph-digest {self.graph_digest}\n# seed {self.seed}\n# engine {self.engine}\n"
+        marks = self.block_marks
+        marked = None  # stays None when the marks are exactly 0..n-1: every tick line carries its mark
+        if len(marks) != n or not all(map(eq, marks, range(n))):
+            marked = bytearray(n)
+            for t in marks:
+                if 0 <= t < n:
+                    marked[t] = 1
+        for start in range(0, n, TEXT_CHUNK_TICKS):
+            chunk = pos[start:start + TEXT_CHUNK_TICKS]
+            bodies = dict.fromkeys(chunk)
+            for s in bodies:
+                bodies[s] = "".join([f" {v}" for v in s])
+            ticks = zip(range(start, start + len(chunk)), map(bodies.__getitem__, chunk))
+            if marked is None:
+                yield "".join([f"{t}{body}\n# block {t}\n" for t, body in ticks])
+            else:
+                yield "".join([f"{t}{body}\n# block {t}\n" if marked[t] else f"{t}{body}\n" for t, body in ticks])
+
+    def to_text(self) -> str:
+        """`text_chunks()` joined."""
+        return "".join(self.text_chunks())
 
 
 def parse_trajectory(text: str) -> Trajectory:
@@ -95,6 +118,10 @@ def parse_trajectory(text: str) -> Trajectory:
     tokens, blank lines and unknown `# key` lines are ignored; the first
     malformed line in file order raises ValueError.
 
+    The text is split into lines a slice of about `PARSE_CHUNK_CHARS`
+    characters at a time, each cut just after a newline.  A line that is
+    the last tick's `# block t` mark, or that starts with the next tick's
+    number and a space, is read directly; any other line is tokenised.
     Each distinct walker text is converted once, so ticks at the same
     positions share one tuple."""
     header: dict[str, str] = {}
@@ -102,38 +129,54 @@ def parse_trajectory(text: str) -> Trajectory:
     marks: list[int] = []
     states: dict[str, tuple[int, ...]] = {}
     width = None
-    for line in text.splitlines():
-        tokens = line.split(None, 1)
-        if not tokens:
-            continue
-        head = tokens[0]
-        rest = tokens[1] if len(tokens) > 1 else ""
-        if head[0] == "#":
-            parts = rest.split() if head == "#" else [head[1:], *rest.split()]
-            if not parts:
-                raise ValueError("bare '#' line")
-            key = parts[0]
-            if key in ("graph-digest", "seed", "engine", "block"):
-                if len(parts) < 2:
-                    raise ValueError(f"'# {key}' line without a value")
-                if key == "block":
-                    marks.append(int(parts[1]))
-                else:
-                    header[key] = parts[1]
-            continue
-        t = int(head)
-        pos = states.get(rest)
-        if pos is None:
-            pos = states[rest] = tuple(map(int, rest.split()))
-        if t != len(positions):
-            raise ValueError(f"non-contiguous tick {t}")
-        if len(pos) != width:  # the first tick, or a walker count that changes
-            if not pos:
-                raise ValueError(f"tick {t} has no walker")
-            if positions:
-                raise ValueError(f"tick {t} has {len(pos)} walkers, tick 0 has {width}")
-            width = len(pos)
-        positions.append(pos)
+    t = -1  # the last tick read
+    expect, mark = "0", "\n"  # the next tick's number and the last tick's mark line
+    start, end = 0, len(text)
+    while start < end:
+        stop = text.find("\n", start + PARSE_CHUNK_CHARS - 1) + 1 or end
+        for line in text[start:stop].splitlines():
+            if line == mark:
+                marks.append(t)
+                continue
+            head, _, rest = line.partition(" ")
+            if head == expect:
+                tick = t + 1
+            else:
+                tokens = line.split(None, 1)
+                if not tokens:
+                    continue
+                head = tokens[0]
+                rest = tokens[1] if len(tokens) > 1 else ""
+                if head[0] == "#":
+                    parts = rest.split() if head == "#" else [head[1:], *rest.split()]
+                    if not parts:
+                        raise ValueError("bare '#' line")
+                    key = parts[0]
+                    if key in ("graph-digest", "seed", "engine", "block"):
+                        if len(parts) < 2:
+                            raise ValueError(f"'# {key}' line without a value")
+                        if key == "block":
+                            marks.append(int(parts[1]))
+                        else:
+                            header[key] = parts[1]
+                    continue
+                tick = int(head)
+            pos = states.get(rest)
+            if pos is None:
+                pos = states[rest] = tuple(map(int, rest.split()))
+            if tick != len(positions):
+                raise ValueError(f"non-contiguous tick {tick}")
+            if len(pos) != width:  # the first tick, or a walker count that changes
+                if not pos:
+                    raise ValueError(f"tick {tick} has no walker")
+                if positions:
+                    raise ValueError(f"tick {tick} has {len(pos)} walkers, tick 0 has {width}")
+                width = len(pos)
+            positions.append(pos)
+            t = tick
+            mark = "# block " + head  # the line that marks tick t: int(head) == t
+            expect = str(t + 1)
+        start = stop
     if len(header) < 3:
         raise ValueError("trajectory header incomplete")
     engine = header["engine"]
@@ -312,6 +355,7 @@ class Engine:
 
     name: str
     marks_blocks = False
+    blocks = 0  # blocks drawn by `run`
 
     def __init__(self, g: Graph, seed: int, a0: int = 0, b0: int | None = None):
         self.g = g
@@ -330,18 +374,26 @@ class Engine:
 
     def run(self, ticks: int) -> Trajectory:
         """Whole blocks from `state` until at least `ticks` ticks are drawn;
-        `state` is then the last tick."""
+        `state` is then the last tick, and `blocks` counts the blocks."""
         positions = [self.state]
-        marks = [0]
         block = self.block
-        t = 0
-        while t < ticks:
-            block(positions)
-            t = len(positions) - 1
-            marks.append(t)
+        if self.marks_blocks:
+            marks = [0]
+            t = 0
+            while t < ticks:
+                block(positions)
+                t = len(positions) - 1
+                marks.append(t)
+            self.blocks += len(marks) - 1
+        else:
+            marks = []
+            drawn = 0
+            while len(positions) <= ticks:
+                block(positions)
+                drawn += 1
+            self.blocks += drawn
         self.state = positions[-1]
-        return Trajectory(self.name, self.seed, self.g.digest(), positions,
-                          marks if self.marks_blocks else [])
+        return Trajectory(self.name, self.seed, self.g.digest(), positions, marks)
 
 
 class CubicEngine(Engine):

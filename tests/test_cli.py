@@ -268,6 +268,28 @@ def test_simulate_and_verify(tmp_path, capsys):
     assert "avoidance: clean" in stdout and "verdict=pass" in stdout
 
 
+@pytest.mark.parametrize("family,argv,blocks", [
+    (["--family", "circulant", "--n", "9", "--offsets", "1,2"], ["--engine", "regular"], 10),
+    (["--family", "cycle", "--n", "10"], ["--engine", "cycle", "--walkers", "5"], 30),
+    (["--family", "petersen"], ["--engine", "cubic"], 30),
+], ids=["regular", "cycle", "cubic"])
+def test_simulate_prints_the_blocks_it_drew(tmp_path, capsys, family, argv, blocks):
+    """Three-tick regular blocks, one-tick cycle and Petersen blocks; the
+    written text is the library's, and cubic writes one mark per block
+    end plus the start."""
+    from avoidkit.couplers import simulate
+
+    host, traj = tmp_path / "g.txt", tmp_path / "traj.txt"
+    run(capsys, "gen", *family, "-o", str(host))
+    code, stdout, _ = run(capsys, "simulate", str(host), *argv, "--ticks", "30", "--seed", "2", "-o", str(traj))
+    assert code == 0 and f"ticks=30 blocks={blocks}\n" in stdout
+    g = parse_graph(host.read_text())
+    want, eng = simulate(g, argv[1], 30, 2, walkers=int(argv[-1]) if "--walkers" in argv else 2)
+    assert traj.read_text() == want.to_text() and eng.blocks == blocks
+    if argv[1] == "cubic":
+        assert traj.read_text().count("# block") == blocks + 1
+
+
 def test_verify_digest_mismatch(tmp_path, capsys):
     pet = tmp_path / "pet.txt"
     hea = tmp_path / "hea.txt"

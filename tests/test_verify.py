@@ -413,8 +413,11 @@ def test_run_engines_script():
     )
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
-    assert len(lines) == 4
-    assert all("violations=0 chi2=pass" in line for line in lines), done.stdout
+    summaries = [line for line in lines if "violations=" in line]
+    assert len(summaries) == 4 and len(lines) == 4 * 5, done.stdout
+    assert all("violations=0 chi2=pass round trip=ok" in line for line in summaries), done.stdout
+    for step in ("simulate", "to_text", "parse", "verify"):
+        assert sum(line.split()[0] == step and "tracemalloc peak" in line for line in lines) == 4
 
 
 def test_lemma34_oracle(circ9):

@@ -60,31 +60,37 @@ def test_to_text_of_no_walkers_and_of_mixed_walker_counts():
 
 ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ")
 
-EDITS = {
-    "tabs": lambda lines, i, draw: lines.__setitem__(i, lines[i].replace(" ", "\t")),
-    "double-space": lambda lines, i, draw: lines.__setitem__(i, lines[i].replace(" ", "  ", 1)),
-    "padded": lambda lines, i, draw: lines.__setitem__(i, f" {lines[i]}\t"),
-    "bad-int": lambda lines, i, draw: lines.__setitem__(i, lines[i] + "x"),
-    "extra-walker": lambda lines, i, draw: lines.__setitem__(i, lines[i] + " 9"),
-    "lost-walker": lambda lines, i, draw: lines.__setitem__(i, lines[i].rpartition(" ")[0]),
-    "zero-padded": lambda lines, i, draw: lines.__setitem__(i, "0" + lines[i]),
-    "gap": lambda lines, i, draw: lines.__delitem__(i),
-    "repeat": lambda lines, i, draw: lines.insert(i, lines[i]),
-    "blank": lambda lines, i, draw: lines.insert(i, draw(st.sampled_from(["", " \t "]))),
-    "unknown-key": lambda lines, i, draw: lines.insert(i, draw(st.sampled_from(["# note 1 2", "#x", "# seedling"]))),
-    "bare-hash": lambda lines, i, draw: lines.insert(i, "#"),
-    "no-value": lambda lines, i, draw: lines.insert(i, "# block"),
-    "mark": lambda lines, i, draw: lines.insert(i, f"# block {draw(st.integers(-2, 40))}"),
+REWRITES = {  # each gives the line that replaces the one drawn
+    "tabs": lambda line: line.replace(" ", "\t"),
+    "double-space": lambda line: line.replace(" ", "  ", 1),
+    "padded": lambda line: f" {line}\t",
+    "bad-int": lambda line: line + "x",
+    "extra-walker": lambda line: line + " 9",
+    "lost-walker": lambda line: line.rpartition(" ")[0],
+    "zero-padded": lambda line: "0" + line,
 }
+INSERTS = ("", " \t ", "# note 1 2", "#x", "# seedling", "#", "# block")  # blank, unknown-key and malformed lines
 
 
 @st.composite
 def mutated_texts(draw) -> str:
-    """A trajectory's reference text with up to three edits, each line
-    ended by any line break `str.splitlines` knows."""
+    """A trajectory's reference text with up to three edits (a line
+    rewritten, dropped, repeated, or a line or mark inserted), each line
+    ended by any line break `str.splitlines` knows, or by a space."""
     lines = reference_to_text(draw(trajectories())).splitlines()
-    for _ in range(draw(st.integers(0, 3))):
-        EDITS[draw(st.sampled_from(sorted(EDITS)))](lines, draw(st.integers(0, len(lines) - 1)), draw)
+    for _ in range(draw(st.integers(0, 3))):  # the header's three lines outlast three drops
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["gap", "repeat", "insert", "mark", *REWRITES]))
+        if edit == "gap":
+            del lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        elif edit == "insert":
+            lines.insert(i, draw(st.sampled_from(INSERTS)))
+        elif edit == "mark":
+            lines.insert(i, f"# block {draw(st.integers(-2, 40))}")
+        else:
+            lines[i] = REWRITES[edit](lines[i])
     ends = draw(st.lists(st.sampled_from(ENDS), min_size=len(lines), max_size=len(lines)))
     return "".join(map(str.__add__, lines, ends))
 

@@ -5,7 +5,10 @@ A quick end-to-end exercise: simulate, write the trajectory's text and
 read it back (checked equal to the trajectory), check avoidance, and run
 the chi-square faithfulness test on each trajectory.  Each step is timed
 once as it runs, then run again under tracemalloc for its peak of newly
-allocated memory.
+allocated memory, with the engines' generator counting its 64-bit draws
+(installed as perfbench's tracer installs its own).  The draws line gives
+the count, simulate's time per draw, and the time per draw of the same
+draws made alone by `next_u64`, which is the generator's share of simulate.
 
 Example:
     python scripts/run_engines.py --ticks 100000 --seed 1
@@ -18,26 +21,67 @@ import gc
 import sys
 import time
 import tracemalloc
+from contextlib import contextmanager
 
+from avoidkit import couplers
 from avoidkit.couplers import parse_trajectory, simulate
 from avoidkit.generate import circulant, cycle, heawood, petersen
+from avoidkit.rng import Xoshiro256
 from avoidkit.verify import check_avoidance, chi_square_faithfulness
 
 
+@contextmanager
+def counting_draws():
+    """Yield a list that holds, on exit, the 64-bit draws of every engine
+    generator made meanwhile."""
+    made = []
+
+    class CountingXoshiro(Xoshiro256):
+        __slots__ = ("draws",)
+
+        def __init__(self, seed: int):
+            super().__init__(seed)
+            self.draws = 0
+            made.append(self)
+
+        def next_u64(self) -> int:
+            self.draws += 1
+            return Xoshiro256.next_u64(self)
+
+    draws = []
+    couplers.Xoshiro256 = CountingXoshiro
+    try:
+        yield draws
+    finally:
+        couplers.Xoshiro256 = Xoshiro256
+        draws.extend(r.draws for r in made)
+
+
+def drawing_alone(seed: int, draws: int) -> float:
+    """Seconds for Xoshiro256(seed) to make `draws` draws."""
+    next_u64 = Xoshiro256(seed).next_u64
+    start = time.perf_counter()
+    for _ in range(draws):
+        next_u64()
+    return time.perf_counter() - start
+
+
 def measured(step):
-    """(result, seconds, peak bytes): `step()` timed untraced, then run
-    again under tracemalloc for the peak it allocates."""
+    """(result, seconds, peak bytes, draws): `step()` timed untraced, then
+    run again under tracemalloc for the peak it allocates and the engine
+    draws it makes."""
     start = time.perf_counter()
     result = step()
     seconds = time.perf_counter() - start
     gc.collect()
     tracemalloc.start()
     try:
-        step()
+        with counting_draws() as draws:
+            step()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, seconds, peak
+    return result, seconds, peak, sum(draws)
 
 
 def main() -> int:
@@ -54,10 +98,10 @@ def main() -> int:
     ]
     failures = 0
     for engine, g, extra in jobs:
-        (traj, _), *simulated = measured(lambda: simulate(g, engine, args.ticks, args.seed, **extra))
-        text, *written = measured(traj.to_text)
-        back, *read = measured(lambda: parse_trajectory(text))
-        (violations, rep), *verified = measured(lambda: (check_avoidance(g, traj), chi_square_faithfulness(g, traj)))
+        (traj, _), *simulated, draws = measured(lambda: simulate(g, engine, args.ticks, args.seed, **extra))
+        text, *written, _ = measured(traj.to_text)
+        back, *read, _ = measured(lambda: parse_trajectory(text))
+        (violations, rep), *verified, _ = measured(lambda: (check_avoidance(g, traj), chi_square_faithfulness(g, traj)))
         ok = not violations and rep.passed and back == traj
         failures += not ok
         ticks = len(traj.positions) - 1
@@ -67,6 +111,10 @@ def main() -> int:
         for step, (seconds, peak) in (("simulate", simulated), ("to_text", written),
                                       ("parse", read), ("verify", verified)):
             print(f"{'':>12}{step:<9} {seconds:7.3f} s   tracemalloc peak {peak / 2**20:7.2f} MiB")
+        alone = drawing_alone(args.seed, draws)
+        print(f"{'':>12}{'draws':<9} {draws:,} ({draws / max(ticks, 1):.2f} per tick), "
+              f"simulate {simulated[0] / max(draws, 1) * 1e9:,.0f} ns per draw, "
+              f"next_u64 alone {alone / max(draws, 1) * 1e9:,.0f} ns per draw ({alone / simulated[0]:.0%} of simulate)")
     return 1 if failures else 0
 
 

@@ -122,18 +122,19 @@ def parse_trajectory(text: str) -> Trajectory:
     characters at a time, each cut just after a newline.  A line that is
     the last tick's `# block t` mark, or that starts with the next tick's
     number and a space, is read directly; any other line is tokenised.
-    Each distinct walker text is converted once, so ticks at the same
-    positions share one tuple."""
+    Each distinct walker text is converted once per slice, so ticks at the
+    same positions within a slice share one tuple, and the memo is bounded
+    by the slice, not the run."""
     header: dict[str, str] = {}
     positions: list[tuple[int, ...]] = []
     marks: list[int] = []
-    states: dict[str, tuple[int, ...]] = {}
     width = None
     t = -1  # the last tick read
     expect, mark = "0", "\n"  # the next tick's number and the last tick's mark line
     start, end = 0, len(text)
     while start < end:
         stop = text.find("\n", start + PARSE_CHUNK_CHARS - 1) + 1 or end
+        states: dict[str, tuple[int, ...]] = {}
         for line in text[start:stop].splitlines():
             if line == mark:
                 marks.append(t)

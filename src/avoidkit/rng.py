@@ -16,9 +16,26 @@ Xoshiro256.fisher_yates is the one in-place Fisher-Yates shuffle.  It is a
 generator that yields each index as soon as the element there is final, so
 a consumer can act on a prefix of the permutation and stop early; the
 generator then leaves the state after exactly the draws it made.
+
+`next_u64` hands out draws from a buffer.  A generator's first WARM draws
+are stepped one at a time, BATCH per refill, so a short-lived generator
+never pays for the lanes.  After that a refill steps LANES stretches of the
+same stream at once, each BLOCK draws long and 128 bits wide inside one
+Python int, so every big-int operation serves LANES draws.  The state map of xoshiro256 is
+linear over GF(2), so the lanes are put BLOCK steps apart, and moved on
+between blocks, by jumping: k steps are the polynomial x^k mod CHARPOLY,
+the map's characteristic polynomial, evaluated at the map (Haramoto et al.,
+"Efficient jump ahead for F2-linear random number generators", 2008).  The
+stream is the one-step stream, draw for draw.  The state words s0..s3 read
+as the state after exactly the draws consumed, and assigning one restarts
+the stream from the new state.
 """
 
 from __future__ import annotations
+
+import sys
+from array import array
+from functools import lru_cache
 
 MASK64 = 0xFFFFFFFFFFFFFFFF
 
@@ -28,6 +45,16 @@ GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 # below the exact rejection limit 2^64 - 2^64 % n.
 FAST_N = 1 << 32
 FAST_ACCEPT = (MASK64 + 1) - FAST_N
+
+WARM = 2048  # draws stepped one at a time after seeding or a restart
+BATCH = 64  # draws per refill while warming up
+LANES = 8  # stretches of the stream stepped at once after that
+BLOCK = 512  # draws per lane per refill
+WIDTH = 128  # bits per lane: room for x * 9 and s3 << 45 to stay inside it
+LANE_MASK = sum(MASK64 << (WIDTH * j) for j in range(LANES))
+# The characteristic polynomial of the xoshiro256 state map over GF(2):
+# degree 256, 115 terms, bit i the coefficient of x^i.
+CHARPOLY = 0x10003C03C3F3ECB1904B4EDCF26259F850280002BCEFD1A5E9D116F2BB0F0F001
 
 
 def mix64(z: int) -> int:
@@ -50,14 +77,133 @@ def derive_seed(seed: int, replica_index: int) -> int:
     return mix64(seed ^ ((replica_index * GOLDEN_GAMMA) & MASK64))
 
 
+def state_word(i: int) -> property:
+    """The property for state word i of a Xoshiro256.  Read, it is the
+    state after exactly the draws consumed; assigned, the stream restarts
+    from the new state."""
+
+    def get(rng: Xoshiro256) -> int:
+        return rng._state()[i]
+
+    def put(rng: Xoshiro256, value: int) -> None:
+        if not 0 <= value <= MASK64:
+            raise ValueError(f"state word s{i} must fit in 64 unsigned bits, got {value}")
+        state = list(rng._state())
+        state[i] = value
+        rng._restart(tuple(state))
+
+    return property(get, put, doc=f"State word s{i}.")
+
+
+def steps(state: tuple[int, int, int, int], n: int) -> tuple[list[int], tuple[int, int, int, int]]:
+    """n xoshiro256** steps from `state`, on every lane of LANE_MASK at once:
+    the n outputs, packed as the state is, and the state after them.  A
+    state of four plain 64-bit words is one lane."""
+    s0, s1, s2, s3 = state
+    mask = LANE_MASK
+    out = []
+    put = out.append
+    for _ in range(n):
+        x = (s1 * 5) & mask
+        # rotl(x, 7) * 9: mask before the * 9, or the bits x >> 57 moves into
+        # the padding of the lane below would carry into that lane
+        put(((((x << 7) | (x >> 57)) & mask) * 9) & mask)
+        t = (s1 << 17) & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & mask
+    return out, (s0, s1, s2, s3)
+
+
+@lru_cache(maxsize=8)
+def jump_poly(k: int) -> int:
+    """x^k mod CHARPOLY, bit i the coefficient of x^i."""
+    r = 1
+    for _ in range(k):
+        r <<= 1
+        if r >> 256:
+            r ^= CHARPOLY
+    return r
+
+
+def jump(state: tuple[int, int, int, int], k: int) -> tuple[int, int, int, int]:
+    """The state k steps after `state`, on every lane at once: the step map
+    M satisfies CHARPOLY(M) = 0, so M^k is the polynomial x^k mod CHARPOLY
+    evaluated at M, which is at most 255 steps, each XORed into the sum
+    where its coefficient is 1."""
+    r = jump_poly(k)
+    mask = LANE_MASK
+    s0, s1, s2, s3 = state
+    a0 = a1 = a2 = a3 = 0
+    while True:
+        if r & 1:
+            a0 ^= s0
+            a1 ^= s1
+            a2 ^= s2
+            a3 ^= s3
+        r >>= 1
+        if not r:
+            return a0, a1, a2, a3
+        t = (s1 << 17) & mask
+        s2 ^= s0
+        s3 ^= s1
+        s1 ^= s2
+        s0 ^= s3
+        s2 ^= t
+        s3 = ((s3 << 45) | (s3 >> 19)) & mask
+
+
+def lane(packed: tuple[int, ...], j: int) -> tuple[int, ...]:
+    """Lane j of a packed state or output."""
+    return tuple((w >> (WIDTH * j)) & MASK64 for w in packed)
+
+
+def spread(state: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
+    """LANES packed states, lane j the state j * BLOCK steps after `state`,
+    made by doubling: lanes 1, then 2-3, then 4-7 are jumps of the lanes
+    before them."""
+    lanes, width = state, 1
+    while width < LANES:
+        ahead = jump(lanes, width * BLOCK)
+        lanes = tuple(w | a << (WIDTH * width) for w, a in zip(lanes, ahead))
+        width *= 2
+    return lanes
+
+
+def unpack(packed: list[int]) -> array:
+    """The LANES * BLOCK draws of a lane block, from the packed outputs of
+    its steps, as 64-bit words in pop order: the stream's last draw first.
+
+    Each odd step's outputs go into the padding above the step before, so
+    the bytes carry no padding: word 2 * (LANES * p + j) + q is lane j's
+    draw 2 * p + q."""
+    # one join, not a frombytes per pair: the chain of reallocations that
+    # grows an array piece by piece raised the benchmark's peak RSS
+    raw = array("Q", b"".join([(even | odd << 64).to_bytes(WIDTH // 8 * LANES, "little")
+                               for even, odd in zip(packed[::2], packed[1::2])]))
+    if sys.byteorder != "little":
+        raw.byteswap()
+    out = raw[:]  # the right length; every word is overwritten
+    for j in range(LANES):
+        for q in (0, 1):
+            out[j * BLOCK + q:(j + 1) * BLOCK:2] = raw[2 * j + q::2 * LANES]
+    out.reverse()
+    return out
+
+
 class Xoshiro256:
     """xoshiro256** with splitmix64 state initialization.
 
-    Every draw goes through `next_u64`.  Integer draws use rejection below
-    the largest multiple of the range, so there is no modulo bias.
+    Every draw goes through `next_u64`, which reads a buffer of the stream
+    (see the module docstring).  Integer draws use rejection below the
+    largest multiple of the range, so there is no modulo bias.
     """
 
-    __slots__ = ("s0", "s1", "s2", "s3")
+    __slots__ = ("_buf", "_starts", "_seg", "_lanes", "_warm")
+    s0, s1, s2, s3 = map(state_word, range(4))
 
     def __init__(self, seed: int):
         check_seed(seed)
@@ -68,21 +214,51 @@ class Xoshiro256:
             state.append(mix64(z))
         if not any(state):  # all-zero state is invalid for xoshiro
             state[0] = 1
-        self.s0, self.s1, self.s2, self.s3 = state
+        self._restart(tuple(state))
+
+    def _restart(self, state: tuple[int, int, int, int]) -> None:
+        """Continue the stream from `state`, dropping the buffered draws."""
+        self._buf = []  # the draws not yet consumed, the next one last (a list or an array)
+        self._starts = (state,)  # the state before each segment of the buffer, then after it
+        self._seg = 1  # draws per segment: a batch, or one lane's block
+        self._lanes = None  # the packed lanes at the end of the last block
+        self._warm = 0  # draws stepped one at a time since the restart
+
+    def _state(self) -> tuple[int, int, int, int]:
+        """The state after exactly the draws consumed, from which the stream
+        then restarts."""
+        starts, seg = self._starts, self._seg
+        if len(starts) == 1:  # nothing buffered since the last restart
+            return starts[0]
+        j, i = divmod(seg * (len(starts) - 1) - len(self._buf), seg)
+        state = steps(starts[j], i)[1] if i else starts[j]
+        self._restart(state)
+        return state
+
+    def _refill(self) -> int:
+        """Buffer the next BATCH draws while warming up, else the next
+        LANES * BLOCK; return the first."""
+        if self._warm < WARM:
+            start = self._starts[-1]
+            buf, end = steps(start, BATCH)
+            buf.reverse()
+            self._warm += BATCH
+            self._starts, self._seg = (start, end), BATCH
+        else:
+            # the lanes end a block (LANES - 1) * BLOCK steps before the next one starts
+            lanes = spread(self._starts[-1]) if self._lanes is None else jump(self._lanes, (LANES - 1) * BLOCK)
+            packed, self._lanes = steps(lanes, BLOCK)
+            buf = unpack(packed)
+            self._starts = (*(lane(lanes, j) for j in range(LANES)), lane(self._lanes, LANES - 1))
+            self._seg = BLOCK
+        self._buf = buf
+        return buf.pop()
 
     def next_u64(self) -> int:
-        s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
-        x = (s1 * 5) & MASK64
-        # rotl(x, 7) * 9; the bits the shift pushes past 64 vanish in the mask
-        result = (((x << 7) | (x >> 57)) * 9) & MASK64
-        t = (s1 << 17) & MASK64
-        s2 ^= s0
-        s3 ^= s1
-        s1 ^= s2
-        s0 ^= s3
-        s2 ^= t
-        self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, ((s3 << 45) | (s3 >> 19)) & MASK64
-        return result
+        try:
+            return self._buf.pop()
+        except IndexError:  # the buffer is empty
+            return self._refill()
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), for 1 <= n <= 2^64; a larger n raises
@@ -111,7 +287,7 @@ class Xoshiro256:
         the generator) writes back the state after exactly the draws made;
         draw nothing else from this generator while it is suspended.
         """
-        s0, s1, s2, s3 = self.s0, self.s1, self.s2, self.s3
+        s0, s1, s2, s3 = self._state()
         mask = MASK64
         span = mask + 1
         # span % n < n <= len(items), so every draw below `safe` is also
@@ -139,7 +315,7 @@ class Xoshiro256:
             if items:
                 yield 0
         finally:
-            self.s0, self.s1, self.s2, self.s3 = s0, s1, s2, s3
+            self._restart((s0, s1, s2, s3))
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates (see fisher_yates)."""

@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from avoidkit import couplers
 from avoidkit.couplers import Trajectory, parse_trajectory, simulate
-from avoidkit.generate import cycle, petersen
+from avoidkit.generate import cycle, petersen, random_regular_simple
 from trajectory_reference import reference_parse_trajectory, reference_to_text
 
 CHUNKS = (1, 7)  # ticks per written piece and characters per read slice
@@ -154,3 +154,13 @@ def test_text_io_of_20000_petersen_ticks_stays_below_2_mib():
     text = traj.to_text()
     assert traced_peak(traj.to_text) < 2 * 2**20
     assert traced_peak(lambda: parse_trajectory(text)) < 2 * 2**20
+
+
+def test_parse_of_20000_mostly_distinct_ticks_stays_below_2_75_mib():
+    """On rr3-n250 nearly every state is new (14,758 in 20,001 ticks), so a
+    walker-text memo kept for the whole run peaked at 3.19 MiB; kept for
+    one slice it adds little to the 2.3 MiB the parsed ticks take."""
+    g, _ = random_regular_simple(250, 3, 7)
+    traj, _ = simulate(g, "cubic", 20_000, 3)
+    text = traj.to_text()
+    assert traced_peak(lambda: parse_trajectory(text)) < 2.75 * 2**20

@@ -414,10 +414,14 @@ def test_run_engines_script():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     summaries = [line for line in lines if "violations=" in line]
-    assert len(summaries) == 4 and len(lines) == 4 * 5, done.stdout
+    assert len(summaries) == 4 and len(lines) == 4 * 6, done.stdout
     assert all("violations=0 chi2=pass round trip=ok" in line for line in summaries), done.stdout
     for step in ("simulate", "to_text", "parse", "verify"):
         assert sum(line.split()[0] == step and "tracemalloc peak" in line for line in lines) == 4
+    # the engines' draws at 3,000 ticks: cubic and cycle draw once a tick,
+    # squarefree twice, regular about twice per three-tick round
+    draws = [line.split()[1] for line in lines if line.split()[0] == "draws"]
+    assert draws == ["3,000", "6,000", "2,001", "3,000"], done.stdout
 
 
 def test_lemma34_oracle(circ9):

@@ -32,8 +32,8 @@ from avoidkit.verify import check_avoidance, chi_square_faithfulness
 
 @contextmanager
 def counting_draws():
-    """Yield a list that holds, on exit, the 64-bit draws of every engine
-    generator made meanwhile."""
+    """Yield the list of engine generators made meanwhile, each counting
+    its 64-bit draws."""
     made = []
 
     class CountingXoshiro(Xoshiro256):
@@ -48,13 +48,11 @@ def counting_draws():
             self.draws += 1
             return Xoshiro256.next_u64(self)
 
-    draws = []
     couplers.Xoshiro256 = CountingXoshiro
     try:
-        yield draws
+        yield made
     finally:
         couplers.Xoshiro256 = Xoshiro256
-        draws.extend(r.draws for r in made)
 
 
 def drawing_alone(seed: int, draws: int) -> float:
@@ -76,12 +74,12 @@ def measured(step):
     gc.collect()
     tracemalloc.start()
     try:
-        with counting_draws() as draws:
+        with counting_draws() as made:
             step()
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return result, seconds, peak, sum(draws)
+    return result, seconds, peak, sum(r.draws for r in made)
 
 
 def main() -> int:

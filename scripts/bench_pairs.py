@@ -6,11 +6,13 @@ to back for each seed: odd seeds run the parent first and even seeds the
 change first, so drift on a shared machine falls on both sides. Every
 end-to-end metric BENCHMARK.json declares is summarised per workload by its
 quartiles on each side, the pairs the change wins, the change of the median
-in percent and the parent's interquartile range, next to the operations
-each side attempted and failed. The file is rewritten after every pair, so
-an interrupted run keeps what it measured. A run that reports
-``correct: false`` or a failed operation stops the script with exit 1,
-naming its seed and side, since its timings measure broken work.
+in percent, the parent's interquartile range and a verdict against the
+metric's bound (`verdict`: worse, unresolved, better or within bound),
+next to the operations each side attempted and failed. The file is
+rewritten after every pair, so an interrupted run keeps what it measured.
+A run that reports ``correct: false`` or a failed operation stops the
+script with exit 1, naming its seed and side, since its timings measure
+broken work.
 
 Example:
     python3 scripts/bench_pairs.py --parent ../parent --change . \\
@@ -54,23 +56,54 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float, metrics: 
     return run
 
 
-def summarise(runs: list[dict], metrics: dict[str, str]) -> dict:
+def quartiles(xs: list[float]) -> tuple[float, float, float]:
+    """(q1, median, q3) of xs, inclusive method; one run is its own quartiles."""
+    if len(xs) == 1:
+        return (xs[0],) * 3
+    q1, _, q3 = quantiles(xs, n=4, method="inclusive")
+    return q1, median(xs), q3
+
+
+def change_wins(parent: list[float], change: list[float], better: str) -> int:
+    """Pairs in which the change reads better than the parent; ties count for neither."""
+    sign = 1 if better == "lower" else -1
+    return sum(sign * (c - p) < 0 for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """One metric's reading over paired runs, `bound` relative to the parent's median:
+    "worse" when the change's median is worse by more than the bound; else
+    "unresolved" when the parent's IQR is wider than the bound, unless every
+    change run beats every parent run; else "better" when the change wins at
+    least 9/10 of the pairs and the medians differ by more than the parent's
+    IQR; else "within bound"."""
+    sign = 1 if better == "lower" else -1  # sign * x: smaller is better
+    q1, mp, q3 = quartiles(parent)
+    gain = sign * (mp - median(change))
+    if -gain > bound * abs(mp):
+        return "worse"
+    if q3 - q1 > bound * abs(mp) and max(sign * c for c in change) >= min(sign * p for p in parent):
+        return "unresolved"
+    if 10 * change_wins(parent, change, better) >= 9 * len(parent) and gain > q3 - q1:
+        return "better"
+    return "within bound"
+
+
+def summarise(runs: list[dict], metrics: dict[str, dict]) -> dict:
     """Operations attempted and failed per side, then quartiles per side,
-    change wins, median change and parent IQR per metric."""
+    change wins, median change, parent IQR and verdict per metric."""
     out = {"operations": {side: {key: sum(r[side][key] for r in runs) for key in ("attempted", "failed")}
                           for side in ("parent", "change")}}
-    for name, better in metrics.items():
+    for name, spec in metrics.items():
         sides = {side: [r[side][name] for r in runs] for side in ("parent", "change")}
-        stats = {}
-        for side, xs in sides.items():
-            q1, med, q3 = quantiles(xs, n=4, method="inclusive") if len(xs) > 1 else (xs[0],) * 3
-            stats[side] = {"q1": round(q1, 4), "median": round(median(xs), 4), "q3": round(q3, 4)}
-        sign = 1 if better == "lower" else -1
-        wins = sum(sign * (c - p) < 0 for p, c in zip(sides["parent"], sides["change"]))
+        stats = {side: dict(zip(("q1", "median", "q3"), (round(q, 4) for q in quartiles(xs))))
+                 for side, xs in sides.items()}
+        wins = change_wins(sides["parent"], sides["change"], spec["better"])
         mp, mc = median(sides["parent"]), median(sides["change"])
         out[name] = {**stats, "change_wins": f"{wins}/{len(runs)}",
                      "median_change_pct": round(100 * (mc - mp) / mp, 2) if mp else None,
-                     "parent_iqr": round(stats["parent"]["q3"] - stats["parent"]["q1"], 4)}
+                     "parent_iqr": round(stats["parent"]["q3"] - stats["parent"]["q1"], 4),
+                     "verdict": verdict(sides["parent"], sides["change"], spec["better"], spec["bound"])}
     return out
 
 
@@ -103,7 +136,7 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     spec = json.loads((args.change / "BENCHMARK.json").read_text())
-    metrics = {m["name"]: m["better"] for m in spec["end_to_end"]}
+    metrics = {m["name"]: m for m in spec["end_to_end"]}
     shas = {"parent": args.parent_sha or git_sha(args.parent), "change": args.change_sha or git_sha(args.change)}
     checkouts = {"parent": args.parent, "change": args.change}
     doc = {
@@ -118,6 +151,11 @@ def main(argv=None) -> int:
         "quartiles": "statistics.quantiles(method='inclusive'); median is statistics.median",
         "bounds": "BENCHMARK.json end_to_end bounds: "
                   + ", ".join(f"{m['name']} {m['bound']:.0%}" for m in spec["end_to_end"]),
+        "verdicts": "per metric, against its bound relative to the parent's median: worse (the change's "
+                    "median is worse by more than the bound), unresolved (the parent's IQR is wider than the "
+                    "bound and some change run does not beat every parent run), better (the change wins at "
+                    "least 9/10 of the pairs and the medians differ by more than the parent's IQR), "
+                    "else within bound",
         "workloads": {},
     }
     seed = args.first_seed

@@ -9,6 +9,8 @@ allocated memory, with the engines' generator counting its 64-bit draws
 (installed as perfbench's tracer installs its own).  The draws line gives
 the count, simulate's time per draw, and the time per draw of the same
 draws made alone by `next_u64`, which is the generator's share of simulate.
+The cache line of each two-walker engine gives its cache's hits, misses and
+hit rate over the run and the entries it holds at the end.
 
 Example:
     python scripts/run_engines.py --ticks 100000 --seed 1
@@ -96,7 +98,7 @@ def main() -> int:
     ]
     failures = 0
     for engine, g, extra in jobs:
-        (traj, _), *simulated, draws = measured(lambda: simulate(g, engine, args.ticks, args.seed, **extra))
+        (traj, eng), *simulated, draws = measured(lambda: simulate(g, engine, args.ticks, args.seed, **extra))
         text, *written, _ = measured(traj.to_text)
         back, *read, _ = measured(lambda: parse_trajectory(text))
         (violations, rep), *verified, _ = measured(lambda: (check_avoidance(g, traj), chi_square_faithfulness(g, traj)))
@@ -113,6 +115,10 @@ def main() -> int:
         print(f"{'':>12}{'draws':<9} {draws:,} ({draws / max(ticks, 1):.2f} per tick), "
               f"simulate {simulated[0] / max(draws, 1) * 1e9:,.0f} ns per draw, "
               f"next_u64 alone {alone / max(draws, 1) * 1e9:,.0f} ns per draw ({alone / simulated[0]:.0%} of simulate)")
+        cache = getattr(eng, "cache", None)
+        if cache is not None:
+            print(f"{'':>12}{'cache':<9} {cache.hits:,} hits, {cache.misses:,} misses "
+                  f"(hit rate {cache.hit_rate:.4f}), {len(cache._data):,} entries held")
     return 1 if failures else 0
 
 

@@ -1,10 +1,11 @@
 """The four coupling engines: four block laws behind one engine contract.
 
 `Engine` holds what every engine shares: the generator, the transport
-cache, the start rule and the one run loop.  An engine adds its block law;
-its hypothesis is stated in `structure.engine_obstruction`.  A block that
-hits the cache costs one cache lookup, one call to the law and the law's
-random draws: each cache entry is stored ready to draw from.
+cache (one `BoundedCache`, oldest entry out), the start rule and the one
+run loop.  An engine adds its block law; its hypothesis is stated in
+`structure.engine_obstruction`.  A block that hits the cache costs one
+cache lookup, one call to the law and the law's random draws: each cache
+entry is stored ready to draw from.
 
   cubic      - scenario-classified blocks: one-step matchings, a 9-row
                two-step table, and an excursion through a local K_{2,2},
@@ -29,7 +30,7 @@ from typing import Callable, Iterator
 
 from .graphs import Graph, check_vertices
 from .matching import (
-    LruCache,
+    BoundedCache,
     TransportMatrix,
     avoiding_supports,
     build_regular_transport,
@@ -349,10 +350,12 @@ class Engine:
     `state` is the current tick's positions; two-walker engines start at
     (a0, b0) through `start_b0`.
 
-    The one `LruCache` holds ready-to-draw entries under their state tuples
-    and, for cubic and regular on a host with no more vertices than the
-    cache has entries, each vertex's table under its vertex id, made when a
-    cache miss first needs it as b (`LruCache.table`)."""
+    The one `BoundedCache` holds ready-to-draw entries under their state
+    tuples and, for cubic and regular on a host with no more vertices than
+    the cache has entries, each vertex's table under its vertex id, made
+    when a cache miss first needs it as b (`BoundedCache.table`).  Entries
+    leave oldest-inserted first; the cache decides only what is rebuilt,
+    never what is drawn."""
 
     name: str
     marks_blocks = False
@@ -362,7 +365,7 @@ class Engine:
         self.g = g
         self.seed = seed
         self.rng = Xoshiro256(seed)
-        self.cache = LruCache()
+        self.cache = BoundedCache()
         self.state = (a0, self.start_b0(a0, b0))
 
     def start_b0(self, a0: int, b0: int | None) -> int:

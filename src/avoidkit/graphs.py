@@ -63,7 +63,15 @@ class Graph:
         return "\n".join(lines) + "\n"
 
     def digest(self) -> str:
-        return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()[:16]
+        """The first 16 hex digits of the sha256 of `to_text()`.  A frozen
+        graph's text cannot change, so the value is computed on the first
+        call and kept on the instance (not a field: equality, hashing and
+        `replace` ignore it)."""
+        value = self.__dict__.get("_digest")
+        if value is None:
+            value = hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()[:16]
+            object.__setattr__(self, "_digest", value)
+        return value
 
 
 def check_vertices(g: Graph, **ids: int | None) -> None:

@@ -25,7 +25,9 @@ stored as its nonzero cells and its index space (`TransportMatrix`): a
 regular transport keeps the first steps N(a)\\{e}, N(b) and the host's
 shared adjacency instead of its pair labels, so a cache entry costs in
 proportion to its nonzero cells, not to rows x columns, and its labels are
-derived only when they are read.
+derived only when they are read.  `BoundedCache` is the engines' one cache
+of such entries and of per-vertex tables: it keeps insertion order only and
+drops the oldest entry when full, so a hit is one dict lookup.
 """
 
 from __future__ import annotations
@@ -407,12 +409,13 @@ def check_cells(cells: list[int], counts: list[int], nr: int, nc: int, row_sum: 
             raise AssertionError(f"{what} {r} sums to {sums[r]}, expected {want}")
 
 
-class LruCache:
+class BoundedCache:
     """Bounded memo for transport matrices and block plans, keyed per state
     triple/pair, and for per-vertex tables, keyed by the vertex id; values
-    are never None.  A hit is one dict lookup plus the move to the most
-    recently used end.  Entries of both kinds share the capacity and the
-    recency order; `hits` and `misses` count only `get`.
+    are never None.  A hit is one dict lookup.  Entries of both kinds share
+    the capacity and leave oldest first: the entry inserted longest ago is
+    evicted, however often it was read.  `hits` and `misses` count only
+    `get`.
 
     A table pays only when it is read again before it is evicted, so a
     host with more vertices than entries gets none: on random cubic hosts
@@ -427,37 +430,32 @@ class LruCache:
         self.misses = 0
 
     def get(self, key):
-        """The value stored under key, now the most recently used, or None."""
-        data = self._data
-        value = data.get(key)
+        """The value stored under key, or None."""
+        value = self._data.get(key)
         if value is None:
             self.misses += 1
-            return None
-        self.hits += 1
-        data.move_to_end(key)
+        else:
+            self.hits += 1
         return value
 
     def table(self, g, v: int, make):
         """The table `make(g, v)` of vertex v of host g, stored under the
-        vertex id on v's first use and now the most recently used, or None
-        when g has more vertices than the cache has entries.  Counts
-        neither a hit nor a miss."""
+        vertex id on v's first use, or None when g has more vertices than
+        the cache has entries.  Counts neither a hit nor a miss."""
         if g.n > self.capacity:
             return None
-        data = self._data
-        value = data.get(v)
+        value = self._data.get(v)
         if value is None:
             value = make(g, v)
             self.put(v, value)
-        else:
-            data.move_to_end(v)
         return value
 
     def put(self, key, value) -> None:
-        self._data[key] = value
-        self._data.move_to_end(key)
-        while len(self._data) > self.capacity:
-            self._data.popitem(last=False)
+        """Store value under key, then evict the oldest entries past the capacity."""
+        data = self._data
+        data[key] = value
+        while len(data) > self.capacity:
+            data.popitem(last=False)
 
     @property
     def hit_rate(self) -> float:

@@ -20,11 +20,18 @@ def load_bench_pairs():
     return module
 
 
-def checkout(root: Path, name: str, wall_s: float, correct: bool = True, failed: int = 0) -> Path:
-    """A directory whose perfbench/run.py prints one result line."""
-    line = {"correct": correct, "attempted": 4, "failed": failed, "metrics": {"wall_s": {"value": wall_s}}}
+def checkout(root: Path, name: str, wall_s, correct: bool = True, failed: int = 0) -> Path:
+    """A directory whose perfbench/run.py prints one result line; `wall_s` is
+    one value, or a list whose i-th value the i-th seed from 5 reads."""
+    values = wall_s if isinstance(wall_s, list) else [wall_s]
+    line = {"correct": correct, "attempted": 4, "failed": failed, "metrics": {"wall_s": {"value": None}}}
     (root / name / "perfbench").mkdir(parents=True)
-    (root / name / "perfbench" / "run.py").write_text(f"print({json.dumps(json.dumps(line))})\n")
+    (root / name / "perfbench" / "run.py").write_text(
+        "import json, sys\n"
+        f"line, values = {line!r}, {values!r}\n"
+        "seed = int(sys.argv[sys.argv.index('--seed') + 1])\n"
+        "line['metrics']['wall_s']['value'] = values[(seed - 5) % len(values)]\n"
+        "print(json.dumps(line))\n")
     (root / name / "BENCHMARK.json").write_text(json.dumps(SPEC))
     return root / name
 
@@ -58,3 +65,19 @@ def test_bench_pairs_stops_on_a_failed_run(tmp_path, capsys, side, correct, fail
     # the failing pair is kept, and no pair runs after it
     assert doc["workloads"]["canonical"]["seeds"] == [5]
     assert doc["workloads"]["canonical"]["summary"]["operations"][side]["failed"] == failed
+
+
+@pytest.mark.parametrize("parent,change,want", [
+    ([1.0] * 4, [1.3] * 4, "worse"),  # median +30%, past the 25% bound
+    ([1.0, 2.0] * 2, [1.5] * 4, "unresolved"),  # parent IQR 1.0, 67% of its median
+    ([1.0, 2.0] * 2, [0.4] * 4, "better"),  # as wide, but every change run beats every parent run
+    ([2.0] * 4, [1.0] * 4, "better"),
+    ([1.0] * 4, [1.1] * 4, "within bound"),
+    ([1.0] * 10, [0.9] * 8 + [1.1] * 2, "within bound"),  # a gain, but 8/10 pairs
+])
+def test_bench_pairs_verdict_per_metric(tmp_path, parent, change, want):
+    code, doc = bench(tmp_path, checkout(tmp_path, "parent", parent), checkout(tmp_path, "change", change),
+                      pairs=len(parent))
+    summary = doc["workloads"]["canonical"]["summary"]["wall_s"]
+    assert code == 0 and summary["verdict"] == want
+    assert [r["parent"]["wall_s"] for r in doc["workloads"]["canonical"]["runs"]] == parent

@@ -248,6 +248,24 @@ def test_cubic_engine_cache_is_bounded():
     assert 0 < len(tables) <= g.n and all(v == radius2_set(g, k) for k, v in tables.items())
 
 
+@pytest.mark.parametrize("engine", ["regular", "squarefree"])
+def test_small_cache_draws_the_same_trajectory(engine, hea):
+    """The cache decides only what is rebuilt, never what is drawn: an
+    8-entry cache that evicts gives the default cache's trajectory, on
+    rr5-n64 for regular and on Heawood, whose states outnumber 8, for
+    squarefree."""
+    if engine == "regular":
+        g, make = random_regular_simple(64, 5, 0, connected_required=True)[0], RegularEngine
+    else:
+        g, make = hea, SquarefreeEngine
+    small, wide = make(g, 5), make(g, 5)
+    small.cache.capacity = 8
+    assert small.run(3000).to_text() == wide.run(3000).to_text()
+    # every miss stores its entry, so the extra misses are evicted entries drawn again
+    assert len(small.cache._data) == 8 and small.cache.misses > wide.cache.misses
+    assert small.cache.hits + small.cache.misses == wide.cache.hits + wide.cache.misses
+
+
 def test_cubic_cache_stays_bounded_on_a_host_larger_than_it():
     """A cubic host with 5,000 vertices, more than the cache's 4,096
     entries, keeps no radius-2 set; a cache with room for every vertex

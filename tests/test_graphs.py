@@ -190,6 +190,22 @@ def test_digest_is_stable(pet):
     assert pet.digest() == "223b9bae4baa1733"
 
 
+def test_digest_serialises_the_graph_once(monkeypatch):
+    serialised = []
+    to_text = Graph.to_text
+
+    def counted(self):
+        serialised.append(self)
+        return to_text(self)
+
+    monkeypatch.setattr(Graph, "to_text", counted)
+    g, same = petersen(), petersen()
+    assert g.digest() == g.digest() == "223b9bae4baa1733"
+    assert len(serialised) == 1
+    assert same.digest() == g.digest() and len(serialised) == 2  # one per instance
+    assert g == same and hash(g) == hash(same)  # the kept value is not a field
+
+
 def test_distance_capped_on_cycle():
     g = cycle(8)
     assert distance_capped(g, 0, 4, 10) == 4

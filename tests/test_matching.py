@@ -12,7 +12,7 @@ from avoidkit.couplers import one_step_matching
 from avoidkit.generate import circulant, complete, complete_bipartite, random_regular_simple
 from avoidkit.graphs import graph_from_edges
 from avoidkit.matching import (
-    LruCache,
+    BoundedCache,
     TransportInfeasible,
     avoiding_supports,
     build_regular_transport,
@@ -633,11 +633,11 @@ def test_squarefree_transport_square_failure():
         build_squarefree_transport(planted_square_host(), 0, 1)
 
 
-def test_lru_cache_tables_share_the_capacity_not_the_counters():
-    """A table is made on its vertex's first use only, moves to the most
-    recently used end like a hit and is evicted like any entry, but
-    neither `hits` nor `misses` counts it; a host with more vertices than
-    the cache has entries gets no table."""
+def test_bounded_cache_tables_share_the_capacity_not_the_counters():
+    """A table is made on its vertex's first use only and leaves by age
+    like any entry: reading it does not keep it.  Neither `hits` nor
+    `misses` counts it; a host with more vertices than the cache has
+    entries gets no table."""
     made = []
 
     def make(g, v):
@@ -645,25 +645,25 @@ def test_lru_cache_tables_share_the_capacity_not_the_counters():
         return f"t{v}"
 
     g = graph_from_edges(2, [(0, 1)])
-    cache = LruCache(capacity=2)
+    cache = BoundedCache(capacity=2)
     assert cache.table(g, 1, make) == "t1"
     cache.put((0, 1), "plan")
-    assert cache.table(g, 1, make) == "t1"  # not made again; (0, 1) is now the oldest
-    cache.put((0, 2), "plan")
-    assert len(cache._data) == 2 and cache.get((0, 1)) is None and made == [1]
-    cache.put((0, 3), "plan")  # evicts the table
-    assert cache.table(g, 1, make) == "t1" and made == [1, 1] and len(cache._data) == 2
+    assert cache.table(g, 1, make) == "t1" and made == [1]  # not made again, and still the oldest
+    cache.put((0, 2), "plan")  # evicts the table, though it was read last
+    assert list(cache._data) == [(0, 1), (0, 2)]
+    assert cache.table(g, 1, make) == "t1" and made == [1, 1]  # made again, evicting (0, 1)
+    assert list(cache._data) == [(0, 2), 1] and cache.get((0, 1)) is None
     assert cache.table(graph_from_edges(3, [(0, 1), (1, 2)]), 0, make) is None and made == [1, 1]
     assert (cache.hits, cache.misses) == (0, 1)
 
 
-def test_lru_cache_caps_and_counts():
-    cache = LruCache(capacity=2)
+def test_bounded_cache_evicts_oldest_first_and_counts():
+    cache = BoundedCache(capacity=2)
     assert cache.get("a") is None
     cache.put("a", 1)
     cache.put("b", 2)
     assert cache.get("a") == 1
-    cache.put("c", 3)  # evicts "b", the least recently used
-    assert cache.get("b") is None
-    assert cache.hits == 1 and cache.misses == 2
-    assert 0 < cache.hit_rate < 1
+    cache.put("c", 3)  # evicts "a", the oldest inserted, though it was hit last
+    assert cache.get("a") is None and cache.get("b") == 2 and cache.get("c") == 3
+    assert list(cache._data) == ["b", "c"]
+    assert cache.hits == 3 and cache.misses == 2 and cache.hit_rate == 0.6

@@ -414,7 +414,7 @@ def test_run_engines_script():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     summaries = [line for line in lines if "violations=" in line]
-    assert len(summaries) == 4 and len(lines) == 4 * 6, done.stdout
+    assert len(summaries) == 4 and len(lines) == 4 * 6 + 3, done.stdout
     assert all("violations=0 chi2=pass round trip=ok" in line for line in summaries), done.stdout
     for step in ("simulate", "to_text", "parse", "verify"):
         assert sum(line.split()[0] == step and "tracemalloc peak" in line for line in lines) == 4
@@ -422,6 +422,11 @@ def test_run_engines_script():
     # squarefree twice, regular about twice per three-tick round
     draws = [line.split()[1] for line in lines if line.split()[0] == "draws"]
     assert draws == ["3,000", "6,000", "2,001", "3,000"], done.stdout
+    # the three cached engines' counters: one lookup per cubic or square-free
+    # block and per regular round; the cycle engine has no cache
+    caches = [line.split()[1:5] for line in lines if line.split()[0] == "cache"]
+    assert caches == [["2,944", "hits,", "56", "misses"], ["2,920", "hits,", "80", "misses"],
+                      ["1,822", "hits,", "178", "misses"]], done.stdout
 
 
 def test_lemma34_oracle(circ9):

@@ -8,7 +8,11 @@ end-to-end metric BENCHMARK.json declares is summarised per workload by its
 quartiles on each side, the pairs the change wins, the change of the median
 in percent, the parent's interquartile range and a verdict against the
 metric's bound (`verdict`: worse, unresolved, better or within bound),
-next to the operations each side attempted and failed. The file is
+next to the operations each side attempted and failed. The metrics and
+bounds are the parent's: a change whose BENCHMARK.json differs from the
+parent's is refused with exit 2 before any run. The header records each
+side's source digest, the sha256 over the sorted ``src/avoidkit/*.py``
+names and bytes that perfbench's provenance records. The file is
 rewritten after every pair, so an interrupted run keeps what it measured.
 A run that reports ``correct: false`` or a failed operation stops the
 script with exit 1, naming its seed and side, since its timings measure
@@ -23,6 +27,7 @@ Example:
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -38,6 +43,14 @@ def git_sha(checkout: Path) -> str | None:
     """The checkout's HEAD commit, or None when it is not a git repository."""
     done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True)
     return done.stdout.strip() if done.returncode == 0 else None
+
+
+def source_digest(checkout: Path) -> str:
+    """sha256 over the checkout's sorted src/avoidkit/*.py names and bytes, as perfbench's provenance has it."""
+    h = hashlib.sha256()
+    for path in sorted((checkout / "src" / "avoidkit").glob("*.py")):
+        h.update(path.name.encode() + b"\0" + path.read_bytes())
+    return h.hexdigest()
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float, metrics: list[str], sha) -> dict:
@@ -135,7 +148,17 @@ def main(argv=None) -> int:
     except ValueError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
-    spec = json.loads((args.change / "BENCHMARK.json").read_text())
+    specs = {side: checkout / "BENCHMARK.json" for side, checkout in (("parent", args.parent), ("change", args.change))}
+    try:
+        texts = {side: path.read_bytes() for side, path in specs.items()}
+    except OSError as err:
+        print(f"error: cannot read {err.filename}: {err.strerror}", file=sys.stderr)
+        return 2
+    if texts["change"] != texts["parent"]:
+        print(f"error: {specs['change']} differs from {specs['parent']}; the change is judged by the "
+              "parent's metrics and bounds, so a changed benchmark is not compared", file=sys.stderr)
+        return 2
+    spec = json.loads(texts["parent"])
     metrics = {m["name"]: m for m in spec["end_to_end"]}
     shas = {"parent": args.parent_sha or git_sha(args.parent), "change": args.change_sha or git_sha(args.change)}
     checkouts = {"parent": args.parent, "change": args.change}
@@ -144,12 +167,14 @@ def main(argv=None) -> int:
         "command": COMMAND.format(seconds=args.seconds),
         "parent_sha": shas["parent"],
         "change_sha": shas["change"],
+        "parent_source_sha256": source_digest(args.parent),
+        "change_source_sha256": source_digest(args.change),
         "machine": f"{platform.machine()}, Python {platform.python_version()}, "
                    f"nproc {len(os.sched_getaffinity(0))}",
         "pairing": "parent and change run back to back per seed, each in its own checkout; "
                    "odd seeds ran the parent first and even seeds the change first",
         "quartiles": "statistics.quantiles(method='inclusive'); median is statistics.median",
-        "bounds": "BENCHMARK.json end_to_end bounds: "
+        "bounds": "the parent's BENCHMARK.json end_to_end bounds: "
                   + ", ".join(f"{m['name']} {m['bound']:.0%}" for m in spec["end_to_end"]),
         "verdicts": "per metric, against its bound relative to the parent's median: worse (the change's "
                     "median is worse by more than the bound), unresolved (the parent's IQR is wider than the "

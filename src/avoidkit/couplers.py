@@ -54,25 +54,24 @@ def transition_counts(positions) -> Counter:
 
 @dataclass
 class Trajectory:
-    """A run's ticks.  `positions` is stored as a tuple, so the transition
-    counts that both checks of a verification read are counted once."""
+    """A run's ticks.  `positions` is the list its producer (`Engine.run`
+    or `parse_trajectory`) appended to, kept without a copy."""
 
     engine: str
     seed: int
     graph_digest: str
-    positions: tuple[tuple[int, ...], ...]  # positions[t] = (A_t, B_t) or k walkers
+    positions: list[tuple[int, ...]]  # positions[t] = (A_t, B_t) or k walkers
     block_marks: list[int] = field(default_factory=list)
     _transitions: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.positions = tuple(self.positions)
 
     def transitions(self) -> Counter:
         """`transition_counts(positions)`, shared by two readers: a call
         with no count kept counts and keeps it, and the next call, while
-        `positions` is the same tuple, returns it and lets it go.  So the
+        `positions` is the same list, returns it and lets it go.  So the
         two checks of one verification count once, and a verified
-        trajectory holds no count.  Callers must not change it."""
+        trajectory holds no count.  The count is keyed on the list's
+        identity, so the list must not be edited in place; callers must
+        not change the count either."""
         memo = self._transitions
         if memo is not None and memo[0] is self.positions:
             self._transitions = None
@@ -112,6 +111,12 @@ class Trajectory:
     def to_text(self) -> str:
         """`text_chunks()` joined."""
         return "".join(self.text_chunks())
+
+
+def check_block_marks(marks: list[int], ticks: int) -> None:
+    """Raise ValueError unless every block mark is one of the ticks 0..ticks-1."""
+    if marks and not 0 <= min(marks) <= max(marks) < ticks:
+        raise ValueError(f"block marks {min(marks)}..{max(marks)} outside ticks 0..{ticks - 1}")
 
 
 def parse_trajectory(text: str) -> Trajectory:
@@ -187,8 +192,7 @@ def parse_trajectory(text: str) -> Trajectory:
     if not positions:
         raise ValueError("trajectory has no ticks")
     check_walkers(engine, width)
-    if marks and not 0 <= min(marks) <= max(marks) < len(positions):
-        raise ValueError(f"block marks {min(marks)}..{max(marks)} outside ticks 0..{len(positions) - 1}")
+    check_block_marks(marks, len(positions))
     return Trajectory(engine, int(header["seed"]), header["graph-digest"], positions, marks)
 
 

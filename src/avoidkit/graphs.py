@@ -9,11 +9,14 @@ from __future__ import annotations
 import hashlib
 from collections import Counter, deque
 from dataclasses import dataclass, field
+from typing import Iterator
 
 
 # Size limits, checked before anything is allocated per vertex or per edge.
 MAX_VERTICES = 100_000
 MAX_EDGES = 1_000_000
+
+TEXT_CHUNK_VERTICES = 4096  # vertices per piece of `Graph.text_chunks`
 
 
 class GraphParseError(ValueError):
@@ -57,19 +60,30 @@ class Graph:
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]
 
+    def text_chunks(self) -> Iterator[str]:
+        """The edge-list text in bounded pieces: the `n m` line, then the
+        `u v` lines (u < v) of `TEXT_CHUNK_VERTICES` vertices at a time."""
+        yield f"{self.n} {self.edge_count}\n"
+        adj = self.adjacency
+        for start in range(0, self.n, TEXT_CHUNK_VERTICES):
+            yield "".join([f"{u} {v}\n" for u in range(start, min(start + TEXT_CHUNK_VERTICES, self.n))
+                           for v in adj[u] if u < v])
+
     def to_text(self) -> str:
-        lines = [f"{self.n} {self.edge_count}"]
-        lines.extend(f"{u} {v}" for u, v in self.edges())
-        return "\n".join(lines) + "\n"
+        """`text_chunks()` joined."""
+        return "".join(self.text_chunks())
 
     def digest(self) -> str:
-        """The first 16 hex digits of the sha256 of `to_text()`.  A frozen
-        graph's text cannot change, so the value is computed on the first
-        call and kept on the instance (not a field: equality, hashing and
-        `replace` ignore it)."""
+        """The first 16 hex digits of the sha256 of `to_text()`, hashed a
+        piece of `text_chunks()` at a time.  A frozen graph's text cannot
+        change, so the value is computed on the first call and kept on the
+        instance (not a field: equality, hashing and `replace` ignore it)."""
         value = self.__dict__.get("_digest")
         if value is None:
-            value = hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()[:16]
+            h = hashlib.sha256()
+            for piece in self.text_chunks():
+                h.update(piece.encode("utf-8"))
+            value = h.hexdigest()[:16]
             object.__setattr__(self, "_digest", value)
         return value
 

@@ -27,8 +27,8 @@ between blocks, by jumping: k steps are the polynomial x^k mod CHARPOLY,
 the map's characteristic polynomial, evaluated at the map (Haramoto et al.,
 "Efficient jump ahead for F2-linear random number generators", 2008).  The
 stream is the one-step stream, draw for draw.  The state words s0..s3 read
-as the state after exactly the draws consumed, and assigning one restarts
-the stream from the new state.
+as the state after exactly the draws consumed, without touching the buffer
+or the lanes; assigning one restarts the stream from the new state.
 """
 
 from __future__ import annotations
@@ -79,8 +79,8 @@ def derive_seed(seed: int, replica_index: int) -> int:
 
 def state_word(i: int) -> property:
     """The property for state word i of a Xoshiro256.  Read, it is the
-    state after exactly the draws consumed; assigned, the stream restarts
-    from the new state."""
+    state after exactly the draws consumed, and the stream goes on from its
+    buffer; assigned, the stream restarts from the new state."""
 
     def get(rng: Xoshiro256) -> int:
         return rng._state()[i]
@@ -225,15 +225,13 @@ class Xoshiro256:
         self._warm = 0  # draws stepped one at a time since the restart
 
     def _state(self) -> tuple[int, int, int, int]:
-        """The state after exactly the draws consumed, from which the stream
-        then restarts."""
+        """The state after exactly the draws consumed.  A pure read: the
+        buffer and the lanes stay as they are."""
         starts, seg = self._starts, self._seg
         if len(starts) == 1:  # nothing buffered since the last restart
             return starts[0]
         j, i = divmod(seg * (len(starts) - 1) - len(self._buf), seg)
-        state = steps(starts[j], i)[1] if i else starts[j]
-        self._restart(state)
-        return state
+        return steps(starts[j], i)[1] if i else starts[j]
 
     def _refill(self) -> int:
         """Buffer the next BATCH draws while warming up, else the next

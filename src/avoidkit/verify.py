@@ -25,6 +25,7 @@ from operator import itemgetter, or_
 
 from .couplers import (
     Trajectory,
+    check_block_marks,
     cubic_plan,
     k22_excursion,
     regular_round,
@@ -84,6 +85,18 @@ def tick_violations(g: Graph, pos, t: int) -> list[Violation]:
     return out
 
 
+def check_digest(g: Graph, traj: Trajectory) -> None:
+    """Raise ValueError unless the trajectory names g's digest."""
+    if traj.graph_digest != g.digest():
+        raise ValueError("trajectory/graph digest mismatch")
+
+
+def check_ids(g: Graph, ids: set[int]) -> None:
+    """Raise ValueError on a vertex id outside 0..n-1, naming the least if it is negative."""
+    if ids and not 0 <= min(ids) <= max(ids) < g.n:
+        raise ValueError(f"vertex {min(ids) if min(ids) < 0 else max(ids)} outside 0..{g.n - 1}")
+
+
 def check_avoidance(g: Graph, traj: Trajectory) -> list[Violation]:
     """All avoidance/consistency violations in a trajectory: those of each
     tick, in tick order, then those of the block marks, in mark order.
@@ -97,16 +110,15 @@ def check_avoidance(g: Graph, traj: Trajectory) -> list[Violation]:
     `tick_violations` then reports only the ticks that carry a failing
     transition, and the last tick if its state collides, and only marks on a
     failing state are reported.
-    Raises ValueError on a digest mismatch or a vertex id outside 0..n-1.
+    Raises ValueError on a digest mismatch, a vertex id outside 0..n-1 or
+    a block mark outside the ticks 0..len(positions)-1.
     """
-    if traj.graph_digest != g.digest():
-        raise ValueError("trajectory/graph digest mismatch")
+    check_digest(g, traj)
     pos = traj.positions
     steps = traj.transitions()
     states = (*map(itemgetter(0), steps), *pos[-1:])  # every tick's state, some more than once
-    ids = set(chain.from_iterable(states))
-    if ids and not 0 <= min(ids) <= max(ids) < g.n:
-        raise ValueError(f"vertex {min(ids) if min(ids) < 0 else max(ids)} outside 0..{g.n - 1}")
+    check_ids(g, set(chain.from_iterable(states)))
+    check_block_marks(traj.block_marks, len(pos))
     adj = g.adjacency
     collided = {s for s in states if len(set(s)) < len(s)}
     close = {s for s in states if len(s) == 2 and (s[0] == s[1] or s[1] in adj[s[0]])}
@@ -120,7 +132,7 @@ def check_avoidance(g: Graph, traj: Trajectory) -> list[Violation]:
     out = [v for t in ticks for v in tick_violations(g, pos, t)]
     if close:
         out += [Violation(t, "adjacency_at_block_end", pos[t])
-                for t in traj.block_marks if t < len(pos) and pos[t] in close]
+                for t in traj.block_marks if pos[t] in close]
     return out
 
 
@@ -363,9 +375,12 @@ def chi_square_faithfulness(
     A cell at vertex v has deg(v) - 1 degrees of freedom; its p-value is
     `chi2_sf(statistic, deg(v) - 1)`.  The run fails when any p-value is
     below alpha / (number of tested cells); alpha must lie in (0, 1).
-    Cells with fewer than min_departures departures are marked untested."""
+    Cells with fewer than min_departures departures are marked untested.
+    Raises ValueError, as `check_avoidance` does, on a digest mismatch or
+    a departure or arrival vertex outside 0..n-1."""
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    check_digest(g, traj)
     pos = traj.positions
     walkers = len(pos[0]) if pos else 0
     steps = traj.transitions()
@@ -376,6 +391,7 @@ def chi_square_faithfulness(
             walker_steps[cur[w], nxt[w]] += c
         for (v, u), c in walker_steps.items():
             counts[w, v][u] = c
+    check_ids(g, {v for _, v in counts}.union(*counts.values()))
 
     report = FaithfulnessReport(alpha=alpha)
     least_p = math.inf

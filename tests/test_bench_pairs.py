@@ -3,6 +3,7 @@ prints a fixed result line."""
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -81,3 +82,28 @@ def test_bench_pairs_verdict_per_metric(tmp_path, parent, change, want):
     summary = doc["workloads"]["canonical"]["summary"]["wall_s"]
     assert code == 0 and summary["verdict"] == want
     assert [r["parent"]["wall_s"] for r in doc["workloads"]["canonical"]["runs"]] == parent
+
+
+def test_bench_pairs_records_each_sides_source_digest(tmp_path):
+    parent, change = checkout(tmp_path, "parent", 2.0), checkout(tmp_path, "change", 1.0)
+    for root, body in ((parent, b"A = 1\n"), (change, b"A = 2\n")):
+        (root / "src" / "avoidkit").mkdir(parents=True)
+        (root / "src" / "avoidkit" / "a.py").write_bytes(body)
+        (root / "src" / "avoidkit" / "notes.txt").write_bytes(b"not source")
+    code, doc = bench(tmp_path, parent, change)
+    assert code == 0
+    assert doc["parent_source_sha256"] == hashlib.sha256(b"a.py\0A = 1\n").hexdigest()
+    assert doc["change_source_sha256"] == hashlib.sha256(b"a.py\0A = 2\n").hexdigest()
+
+
+def test_bench_pairs_refuses_a_changed_benchmark_before_any_run(tmp_path, capsys):
+    parent, change = checkout(tmp_path, "parent", 2.0), checkout(tmp_path, "change", 1.0)
+    looser = {"end_to_end": [{**SPEC["end_to_end"][0], "bound": 0.5}]}
+    (change / "BENCHMARK.json").write_text(json.dumps(looser))
+    (change / "perfbench" / "run.py").write_text("raise SystemExit('must not run')\n")
+    out = tmp_path / "bench.json"
+    code = load_bench_pairs().main(["--parent", str(parent), "--change", str(change), "--workloads",
+                                    "canonical=2", "--first-seed", "5", "--seconds", "1", "-o", str(out)])
+    assert code == 2 and not out.exists()
+    assert capsys.readouterr().err.startswith(f"error: {change / 'BENCHMARK.json'} differs from "
+                                              f"{parent / 'BENCHMARK.json'}")

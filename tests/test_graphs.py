@@ -1,5 +1,9 @@
 from __future__ import annotations
 
+import gc
+import hashlib
+import tracemalloc
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -10,6 +14,7 @@ from avoidkit.generate import (
     complete_bipartite,
     configuration_model,
     cycle,
+    heawood,
     petersen,
     random_regular_simple,
 )
@@ -192,18 +197,52 @@ def test_digest_is_stable(pet):
 
 def test_digest_serialises_the_graph_once(monkeypatch):
     serialised = []
-    to_text = Graph.to_text
+    text_chunks = Graph.text_chunks
 
     def counted(self):
         serialised.append(self)
-        return to_text(self)
+        return text_chunks(self)
 
-    monkeypatch.setattr(Graph, "to_text", counted)
+    monkeypatch.setattr(Graph, "text_chunks", counted)
     g, same = petersen(), petersen()
     assert g.digest() == g.digest() == "223b9bae4baa1733"
     assert len(serialised) == 1
     assert same.digest() == g.digest() and len(serialised) == 2  # one per instance
     assert g == same and hash(g) == hash(same)  # the kept value is not a field
+
+
+PINNED_HOSTS = {
+    "petersen": petersen,
+    "heawood": heawood,
+    "C9(1,2)": lambda: circulant(9, [1, 2]),
+    "C10": lambda: cycle(10),
+    "rr5-n64": lambda: random_regular_simple(64, 5, 0, connected_required=True)[0],
+    "rr3-n250": lambda: random_regular_simple(250, 3, 0, connected_required=True)[0],
+    "C10000": lambda: cycle(10_000),  # three pieces of `text_chunks`
+    "n=0": lambda: Graph(0, ()),
+}
+
+
+@pytest.mark.parametrize("name", PINNED_HOSTS)
+def test_digest_hashed_in_pieces_is_the_digest_of_the_whole_text(name):
+    g = PINNED_HOSTS[name]()
+    text = "".join([f"{g.n} {g.edge_count}\n", *(f"{u} {v}\n" for u, v in g.edges())])
+    assert g.to_text() == text
+    assert g.digest() == hashlib.sha256(text.encode("utf-8")).hexdigest()[:16]
+
+
+def test_digest_of_a_100000_vertex_cycle_stays_below_2_mib():
+    """Hashed as one text, the digest peaked at 15.6 MiB here; a piece of
+    4,096 vertices' lines at a time keeps it near 0.3 MiB."""
+    g = cycle(100_000)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        g.digest()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, peak
 
 
 def test_distance_capped_on_cycle():

@@ -94,6 +94,22 @@ def test_state_words_read_mid_stream_are_exact_and_the_stream_goes_on(seed, offs
     assert state(g) == ref.state
 
 
+def test_reading_the_state_words_keeps_the_buffer_and_the_lanes():
+    """A read is pure: past the warm-up it leaves the lane block's buffered
+    draws and the packed lanes in place, and the stream goes on from them."""
+    g, ref = Xoshiro256(11), ReferenceXoshiro256(11)
+    for _ in range(WARM + 100):
+        g.next_u64()
+        ref.next_u64()
+    buf, lanes = g._buf, g._lanes
+    assert lanes is not None and len(buf) == REFILL - 100
+    assert state(g) == ref.state
+    assert g._buf is buf and len(buf) == REFILL - 100 and g._lanes is lanes
+    more = REFILL + 1
+    assert [g.next_u64() for _ in range(more)] == [ref.next_u64() for _ in range(more)]
+    assert state(g) == ref.state
+
+
 @settings(max_examples=40, deadline=None)
 @given(seeds, offsets, st.integers(min_value=0, max_value=3), words)
 def test_a_word_assigned_mid_buffer_restarts_the_stream_there(seed, offset, i, value):

@@ -156,6 +156,19 @@ def test_text_io_of_20000_petersen_ticks_stays_below_2_mib():
     assert traced_peak(lambda: parse_trajectory(text)) < 2 * 2**20
 
 
+def test_a_200000_tick_cycle_run_and_its_parse_keep_one_positions_list():
+    """A C10 run with 5 walkers shares its 10 states, so each step's peak is
+    about its positions list (1.6 MiB).  A `Trajectory` that copied that
+    list into a tuple peaked at 3.14 MiB in `simulate` and 3.12 MiB in
+    `parse_trajectory`."""
+    g = cycle(10)
+    assert traced_peak(lambda: simulate(g, "cycle", 200_000, 1, walkers=5)) < 2.5 * 2**20
+    traj, _ = simulate(g, "cycle", 200_000, 1, walkers=5)
+    text = traj.to_text()
+    del traj
+    assert traced_peak(lambda: parse_trajectory(text)) < 2.5 * 2**20
+
+
 def test_parse_of_20000_mostly_distinct_ticks_stays_below_2_75_mib():
     """On rr3-n250 nearly every state is new (14,758 in 20,001 ticks), so a
     walker-text memo kept for the whole run peaked at 3.19 MiB; kept for

@@ -93,7 +93,7 @@ def test_check_avoidance_checks_marks_of_every_engine(circ9):
 def test_verify_counts_transitions_once(pet, tmp_path, monkeypatch, capsys):
     """check_avoidance and chi-square share one count of the transitions,
     also through `avoidkit verify`, and the trajectory keeps none after
-    both; a new positions tuple is counted anew."""
+    both; a new positions list is counted anew."""
     from avoidkit import cli, couplers
 
     counted = []
@@ -113,9 +113,12 @@ def test_verify_counts_transitions_once(pet, tmp_path, monkeypatch, capsys):
 
 def per_tick_check_avoidance(g, traj):
     """The reference for check_avoidance: every check run at every tick and
-    every mark, in tick order and then mark order."""
+    every mark, in tick order and then mark order, after refusing a mark
+    outside the ticks."""
     out = []
-    pos = traj.positions
+    pos, marks = traj.positions, traj.block_marks
+    if marks and not 0 <= min(marks) <= max(marks) < len(pos):
+        raise ValueError(f"block marks {min(marks)}..{max(marks)} outside ticks 0..{len(pos) - 1}")
     for t in range(len(pos)):
         cur = pos[t]
         for i in range(len(cur)):
@@ -129,8 +132,8 @@ def per_tick_check_avoidance(g, traj):
                     out.append(Violation(t, "non_edge_step", (w, cur[w], nxt[w])))
             if len(cur) == 2 and cur[1] == nxt[0]:
                 out.append(Violation(t, "collision_swap", (cur[1],)))
-    for t in traj.block_marks:
-        if t < len(pos) and len(pos[t]) == 2:
+    for t in marks:
+        if len(pos[t]) == 2:
             a, b = pos[t]
             if a == b or g.has_edge(a, b):
                 out.append(Violation(t, "adjacency_at_block_end", (a, b)))
@@ -161,6 +164,14 @@ def per_tick_chi_square(g, traj, alpha, min_departures):
     report.tested_count = len(pvalues)
     report.passed = all(p >= alpha / len(pvalues) for p in pvalues)
     return report
+
+
+def outcome(check, *args):
+    """What a check returns, or the message of the ValueError it raises."""
+    try:
+        return check(*args)
+    except ValueError as err:
+        return str(err)
 
 
 def mutated(rng, g, traj):
@@ -196,16 +207,22 @@ def test_verify_matches_per_tick_reference_on_mutated_runs(request, host, engine
     g = cycle(10) if host == "c10" else request.getfixturevalue(host)
     traj, _ = simulate(g, engine, 400, 3, walkers=walkers)
     rng = random.Random(f"{engine}-mutations")
-    kinds = set()
+    kinds, refused = set(), 0
     for trial in range(120):
         bad = traj if trial == 0 else mutated(rng, g, traj)
-        got = check_avoidance(g, bad)
-        assert got == per_tick_check_avoidance(g, bad), trial
-        kinds.update(v.kind for v in got)
+        got = outcome(check_avoidance, g, bad)
+        assert got == outcome(per_tick_check_avoidance, g, bad), trial
+        if isinstance(got, str):
+            assert "outside ticks" in got, got
+            refused += 1
+        else:
+            kinds.update(v.kind for v in got)
         for min_departures in (5, 30):
             assert chi_square_faithfulness(g, bad, 0.01, min_departures) == \
                 per_tick_chi_square(g, bad, 0.01, min_departures), trial
-    # every kind of violation this engine can show was produced
+    # marks outside the ticks were refused, and every kind of violation
+    # this engine can show was produced
+    assert refused
     assert kinds == {"collision_same_tick", "non_edge_step"} | (
         {"collision_swap", "adjacency_at_block_end"} if walkers == 2 else set())
 
@@ -560,6 +577,35 @@ def test_check_avoidance_rejects_non_vertex_ids(pet):
         check_avoidance(pet, _planted(pet, [(-1, 0), (4, 2)]))
     with pytest.raises(ValueError, match=r"vertex 10 outside 0\.\.9"):
         check_avoidance(pet, _planted(pet, [(0, 2), (4, 10)]))
+
+
+@pytest.mark.parametrize("at_end", [False, True], ids=["minus-one", "past-the-end"])
+def test_check_avoidance_rejects_marks_outside_the_ticks(pet, at_end):
+    # -1 read as the last tick, and a mark past the end was skipped
+    traj, _ = simulate(pet, "cubic", 200, 5)
+    n = len(traj.positions)
+    planted = replace(traj, block_marks=[*traj.block_marks, n if at_end else -1])
+    lo, hi = (0, n) if at_end else (-1, n - 1)
+    with pytest.raises(ValueError, match=rf"block marks {lo}\.\.{hi} outside ticks 0\.\.{n - 1}"):
+        check_avoidance(pet, planted)
+
+
+def test_chi_square_rejects_a_foreign_digest(pet):
+    traj, _ = simulate(pet, "cubic", 200, 5)
+    with pytest.raises(ValueError, match="trajectory/graph digest mismatch"):
+        chi_square_faithfulness(cycle(10), traj)
+
+
+@pytest.mark.parametrize("t,v", [(0, -1), (-1, -1), (0, 10)],
+                         ids=["negative-departure", "negative-arrival", "departure-past-n"])
+def test_chi_square_rejects_non_vertex_ids(pet, t, v):
+    # a negative departure read g.adjacency from the end, a negative arrival
+    # was never looked up, and a departure past n raised a bare IndexError
+    traj, _ = simulate(pet, "cubic", 200, 5)
+    positions = list(traj.positions)
+    positions[t] = (v, positions[t][1])
+    with pytest.raises(ValueError, match=rf"vertex {v} outside 0\.\.9"):
+        chi_square_faithfulness(pet, replace(traj, positions=positions))
 
 
 def test_lemma31_equivalence_requires_d_regular():

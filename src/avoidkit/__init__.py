@@ -15,6 +15,7 @@ from .couplers import (
 from .experiment import PrevalenceRow, hd_probability_upper_bound, prevalence_experiment, wilson_interval
 from .generate import (
     configuration_model,
+    configuration_models,
     cycle,
     heawood,
     petersen,
@@ -74,6 +75,7 @@ __all__ = [
     "check_avoidance",
     "classify_scenario",
     "configuration_model",
+    "configuration_models",
     "contains_H3tilde",
     "contains_Hd",
     "cycle",

@@ -7,12 +7,14 @@ the analytic containment bound for reference.
 
 Each cell (one sampled graph) draws from its own seed, derived from the
 experiment seed and the cell's index, so a cell's result does not depend on
-which process computes it.  With AVOIDKIT_THREADS > 1 the cells fan out
-over a process pool of that many workers, but no more than there are cells
-or CPUs, in about 16 chunks per worker, so that the larger n
-values spread over every worker instead of landing on one; the results
-come back in cell order, and the rows are byte-identical for every worker
-count and chunking.
+which process computes it.  The cells go out as tasks of up to LANES
+seeds of one n, whose configuration-model generators step together (one
+cell per task with simple_connected, whose rejection sampler draws on).
+With AVOIDKIT_THREADS > 1 the tasks fan out over a process pool of that
+many workers, but no more than there are tasks or CPUs, in about 16
+chunks per worker, so that the larger n values spread over every worker
+instead of landing on one; the results come back in cell order, and the
+rows are byte-identical for every worker count and chunking.
 """
 
 from __future__ import annotations
@@ -21,8 +23,9 @@ import math
 import os
 from dataclasses import dataclass
 
-from .generate import configuration_model, random_regular_simple
-from .rng import derive_seed
+# configuration_model is not called here: perfbench/tracing.py patches this name
+from .generate import configuration_model, configuration_models, random_regular_simple  # noqa: F401
+from .rng import LANES, derive_seed
 from .structure import contains_H3tilde, contains_Hd
 
 _Z95 = 1.959963984540054
@@ -106,19 +109,16 @@ def hd_probability_upper_bound(n: int, d: int, n0: int, m_edges: int) -> float:
     return math.exp(log_val)
 
 
-def _sample_cell(args) -> tuple[bool, int, int]:
-    """One (n, replica) cell: returns (hit, loops, multi_edges)."""
-    n, d, seed, simple_connected = args
+def _sample_cells(args) -> list[tuple[bool, int, int]]:
+    """One task, cells of one n: (hit, loops, multi_edges) per seed, in order."""
+    n, d, seeds, simple_connected = args
     if simple_connected:
-        g, _ = random_regular_simple(n, d, seed, connected_required=True)
-        loops = multi = 0
+        censuses = [(0, 0, random_regular_simple(n, d, seed, connected_required=True)[0]) for seed in seeds]
     else:
-        loops, multi, g = configuration_model(n, d, seed).census()
+        censuses = [mg.census() for mg in configuration_models(n, d, seeds)]
     if d == 3:
-        hit = contains_H3tilde(g) is not None
-    else:
-        hit = contains_Hd(g, d) is not None
-    return hit, loops, multi
+        return [(contains_H3tilde(g) is not None, loops, multi) for loops, multi, g in censuses]
+    return [(contains_Hd(g, d) is not None, loops, multi) for loops, multi, g in censuses]
 
 
 def worker_count() -> int:
@@ -148,22 +148,24 @@ def prevalence_experiment(
             raise ValueError(f"n must be >= 1, got n={n}")
         if (n * d) % 2 != 0:
             raise ValueError(f"n*d must be even (n={n}, d={d})")
-    cells = []
-    idx = 0
-    for n in n_list:
-        for _ in range(samples):
-            cells.append((n, d, derive_seed(seed, idx), simple_connected))
-            idx += 1
+    # a task is one cell of the rejection sampler, or up to LANES cells of
+    # one n whose configuration-model generators step together
+    per_task = 1 if simple_connected else LANES
+    tasks = []
+    for i, n in enumerate(n_list):
+        seeds = [derive_seed(seed, i * samples + k) for k in range(samples)]
+        tasks.extend((n, d, seeds[k:k + per_task], simple_connected) for k in range(0, samples, per_task))
     # under the fork start method a pool starts all its workers at once
-    workers = min(worker_count(), len(cells), os.cpu_count() or 1)
+    workers = min(worker_count(), len(tasks), os.cpu_count() or 1)
     if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only pooled runs pay for the import
 
-        chunksize = max(1, math.ceil(len(cells) / (16 * workers)))
+        chunksize = max(1, math.ceil(len(tasks) / (16 * workers)))
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_sample_cell, cells, chunksize=chunksize))
+            done = list(pool.map(_sample_cells, tasks, chunksize=chunksize))
     else:
-        results = [_sample_cell(c) for c in cells]
+        done = [_sample_cells(t) for t in tasks]
+    results = [r for task in done for r in task]  # in cell order
 
     n0, m = pattern_parameters(d)
     rows = []

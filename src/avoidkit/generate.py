@@ -2,7 +2,10 @@
 
 The configuration model pairs half-edges via a Fisher-Yates shuffle, which
 is uniform over perfect matchings of the n*d half-edge slots: after the
-shuffle, stubs 2k and 2k+1 form edge k, stored as (min, max).  Simple
+shuffle, stubs 2k and 2k+1 form edge k, stored as (min, max).
+`configuration_models` draws one graph per seed, stepping the generators
+of up to LANES seeds at once; `configuration_model` is its one-seed case,
+and every graph is the one its seed alone gives.  Simple
 regular graphs are produced by rejection sampling on top of it: each
 attempt stops at its first loop or repeated pair, and only a simple
 pairing is built into a graph.  A request no attempt can meet (connected,
@@ -12,7 +15,7 @@ d=1, n > 2) is a ValueError before the first attempt.
 from __future__ import annotations
 
 from .graphs import Graph, Multigraph, check_size, graph_from_edges, is_connected
-from .rng import Xoshiro256
+from .rng import LANES, Xoshiro256
 
 DEFAULT_REJECTION_BUDGET = 10**5
 
@@ -77,11 +80,13 @@ def heawood() -> Graph:
     return graph_from_edges(14, edges)
 
 
-def configuration_model(n: int, d: int, seed: int) -> Multigraph:
-    """Uniform perfect matching of the n*d half-edges {0..n-1} x {0..d-1}.
+def configuration_models(n: int, d: int, seeds: list[int]) -> list[Multigraph]:
+    """configuration_model(n, d, seed) for each seed, in order.
 
-    Each matched pair of half-edges contributes one edge slot, so the
-    output always has exactly n*d/2 edges counted with multiplicity.
+    The generators of up to LANES seeds are stepped at once, one seed per
+    lane of `Xoshiro256.batch`, which buffers the n*d - 1 draws a shuffle
+    without rejections consumes; a shuffle that rejects a draw goes on
+    along its own stream, so every graph is the one its seed alone gives.
     """
     if n < 1:
         raise ValueError(f"configuration_model requires n >= 1, got n={n}")
@@ -90,11 +95,24 @@ def configuration_model(n: int, d: int, seed: int) -> Multigraph:
     if (n * d) % 2 != 0:
         raise ValueError("configuration_model requires n*d even")
     check_size(n, n * d // 2)
-    rng = Xoshiro256(seed)
-    stubs = [v for v in range(n) for _ in range(d)]
-    rng.shuffle(stubs)
-    pairs = iter(stubs)  # zipped with itself: (stubs[0], stubs[1]), (stubs[2], stubs[3]), ...
-    return Multigraph(n, [(u, v) if u <= v else (v, u) for u, v in zip(pairs, pairs)])
+    all_stubs = [v for v in range(n) for _ in range(d)]
+    graphs = []
+    for k in range(0, len(seeds), LANES):
+        for rng in Xoshiro256.batch(seeds[k:k + LANES], len(all_stubs) - 1):
+            stubs = all_stubs.copy()
+            rng.shuffle(stubs)
+            pairs = iter(stubs)  # zipped with itself: (stubs[0], stubs[1]), (stubs[2], stubs[3]), ...
+            graphs.append(Multigraph(n, [(u, v) if u <= v else (v, u) for u, v in zip(pairs, pairs)]))
+    return graphs
+
+
+def configuration_model(n: int, d: int, seed: int) -> Multigraph:
+    """Uniform perfect matching of the n*d half-edges {0..n-1} x {0..d-1}.
+
+    Each matched pair of half-edges contributes one edge slot, so the
+    output always has exactly n*d/2 edges counted with multiplicity.
+    """
+    return configuration_models(n, d, [seed])[0]
 
 
 def random_regular_simple(

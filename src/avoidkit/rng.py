@@ -12,8 +12,8 @@ so there is no modulo bias.  For 0 < n <= 2^32 that limit is above FAST_ACCEPT =
 computes the exact limit only for the one draw in 2^32 at or above it; the
 values and the draws consumed are exactly those of the exact rule.
 
-Xoshiro256.fisher_yates is the one in-place Fisher-Yates shuffle.  It is a
-generator that yields each index as soon as the element there is final, so
+Xoshiro256.fisher_yates is an in-place Fisher-Yates shuffle that is a
+generator: it yields each index as soon as the element there is final, so
 a consumer can act on a prefix of the permutation and stop early; the
 generator then leaves the state after exactly the draws it made.
 
@@ -28,7 +28,16 @@ the map's characteristic polynomial, evaluated at the map (Haramoto et al.,
 "Efficient jump ahead for F2-linear random number generators", 2008).  The
 stream is the one-step stream, draw for draw.  The state words s0..s3 read
 as the state after exactly the draws consumed, without touching the buffer
-or the lanes; assigning one restarts the stream from the new state.
+or the lanes, and `state` reads all four at the cost of one; assigning a
+word restarts the stream from the new state.
+
+`Xoshiro256.batch` serves many short-lived generators instead: lane j of
+one `steps` pass is seed j's own stream, seeded by the same `seed_state`,
+so up to LANES generators get their first draws from one pass, no jump
+needed.  Each buffer holds its lane's draws under the invariants above,
+and the stream goes on from its lane's end state.  `shuffle` draws from
+the buffer; fisher_yates steps only the draws it makes, since its
+consumer may stop early.
 """
 
 from __future__ import annotations
@@ -173,25 +182,43 @@ def spread(state: tuple[int, int, int, int]) -> tuple[int, int, int, int]:
     return lanes
 
 
-def unpack(packed: list[int]) -> array:
-    """The LANES * BLOCK draws of a lane block, from the packed outputs of
-    its steps, as 64-bit words in pop order: the stream's last draw first.
-
-    Each odd step's outputs go into the padding above the step before, so
-    the bytes carry no padding: word 2 * (LANES * p + j) + q is lane j's
-    draw 2 * p + q."""
+def words(packed: list[int], k: int) -> array:
+    """The packed outputs of an even number of steps on k lanes, as 64-bit
+    words.  Each odd step's outputs go into the padding above the step
+    before, so the bytes carry no padding: word 2 * (k * p + j) + q is
+    lane j's draw 2 * p + q."""
     # one join, not a frombytes per pair: the chain of reallocations that
     # grows an array piece by piece raised the benchmark's peak RSS
-    raw = array("Q", b"".join([(even | odd << 64).to_bytes(WIDTH // 8 * LANES, "little")
+    raw = array("Q", b"".join([(even | odd << 64).to_bytes(WIDTH // 8 * k, "little")
                                for even, odd in zip(packed[::2], packed[1::2])]))
     if sys.byteorder != "little":
         raw.byteswap()
+    return raw
+
+
+def unpack(packed: list[int]) -> array:
+    """The LANES * BLOCK draws of a lane block, from the packed outputs of
+    its steps, as 64-bit words in pop order: the stream's last draw first."""
+    raw = words(packed, LANES)
     out = raw[:]  # the right length; every word is overwritten
     for j in range(LANES):
         for q in (0, 1):
             out[j * BLOCK + q:(j + 1) * BLOCK:2] = raw[2 * j + q::2 * LANES]
     out.reverse()
     return out
+
+
+def seed_state(seed: int) -> tuple[int, int, int, int]:
+    """The state Xoshiro256(seed) starts from: four splitmix64 outputs."""
+    check_seed(seed)
+    z = seed
+    state = []
+    for _ in range(4):
+        z = (z + GOLDEN_GAMMA) & MASK64
+        state.append(mix64(z))
+    if not any(state):  # all-zero state is invalid for xoshiro
+        state[0] = 1
+    return tuple(state)
 
 
 class Xoshiro256:
@@ -206,15 +233,43 @@ class Xoshiro256:
     s0, s1, s2, s3 = map(state_word, range(4))
 
     def __init__(self, seed: int):
-        check_seed(seed)
-        z = seed
-        state = []
-        for _ in range(4):
-            z = (z + GOLDEN_GAMMA) & MASK64
-            state.append(mix64(z))
-        if not any(state):  # all-zero state is invalid for xoshiro
-            state[0] = 1
-        self._restart(tuple(state))
+        self._restart(seed_state(seed))
+
+    @classmethod
+    def batch(cls, seeds: list[int], draws: int) -> list[Xoshiro256]:
+        """Xoshiro256(seed) for each of at most LANES seeds, each with its
+        next `draws` draws already buffered.  The draws come from one
+        `steps` pass whose lane j is seed j's own stream, so no jump is
+        needed; each generator then goes on from its lane's end state."""
+        if not 0 < len(seeds) <= LANES:
+            raise ValueError(f"a batch holds 1 to {LANES} seeds, got {len(seeds)}")
+        if draws < 1:
+            raise ValueError(f"a batch buffers at least one draw, got {draws}")
+        starts = [seed_state(seed) for seed in seeds]
+        packed = tuple(sum(s[w] << (WIDTH * j) for j, s in enumerate(starts)) for w in range(4))
+        out, end = steps(packed, draws)
+        if draws % 2:
+            out.append(0)  # a padding step, dropped from every buffer below
+        k = len(seeds)
+        raw = words(out, k)
+        gens = []
+        for j, start in enumerate(starts):
+            buf = raw[:len(out)]  # the right length; every word is overwritten
+            buf[0::2] = raw[2 * j::2 * k]
+            buf[1::2] = raw[2 * j + 1::2 * k]
+            del buf[draws:]
+            buf.reverse()
+            g = cls.__new__(cls)
+            g._restart(start)
+            g._buf, g._starts, g._seg, g._warm = buf, (start, lane(end, j)), draws, draws
+            gens.append(g)
+        return gens
+
+    @property
+    def state(self) -> tuple[int, int, int, int]:
+        """(s0, s1, s2, s3), computed once: the state after exactly the
+        draws consumed."""
+        return self._state()
 
     def _restart(self, state: tuple[int, int, int, int]) -> None:
         """Continue the stream from `state`, dropping the buffered draws."""
@@ -316,6 +371,21 @@ class Xoshiro256:
             self._restart((s0, s1, s2, s3))
 
     def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates (see fisher_yates)."""
-        for _ in self.fisher_yates(items):
-            pass
+        """In-place Fisher-Yates: the swaps and draws of fisher_yates, run
+        to the end, with the draws taken from the buffer, so a generator
+        that `batch` filled shuffles from its lane's draws."""
+        span = MASK64 + 1
+        safe = span - len(items)  # as in fisher_yates
+        pop = self._buf.pop
+        for i in range(len(items) - 1, 0, -1):
+            n = i + 1
+            while True:
+                try:
+                    x = pop()
+                except IndexError:  # the buffer is empty
+                    x = self._refill()
+                    pop = self._buf.pop
+                if x < safe or x < span - span % n:
+                    break
+            j = x % n
+            items[i], items[j] = items[j], items[i]

@@ -18,6 +18,7 @@ from avoidkit.experiment import (
     wilson_interval,
     worker_count,
 )
+from configuration_reference import reference_prevalence_rows
 
 
 @pytest.mark.parametrize("line", ["verify.alpha = 0.01", "gen.rejection_budget = 10", "cache.capacity = 64",
@@ -104,23 +105,25 @@ def test_prevalence_experiment_small():
 
 
 def test_prevalence_deterministic_and_parallel_equal(monkeypatch):
-    # 111 cells in chunks of 4 (2 workers) and 3 (3 workers): chunks
-    # straddle the n boundaries, and whole rows, loops and multi-edges
-    # included, must not depend on the worker count or the chunking
+    # 111 cells in 15 tasks of up to 8 seeds, then 36 cells in 8 tasks at
+    # d=4: sample counts that are not multiples of 8 leave a short task at
+    # every n, and whole rows, loops and multi-edges included, must equal
+    # the one-cell-at-a-time reference at every worker count and chunking
     monkeypatch.setattr(os, "cpu_count", lambda: 4)  # 3 workers on any machine
-    runs = []
-    for threads in ("1", "2", "3"):
-        monkeypatch.setenv("AVOIDKIT_THREADS", threads)
-        runs.append(prevalence_experiment(3, [16, 32, 64], samples=37, seed=2))
-    assert runs[0] == runs[1] == runs[2]
-    assert [r.n for r in runs[0]] == [16, 32, 64] and sum(r.loops + r.multi_edges for r in runs[0]) > 0
+    for d, n_list, samples in ((3, [16, 32, 64], 37), (4, [8, 10, 16, 32], 9)):
+        want = reference_prevalence_rows(d, n_list, samples, seed=2)
+        for threads in ("1", "2", "3"):
+            monkeypatch.setenv("AVOIDKIT_THREADS", threads)
+            assert prevalence_experiment(d, n_list, samples=samples, seed=2) == want
+        assert [r.n for r in want] == n_list and sum(r.loops + r.multi_edges for r in want) > 0
     monkeypatch.setenv("AVOIDKIT_THREADS", "2")
     assert prevalence_experiment(3, [], samples=5, seed=2) == []
 
 
 def test_prevalence_pool_is_bounded(monkeypatch):
-    """The pool starts no more workers than there are cells or CPUs, however
-    many AVOIDKIT_THREADS asks for; no process is started here."""
+    """The pool starts no more workers than there are tasks or CPUs, however
+    many AVOIDKIT_THREADS asks for; no process is started here.  4 cells
+    are 2 tasks of 2 seeds, 18 cells are 4 tasks (8 + 1 seeds per n)."""
     import concurrent.futures
 
     sizes = []
@@ -139,12 +142,12 @@ def test_prevalence_pool_is_bounded(monkeypatch):
             return map(fn, cells)
 
     monkeypatch.setenv("AVOIDKIT_THREADS", "1")
-    serial = prevalence_experiment(3, [8, 10], samples=2, seed=5)
+    serial = {samples: prevalence_experiment(3, [8, 10], samples=samples, seed=5) for samples in (2, 9)}
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setenv("AVOIDKIT_THREADS", str(10**6))
-    for cpus, want in ((64, [4]), (3, [4, 3]), (None, [4, 3])):
+    for samples, cpus, want in ((2, 64, [2]), (9, 64, [2, 4]), (9, 3, [2, 4, 3]), (9, None, [2, 4, 3])):
         monkeypatch.setattr(os, "cpu_count", lambda: cpus)
-        assert prevalence_experiment(3, [8, 10], samples=2, seed=5) == serial
+        assert prevalence_experiment(3, [8, 10], samples=samples, seed=5) == serial[samples]
         assert sizes == want
 
 
@@ -164,6 +167,7 @@ def test_prevalence_rejects_d_below_two(monkeypatch, d):
 
     calls = []
     monkeypatch.setattr(experiment, "configuration_model", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiment, "configuration_models", lambda *args: calls.append(args))
     monkeypatch.setattr(experiment, "random_regular_simple", lambda *args, **kw: calls.append(args))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kw: calls.append(args))
     monkeypatch.setenv("AVOIDKIT_THREADS", "2")
@@ -182,6 +186,7 @@ def test_prevalence_rejects_n_below_one(monkeypatch, capsys, n):
 
     calls = []
     monkeypatch.setattr(experiment, "configuration_model", lambda *args: calls.append(args))
+    monkeypatch.setattr(experiment, "configuration_models", lambda *args: calls.append(args))
     monkeypatch.setattr(experiment, "random_regular_simple", lambda *args, **kw: calls.append(args))
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", lambda *args, **kw: calls.append(args))
     monkeypatch.setenv("AVOIDKIT_THREADS", "2")

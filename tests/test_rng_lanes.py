@@ -94,6 +94,25 @@ def test_state_words_read_mid_stream_are_exact_and_the_stream_goes_on(seed, offs
     assert state(g) == ref.state
 
 
+@settings(max_examples=20, deadline=None)
+@given(st.lists(seeds, min_size=1, max_size=LANES), offsets, st.integers(min_value=1, max_value=WARM + 100))
+def test_state_is_the_four_words_mid_lane_and_after_a_batch_fill(batch_seeds, offset, draws):
+    g, ref = Xoshiro256(batch_seeds[0]), ReferenceXoshiro256(batch_seeds[0])
+    for _ in range(offset):
+        g.next_u64()
+        ref.next_u64()
+    assert g.state == state(g) == ref.state
+    for seed, g in zip(batch_seeds, Xoshiro256.batch(batch_seeds, draws)):
+        ref = ReferenceXoshiro256(seed)
+        # read at the fill, inside the buffered draws, at their end and past it
+        consumed = 0
+        for upto in (0, draws // 2, draws, draws + 1):
+            for _ in range(upto - consumed):
+                assert g.next_u64() == ref.next_u64()
+            consumed = upto
+            assert g.state == state(g) == ref.state
+
+
 def test_reading_the_state_words_keeps_the_buffer_and_the_lanes():
     """A read is pure: past the warm-up it leaves the lane block's buffered
     draws and the packed lanes in place, and the stream goes on from them."""

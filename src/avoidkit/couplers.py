@@ -84,19 +84,21 @@ class Trajectory:
         """The text form in bounded pieces: a three-line header, then one
         `t v_1 .. v_k` line per tick, each marked tick followed by a
         `# block t` line, `TEXT_CHUNK_TICKS` ticks to a piece.  Each
-        distinct state of a piece is formatted once."""
+        distinct state of a piece is formatted once.  A block mark outside
+        the ticks raises ValueError before the header, as in
+        `parse_trajectory`, so no text drops a mark."""
         pos = self.positions
         n = len(pos)
+        marks = self.block_marks
+        check_block_marks(marks, n)
         if len(set(map(len, pos))) > 1:
             raise ValueError("ticks with different walker counts have no text form")
         yield f"# graph-digest {self.graph_digest}\n# seed {self.seed}\n# engine {self.engine}\n"
-        marks = self.block_marks
         marked = None  # stays None when the marks are exactly 0..n-1: every tick line carries its mark
         if len(marks) != n or not all(map(eq, marks, range(n))):
             marked = bytearray(n)
             for t in marks:
-                if 0 <= t < n:
-                    marked[t] = 1
+                marked[t] = 1
         for start in range(0, n, TEXT_CHUNK_TICKS):
             chunk = pos[start:start + TEXT_CHUNK_TICKS]
             bodies = dict.fromkeys(chunk)
@@ -122,7 +124,8 @@ def check_block_marks(marks: list[int], ticks: int) -> None:
 def parse_trajectory(text: str) -> Trajectory:
     """Read `Trajectory.to_text` output.  Whitespace around and between
     tokens, blank lines and unknown `# key` lines are ignored; the first
-    malformed line in file order raises ValueError.
+    malformed line in file order raises ValueError, and so do block marks
+    outside the ticks and a seed `simulate` would refuse.
 
     The text is split into lines a slice of about `PARSE_CHUNK_CHARS`
     characters at a time, each cut just after a newline.  A line that is
@@ -193,7 +196,9 @@ def parse_trajectory(text: str) -> Trajectory:
         raise ValueError("trajectory has no ticks")
     check_walkers(engine, width)
     check_block_marks(marks, len(positions))
-    return Trajectory(engine, int(header["seed"]), header["graph-digest"], positions, marks)
+    seed = int(header["seed"])
+    check_seed(seed)
+    return Trajectory(engine, seed, header["graph-digest"], positions, marks)
 
 
 # ---------------------------------------------------------------------------

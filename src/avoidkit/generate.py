@@ -9,13 +9,14 @@ and every graph is the one its seed alone gives.  Simple
 regular graphs are produced by rejection sampling on top of it: each
 attempt stops at its first loop or repeated pair, and only a simple
 pairing is built into a graph.  A request no attempt can meet (connected,
-d=1, n > 2) is a ValueError before the first attempt.
+d=1, n > 2), or a budget below one attempt, is a ValueError before the
+first attempt.
 """
 
 from __future__ import annotations
 
 from .graphs import Graph, Multigraph, check_size, graph_from_edges, is_connected
-from .rng import LANES, Xoshiro256
+from .rng import LANES, Xoshiro256, fisher_yates, seed_state
 
 DEFAULT_REJECTION_BUDGET = 10**5
 
@@ -125,11 +126,12 @@ def random_regular_simple(
     """Rejection-sample configuration_model until simple (and connected, if asked).
 
     Attempt k shuffles the stubs exactly as configuration_model(n, d, s_k)
-    does, where s_k is the k-th draw of Xoshiro256(seed), and pairs them as
-    the shuffle makes them final, so the attempt is rejected at its first
-    loop or repeated pair.  Returns (graph, rejections).  Raises
-    RejectionBudgetExceeded past `budget`, and ValueError before the first
-    attempt for a request no attempt can meet.
+    does, where s_k is the k-th draw of Xoshiro256(seed): `fisher_yates`
+    steps from seed_state(s_k) and pairs the stubs as the shuffle makes
+    them final, so the attempt is rejected at its first loop or repeated
+    pair.  Returns (graph, rejections).  Raises RejectionBudgetExceeded
+    past `budget`, and ValueError before the first attempt for a budget
+    below 1 or a request no attempt can meet.
     """
     if (n * d) % 2 != 0:
         raise ValueError("random_regular_simple requires n*d even")
@@ -138,6 +140,8 @@ def random_regular_simple(
     check_size(n, n * d // 2)
     if d == 1 and n > 2 and connected_required:
         raise ValueError("a 1-regular graph on more than 2 vertices is never connected")
+    if budget < 1:
+        raise ValueError(f"the rejection budget must be at least 1 attempt, got {budget}")
     rng = Xoshiro256(seed)
     all_stubs = [v for v in range(n) for _ in range(d)]
     rejections = 0
@@ -145,7 +149,7 @@ def random_regular_simple(
         stubs = all_stubs.copy()
         edges = set()
         # pair k is (stubs[2k], stubs[2k+1]), final once index 2k is yielded
-        for i in Xoshiro256(rng.next_u64()).fisher_yates(stubs):
+        for i in fisher_yates(seed_state(rng.next_u64()), stubs):
             if i & 1:
                 continue
             u, v = stubs[i], stubs[i + 1]

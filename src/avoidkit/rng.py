@@ -12,32 +12,29 @@ so there is no modulo bias.  For 0 < n <= 2^32 that limit is above FAST_ACCEPT =
 computes the exact limit only for the one draw in 2^32 at or above it; the
 values and the draws consumed are exactly those of the exact rule.
 
-Xoshiro256.fisher_yates is an in-place Fisher-Yates shuffle that is a
-generator: it yields each index as soon as the element there is final, so
-a consumer can act on a prefix of the permutation and stop early; the
-generator then leaves the state after exactly the draws it made.
+`fisher_yates(state, items)` is an in-place Fisher-Yates shuffle that is a
+generator: it steps xoshiro256** from the start state it is given and
+yields each index as soon as the element there is final, so a consumer can
+act on a prefix of the permutation and stop early.  It writes its state
+nowhere.
 
-`next_u64` hands out draws from a buffer.  A generator's first WARM draws
-are stepped one at a time, BATCH per refill, so a short-lived generator
-never pays for the lanes.  After that a refill steps LANES stretches of the
-same stream at once, each BLOCK draws long and 128 bits wide inside one
-Python int, so every big-int operation serves LANES draws.  The state map of xoshiro256 is
-linear over GF(2), so the lanes are put BLOCK steps apart, and moved on
-between blocks, by jumping: k steps are the polynomial x^k mod CHARPOLY,
-the map's characteristic polynomial, evaluated at the map (Haramoto et al.,
-"Efficient jump ahead for F2-linear random number generators", 2008).  The
-stream is the one-step stream, draw for draw.  The state words s0..s3 read
-as the state after exactly the draws consumed, without touching the buffer
-or the lanes, and `state` reads all four at the cost of one; assigning a
-word restarts the stream from the new state.
+`Xoshiro256` is a generator that only hands out draws, from a buffer.  Its
+first WARM draws are stepped one at a time, BATCH per refill, so a
+short-lived generator never pays for the lanes.  After that a refill steps
+LANES stretches of the same stream at once, each BLOCK draws long and 128
+bits wide inside one Python int, so every big-int operation serves LANES
+draws.  The state map of xoshiro256 is linear over GF(2), so the lanes are
+put BLOCK steps apart, and moved on between blocks, by jumping: k steps are
+the polynomial x^k mod CHARPOLY, the map's characteristic polynomial,
+evaluated at the map (Haramoto et al., "Efficient jump ahead for
+F2-linear random number generators", 2008).  The stream is the one-step
+stream, draw for draw.
 
 `Xoshiro256.batch` serves many short-lived generators instead: lane j of
 one `steps` pass is seed j's own stream, seeded by the same `seed_state`,
 so up to LANES generators get their first draws from one pass, no jump
-needed.  Each buffer holds its lane's draws under the invariants above,
-and the stream goes on from its lane's end state.  `shuffle` draws from
-the buffer; fisher_yates steps only the draws it makes, since its
-consumer may stop early.
+needed.  Each buffer holds its lane's draws, and the stream goes on from
+its lane's end state.  `shuffle` draws from the buffer.
 """
 
 from __future__ import annotations
@@ -84,24 +81,6 @@ def derive_seed(seed: int, replica_index: int) -> int:
     """Replica seed contract: mix64(seed XOR replica_index * golden gamma)."""
     check_seed(seed)
     return mix64(seed ^ ((replica_index * GOLDEN_GAMMA) & MASK64))
-
-
-def state_word(i: int) -> property:
-    """The property for state word i of a Xoshiro256.  Read, it is the
-    state after exactly the draws consumed, and the stream goes on from its
-    buffer; assigned, the stream restarts from the new state."""
-
-    def get(rng: Xoshiro256) -> int:
-        return rng._state()[i]
-
-    def put(rng: Xoshiro256, value: int) -> None:
-        if not 0 <= value <= MASK64:
-            raise ValueError(f"state word s{i} must fit in 64 unsigned bits, got {value}")
-        state = list(rng._state())
-        state[i] = value
-        rng._restart(tuple(state))
-
-    return property(get, put, doc=f"State word s{i}.")
 
 
 def steps(state: tuple[int, int, int, int], n: int) -> tuple[list[int], tuple[int, int, int, int]]:
@@ -221,6 +200,43 @@ def seed_state(seed: int) -> tuple[int, int, int, int]:
     return tuple(state)
 
 
+def fisher_yates(state: tuple[int, int, int, int], items: list):
+    """In-place Fisher-Yates shuffle of items, stepping xoshiro256** from
+    `state`, yielding each final index.
+
+    Swaps items[i] with items[randrange(i + 1)] for i = len-1 down to 1
+    and yields i once items[i] is final, then yields 0.  The draws are
+    those of `Xoshiro256.randrange` on a generator at `state`, inlined.
+    The consumer may stop at any point: the state is written nowhere.
+    """
+    s0, s1, s2, s3 = state
+    mask = MASK64
+    span = mask + 1
+    # span % n < n <= len(items), so every draw below `safe` is also
+    # below the exact limit span - span % n; only the rare draw above it
+    # pays for the modulo.
+    safe = span - len(items)
+    for i in range(len(items) - 1, 0, -1):
+        n = i + 1
+        while True:
+            x = (s1 * 5) & mask
+            result = (((x << 7) | (x >> 57)) * 9) & mask
+            t = (s1 << 17) & mask
+            s2 ^= s0
+            s3 ^= s1
+            s1 ^= s2
+            s0 ^= s3
+            s2 ^= t
+            s3 = ((s3 << 45) | (s3 >> 19)) & mask
+            if result < safe or result < span - span % n:
+                break
+        j = result % n
+        items[i], items[j] = items[j], items[i]
+        yield i
+    if items:
+        yield 0
+
+
 class Xoshiro256:
     """xoshiro256** with splitmix64 state initialization.
 
@@ -229,8 +245,7 @@ class Xoshiro256:
     largest multiple of the range, so there is no modulo bias.
     """
 
-    __slots__ = ("_buf", "_starts", "_seg", "_lanes", "_warm")
-    s0, s1, s2, s3 = map(state_word, range(4))
+    __slots__ = ("_buf", "_next", "_lanes", "_warm")
 
     def __init__(self, seed: int):
         self._restart(seed_state(seed))
@@ -253,57 +268,37 @@ class Xoshiro256:
         k = len(seeds)
         raw = words(out, k)
         gens = []
-        for j, start in enumerate(starts):
+        for j in range(k):
             buf = raw[:len(out)]  # the right length; every word is overwritten
             buf[0::2] = raw[2 * j::2 * k]
             buf[1::2] = raw[2 * j + 1::2 * k]
             del buf[draws:]
             buf.reverse()
             g = cls.__new__(cls)
-            g._restart(start)
-            g._buf, g._starts, g._seg, g._warm = buf, (start, lane(end, j)), draws, draws
+            g._restart(lane(end, j))
+            g._buf, g._warm = buf, draws
             gens.append(g)
         return gens
-
-    @property
-    def state(self) -> tuple[int, int, int, int]:
-        """(s0, s1, s2, s3), computed once: the state after exactly the
-        draws consumed."""
-        return self._state()
 
     def _restart(self, state: tuple[int, int, int, int]) -> None:
         """Continue the stream from `state`, dropping the buffered draws."""
         self._buf = []  # the draws not yet consumed, the next one last (a list or an array)
-        self._starts = (state,)  # the state before each segment of the buffer, then after it
-        self._seg = 1  # draws per segment: a batch, or one lane's block
+        self._next = state  # the state after the buffered draws, until the lanes take over
         self._lanes = None  # the packed lanes at the end of the last block
         self._warm = 0  # draws stepped one at a time since the restart
-
-    def _state(self) -> tuple[int, int, int, int]:
-        """The state after exactly the draws consumed.  A pure read: the
-        buffer and the lanes stay as they are."""
-        starts, seg = self._starts, self._seg
-        if len(starts) == 1:  # nothing buffered since the last restart
-            return starts[0]
-        j, i = divmod(seg * (len(starts) - 1) - len(self._buf), seg)
-        return steps(starts[j], i)[1] if i else starts[j]
 
     def _refill(self) -> int:
         """Buffer the next BATCH draws while warming up, else the next
         LANES * BLOCK; return the first."""
         if self._warm < WARM:
-            start = self._starts[-1]
-            buf, end = steps(start, BATCH)
+            buf, self._next = steps(self._next, BATCH)
             buf.reverse()
             self._warm += BATCH
-            self._starts, self._seg = (start, end), BATCH
         else:
             # the lanes end a block (LANES - 1) * BLOCK steps before the next one starts
-            lanes = spread(self._starts[-1]) if self._lanes is None else jump(self._lanes, (LANES - 1) * BLOCK)
+            lanes = spread(self._next) if self._lanes is None else jump(self._lanes, (LANES - 1) * BLOCK)
             packed, self._lanes = steps(lanes, BLOCK)
             buf = unpack(packed)
-            self._starts = (*(lane(lanes, j) for j in range(LANES)), lane(self._lanes, LANES - 1))
-            self._seg = BLOCK
         self._buf = buf
         return buf.pop()
 
@@ -330,45 +325,6 @@ class Xoshiro256:
 
     def coin(self) -> bool:
         return bool(self.next_u64() >> 63)
-
-    def fisher_yates(self, items: list):
-        """In-place Fisher-Yates shuffle of items, yielding each final index.
-
-        Swaps items[i] with items[randrange(i + 1)] for i = len-1 down to 1
-        and yields i once items[i] is final, then yields 0.  The draws are
-        those of randrange, inlined.  Stopping early (close() or dropping
-        the generator) writes back the state after exactly the draws made;
-        draw nothing else from this generator while it is suspended.
-        """
-        s0, s1, s2, s3 = self._state()
-        mask = MASK64
-        span = mask + 1
-        # span % n < n <= len(items), so every draw below `safe` is also
-        # below the exact limit span - span % n; only the rare draw above it
-        # pays for the modulo.
-        safe = span - len(items)
-        try:
-            for i in range(len(items) - 1, 0, -1):
-                n = i + 1
-                while True:
-                    x = (s1 * 5) & mask
-                    result = (((x << 7) | (x >> 57)) * 9) & mask
-                    t = (s1 << 17) & mask
-                    s2 ^= s0
-                    s3 ^= s1
-                    s1 ^= s2
-                    s0 ^= s3
-                    s2 ^= t
-                    s3 = ((s3 << 45) | (s3 >> 19)) & mask
-                    if result < safe or result < span - span % n:
-                        break
-                j = result % n
-                items[i], items[j] = items[j], items[i]
-                yield i
-            if items:
-                yield 0
-        finally:
-            self._restart((s0, s1, s2, s3))
 
     def shuffle(self, items: list) -> None:
         """In-place Fisher-Yates: the swaps and draws of fisher_yates, run

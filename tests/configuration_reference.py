@@ -1,26 +1,30 @@
 """The one-seed-at-a-time configuration model and prevalence sweep that
-`configuration_models` and the batched `prevalence_experiment` replaced,
-kept as they were: stubs shuffled by `fisher_yates`, which steps its own
-draws, one generator and one cell at a time.  They are the references the
-lane-batched forms are checked against, graph for graph, state for state
+`configuration_models` and the batched `prevalence_experiment` replaced:
+stubs shuffled by the one-step reference generator of `rng_reference`,
+one generator and one cell at a time.  They are the references the
+lane-batched forms are checked against, graph for graph, draw for draw
 and row for row."""
 
 from __future__ import annotations
 
+from avoidkit import rng
 from avoidkit.experiment import PrevalenceRow, hd_probability_upper_bound, pattern_parameters, wilson_interval
 from avoidkit.graphs import Multigraph
-from avoidkit.rng import Xoshiro256, derive_seed
+from avoidkit.rng import derive_seed
 from avoidkit.structure import contains_H3tilde, contains_Hd
+from rng_reference import ReferenceXoshiro256, reference_at
 
 
-def reference_configuration_model(n: int, d: int, seed: int) -> tuple[Multigraph, Xoshiro256]:
-    """The graph, and the generator after its shuffle."""
-    rng = Xoshiro256(seed)
+def reference_configuration_model(n: int, d: int, seed: int) -> tuple[Multigraph, ReferenceXoshiro256]:
+    """The graph, and the generator, started from `rng.seed_state(seed)`,
+    after its shuffle."""
+    ref = reference_at(rng.seed_state(seed))  # looked up here, so a test's patched seed_state applies
     stubs = [v for v in range(n) for _ in range(d)]
-    for _ in rng.fisher_yates(stubs):
-        pass
+    for i in range(len(stubs) - 1, 0, -1):
+        j = ref.randrange(i + 1)
+        stubs[i], stubs[j] = stubs[j], stubs[i]
     pairs = iter(stubs)  # zipped with itself: (stubs[0], stubs[1]), (stubs[2], stubs[3]), ...
-    return Multigraph(n, [(u, v) if u <= v else (v, u) for u, v in zip(pairs, pairs)]), rng
+    return Multigraph(n, [(u, v) if u <= v else (v, u) for u, v in zip(pairs, pairs)]), ref
 
 
 def reference_prevalence_rows(d: int, n_list: list[int], samples: int, seed: int) -> list[PrevalenceRow]:

@@ -1,7 +1,12 @@
 """The one-draw-at-a-time xoshiro256** that the buffered `Xoshiro256`
 replaced, kept as it was: its seeding, `next_u64` and `randrange` are the
-reference the lane-parallel stream is checked against, draw for draw and
-state for state."""
+reference the lane-parallel stream is checked against, draw for draw.
+
+`Xoshiro256` hands out draws and no state, so a test compares states
+through `next_draws`: a draw is a bijection of s1, and the map from a
+state to the s1 words of it and the next three states has GF(2) rank 256
+(`test_rng_lanes.test_four_draws_fix_the_state`), so two generators whose
+next four draws agree were in the same state."""
 
 from __future__ import annotations
 
@@ -53,3 +58,15 @@ class ReferenceXoshiro256:
     @property
     def state(self) -> tuple[int, int, int, int]:
         return self.s0, self.s1, self.s2, self.s3
+
+
+def reference_at(state: tuple[int, int, int, int]) -> ReferenceXoshiro256:
+    """A reference generator whose next draw steps from `state`."""
+    ref = ReferenceXoshiro256(0)
+    ref.s0, ref.s1, ref.s2, ref.s3 = state
+    return ref
+
+
+def next_draws(g, k: int = 4) -> list[int]:
+    """g's next k draws: four of them fix the state g was in."""
+    return [g.next_u64() for _ in range(k)]

@@ -369,6 +369,20 @@ def test_verify_rejects_inconsistent_trajectory(tmp_path, capsys, engine, body, 
     assert code == 2 and "cannot read trajectory" in err and message in err
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_verify_rejects_a_seed_simulate_refuses(tmp_path, capsys, seed):
+    from avoidkit.generate import petersen
+
+    pet = tmp_path / "pet.txt"
+    g = petersen()
+    pet.write_text(g.to_text())
+    traj = tmp_path / "traj.txt"
+    traj.write_text(f"# graph-digest {g.digest()}\n# seed {seed}\n# engine cubic\n0 0 2\n")
+    code, stdout, err = run(capsys, "verify", str(pet), str(traj))
+    assert (code, stdout) == (2, "")
+    assert err == f"error: cannot read trajectory: seed must fit in 64 unsigned bits, got {seed}\n"
+
+
 def test_simulate_cycle_on_relabelled_cycle(tmp_path, capsys):
     # the 6-cycle 0-2-4-1-3-5-0: the engine must walk this graph's edges
     # and stamp this graph's digest, not those of the canonical C_6

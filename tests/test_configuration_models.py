@@ -1,8 +1,9 @@
 """`configuration_models`, which steps the generators of up to eight seeds
 at once, against the one-seed-at-a-time configuration model kept in
-`configuration_reference`: the same graph and the same generator state
-after the shuffle, for every seed of every batch, also where a draw is
-rejected inside or past the stretch of draws a batch buffers."""
+`configuration_reference`: the same graph and the same next draws (so the
+same generator state) after the shuffle, for every seed of every batch,
+also where a draw is rejected inside or past the stretch of draws a batch
+buffers."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from avoidkit import rng
 from avoidkit.generate import configuration_models
 from avoidkit.rng import LANES, MASK64, Xoshiro256, steps
 from configuration_reference import reference_configuration_model
+from rng_reference import next_draws
 
 seeds = st.integers(min_value=0, max_value=MASK64)
 # draws in [2^64 - 12, 2^64): at or above the exact rejection limit of
@@ -93,7 +95,7 @@ def test_batches_equal_the_one_seed_reference(length, n, d, data):
         references = [reference_configuration_model(n, d, s) for s in batch_seeds]
     assert len(graphs) == len(made) == length
     assert [g.edges for g in graphs] == [g.edges for g, _ in references]
-    assert [g.state for g in made] == [ref.state for _, ref in references]
+    assert [next_draws(g) for g in made] == [next_draws(ref) for _, ref in references]
 
 
 def test_a_rejected_first_draw_moves_the_shuffle_past_the_buffer():

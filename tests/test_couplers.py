@@ -77,9 +77,13 @@ def test_trajectory_parse_tolerance(text):
 
 
 def test_trajectory_text_writes_each_mark_inside_the_ticks_once():
-    traj = Trajectory("cubic", 7, "x", [(0, 2), (1, 3), (4, 2)], [2, 2, -1, 3, 0])
-    assert traj.to_text() == ("# graph-digest x\n# seed 7\n# engine cubic\n"
-                              "0 0 2\n# block 0\n1 1 3\n2 4 2\n# block 2\n")
+    ticks = [(0, 2), (1, 3), (4, 2)]
+    assert Trajectory("cubic", 7, "x", ticks, [2, 2, 0]).to_text() == (
+        "# graph-digest x\n# seed 7\n# engine cubic\n0 0 2\n# block 0\n1 1 3\n2 4 2\n# block 2\n")
+    # a mark outside the ticks is refused, not dropped
+    for marks in ([2, 2, -1, 3, 0], [-1], [3]):
+        with pytest.raises(ValueError, match=r"outside ticks 0\.\.2"):
+            Trajectory("cubic", 7, "x", ticks, marks).to_text()
     with pytest.raises(ValueError, match="different walker counts"):
         Trajectory("cycle", 7, "x", [(0, 2), (1, 3, 5)]).to_text()
 

@@ -132,6 +132,12 @@ def test_random_regular_validates():
     assert random_regular_simple(2, 1, 0, connected_required=True)[0].edge_count == 1
 
 
+@pytest.mark.parametrize("budget", [0, -3])
+def test_a_budget_below_one_attempt_is_bad_input(budget):
+    with pytest.raises(ValueError, match=f"rejection budget must be at least 1 attempt, got {budget}"):
+        random_regular_simple(10, 3, 0, budget=budget)
+
+
 def test_petersen_structure(pet):
     assert pet.has_edge(0, 5)            # spoke
     assert pet.has_edge(5, 7)            # pentagram chord

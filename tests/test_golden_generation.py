@@ -1,7 +1,7 @@
 """Fixed-seed random graph generation pinned by sha256.
 
-Every random host in the package comes from ``Xoshiro256.shuffle`` and the
-configuration model, so a change to either that alters a single edge, a
+Every random host in the package comes from ``Xoshiro256.shuffle`` or
+``fisher_yates`` and the configuration model, so a change to one that alters a single edge, a
 rejection count or the generator state left after a shuffle shows up here.
 Each digest covers one line per case; the grid includes cases that exhaust
 the rejection budget and cases that are simple but disconnected.
@@ -15,6 +15,7 @@ import pytest
 
 from avoidkit.generate import RejectionBudgetExceeded, configuration_model, random_regular_simple
 from avoidkit.rng import Xoshiro256
+from rng_reference import ReferenceXoshiro256, next_draws
 
 SEEDS = (0, 1, 2)
 BUDGET = 1000
@@ -71,12 +72,18 @@ def test_configuration_model_pinned():
 
 
 def test_shuffle_pinned():
+    """The state after each shuffle is the one-step reference's, run
+    alongside with the same draws; the generator's next draws agree."""
     lines = []
     for length in (0, 1, 2, 3, 10, 100, 1000):
         for seed in SEEDS:
-            rng = Xoshiro256(seed)
+            rng, ref = Xoshiro256(seed), ReferenceXoshiro256(seed)
             items = list(range(length))
             rng.shuffle(items)
-            state = (rng.s0, rng.s1, rng.s2, rng.s3)
-            lines.append(f"{length} {seed} {items} {state} {rng.next_u64()}")
+            for i in range(length - 1, 0, -1):
+                ref.randrange(i + 1)
+            state = ref.state
+            draws = next_draws(rng)
+            assert draws == next_draws(ref)
+            lines.append(f"{length} {seed} {items} {state} {draws[0]}")
     assert _sha(lines) == SHUFFLE

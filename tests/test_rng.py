@@ -6,7 +6,9 @@ from itertools import islice
 import pytest
 from hypothesis import given, strategies as st
 
-from avoidkit.rng import FAST_ACCEPT, GOLDEN_GAMMA, MASK64, Xoshiro256, check_seed, derive_seed, mix64
+from avoidkit.rng import (FAST_ACCEPT, GOLDEN_GAMMA, MASK64, Xoshiro256, check_seed, derive_seed, fisher_yates,
+                          mix64, seed_state)
+from rng_reference import next_draws, reference_at
 
 # Reference outputs of splitmix64 with seed 0 (the widely published test
 # vector); output i equals mix64((i+1) * golden gamma).
@@ -24,15 +26,21 @@ def test_mix64_matches_splitmix64_vector():
 
 
 def test_seeding_is_the_splitmix64_stream():
+    assert seed_state(0) == tuple(SPLITMIX64_SEED0)
+    assert next_draws(Xoshiro256(0)) == next_draws(reference_at(tuple(SPLITMIX64_SEED0)))
+
+
+def generator_at(state: tuple[int, int, int, int]) -> Xoshiro256:
+    """A Xoshiro256 whose next draw steps from `state`."""
     rng = Xoshiro256(0)
-    assert (rng.s0, rng.s1, rng.s2, rng.s3) == tuple(SPLITMIX64_SEED0)
+    rng._restart(state)
+    return rng
 
 
 def test_xoshiro_reference_sequence():
     # xoshiro256** from state (1, 2, 3, 4): first output is
     # rotl(2*5, 7)*9 = 11520; the next two follow from the update rule.
-    rng = Xoshiro256(0)
-    rng.s0, rng.s1, rng.s2, rng.s3 = 1, 2, 3, 4
+    rng = generator_at((1, 2, 3, 4))
     assert [rng.next_u64() for _ in range(3)] == [11520, 0, 1509978240]
 
 
@@ -63,8 +71,8 @@ def test_shuffle_is_a_permutation(seed, items):
 @given(st.integers(min_value=0, max_value=MASK64), st.integers(min_value=0, max_value=60), st.data())
 def test_fisher_yates_stopped_early(seed, length, data):
     k = data.draw(st.integers(min_value=0, max_value=length))
-    rng, items = Xoshiro256(seed), list(range(length))
-    shuffled = rng.fisher_yates(items)
+    items = list(range(length))
+    shuffled = fisher_yates(seed_state(seed), items)
     yielded = list(islice(shuffled, k))
     shuffled.close()
 
@@ -75,40 +83,45 @@ def test_fisher_yates_stopped_early(seed, length, data):
             ref_items[i], ref_items[j] = ref_items[j], ref_items[i]
     assert yielded == [*range(length - 1, 0, -1), 0][:k]
     assert items == ref_items
-    # the first output depends on s1 alone, so compare the whole state too
-    assert (rng.s0, rng.s1, rng.s2, rng.s3) == (ref.s0, ref.s1, ref.s2, ref.s3)
-    assert rng.next_u64() == ref.next_u64()
+    # run to the end from the same start state, it makes the swaps of `shuffle`
+    whole, ref_whole = list(range(length)), list(range(length))
+    assert list(fisher_yates(seed_state(seed), whole)) == [*range(length - 1, 0, -1), 0][:length]
+    Xoshiro256(seed).shuffle(ref_whole)
+    assert whole == ref_whole
 
 
-def with_first_draw(seed: int, draw: int) -> Xoshiro256:
-    """Xoshiro256(seed) with s1 set so that its next output is `draw`
+def with_first_draw(seed: int, draw: int) -> tuple[int, int, int, int]:
+    """seed_state(seed) with s1 set so that its next output is `draw`
     (the output rotl(5·s1, 7)·9 depends on s1 alone)."""
-    rng = Xoshiro256(seed)
+    s0, _, s2, s3 = seed_state(seed)
     x = draw * pow(9, -1, MASK64 + 1) & MASK64
-    rng.s1 = ((x >> 7) | (x << 57)) * pow(5, -1, MASK64 + 1) & MASK64
-    return rng
+    return s0, ((x >> 7) | (x << 57)) * pow(5, -1, MASK64 + 1) & MASK64, s2, s3
 
 
 @pytest.mark.parametrize("length", [2, 3, 4, 5, 6, 7, 12])
 @pytest.mark.parametrize("back", [1, 2, 3, 5, 7, 11])
 def test_fisher_yates_near_the_rejection_limit(length, back):
-    # first draws in [2^64 - 12, 2^64): at or above the shuffle's shortcut
+    # first draws in [2^64 - 12, 2^64): at or above the shuffles' shortcut
     # bound 2^64 - len, where the exact limit 2^64 - 2^64 % n decides; some
     # are rejected (e.g. 2^64 - 1 for n = 3), the rest are kept
     first = MASK64 + 1 - back
     for seed in range(3):
-        assert with_first_draw(seed, first).next_u64() == first
-        rng, ref = with_first_draw(seed, first), with_first_draw(seed, first)
-        items, ref_items = list(range(length)), list(range(length))
+        start = with_first_draw(seed, first)
+        assert generator_at(start).next_u64() == first
+        rng, ref = generator_at(start), reference_at(start)
+        items, ref_items, stepped = list(range(length)), list(range(length)), list(range(length))
         rng.shuffle(items)
         for i in range(length - 1, 0, -1):
             j = ref.randrange(i + 1)
             ref_items[i], ref_items[j] = ref_items[j], ref_items[i]
         assert items == ref_items
-        assert (rng.s0, rng.s1, rng.s2, rng.s3) == (ref.s0, ref.s1, ref.s2, ref.s3)
+        assert next_draws(rng) == next_draws(ref)
+        for _ in fisher_yates(start, stepped):
+            pass
+        assert stepped == ref_items
 
 
-def exact_randrange(rng: Xoshiro256, n: int) -> int:
+def exact_randrange(rng, n: int) -> int:
     """The reference rule: reject each draw at or above 2^64 - 2^64 % n."""
     limit = (MASK64 + 1) - (MASK64 + 1) % n
     while True:
@@ -127,20 +140,20 @@ def test_randrange_at_the_fast_bound(n):
     rejected = 0
     for first in sorted(firsts):
         for seed in range(3):
-            rng, ref = with_first_draw(seed, first), with_first_draw(seed, first)
+            start = with_first_draw(seed, first)
+            rng, ref = generator_at(start), reference_at(start)
             assert rng.randrange(n) == exact_randrange(ref, n)
-            assert (rng.s0, rng.s1, rng.s2, rng.s3) == (ref.s0, ref.s1, ref.s2, ref.s3)
+            assert next_draws(rng) == next_draws(ref)
             rejected += first >= limit
     assert (rejected > 0) == (n != 1 << 32)  # 2^32 divides 2^64: nothing is rejected
 
 
 @pytest.mark.parametrize("n", [0, -1])
 def test_randrange_rejects_nonpositive_before_drawing(n):
-    rng = Xoshiro256(4)
-    before = (rng.s0, rng.s1, rng.s2, rng.s3)
+    rng, ref = Xoshiro256(4), Xoshiro256(4)
     with pytest.raises(ValueError):
         rng.randrange(n)
-    assert (rng.s0, rng.s1, rng.s2, rng.s3) == before
+    assert next_draws(rng) == next_draws(ref)
 
 
 def test_randrange_above_2_64_raises_and_2_64_draws():

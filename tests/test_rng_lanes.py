@@ -1,6 +1,6 @@
 """The buffered, lane-parallel `Xoshiro256` against the one-step generator
-in `rng_reference`: the same draws and the same state words at every
-point of the stream, and the GF(2) jump-ahead the lanes are built on."""
+in `rng_reference`: the same draws, and so the same state, at every point
+of the stream, and the GF(2) jump-ahead the lanes are built on."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidkit import rng
-from avoidkit.rng import BATCH, BLOCK, CHARPOLY, LANES, MASK64, WARM, Xoshiro256
-from rng_reference import ReferenceXoshiro256
+from avoidkit.rng import BATCH, BLOCK, CHARPOLY, LANES, MASK64, WARM, Xoshiro256, fisher_yates
+from rng_reference import ReferenceXoshiro256, next_draws, reference_at
 
 REFILL = LANES * BLOCK  # draws per lane refill
 PAST_THREE_BLOCKS = WARM + 3 * REFILL + 1
@@ -20,13 +20,8 @@ seeds = st.integers(min_value=0, max_value=MASK64)
 words = st.integers(min_value=0, max_value=MASK64)
 
 
-def state(g) -> tuple[int, int, int, int]:
-    return g.s0, g.s1, g.s2, g.s3
-
-
 def reference_steps(s: tuple[int, int, int, int], k: int) -> tuple[int, int, int, int]:
-    ref = ReferenceXoshiro256(0)
-    ref.s0, ref.s1, ref.s2, ref.s3 = s
+    ref = reference_at(s)
     for _ in range(k):
         ref.next_u64()
     return ref.state
@@ -69,7 +64,7 @@ def test_interleaved_draws_match_the_reference_past_three_lane_blocks(seed, ops)
     g, ref = Xoshiro256(seed), ReferenceXoshiro256(seed)
     for kind, arg in islice(cycle(ops), PAST_THREE_BLOCKS):
         assert run(g, kind, arg) == run_reference(ref, kind, arg)
-    assert state(g) == ref.state
+    assert next_draws(g) == next_draws(ref)
 
 
 # offsets: inside the warm-up, at a batch edge, at the warm-up's end, inside
@@ -84,72 +79,29 @@ offsets = st.one_of(
 @settings(max_examples=40, deadline=None)
 @given(seeds, offsets, st.integers(min_value=1, max_value=REFILL + 100))
 def test_state_words_read_mid_stream_are_exact_and_the_stream_goes_on(seed, offset, more):
+    """The state words are read through the next four draws, which fix them."""
     g, ref = Xoshiro256(seed), ReferenceXoshiro256(seed)
     for _ in range(offset):
         g.next_u64()
         ref.next_u64()
-    assert state(g) == ref.state
-    assert state(g) == ref.state  # a second read changes nothing
-    assert [g.next_u64() for _ in range(more)] == [ref.next_u64() for _ in range(more)]
-    assert state(g) == ref.state
+    assert next_draws(g) == next_draws(ref)
+    assert next_draws(g, more) == next_draws(ref, more)
+    assert next_draws(g) == next_draws(ref)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.lists(seeds, min_size=1, max_size=LANES), offsets, st.integers(min_value=1, max_value=WARM + 100))
 def test_state_is_the_four_words_mid_lane_and_after_a_batch_fill(batch_seeds, offset, draws):
+    """The state is read through the next four draws, which fix it."""
     g, ref = Xoshiro256(batch_seeds[0]), ReferenceXoshiro256(batch_seeds[0])
-    for _ in range(offset):
-        g.next_u64()
-        ref.next_u64()
-    assert g.state == state(g) == ref.state
-    for seed, g in zip(batch_seeds, Xoshiro256.batch(batch_seeds, draws)):
-        ref = ReferenceXoshiro256(seed)
-        # read at the fill, inside the buffered draws, at their end and past it
-        consumed = 0
-        for upto in (0, draws // 2, draws, draws + 1):
-            for _ in range(upto - consumed):
-                assert g.next_u64() == ref.next_u64()
-            consumed = upto
-            assert g.state == state(g) == ref.state
-
-
-def test_reading_the_state_words_keeps_the_buffer_and_the_lanes():
-    """A read is pure: past the warm-up it leaves the lane block's buffered
-    draws and the packed lanes in place, and the stream goes on from them."""
-    g, ref = Xoshiro256(11), ReferenceXoshiro256(11)
-    for _ in range(WARM + 100):
-        g.next_u64()
-        ref.next_u64()
-    buf, lanes = g._buf, g._lanes
-    assert lanes is not None and len(buf) == REFILL - 100
-    assert state(g) == ref.state
-    assert g._buf is buf and len(buf) == REFILL - 100 and g._lanes is lanes
-    more = REFILL + 1
-    assert [g.next_u64() for _ in range(more)] == [ref.next_u64() for _ in range(more)]
-    assert state(g) == ref.state
-
-
-@settings(max_examples=40, deadline=None)
-@given(seeds, offsets, st.integers(min_value=0, max_value=3), words)
-def test_a_word_assigned_mid_buffer_restarts_the_stream_there(seed, offset, i, value):
-    g, ref = Xoshiro256(seed), ReferenceXoshiro256(seed)
-    for _ in range(offset):
-        g.next_u64()
-        ref.next_u64()
-    setattr(g, f"s{i}", value)
-    setattr(ref, f"s{i}", value)
-    assert state(g) == ref.state
-    more = WARM + REFILL + 1
-    assert [g.next_u64() for _ in range(more)] == [ref.next_u64() for _ in range(more)]
-
-
-@pytest.mark.parametrize("value", [-1, MASK64 + 1])
-def test_a_word_outside_64_bits_is_refused(value):
-    g = Xoshiro256(3)
-    before = state(g)
-    with pytest.raises(ValueError, match="must fit in 64 unsigned bits"):
-        g.s2 = value
-    assert state(g) == before
+    assert next_draws(g, offset) == next_draws(ref, offset)
+    assert next_draws(g) == next_draws(ref)
+    # read at the fill, inside the buffered draws, at their end and past it
+    for upto in (0, draws // 2, draws, draws + 1):
+        for seed, g in zip(batch_seeds, Xoshiro256.batch(batch_seeds, draws)):
+            ref = ReferenceXoshiro256(seed)
+            assert next_draws(g, upto) == next_draws(ref, upto)
+            assert next_draws(g) == next_draws(ref)
 
 
 def reference_shuffle(ref: ReferenceXoshiro256, items: list) -> None:
@@ -167,22 +119,37 @@ def test_shuffles_after_5000_buffered_draws_match_the_reference(seed, length, da
     items, ref_items = list(range(length)), list(range(length))
     g.shuffle(items)
     reference_shuffle(ref, ref_items)
-    assert items == ref_items and state(g) == ref.state
-    assert g.next_u64() == ref.next_u64()
+    assert items == ref_items
+    assert next_draws(g, 100) == next_draws(ref, 100)
 
-    # a shuffle stopped early leaves the state after exactly its draws
+    # fisher_yates from the state the stream has reached, stopped early,
+    # makes the swaps of the reference's draws from there
     for _ in range(5000):
         assert g.next_u64() == ref.next_u64()
     k = data.draw(st.integers(min_value=0, max_value=length))
-    items = list(range(length))
-    shuffled = g.fisher_yates(items)
-    yielded = list(islice(shuffled, k))
-    shuffled.close()
-    for i in yielded:
+    items, ref_items = list(range(length)), list(range(length))
+    for i in islice(fisher_yates(ref.state, items), k):
         if i:
-            ref.randrange(i + 1)
-    assert state(g) == ref.state
-    assert [g.next_u64() for _ in range(100)] == [ref.next_u64() for _ in range(100)]
+            j = ref.randrange(i + 1)
+            ref_items[i], ref_items[j] = ref_items[j], ref_items[i]
+    assert items == ref_items
+
+
+def test_four_draws_fix_the_state():
+    """A draw rotl(5·s1, 7)·9 is a bijection of s1, and the GF(2)-linear
+    map from a state to the s1 words of it and the next three states has
+    rank 256, so generators whose next four draws agree are in one state."""
+    pivots = {}  # leading bit -> image, a row-echelon basis of the images
+    for k in range(256):
+        state = tuple(1 << (k % 64) if w == k // 64 else 0 for w in range(4))
+        image = 0
+        for i in range(4):
+            image |= state[1] << (64 * i)
+            state = rng.steps(state, 1)[1]
+        while image and image.bit_length() - 1 in pivots:
+            image ^= pivots[image.bit_length() - 1]
+        assert image, f"unit state {k} maps into the span of the ones before it"
+        pivots[image.bit_length() - 1] = image
 
 
 def berlekamp_massey(bits: list[int]) -> int:
@@ -242,8 +209,7 @@ def test_one_lane_block_equals_4096_single_steps(s):
     for j in range(LANES):
         assert rng.lane(lanes, j) == reference_steps(s, j * BLOCK)
     packed, end = rng.steps(lanes, BLOCK)
-    ref = ReferenceXoshiro256(0)
-    ref.s0, ref.s1, ref.s2, ref.s3 = s
+    ref = reference_at(s)
     want = [ref.next_u64() for _ in range(REFILL)]
     assert list(reversed(rng.unpack(packed))) == want
     assert rng.lane(end, LANES - 1) == ref.state

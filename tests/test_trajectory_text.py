@@ -43,6 +43,12 @@ def trajectories(draw) -> Trajectory:
 @settings(max_examples=150, derandomize=True, deadline=None)
 @given(traj=trajectories())
 def test_to_text_is_the_reference_text(size, traj):
+    marks = traj.block_marks
+    if marks and not 0 <= min(marks) <= max(marks) < len(traj.positions):
+        # the reference drops such marks; the writer refuses them, as the reader does
+        with pytest.raises(ValueError, match="block marks .* outside ticks"):
+            next(traj.text_chunks())
+        return
     with small_chunks(size):
         pieces = list(traj.text_chunks())
         assert "".join(pieces) == traj.to_text() == reference_to_text(traj)
@@ -56,6 +62,14 @@ def test_to_text_of_no_walkers_and_of_mixed_walker_counts():
     for write in (mixed.to_text, lambda: reference_to_text(mixed)):
         with pytest.raises(ValueError, match="different walker counts"):
             write()
+
+
+def test_a_mark_past_the_last_tick_is_refused_not_dropped():
+    """Dropping the mark at 5 would write a file that verifies clean for a
+    trajectory whose own check raises."""
+    traj = Trajectory("cubic", 1, "x", [(0, 2), (1, 7), (5, 8)], [0, 2, 5])
+    with pytest.raises(ValueError, match=r"block marks 0\.\.5 outside ticks 0\.\.2"):
+        traj.to_text()
 
 
 ENDS = ("\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", " ")

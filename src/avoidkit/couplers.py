@@ -90,15 +90,15 @@ class Trajectory:
         pos = self.positions
         n = len(pos)
         marks = self.block_marks
-        check_block_marks(marks, n)
-        if len(set(map(len, pos))) > 1:
-            raise ValueError("ticks with different walker counts have no text form")
-        yield f"# graph-digest {self.graph_digest}\n# seed {self.seed}\n# engine {self.engine}\n"
         marked = None  # stays None when the marks are exactly 0..n-1: every tick line carries its mark
         if len(marks) != n or not all(map(eq, marks, range(n))):
+            check_block_marks(marks, n)
             marked = bytearray(n)
             for t in marks:
                 marked[t] = 1
+        if len(set(map(len, pos))) > 1:
+            raise ValueError("ticks with different walker counts have no text form")
+        yield f"# graph-digest {self.graph_digest}\n# seed {self.seed}\n# engine {self.engine}\n"
         for start in range(0, n, TEXT_CHUNK_TICKS):
             chunk = pos[start:start + TEXT_CHUNK_TICKS]
             bodies = dict.fromkeys(chunk)

@@ -36,6 +36,8 @@ MAX_SAMPLES = 100_000
 
 def wilson_interval(hits: int, samples: int, z: float = _Z95) -> tuple[float, float]:
     """Wilson score interval; always contains the point frequency."""
+    if not 0 <= hits <= samples:
+        raise ValueError(f"hits must lie in [0, samples], got hits={hits}, samples={samples}")
     if samples == 0:
         return (0.0, 1.0)
     p = hits / samples
@@ -148,6 +150,8 @@ def prevalence_experiment(
             raise ValueError(f"n must be >= 1, got n={n}")
         if (n * d) % 2 != 0:
             raise ValueError(f"n*d must be even (n={n}, d={d})")
+        if simple_connected and n <= d:  # the configuration model alone allows n <= d
+            raise ValueError(f"a simple d-regular graph needs d < n (n={n}, d={d})")
     # a task is one cell of the rejection sampler, or up to LANES cells of
     # one n whose configuration-model generators step together
     per_task = 1 if simple_connected else LANES

@@ -3,20 +3,21 @@
 The configuration model pairs half-edges via a Fisher-Yates shuffle, which
 is uniform over perfect matchings of the n*d half-edge slots: after the
 shuffle, stubs 2k and 2k+1 form edge k, stored as (min, max).
-`configuration_models` draws one graph per seed, stepping the generators
-of up to LANES seeds at once; `configuration_model` is its one-seed case,
-and every graph is the one its seed alone gives.  Simple
-regular graphs are produced by rejection sampling on top of it: each
-attempt stops at its first loop or repeated pair, and only a simple
-pairing is built into a graph.  A request no attempt can meet (connected,
-d=1, n > 2), or a budget below one attempt, is a ValueError before the
-first attempt.
+`configuration_models` draws one graph per seed, the generators of up to
+LANES seeds stepped at once; `configuration_model` is its one-seed case,
+and every graph is the one its seed alone gives.  `random_regular_simple`
+rejection-samples simple regular graphs on the same batches, stopping
+each attempt at its first loop or repeated pair; a request no attempt can
+meet (connected, d=1, n > 2), or a budget below one attempt, is a
+ValueError before the first attempt.
 """
 
 from __future__ import annotations
 
+from itertools import islice
+
 from .graphs import Graph, Multigraph, check_size, graph_from_edges, is_connected
-from .rng import LANES, Xoshiro256, fisher_yates, seed_state
+from .rng import LANES, Xoshiro256
 
 DEFAULT_REJECTION_BUDGET = 10**5
 
@@ -81,12 +82,22 @@ def heawood() -> Graph:
     return graph_from_edges(14, edges)
 
 
+def _shufflers(n: int, d: int, seeds):
+    """(a fresh stub list, Xoshiro256(seed)) for each seed, in order, the
+    generators made LANES at a time by `Xoshiro256.batch` with the n*d - 1
+    draws of a shuffle without rejections buffered; `seeds` is read lazily."""
+    all_stubs = [v for v in range(n) for _ in range(d)]
+    seeds = iter(seeds)
+    while chunk := list(islice(seeds, LANES)):
+        for rng in Xoshiro256.batch(chunk, len(all_stubs) - 1):
+            yield all_stubs.copy(), rng
+
+
 def configuration_models(n: int, d: int, seeds: list[int]) -> list[Multigraph]:
     """configuration_model(n, d, seed) for each seed, in order.
 
     The generators of up to LANES seeds are stepped at once, one seed per
-    lane of `Xoshiro256.batch`, which buffers the n*d - 1 draws a shuffle
-    without rejections consumes; a shuffle that rejects a draw goes on
+    lane of `Xoshiro256.batch`; a shuffle that rejects a draw goes on
     along its own stream, so every graph is the one its seed alone gives.
     """
     if n < 1:
@@ -96,14 +107,11 @@ def configuration_models(n: int, d: int, seeds: list[int]) -> list[Multigraph]:
     if (n * d) % 2 != 0:
         raise ValueError("configuration_model requires n*d even")
     check_size(n, n * d // 2)
-    all_stubs = [v for v in range(n) for _ in range(d)]
     graphs = []
-    for k in range(0, len(seeds), LANES):
-        for rng in Xoshiro256.batch(seeds[k:k + LANES], len(all_stubs) - 1):
-            stubs = all_stubs.copy()
-            rng.shuffle(stubs)
-            pairs = iter(stubs)  # zipped with itself: (stubs[0], stubs[1]), (stubs[2], stubs[3]), ...
-            graphs.append(Multigraph(n, [(u, v) if u <= v else (v, u) for u, v in zip(pairs, pairs)]))
+    for stubs, rng in _shufflers(n, d, seeds):
+        rng.shuffle(stubs)
+        pairs = iter(stubs)  # zipped with itself: (stubs[0], stubs[1]), (stubs[2], stubs[3]), ...
+        graphs.append(Multigraph(n, [(u, v) if u <= v else (v, u) for u, v in zip(pairs, pairs)]))
     return graphs
 
 
@@ -126,12 +134,12 @@ def random_regular_simple(
     """Rejection-sample configuration_model until simple (and connected, if asked).
 
     Attempt k shuffles the stubs exactly as configuration_model(n, d, s_k)
-    does, where s_k is the k-th draw of Xoshiro256(seed): `fisher_yates`
-    steps from seed_state(s_k) and pairs the stubs as the shuffle makes
-    them final, so the attempt is rejected at its first loop or repeated
-    pair.  Returns (graph, rejections).  Raises RejectionBudgetExceeded
-    past `budget`, and ValueError before the first attempt for a budget
-    below 1 or a request no attempt can meet.
+    does, where s_k is the k-th draw of Xoshiro256(seed), but with
+    `Xoshiro256.fisher_yates`, pairing the stubs as the shuffle makes them
+    final, so the attempt is rejected at its first loop or repeated pair.
+    Returns (graph, rejections).  Raises RejectionBudgetExceeded past
+    `budget`, and ValueError before the first attempt for a budget below 1
+    or a request no attempt can meet.
     """
     if (n * d) % 2 != 0:
         raise ValueError("random_regular_simple requires n*d even")
@@ -142,14 +150,12 @@ def random_regular_simple(
         raise ValueError("a 1-regular graph on more than 2 vertices is never connected")
     if budget < 1:
         raise ValueError(f"the rejection budget must be at least 1 attempt, got {budget}")
-    rng = Xoshiro256(seed)
-    all_stubs = [v for v in range(n) for _ in range(d)]
-    rejections = 0
-    for _ in range(budget):
-        stubs = all_stubs.copy()
+    outer = Xoshiro256(seed)
+    attempts = _shufflers(n, d, (outer.next_u64() for _ in range(budget)))
+    for rejections, (stubs, rng) in enumerate(attempts):
         edges = set()
         # pair k is (stubs[2k], stubs[2k+1]), final once index 2k is yielded
-        for i in fisher_yates(seed_state(rng.next_u64()), stubs):
+        for i in rng.fisher_yates(stubs):
             if i & 1:
                 continue
             u, v = stubs[i], stubs[i + 1]
@@ -161,5 +167,4 @@ def random_regular_simple(
             g = graph_from_edges(n, edges)
             if not connected_required or is_connected(g):
                 return g, rejections
-        rejections += 1
     raise RejectionBudgetExceeded(budget)

@@ -12,12 +12,6 @@ so there is no modulo bias.  For 0 < n <= 2^32 that limit is above FAST_ACCEPT =
 computes the exact limit only for the one draw in 2^32 at or above it; the
 values and the draws consumed are exactly those of the exact rule.
 
-`fisher_yates(state, items)` is an in-place Fisher-Yates shuffle that is a
-generator: it steps xoshiro256** from the start state it is given and
-yields each index as soon as the element there is final, so a consumer can
-act on a prefix of the permutation and stop early.  It writes its state
-nowhere.
-
 `Xoshiro256` is a generator that only hands out draws, from a buffer.  Its
 first WARM draws are stepped one at a time, BATCH per refill, so a
 short-lived generator never pays for the lanes.  After that a refill steps
@@ -34,7 +28,8 @@ stream, draw for draw.
 one `steps` pass is seed j's own stream, seeded by the same `seed_state`,
 so up to LANES generators get their first draws from one pass, no jump
 needed.  Each buffer holds its lane's draws, and the stream goes on from
-its lane's end state.  `shuffle` draws from the buffer.
+its lane's end state.  `fisher_yates`, the one Fisher-Yates loop, draws
+from the buffer too, and its consumer may stop it early.
 """
 
 from __future__ import annotations
@@ -72,8 +67,8 @@ def mix64(z: int) -> int:
 
 
 def check_seed(seed: int) -> None:
-    """Raise ValueError unless seed is a 64-bit unsigned integer."""
-    if not 0 <= seed <= MASK64:
+    """Raise ValueError unless seed is a 64-bit unsigned int (a bool is not one)."""
+    if isinstance(seed, bool) or not isinstance(seed, int) or not 0 <= seed <= MASK64:
         raise ValueError(f"seed must fit in 64 unsigned bits, got {seed}")
 
 
@@ -200,43 +195,6 @@ def seed_state(seed: int) -> tuple[int, int, int, int]:
     return tuple(state)
 
 
-def fisher_yates(state: tuple[int, int, int, int], items: list):
-    """In-place Fisher-Yates shuffle of items, stepping xoshiro256** from
-    `state`, yielding each final index.
-
-    Swaps items[i] with items[randrange(i + 1)] for i = len-1 down to 1
-    and yields i once items[i] is final, then yields 0.  The draws are
-    those of `Xoshiro256.randrange` on a generator at `state`, inlined.
-    The consumer may stop at any point: the state is written nowhere.
-    """
-    s0, s1, s2, s3 = state
-    mask = MASK64
-    span = mask + 1
-    # span % n < n <= len(items), so every draw below `safe` is also
-    # below the exact limit span - span % n; only the rare draw above it
-    # pays for the modulo.
-    safe = span - len(items)
-    for i in range(len(items) - 1, 0, -1):
-        n = i + 1
-        while True:
-            x = (s1 * 5) & mask
-            result = (((x << 7) | (x >> 57)) * 9) & mask
-            t = (s1 << 17) & mask
-            s2 ^= s0
-            s3 ^= s1
-            s1 ^= s2
-            s0 ^= s3
-            s2 ^= t
-            s3 = ((s3 << 45) | (s3 >> 19)) & mask
-            if result < safe or result < span - span % n:
-                break
-        j = result % n
-        items[i], items[j] = items[j], items[i]
-        yield i
-    if items:
-        yield 0
-
-
 class Xoshiro256:
     """xoshiro256** with splitmix64 state initialization.
 
@@ -326,12 +284,19 @@ class Xoshiro256:
     def coin(self) -> bool:
         return bool(self.next_u64() >> 63)
 
-    def shuffle(self, items: list) -> None:
-        """In-place Fisher-Yates: the swaps and draws of fisher_yates, run
-        to the end, with the draws taken from the buffer, so a generator
-        that `batch` filled shuffles from its lane's draws."""
+    def fisher_yates(self, items: list):
+        """In-place Fisher-Yates shuffle of items, yielding each final index.
+
+        Swaps items[i] with items[randrange(i + 1)] for i = len-1 down to 1,
+        yielding i once items[i] is final, then yields 0.  A consumer that
+        stops early leaves the generator just past the draws its swaps made;
+        draw nothing else from the generator until it is done.
+        """
         span = MASK64 + 1
-        safe = span - len(items)  # as in fisher_yates
+        # span % n < n <= len(items), so every draw below `safe` is also
+        # below the exact limit span - span % n; only the rare draw above it
+        # pays for the modulo.
+        safe = span - len(items)
         pop = self._buf.pop
         for i in range(len(items) - 1, 0, -1):
             n = i + 1
@@ -345,3 +310,11 @@ class Xoshiro256:
                     break
             j = x % n
             items[i], items[j] = items[j], items[i]
+            yield i
+        if items:
+            yield 0
+
+    def shuffle(self, items: list) -> None:
+        """In-place Fisher-Yates: `fisher_yates` run to the end."""
+        for _ in self.fisher_yates(items):
+            pass

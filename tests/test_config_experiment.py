@@ -43,6 +43,12 @@ def test_wilson_interval_contains_point(hits, samples):
     assert 0 <= lo <= p <= hi <= 1
 
 
+@pytest.mark.parametrize("hits,samples", [(5, 3), (-1, 3), (2, -4)])
+def test_wilson_interval_refuses_hits_outside_the_samples(hits, samples):
+    with pytest.raises(ValueError, match=f"got hits={hits}, samples={samples}"):
+        wilson_interval(hits, samples)
+
+
 def test_wilson_interval_known_value():
     # p=0.5, n=100: standard Wilson bounds
     lo, hi = wilson_interval(50, 100)
@@ -175,6 +181,27 @@ def test_prevalence_rejects_d_below_two(monkeypatch, d):
         with pytest.raises(ValueError, match=f"d must be >= 2, got d={d}"):
             prevalence_experiment(d, [4, 6], samples=2, seed=0, simple_connected=simple_connected)
     assert calls == []
+
+
+def test_simple_connected_prevalence_refuses_n_at_most_d_before_sampling(monkeypatch, capsys):
+    """With simple_connected an n <= d is refused, naming n and d, before
+    the cells of the other n values are sampled; the configuration model
+    alone takes it."""
+    from avoidkit import experiment
+
+    calls = []
+    monkeypatch.setattr(experiment, "random_regular_simple", lambda *args, **kw: calls.append(args))
+    with pytest.raises(ValueError, match=r"a simple d-regular graph needs d < n \(n=4, d=5\)"):
+        prevalence_experiment(5, [64, 4], samples=100, seed=0, simple_connected=True)
+    assert calls == []
+    code = cli_main(["experiment", "prevalence", "--d", "5", "--n-list", "64,4", "--samples", "100",
+                     "--simple-connected"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "error: a simple d-regular graph needs d < n (n=4, d=5)\n"
+    assert calls == []
+    [row] = prevalence_experiment(5, [4], samples=2, seed=0)
+    assert row.samples == 2
 
 
 @pytest.mark.parametrize("n", [0, -4])

@@ -3,7 +3,8 @@ at once, against the one-seed-at-a-time configuration model kept in
 `configuration_reference`: the same graph and the same next draws (so the
 same generator state) after the shuffle, for every seed of every batch,
 also where a draw is rejected inside or past the stretch of draws a batch
-buffers."""
+buffers.  `random_regular_simple`, whose attempts run on the same batches
+and stop early, against whole one-step reference pairings likewise."""
 
 from __future__ import annotations
 
@@ -11,10 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidkit import rng
-from avoidkit.generate import configuration_models
+from avoidkit.generate import configuration_models, random_regular_simple
+from avoidkit.graphs import is_connected
 from avoidkit.rng import LANES, MASK64, Xoshiro256, steps
 from configuration_reference import reference_configuration_model
-from rng_reference import next_draws
+from rng_reference import next_draws, reference_at
 
 seeds = st.integers(min_value=0, max_value=MASK64)
 # draws in [2^64 - 12, 2^64): at or above the exact rejection limit of
@@ -110,6 +112,43 @@ def test_a_rejected_first_draw_moves_the_shuffle_past_the_buffer():
         want = [reference_configuration_model(3, 2, s) for s in (3, 4)]
     assert [g.edges for g in got] == [g.edges for g, _ in want]
     assert want[0][1].state == steps(forced(start, {0: MASK64}), 6)[1]
+
+
+def reference_random_regular_simple(n: int, d: int, seed: int, connected_required: bool):
+    """(graph, rejections): whole one-step reference pairings of the outer
+    generator's draws until one is simple (and connected, if asked)."""
+    outer = reference_at(rng.seed_state(seed))
+    rejections = 0
+    while True:
+        mg, _ = reference_configuration_model(n, d, outer.next_u64())
+        if mg.is_simple():
+            g = mg.simple_support()
+            if not connected_required or is_connected(g):
+                return g, rejections
+        rejections += 1
+
+
+def test_random_regular_simple_with_rejected_draws_equals_the_reference():
+    """Attempts 0, 1 and 9 (9 is in the second batch of attempt seeds) get
+    2^64 - 1 forced at their first draw and at their last buffered one
+    (draw n·d - 2).  n·d is no power of two, so the first is rejected and
+    the shuffle moves on by one draw; then the last buffered draw serves
+    i = 2, where 2^64 - 1 is rejected too, and the shuffle draws past the
+    buffer."""
+    real = rng.seed_state
+    forced_accepted = 0
+    for n, d, connected in ((3, 2, False), (4, 3, False), (6, 2, True), (8, 3, True)):
+        for seed in range(4):
+            outer = Xoshiro256(seed)
+            attempt_seeds = [outer.next_u64() for _ in range(10)]
+            seeded = {s: forced(real(s), {0: MASK64, n * d - 2: MASK64}) for s in attempt_seeds[:2] + attempt_seeds[9:]}
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(rng, "seed_state", lambda s: seeded[s] if s in seeded else real(s))
+                got = random_regular_simple(n, d, seed, connected_required=connected)
+                want = reference_random_regular_simple(n, d, seed, connected)
+            assert got == want, (n, d, seed)
+            forced_accepted += got[1] in (0, 1, 9)
+    assert forced_accepted  # some forced attempt shuffled past its buffer to the end
 
 
 def test_no_seeds_give_no_graphs():

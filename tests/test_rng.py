@@ -6,9 +6,10 @@ from itertools import islice
 import pytest
 from hypothesis import given, strategies as st
 
-from avoidkit.rng import (FAST_ACCEPT, GOLDEN_GAMMA, MASK64, Xoshiro256, check_seed, derive_seed, fisher_yates,
-                          mix64, seed_state)
-from rng_reference import next_draws, reference_at
+from avoidkit.couplers import simulate
+from avoidkit.generate import petersen
+from avoidkit.rng import FAST_ACCEPT, GOLDEN_GAMMA, MASK64, Xoshiro256, check_seed, derive_seed, mix64, seed_state
+from rng_reference import ReferenceXoshiro256, next_draws, reference_at
 
 # Reference outputs of splitmix64 with seed 0 (the widely published test
 # vector); output i equals mix64((i+1) * golden gamma).
@@ -71,21 +72,23 @@ def test_shuffle_is_a_permutation(seed, items):
 @given(st.integers(min_value=0, max_value=MASK64), st.integers(min_value=0, max_value=60), st.data())
 def test_fisher_yates_stopped_early(seed, length, data):
     k = data.draw(st.integers(min_value=0, max_value=length))
-    items = list(range(length))
-    shuffled = fisher_yates(seed_state(seed), items)
+    rng, items = Xoshiro256(seed), list(range(length))
+    shuffled = rng.fisher_yates(items)
     yielded = list(islice(shuffled, k))
     shuffled.close()
 
-    ref, ref_items = Xoshiro256(seed), list(range(length))
+    ref, ref_items = ReferenceXoshiro256(seed), list(range(length))
     for i in yielded:
         if i:
             j = ref.randrange(i + 1)
             ref_items[i], ref_items[j] = ref_items[j], ref_items[i]
     assert yielded == [*range(length - 1, 0, -1), 0][:k]
     assert items == ref_items
-    # run to the end from the same start state, it makes the swaps of `shuffle`
+    # the generator is just past the draws of the swaps made
+    assert next_draws(rng) == next_draws(ref)
+    # run to the end, it makes the swaps of `shuffle`
     whole, ref_whole = list(range(length)), list(range(length))
-    assert list(fisher_yates(seed_state(seed), whole)) == [*range(length - 1, 0, -1), 0][:length]
+    assert list(Xoshiro256(seed).fisher_yates(whole)) == [*range(length - 1, 0, -1), 0][:length]
     Xoshiro256(seed).shuffle(ref_whole)
     assert whole == ref_whole
 
@@ -116,9 +119,11 @@ def test_fisher_yates_near_the_rejection_limit(length, back):
             ref_items[i], ref_items[j] = ref_items[j], ref_items[i]
         assert items == ref_items
         assert next_draws(rng) == next_draws(ref)
-        for _ in fisher_yates(start, stepped):
-            pass
+        rng, shuffled = generator_at(start), generator_at(start)
+        assert list(rng.fisher_yates(stepped)) == [*range(length - 1, 0, -1), 0]
         assert stepped == ref_items
+        shuffled.shuffle(list(range(length)))
+        assert next_draws(rng) == next_draws(shuffled)
 
 
 def exact_randrange(rng, n: int) -> int:
@@ -164,12 +169,20 @@ def test_randrange_above_2_64_raises_and_2_64_draws():
     assert rng.randrange(2**64) == ref.next_u64()
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
+@pytest.mark.parametrize("seed", [-1, 2**64, True, False, 1.0, "3"])
 def test_seed_outside_64_bits_raises(seed):
-    """-1 is not reduced to 2^64 - 1: every generator's seed is checked."""
+    """-1 is not reduced to 2^64 - 1, and a bool, a float or a str is no
+    seed: every generator's seed is checked."""
     for make in (check_seed, Xoshiro256, lambda s: derive_seed(s, 0)):
         with pytest.raises(ValueError, match=f"seed must fit in 64 unsigned bits, got {seed}"):
             make(seed)
+
+
+@pytest.mark.parametrize("seed", [True, 1.0])
+def test_simulate_refuses_a_seed_that_is_not_an_int(seed):
+    """True would be written as `# seed True`, which no reader takes back."""
+    with pytest.raises(ValueError, match=f"seed must fit in 64 unsigned bits, got {seed}"):
+        simulate(petersen(), "cubic", 2, seed)
 
 
 def test_derive_seed_distinct_replicas():

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidkit import rng
-from avoidkit.rng import BATCH, BLOCK, CHARPOLY, LANES, MASK64, WARM, Xoshiro256, fisher_yates
+from avoidkit.rng import BATCH, BLOCK, CHARPOLY, LANES, MASK64, WARM, Xoshiro256
 from rng_reference import ReferenceXoshiro256, next_draws, reference_at
 
 REFILL = LANES * BLOCK  # draws per lane refill
@@ -122,17 +122,18 @@ def test_shuffles_after_5000_buffered_draws_match_the_reference(seed, length, da
     assert items == ref_items
     assert next_draws(g, 100) == next_draws(ref, 100)
 
-    # fisher_yates from the state the stream has reached, stopped early,
-    # makes the swaps of the reference's draws from there
+    # fisher_yates stopped early makes the swaps of the reference's draws
+    # and leaves the stream just past them
     for _ in range(5000):
         assert g.next_u64() == ref.next_u64()
     k = data.draw(st.integers(min_value=0, max_value=length))
     items, ref_items = list(range(length)), list(range(length))
-    for i in islice(fisher_yates(ref.state, items), k):
+    for i in islice(g.fisher_yates(items), k):
         if i:
             j = ref.randrange(i + 1)
             ref_items[i], ref_items[j] = ref_items[j], ref_items[i]
     assert items == ref_items
+    assert next_draws(g, 100) == next_draws(ref, 100)
 
 
 def test_four_draws_fix_the_state():

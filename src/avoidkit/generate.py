@@ -17,7 +17,7 @@ from __future__ import annotations
 from itertools import islice
 
 from .graphs import Graph, Multigraph, check_size, graph_from_edges, is_connected
-from .rng import LANES, Xoshiro256
+from .rng import LANES, WARM, Xoshiro256
 
 DEFAULT_REJECTION_BUDGET = 10**5
 
@@ -84,12 +84,13 @@ def heawood() -> Graph:
 
 def _shufflers(n: int, d: int, seeds):
     """(a fresh stub list, Xoshiro256(seed)) for each seed, in order, the
-    generators made LANES at a time by `Xoshiro256.batch` with the n*d - 1
-    draws of a shuffle without rejections buffered; `seeds` is read lazily."""
+    generators made LANES at a time by `Xoshiro256.batch` with the draws of
+    a shuffle without rejections buffered, but at most the WARM of the
+    warm-up, so a batch stays small at any n; `seeds` is read lazily."""
     all_stubs = [v for v in range(n) for _ in range(d)]
     seeds = iter(seeds)
     while chunk := list(islice(seeds, LANES)):
-        for rng in Xoshiro256.batch(chunk, len(all_stubs) - 1):
+        for rng in Xoshiro256.batch(chunk, min(len(all_stubs) - 1, WARM)):
             yield all_stubs.copy(), rng
 
 

@@ -8,13 +8,15 @@ and stop early, against whole one-step reference pairings likewise."""
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from avoidkit import rng
 from avoidkit.generate import configuration_models, random_regular_simple
 from avoidkit.graphs import is_connected
-from avoidkit.rng import LANES, MASK64, Xoshiro256, steps
+from avoidkit.rng import LANES, MASK64, WARM, Xoshiro256, steps
 from configuration_reference import reference_configuration_model
 from rng_reference import next_draws, reference_at
 
@@ -34,35 +36,44 @@ def forced(start: tuple[int, int, int, int], draws: dict[int, int]) -> tuple[int
     """A state whose output at each position p of `draws` is draws[p]:
     `start` XOR the combination of unit states that the GF(2)-linear step
     map sends onto the wanted s1 words, by Gaussian elimination."""
-    positions = sorted(draws)
+    positions = tuple(sorted(draws))
+    basis = s1_basis(positions)
+    want = sum(s1_for(draws[p]) << (64 * i) for i, p in enumerate(positions))
+    target, combo = want ^ s1_words(start, positions), 0
+    while target:
+        b_image, b_combo = basis[target.bit_length() - 1]
+        target, combo = target ^ b_image, combo ^ b_combo
+    state = tuple(w ^ ((combo >> (64 * i)) & MASK64) for i, w in enumerate(start))
+    assert s1_words(state, positions) == want
+    return state
 
-    def s1_words(state) -> int:  # s1 before each position's draw, concatenated
-        words, t = 0, 0
-        for i, p in enumerate(positions):
-            state = steps(state, p - t)[1]
-            t = p
-            words |= state[1] << (64 * i)
-        return words
 
+def s1_words(state, positions: tuple[int, ...]) -> int:
+    """s1 before the draw at each of the sorted `positions`, concatenated."""
+    words, t = 0, 0
+    for i, p in enumerate(positions):
+        state = steps(state, p - t)[1]
+        t = p
+        words |= state[1] << (64 * i)
+    return words
+
+
+@lru_cache(maxsize=None)
+def s1_basis(positions: tuple[int, ...]) -> dict[int, tuple[int, int]]:
+    """Leading bit -> (image, combination of unit states), the images
+    `s1_words` of unit states reduced to an echelon basis."""
     def unit(k: int) -> tuple[int, ...]:
         return tuple(1 << (k % 64) if w == k // 64 else 0 for w in range(4))
 
-    basis = {}  # leading bit -> (image, combination of unit states)
+    basis = {}
     for k in range(256):
-        image, combo = s1_words(unit(k)), 1 << k
+        image, combo = s1_words(unit(k), positions), 1 << k
         while image and image.bit_length() - 1 in basis:
             b_image, b_combo = basis[image.bit_length() - 1]
             image, combo = image ^ b_image, combo ^ b_combo
         if image:
             basis[image.bit_length() - 1] = (image, combo)
-    want = sum(s1_for(draws[p]) << (64 * i) for i, p in enumerate(positions))
-    target, combo = want ^ s1_words(start), 0
-    while target:
-        b_image, b_combo = basis[target.bit_length() - 1]
-        target, combo = target ^ b_image, combo ^ b_combo
-    state = tuple(w ^ ((combo >> (64 * i)) & MASK64) for i, w in enumerate(start))
-    assert s1_words(state) == want
-    return state
+    return basis
 
 
 @settings(max_examples=40, deadline=None)
@@ -131,25 +142,32 @@ def reference_random_regular_simple(n: int, d: int, seed: int, connected_require
 def test_random_regular_simple_with_rejected_draws_equals_the_reference():
     """Attempts 0, 1 and 9 (9 is in the second batch of attempt seeds) get
     2^64 - 1 forced at their first draw and at their last buffered one
-    (draw n·d - 2).  n·d is no power of two, so the first is rejected and
-    the shuffle moves on by one draw; then the last buffered draw serves
-    i = 2, where 2^64 - 1 is rejected too, and the shuffle draws past the
-    buffer."""
+    (draw n·d - 2, or WARM - 1 where a batch buffers only the warm-up).
+    n·d is no power of two, so the first is rejected and the shuffle moves
+    on by one draw; then the last buffered draw serves i = 2 (i = 53 at
+    n·d = 2,100), where 2^64 - 1 is rejected too, and the shuffle draws
+    past the buffer."""
     real = rng.seed_state
-    forced_accepted = 0
-    for n, d, connected in ((3, 2, False), (4, 3, False), (6, 2, True), (8, 3, True)):
-        for seed in range(4):
+    forced_accepted = set()
+    small = range(4)
+    # at seeds 5 and 16 of (700, 3) forced attempts 0 and 9 are accepted
+    for n, d, connected, outer_seeds in ((3, 2, False, small), (4, 3, False, small), (6, 2, True, small),
+                                         (8, 3, True, small), (700, 3, False, (5, 16))):
+        last = min(n * d - 1, WARM) - 1
+        for seed in outer_seeds:
             outer = Xoshiro256(seed)
             attempt_seeds = [outer.next_u64() for _ in range(10)]
             chosen = (attempt_seeds[0], attempt_seeds[1], attempt_seeds[9])
-            seeded = {s: forced(real(s), {0: MASK64, n * d - 2: MASK64}) for s in chosen}
+            seeded = {s: forced(real(s), {0: MASK64, last: MASK64}) for s in chosen}
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(rng, "seed_state", lambda s: seeded[s] if s in seeded else real(s))
                 got = random_regular_simple(n, d, seed, connected_required=connected)
                 want = reference_random_regular_simple(n, d, seed, connected)
             assert got == want, (n, d, seed)
-            forced_accepted += got[1] in (0, 1, 9)
-    assert forced_accepted  # some forced attempt shuffled past its buffer to the end
+            if got[1] in (0, 1, 9):
+                forced_accepted.add(n * d > WARM)
+    # some forced attempt shuffled past its buffer to the end, also past a warm-up
+    assert forced_accepted == {False, True}
 
 
 def test_no_seeds_give_no_graphs():

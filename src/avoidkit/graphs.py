@@ -55,7 +55,7 @@ class Graph:
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nbrs) for nbrs in self.adjacency) // 2
+        return sum(map(len, self.adjacency)) // 2
 
     def edges(self) -> list[tuple[int, int]]:
         return [(u, v) for u in range(self.n) for v in self.adjacency[u] if u < v]

@@ -1,12 +1,15 @@
 """Forbidden-subgraph detectors, scenario classification, and engine verdicts.
 
-Each detector makes its own co-degree pass, `codegrees`, which counts the
-common neighbors of each pair over the 2-paths u-c-v in O(n·d²).  H_d
-(an edge whose endpoints share d-1 further neighbors) is an adjacent pair
-of codegree >= d-1; in a d-regular graph this is exactly two vertices with
-equal closed neighborhoods.  The cubic obstruction H~_3 (K_{2,3} plus one
-edge inside the size-3 part) is a pair of codegree >= 3 with two adjacent
-common neighbors; a 4-cycle is a pair of codegree >= 2.  All detectors
+`codegrees` counts the common neighbors of each pair over the 2-paths
+u-c-v in O(n·d²).  H_d (an edge whose endpoints share d-1 further
+neighbors) is an adjacent pair of codegree >= d-1, and the cubic
+obstruction H~_3 (K_{2,3} plus one edge inside the size-3 part) is a pair
+of codegree >= 3 with two adjacent common neighbors.  When no degree
+exceeds d, such an H_d pair has both degrees d and equal closed
+neighborhoods (Lemma 3.1), and when no degree exceeds 3 an H~_3 pair has
+equal neighborhoods of size 3; so on those graphs both detectors key the
+neighborhoods in one O(n·d) pass instead of counting 2-paths.  A 4-cycle
+is a pair of codegree >= 2, always read from `codegrees`.  All detectors
 return the lexicographically first witness.
 
 Each engine's hypothesis is stated once, in `engine_obstruction`; the
@@ -20,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Iterator
+from typing import Hashable, Iterator, Sequence
 
 from .graphs import Graph, Profile, basic_profile, common_neighbors
 
@@ -31,24 +34,45 @@ def codegrees(g: Graph) -> Counter:
 
 
 def contains_Hd(g: Graph, d: int) -> tuple[int, int] | None:
-    """First adjacent pair sharing >= d-1 neighbors, or None."""
+    """First adjacent pair sharing >= d-1 neighbors, or None.  When no degree
+    exceeds d these are the pairs of degree-d vertices with equal closed
+    neighborhoods, read from `closed_neighborhood_duplicates`."""
     if d < 2:
         raise ValueError("contains_Hd requires d >= 2")
+    adj = g.adjacency
+    if max(map(len, adj), default=0) <= d:
+        return next((p for p in closed_neighborhood_duplicates(g) if len(adj[p[0]]) == d), None)
     return min((p for p, c in codegrees(g).items() if c >= d - 1 and g.has_edge(*p)), default=None)
 
 
-def closed_neighborhood_duplicates(g: Graph) -> list[tuple[int, int]]:
-    """All unordered pairs with N(a) u {a} == N(b) u {b}."""
-    closed = [frozenset(g.adjacency[v]) | {v} for v in range(g.n)]
-    groups: dict[frozenset, list[int]] = {}
-    for v, c in enumerate(closed):
-        groups.setdefault(c, []).append(v)
+def _equal_key_pairs(keys: Sequence[Hashable]) -> list[tuple[int, int]]:
+    """All pairs (a, b), a < b, with keys[a] == keys[b], in sorted order; the
+    vertices are grouped only when some key repeats."""
+    count = Counter(keys)
+    if len(count) == len(keys):
+        return []
+    groups: dict[Hashable, list[int]] = {}
+    for v, key in enumerate(keys):
+        if count[key] > 1:
+            groups.setdefault(key, []).append(v)
     return sorted(chain.from_iterable(combinations(m, 2) for m in groups.values()))
 
 
+def closed_neighborhood_duplicates(g: Graph) -> list[tuple[int, int]]:
+    """All pairs (a, b), a < b, with N(a) u {a} == N(b) u {b}, in sorted order."""
+    return _equal_key_pairs([frozenset(nbrs + (v,)) for v, nbrs in enumerate(g.adjacency)])
+
+
 def contains_H3tilde(g: Graph) -> tuple[int, int, int, int] | None:
-    """First (a, b, ci, cj) with >= 3 common neighbors of which ci ~ cj, or None."""
-    for a, b in sorted(p for p, c in codegrees(g).items() if c >= 3):
+    """First (a, b, ci, cj) with >= 3 common neighbors of which ci ~ cj, or
+    None.  When no degree exceeds 3 the candidate pairs are the pairs of
+    degree-3 vertices with the same (sorted) neighbors."""
+    adj = g.adjacency
+    if max(map(len, adj), default=0) <= 3:
+        pairs = [p for p in _equal_key_pairs(adj) if len(adj[p[0]]) == 3]
+    else:
+        pairs = sorted(p for p, c in codegrees(g).items() if c >= 3)
+    for a, b in pairs:
         for x, y in combinations(common_neighbors(g, a, b), 2):
             if g.has_edge(x, y):
                 return (a, b, x, y)

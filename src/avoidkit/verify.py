@@ -46,7 +46,7 @@ from .matching import (
     other_pairs,
     solve_transport,
 )
-from .structure import closed_neighborhood_duplicates, contains_Hd
+from .structure import closed_neighborhood_duplicates, codegrees
 
 
 class CertificationError(ValueError):
@@ -468,14 +468,16 @@ def lemma42_oracle(g: Graph, a: int, b: int) -> OracleResult:
 def lemma31_equivalence(g: Graph) -> tuple[bool, tuple[bool, bool, bool]]:
     """Evaluate the three H_d-freeness predicates independently and report
     whether they agree (they must, on d-regular graphs); raises ValueError
-    unless g is d-regular with d >= 2.  Predicate 3 only visits b within
-    distance 2 of a: beyond it N(a) \\ N(b) \\ {b} = N(a), never empty."""
+    unless g is d-regular with d >= 2.  Predicate 1 reads `codegrees`, not
+    `contains_Hd`, whose regular case is predicate 2's grouping.  Predicate 3
+    only visits b within distance 2 of a: beyond it N(a) \\ N(b) \\ {b} =
+    N(a), never empty."""
     d = g.degree(0) if g.n else 0
     if any(len(nbrs) != d for nbrs in g.adjacency):
         raise ValueError("lemma31 requires a regular graph of degree d")
     if d < 2:
         raise ValueError("lemma31 requires a d-regular graph with d >= 2")
-    p1 = contains_Hd(g, d) is None
+    p1 = not any(c >= d - 1 and g.has_edge(*p) for p, c in codegrees(g).items())
     p2 = not closed_neighborhood_duplicates(g)
     # the filter skips every b with N(b) = N(a), b = a among them
     p3 = all(na - set(g.adjacency[b]) - {b} for na in map(set, g.adjacency)

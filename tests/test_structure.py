@@ -72,8 +72,12 @@ def _supports():
 
 
 def _named_hosts():
+    # the last two hold their obstruction at (0, 1) beside a vertex of degree
+    # above d: H_4 with maximum degree 5, and H~_3 with maximum degree 4
     return [(5, complete(6)), (3, petersen()), (3, heawood()),
-            (3, complete_bipartite(3, 3)), (4, circulant(9, [1, 2]))]
+            (3, complete_bipartite(3, 3)), (4, circulant(9, [1, 2])),
+            (4, graph_from_edges(6, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (0, 5)])),
+            (3, graph_from_edges(6, [(0, 2), (0, 3), (0, 4), (1, 2), (1, 3), (1, 4), (2, 3), (0, 5)]))]
 
 
 def test_codegrees_count_common_neighbors(pet, s3b_host):
@@ -101,19 +105,32 @@ def test_detectors_match_pairwise_reference():
     assert all(count > 50 for count in hits.values()), hits
 
 
-def test_h3tilde_visits_pairs_in_sorted_order():
+def _sorted_order_host(*pendant):
     # (0,1) has 3 independent common neighbours; (2,3) and (11,12) each have
     # an adjacent pair among theirs.  (11,12) meets its first 2-path at
     # centre 4, so it is counted before (0,1) and (2,3); the witness must
     # still come from the lexicographically first qualifying pair.
-    g = graph_from_edges(15, [
+    return graph_from_edges(15 + len(pendant), [
         (0, 5), (0, 6), (0, 7), (1, 5), (1, 6), (1, 7),
         (2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10), (8, 9),
-        (4, 11), (4, 12), (13, 11), (13, 12), (14, 11), (14, 12), (13, 14),
+        (4, 11), (4, 12), (13, 11), (13, 12), (14, 11), (14, 12), (13, 14), *pendant,
     ])
+
+
+def test_h3tilde_visits_pairs_in_sorted_order():
+    g = _sorted_order_host()
     assert [p for p, c in codegrees(g).items() if c >= 3] == [(11, 12), (0, 1), (2, 3)]
     assert contains_H3tilde(g) == ref_contains_H3tilde(g) == (2, 3, 8, 9)
     assert is_square_free(g) == ref_is_square_free(g) == (0, 5, 1, 6)
+    assert contains_Hd(g, 3) == ref_contains_Hd(g, 3) == (8, 9)
+
+
+def test_h3tilde_visits_pairs_in_sorted_order_above_degree_3():
+    # the pendant edge gives vertex 13 degree 4, so the detectors count
+    # 2-paths instead of keying neighbourhoods
+    g = _sorted_order_host((13, 15))
+    assert [p for p, c in codegrees(g).items() if c >= 3] == [(11, 12), (0, 1), (2, 3)]
+    assert contains_H3tilde(g) == ref_contains_H3tilde(g) == (2, 3, 8, 9)
     assert contains_Hd(g, 3) == ref_contains_Hd(g, 3) == (8, 9)
 
 
@@ -223,6 +240,9 @@ def test_classify_witness_consistency(s3b_host, s6_host, hea):
 def test_closed_neighborhood_duplicates():
     assert closed_neighborhood_duplicates(complete(4)) == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
     assert closed_neighborhood_duplicates(petersen()) == []
+    # two triangles on interleaved labels: the pairs of both groups, merged in order
+    two_triangles = graph_from_edges(6, [(0, 2), (2, 4), (0, 4), (1, 3), (3, 5), (1, 5)])
+    assert closed_neighborhood_duplicates(two_triangles) == [(0, 2), (0, 4), (1, 3), (1, 5), (2, 4), (3, 5)]
 
 
 def test_verdicts(pet, hea, circ9, k33, ag23):

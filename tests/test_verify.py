@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from avoidkit import verify
+from avoidkit import structure, verify
 from avoidkit.couplers import Trajectory, simulate
 from avoidkit.generate import complete, complete_bipartite, cycle, random_regular_simple
 from avoidkit.graphs import graph_from_edges
@@ -549,6 +549,15 @@ def test_lemma31_equivalence(pet, circ9):
     agree, preds = lemma31_equivalence(complete(5))
     assert agree and preds == (False, False, False)
     assert lemma31_equivalence(circ9)[1][0]
+
+
+def test_lemma31_predicate1_does_not_read_the_grouping(monkeypatch):
+    """Predicate 1 comes from the co-degree pass, not from the closed-
+    neighbourhood grouping of predicate 2: with the grouping reporting no
+    pair, K5 still contains H_4 by predicates 1 and 3."""
+    for module in (structure, verify):
+        monkeypatch.setattr(module, "closed_neighborhood_duplicates", lambda g: [])
+    assert lemma31_equivalence(complete(5)) == (False, (False, True, False))
 
 
 @pytest.mark.parametrize("oracle,host,ids,message", [

@@ -105,33 +105,23 @@ def test_detectors_match_pairwise_reference():
     assert all(count > 50 for count in hits.values()), hits
 
 
-def _sorted_order_host(*pendant):
+def test_h3tilde_visits_pairs_in_sorted_order():
     # (0,1) has 3 independent common neighbours; (2,3) and (11,12) each have
     # an adjacent pair among theirs.  (11,12) meets its first 2-path at
     # centre 4, so it is counted before (0,1) and (2,3); the witness must
-    # still come from the lexicographically first qualifying pair.
-    return graph_from_edges(15 + len(pendant), [
-        (0, 5), (0, 6), (0, 7), (1, 5), (1, 6), (1, 7),
-        (2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10), (8, 9),
-        (4, 11), (4, 12), (13, 11), (13, 12), (14, 11), (14, 12), (13, 14), *pendant,
-    ])
-
-
-def test_h3tilde_visits_pairs_in_sorted_order():
-    g = _sorted_order_host()
-    assert [p for p, c in codegrees(g).items() if c >= 3] == [(11, 12), (0, 1), (2, 3)]
-    assert contains_H3tilde(g) == ref_contains_H3tilde(g) == (2, 3, 8, 9)
-    assert is_square_free(g) == ref_is_square_free(g) == (0, 5, 1, 6)
-    assert contains_Hd(g, 3) == ref_contains_Hd(g, 3) == (8, 9)
-
-
-def test_h3tilde_visits_pairs_in_sorted_order_above_degree_3():
-    # the pendant edge gives vertex 13 degree 4, so the detectors count
-    # 2-paths instead of keying neighbourhoods
-    g = _sorted_order_host((13, 15))
-    assert [p for p, c in codegrees(g).items() if c >= 3] == [(11, 12), (0, 1), (2, 3)]
-    assert contains_H3tilde(g) == ref_contains_H3tilde(g) == (2, 3, 8, 9)
-    assert contains_Hd(g, 3) == ref_contains_Hd(g, 3) == (8, 9)
+    # still come from the lexicographically first qualifying pair.  The
+    # pendant edge (13,15) gives vertex 13 degree 4, so the second host
+    # takes the co-degree path instead of keying neighbourhoods.
+    for pendant in ([], [(13, 15)]):
+        g = graph_from_edges(15 + len(pendant), [
+            (0, 5), (0, 6), (0, 7), (1, 5), (1, 6), (1, 7),
+            (2, 8), (2, 9), (2, 10), (3, 8), (3, 9), (3, 10), (8, 9),
+            (4, 11), (4, 12), (13, 11), (13, 12), (14, 11), (14, 12), (13, 14), *pendant,
+        ])
+        assert [p for p, c in codegrees(g).items() if c >= 3] == [(11, 12), (0, 1), (2, 3)]
+        assert contains_H3tilde(g) == ref_contains_H3tilde(g) == (2, 3, 8, 9)
+        assert is_square_free(g) == ref_is_square_free(g) == (0, 5, 1, 6)
+        assert contains_Hd(g, 3) == ref_contains_Hd(g, 3) == (8, 9)
 
 
 def test_contains_hd_on_k5():

@@ -10,7 +10,9 @@ allocated memory, with the engines' generator counting its 64-bit draws
 the count, simulate's time per draw, and the time per draw of the same
 draws made alone by `next_u64`, which is the generator's share of simulate.
 The cache line of each two-walker engine gives its cache's hits, misses and
-hit rate over the run and the entries it holds at the end.
+hit rate over the run and the entries it holds at the end; beside it, the
+cubic engine's blocks line gives its block count and its scenario counts,
+so the share of S1 blocks, the ones drawn in stretches, shows.
 
 Example:
     python scripts/run_engines.py --ticks 100000 --seed 1
@@ -119,6 +121,11 @@ def main() -> int:
         if cache is not None:
             print(f"{'':>12}{'cache':<9} {cache.hits:,} hits, {cache.misses:,} misses "
                   f"(hit rate {cache.hit_rate:.4f}), {len(cache._data):,} entries held")
+        counts = getattr(eng, "scenario_counts", None)
+        if counts is not None:
+            tags = ", ".join(f"{tag} {count:,}" for tag, count in sorted(counts.items()))
+            print(f"{'':>12}{'blocks':<9} {eng.blocks:,} ({tags}), "
+                  f"S1 share {counts.get('S1', 0) / max(eng.blocks, 1):.4f}")
     return 1 if failures else 0
 
 

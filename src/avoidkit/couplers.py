@@ -5,12 +5,17 @@ cache (one `BoundedCache`, oldest entry out), the start rule and the one
 run loop.  An engine adds its block law; its hypothesis is stated in
 `structure.engine_obstruction`.  A block that hits the cache costs one
 cache lookup, one call to the law and the law's random draws: each cache
-entry is stored ready to draw from.
+entry is stored ready to draw from.  One block call draws at least one
+block, and an engine that writes block marks appends each block's mark
+itself, so one call may draw a stretch of blocks: the cubic engine draws
+S1 ticks and cache hits in one call until the first state that needs a
+new plan.
 
   cubic      - scenario-classified blocks: one-step matchings, a 9-row
                two-step table, and an excursion through a local K_{2,2},
                each a law that appends ticks, which the exact certifiers
-               in verify.py enumerate as they are
+               in verify.py enumerate as they are; far pairs (S1) step
+               independently, drawn in stretches
   regular    - the excluded-vertex protocol, two transport rounds per block
   squarefree - one-step transport blocks
   cycle      - k synchronized walkers, one shift per tick
@@ -40,7 +45,7 @@ from .matching import (
     solved_cells,
 )
 from .rng import Xoshiro256, check_seed
-from .structure import ScenarioClass, classify_scenario, radius2_set, require_engine_applicable
+from .structure import ScenarioClass, classify_scenario, radius2, radius2_set, require_engine_applicable
 
 
 TEXT_CHUNK_TICKS = 4096  # ticks per piece of `Trajectory.text_chunks`
@@ -96,14 +101,16 @@ class Trajectory:
             marked = bytearray(n)
             for t in marks:
                 marked[t] = 1
-        if len(set(map(len, pos))) > 1:
+        widths = set(map(len, pos))
+        if len(widths) > 1:
             raise ValueError("ticks with different walker counts have no text form")
+        fmt = " %s" * (widths.pop() if widths else 0)  # `%s` of an int is its `f"{v}"`
         yield f"# graph-digest {self.graph_digest}\n# seed {self.seed}\n# engine {self.engine}\n"
         for start in range(0, n, TEXT_CHUNK_TICKS):
             chunk = pos[start:start + TEXT_CHUNK_TICKS]
             bodies = dict.fromkeys(chunk)
             for s in bodies:
-                bodies[s] = "".join([f" {v}" for v in s])
+                bodies[s] = fmt % s
             ticks = zip(range(start, start + len(chunk)), map(bodies.__getitem__, chunk))
             if marked is None:
                 yield "".join([f"{t}{body}\n# block {t}\n" for t, body in ticks])
@@ -240,7 +247,9 @@ def s3b_rows(g: Graph, a: int, b: int) -> list[tuple[tuple[int, int], tuple[int,
 
 
 def independent_steps(rng, neighbours: tuple, ticks: list) -> None:
-    """S1: Alice, then Bob, steps to a uniform neighbour."""
+    """S1: Alice, then Bob, steps to a uniform neighbour.  `CubicEngine`
+    draws the same two indices in its stretches, with one
+    `Xoshiro256.randrange_pair`."""
     na, nb = neighbours
     ticks.append((rng.choice(na), rng.choice(nb)))
 
@@ -354,8 +363,13 @@ class Engine:
 
     A subclass names its engine, says whether its block ends are written as
     `# block` marks (they are exactly when every block ends at distance >= 2),
-    and defines `block(ticks)`: it draws one block from the state
-    `ticks[-1]` and appends the position tuples of the ticks it adds.
+    and defines `block`, which draws from the state `ticks[-1]` and appends
+    the position tuples of the ticks it adds.  An engine without marks
+    defines `block(ticks)`, which draws one block.  An engine with marks
+    defines `block(ticks, marks, end)`, which draws one or more blocks and
+    appends each block's end, its last tick's index, to `marks`; it stops
+    once the run has `end` ticks, so a run's trajectory has exactly the
+    ticks of the blocks the per-block loop would draw.
     `state` is the current tick's positions; two-walker engines start at
     (a0, b0) through `start_b0`.
 
@@ -392,11 +406,8 @@ class Engine:
         block = self.block
         if self.marks_blocks:
             marks = [0]
-            t = 0
-            while t < ticks:
-                block(positions)
-                t = len(positions) - 1
-                marks.append(t)
+            while marks[-1] < ticks:
+                block(positions, marks, ticks)
             self.blocks += len(marks) - 1
         else:
             marks = []
@@ -413,7 +424,8 @@ class CubicEngine(Engine):
     """Cubic blocks from one bounded cache of `cubic_plan`s per non-S1 pair
     (a, b); an S1 pair is not cached, and costs one test of N(a) against
     b's cached `radius2_set` (or against `radius2(g, b)` on a host too
-    large to keep the sets)."""
+    large to keep the sets).  One `block` call draws a stretch: every S1
+    block and cache hit up to the next pair that needs a plan."""
 
     name = "cubic"
     marks_blocks = True
@@ -422,19 +434,61 @@ class CubicEngine(Engine):
         super().__init__(*args, **kwargs)
         self.scenario_counts: dict[str, int] = {}
 
-    def block(self, ticks: list) -> None:
-        key = ticks[-1]
-        cache = self.cache
-        plan = cache.get(key)
-        if plan is None:
-            g, (a, b) = self.g, key
-            plan = cubic_plan(g, a, b, cache.table(g, b, radius2_set))
-            if plan[0].tag != "S1":
-                cache.put(key, plan)
+    def block(self, ticks: list, marks: list, end: int) -> None:
+        """A stretch: while the state is cached, its plan's law draws the
+        block, and while it is an uncached S1 pair, Alice, then Bob, steps
+        as `independent_steps` does, each pass one lookup, one block and
+        its mark, until the run has `end` ticks.  The first uncached state
+        that is not S1 gets its plan from `cubic_plan`, is cached and draws
+        the stretch's last block.  Hits, misses and scenario counts are
+        those of one lookup per block, and tags enter `scenario_counts` in
+        the order in which they first occur."""
+        g, cache, rng, counts = self.g, self.cache, self.rng, self.scenario_counts
+        adj = g.adjacency
+        lookup = cache._data.get  # `BoundedCache.get` without its counts, which are kept below
+        table = cache.table
+        pair = rng.randrange_pair
+        # far: S1 blocks not yet in `counts`.  They can wait for the end of
+        # the stretch, since a hit's tag was counted when its plan was made.
+        hits = misses = far = 0
+        while True:
+            key = ticks[-1]
+            plan = lookup(key)
+            if plan is None:
+                misses += 1
+                a, b = key
+                near_b = lookup(b)  # b's table, found without a call to `BoundedCache.table`
+                if near_b is None:
+                    near_b = table(g, b, radius2_set)
+                na = adj[a]
+                # classify_scenario's S1 test
+                if not (set(na).isdisjoint(radius2(g, b)) if near_b is None else near_b.isdisjoint(na)):
+                    break
+                far += 1
+                nb = adj[b]
+                i, j = pair(len(na), len(nb))
+                ticks.append((na[i], nb[j]))
+            else:
+                hits += 1
+                scenario, law, arg = plan
+                counts[scenario.tag] = counts.get(scenario.tag, 0) + 1
+                law(rng, arg, ticks)
+            t = len(ticks) - 1
+            marks.append(t)
+            if t >= end:
+                break
+        cache.hits += hits
+        cache.misses += misses
+        if far:
+            counts["S1"] = counts.get("S1", 0) + far
+        if len(ticks) > end:
+            return
+        plan = cubic_plan(g, a, b, near_b)
+        cache.put(key, plan)
         scenario, law, arg = plan
-        counts = self.scenario_counts
         counts[scenario.tag] = counts.get(scenario.tag, 0) + 1
-        law(self.rng, arg, ticks)
+        law(rng, arg, ticks)
+        marks.append(len(ticks) - 1)
 
 
 class SquarefreeEngine(Engine):
@@ -443,13 +497,14 @@ class SquarefreeEngine(Engine):
     name = "squarefree"
     marks_blocks = True
 
-    def block(self, ticks: list) -> None:
+    def block(self, ticks: list, marks: list, end: int) -> None:
         key = ticks[-1]
         sampler = self.cache.get(key)
         if sampler is None:
             sampler = squarefree_sampler(build_squarefree_transport(self.g, *key))
             self.cache.put(key, sampler)
         ticks.append(squarefree_step(sampler, self.rng))
+        marks.append(len(ticks) - 1)
 
 
 class RegularEngine(Engine):

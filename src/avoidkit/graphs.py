@@ -30,22 +30,29 @@ class Graph:
     duplicate_edges_dropped: int = 0
 
     def __post_init__(self):
-        """Reject the first fault in vertex order: parallel edges at v, then,
-        neighbour by neighbour, a loop, an id outside 0..n-1 or an edge that
-        the neighbour does not list back.  A neighbour costs one test."""
+        """Reject the first fault in vertex order, then neighbour order: a
+        loop, an id outside 0..n-1, a neighbour listed twice, a row that is
+        not increasing, or an edge that the neighbour does not list back.  A
+        neighbour costs one test: it must exceed the one before it, which
+        also rules out repeats and negative ids."""
         adj, n = self.adjacency, self.n
         if len(adj) != n:
             raise ValueError("adjacency length must equal n")
         for v, nbrs in enumerate(adj):
-            if len(set(nbrs)) != len(nbrs):
-                raise ValueError(f"parallel edges at vertex {v}")
+            prev = -1
             for u in nbrs:
-                if u == v or not 0 <= u < n or v not in adj[u]:
+                if u <= prev or u == v or u >= n or v not in adj[u]:
                     if u == v:
                         raise ValueError(f"loop at vertex {v}")
                     if not 0 <= u < n:
                         raise ValueError(f"vertex {u} out of range")
+                    if u <= prev:
+                        # the row before u is increasing and ends at prev's first place
+                        if u in nbrs[:nbrs.index(prev) + 1]:
+                            raise ValueError(f"parallel edges at vertex {v}")
+                        raise ValueError(f"adjacency of vertex {v} is not increasing")
                     raise ValueError(f"asymmetric edge ({v},{u})")
+                prev = u
 
     def degree(self, v: int) -> int:
         return len(self.adjacency[v])

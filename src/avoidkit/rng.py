@@ -11,6 +11,7 @@ so there is no modulo bias.  For 0 < n <= 2^32 that limit is above FAST_ACCEPT =
 2^32, so `randrange` accepts any draw below that constant at once and
 computes the exact limit only for the one draw in 2^32 at or above it; the
 values and the draws consumed are exactly those of the exact rule.
+`randrange_pair` makes two such draws in one call.
 
 `Xoshiro256` is a generator that only hands out draws, from a buffer.  Its
 first WARM draws are stepped one at a time, BATCH per refill, so a
@@ -271,12 +272,31 @@ class Xoshiro256:
         ValueError after one draw."""
         if n <= 0:
             raise ValueError(f"randrange requires n >= 1, got {n}")
+        x = self.next_u64()
+        if x < FAST_ACCEPT and n <= FAST_N:
+            return x % n
+        return self._exact(x, n)
+
+    def randrange_pair(self, m: int, n: int) -> tuple[int, int]:
+        """(randrange(m), randrange(n)), the first drawn first: the same
+        values from the same draws, with one call.  A range below 1 or
+        above 2^64 raises ValueError once its first draw is made."""
+        x = self.next_u64()
+        i = x % m if x < FAST_ACCEPT and 0 < m <= FAST_N else self._exact(x, m)
+        y = self.next_u64()
+        return i, (y % n if y < FAST_ACCEPT and 0 < n <= FAST_N else self._exact(y, n))
+
+    def _exact(self, x: int, n: int) -> int:
+        """`randrange(n)` from its first draw x on: x % n for the first
+        draw below the exact limit 2^64 - 2^64 % n."""
+        if n <= 0:
+            raise ValueError(f"randrange requires n >= 1, got {n}")
         while True:
-            x = self.next_u64()
-            if (x < FAST_ACCEPT and n <= FAST_N) or x < (MASK64 + 1) - (MASK64 + 1) % n:
+            if x < (MASK64 + 1) - (MASK64 + 1) % n:
                 return x % n
             if n > MASK64 + 1:  # the exact limit is 0: no draw would ever be accepted
                 raise ValueError(f"randrange requires n <= 2^64, got {n}")
+            x = self.next_u64()
 
     def choice(self, seq):
         return seq[self.randrange(len(seq))]

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import bisect
 import gc
 import hashlib
 import tracemalloc
@@ -58,21 +59,29 @@ def test_graph_rejects_loops_and_parallels():
 def test_graph_validates_adjacency():
     with pytest.raises(ValueError):
         Graph(2, ((1,), ()))  # asymmetric
+    # a triangle with its rows listed backwards: the same edges as the
+    # sorted one, but a digest and detector inputs of its own
+    with pytest.raises(ValueError, match="adjacency of vertex 0 is not increasing"):
+        Graph(3, ((2, 1), (2, 0), (1, 0)))
+    assert Graph(3, ((1, 2), (0, 2), (0, 1))).digest() == "7c0343f77a3c54a7"
 
 
 def per_neighbour_fault(n, adjacency):
-    """The reference for Graph's checks: the first fault's message, found
-    neighbour by neighbour with three separate tests, or None."""
+    """The reference for Graph's checks: the first fault's message in
+    vertex order, then neighbour order, found with five separate tests, or
+    None."""
     if len(adjacency) != n:
         return "adjacency length must equal n"
     for v, nbrs in enumerate(adjacency):
-        if len(set(nbrs)) != len(nbrs):
-            return f"parallel edges at vertex {v}"
-        for u in nbrs:
+        for i, u in enumerate(nbrs):
             if u == v:
                 return f"loop at vertex {v}"
             if not 0 <= u < n:
                 return f"vertex {u} out of range"
+            if u in nbrs[:i]:
+                return f"parallel edges at vertex {v}"
+            if i and u < nbrs[i - 1]:
+                return f"adjacency of vertex {v} is not increasing"
             if v not in adjacency[u]:
                 return f"asymmetric edge ({v},{u})"
     return None
@@ -80,10 +89,11 @@ def per_neighbour_fault(n, adjacency):
 
 @st.composite
 def faulty_adjacencies(draw):
-    """A simple graph's adjacency with up to four planted faults: loops,
-    repeated neighbours, ids outside 0..n-1 and arcs one end does not list
-    back (added or removed), each row shuffled; sometimes a row added or
-    dropped too."""
+    """A simple graph's sorted adjacency with up to four planted faults:
+    loops, repeated neighbours, ids outside 0..n-1, arcs one end does not
+    list back (added or removed) and shuffled rows.  A planted neighbour
+    goes into its row's sorted place or at a drawn position, which may
+    also leave the row unsorted.  Sometimes a row is added or dropped too."""
     n = draw(st.integers(min_value=1, max_value=8))
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
@@ -91,20 +101,29 @@ def faulty_adjacencies(draw):
     for u, v in edges:
         rows[u].append(v)
         rows[v].append(u)
+    rows = [sorted(row) for row in rows]
     for _ in range(draw(st.integers(min_value=0, max_value=4))):
-        kind = draw(st.sampled_from(["loop", "repeat", "range", "one-way", "drop-arc"]))
+        kind = draw(st.sampled_from(["loop", "repeat", "range", "one-way", "drop-arc", "shuffle"]))
         v = draw(st.integers(min_value=0, max_value=n - 1))
+        row = rows[v]
+        planted = None
         if kind == "loop":
-            rows[v].append(v)
-        elif kind == "repeat" and rows[v]:
-            rows[v].append(draw(st.sampled_from(rows[v])))
+            planted = v
+        elif kind == "repeat" and row:
+            planted = draw(st.sampled_from(row))
         elif kind == "range":
-            rows[v].append(draw(st.sampled_from([-1, -n, n, n + 3])))
+            planted = draw(st.sampled_from([-1, -n, n, n + 3]))
         elif kind == "one-way":
-            rows[v].append(draw(st.integers(min_value=0, max_value=n - 1)))
-        elif kind == "drop-arc" and rows[v]:
-            rows[v].remove(draw(st.sampled_from(rows[v])))
-    rows = [draw(st.permutations(row)) for row in rows]
+            planted = draw(st.integers(min_value=0, max_value=n - 1))
+        elif kind == "drop-arc" and row:
+            row.remove(draw(st.sampled_from(row)))
+        elif kind == "shuffle":
+            rows[v] = list(draw(st.permutations(row)))
+        if planted is not None:
+            if draw(st.booleans()):
+                bisect.insort(row, planted)
+            else:
+                row.insert(draw(st.integers(min_value=0, max_value=len(row))), planted)
     resize = draw(st.sampled_from([0] * 8 + [-1, 1]))
     rows = rows[:resize] if resize < 0 else rows + [[]] * resize
     return n, tuple(map(tuple, rows))

@@ -153,6 +153,45 @@ def test_randrange_at_the_fast_bound(n):
     assert (rejected > 0) == (n != 1 << 32)  # 2^32 divides 2^64: nothing is rejected
 
 
+class ScriptedXoshiro(Xoshiro256):
+    """A generator whose draws are a given list, first first: a subclass
+    that overrides `next_u64`, as perfbench's counting generator does."""
+
+    def __init__(self, draws):
+        super().__init__(0)
+        self.script = list(reversed(draws))
+
+    def next_u64(self) -> int:
+        return self.script.pop()
+
+
+PAIR_RANGES = [1, 2, 3, 48, (1 << 32) - 1, 1 << 32, (1 << 32) + 1, (1 << 63) + 1, 1 << 64]
+
+
+def special_draws(n: int) -> list[int]:
+    """Draws around the fast bound and the exact limit of range n."""
+    limit = (MASK64 + 1) - (MASK64 + 1) % n
+    return [0, 7, FAST_ACCEPT - 1, FAST_ACCEPT, FAST_ACCEPT + 5, limit - 1, min(limit, MASK64), MASK64]
+
+
+@given(st.sampled_from(PAIR_RANGES), st.sampled_from(PAIR_RANGES), st.data())
+def test_randrange_pair_is_two_randranges(m, n, data):
+    """Draw for draw, rejected draws included: the same pair of values, and
+    the same draws left, as randrange(m) then randrange(n), both through the
+    overridden `next_u64`."""
+    pool = st.sampled_from(special_draws(m) + special_draws(n)) | st.integers(min_value=0, max_value=MASK64)
+    draws = data.draw(st.lists(pool, min_size=2, max_size=8)) + [0, 1]  # room for every rejection
+    rng, ref = ScriptedXoshiro(draws), ScriptedXoshiro(draws)
+    assert rng.randrange_pair(m, n) == (ref.randrange(m), ref.randrange(n))
+    assert rng.script == ref.script
+
+
+def test_randrange_pair_rejects_what_randrange_rejects():
+    for m, n in ((0, 3), (3, 0), (-1, 3), (3, 2**64 + 1), (2**64 + 1, 3)):
+        with pytest.raises(ValueError, match="randrange requires"):
+            Xoshiro256(6).randrange_pair(m, n)
+
+
 @pytest.mark.parametrize("n", [0, -1])
 def test_randrange_rejects_nonpositive_before_drawing(n):
     rng, ref = Xoshiro256(4), Xoshiro256(4)

@@ -431,7 +431,7 @@ def test_run_engines_script():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     summaries = [line for line in lines if "violations=" in line]
-    assert len(summaries) == 4 and len(lines) == 4 * 6 + 3, done.stdout
+    assert len(summaries) == 4 and len(lines) == 4 * 6 + 3 + 1, done.stdout
     assert all("violations=0 chi2=pass round trip=ok" in line for line in summaries), done.stdout
     for step in ("simulate", "to_text", "parse", "verify"):
         assert sum(line.split()[0] == step and "tracemalloc peak" in line for line in lines) == 4
@@ -444,6 +444,9 @@ def test_run_engines_script():
     caches = [line.split()[1:5] for line in lines if line.split()[0] == "cache"]
     assert caches == [["2,944", "hits,", "56", "misses"], ["2,920", "hits,", "80", "misses"],
                       ["1,822", "hits,", "178", "misses"]], done.stdout
+    # the cubic engine's blocks line: every Petersen block is S4, none is S1
+    blocks = [line.split()[1:] for line in lines if line.split()[0] == "blocks"]
+    assert blocks == [["3,000", "(S4", "3,000),", "S1", "share", "0.0000"]], done.stdout
 
 
 def test_lemma34_oracle(circ9):

@@ -10,9 +10,10 @@ allocated memory, with the engines' generator counting its 64-bit draws
 the count, simulate's time per draw, and the time per draw of the same
 draws made alone by `next_u64`, which is the generator's share of simulate.
 The cache line of each two-walker engine gives its cache's hits, misses and
-hit rate over the run and the entries it holds at the end; beside it, the
-cubic engine's blocks line gives its block count and its scenario counts,
-so the share of S1 blocks, the ones drawn in stretches, shows.
+hit rate over the run and the entries it holds at the end.  The blocks line
+of every engine gives the blocks its stretch drew; the cubic engine's adds
+its scenario counts, so the share of far S1 blocks shows, and the regular
+engine's adds its round checks, two per block.
 
 Example:
     python scripts/run_engines.py --ticks 100000 --seed 1
@@ -120,12 +121,16 @@ def main() -> int:
         cache = getattr(eng, "cache", None)
         if cache is not None:
             print(f"{'':>12}{'cache':<9} {cache.hits:,} hits, {cache.misses:,} misses "
-                  f"(hit rate {cache.hit_rate:.4f}), {len(cache._data):,} entries held")
+                  f"(hit rate {cache.hit_rate:.4f}), {cache.held:,} entries held")
+        line = f"{'':>12}{'blocks':<9} {eng.blocks:,}"
         counts = getattr(eng, "scenario_counts", None)
-        if counts is not None:
+        if counts:
             tags = ", ".join(f"{tag} {count:,}" for tag, count in sorted(counts.items()))
-            print(f"{'':>12}{'blocks':<9} {eng.blocks:,} ({tags}), "
-                  f"S1 share {counts.get('S1', 0) / max(eng.blocks, 1):.4f}")
+            line += f" ({tags}), S1 share {counts.get('S1', 0) / max(eng.blocks, 1):.4f}"
+        checks = getattr(eng, "round_checks", None)
+        if checks is not None:
+            line += f", {checks:,} round checks"
+        print(line)
     return 1 if failures else 0
 
 

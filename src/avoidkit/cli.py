@@ -6,7 +6,8 @@ exit code and one `error:` line; it returns for every argv, 0 after
 `--help`.  Exit codes: 0 success; 1 domain failure, either a raised
 HypothesisError (no engine applies, a failed engine hypothesis),
 TransportInfeasible or RejectionBudgetExceeded, or a result the command
-computes (violations, a chi-square FAIL, `holds: False`, verdict `none`);
+computes (violations, a chi-square FAIL or a chi-square run with no
+tested cell, `verdict=untested`, `holds: False`, verdict `none`);
 2 input failure, any other ValueError or any OSError (a malformed or
 unreadable input, an unwritable output path, a usage error).
 """
@@ -172,8 +173,9 @@ def cmd_verify(args) -> int:
     if len(violations) > 20:
         print(f"... and {len(violations) - 20} more")
     print(f"avoidance: {'clean' if not violations else f'{len(violations)} violation(s)'}")
+    verdict = "pass" if report.passed else "FAIL" if report.tested_count else "untested"
     print(f"faithfulness: tested={report.tested_count} untested={report.untested_count} "
-          f"verdict={'pass' if report.passed else 'FAIL'} (alpha={args.alpha})")
+          f"verdict={verdict} (alpha={args.alpha})")
     return EXIT_OK if not violations and report.passed else EXIT_DOMAIN
 
 

@@ -1,24 +1,21 @@
-"""The four coupling engines: four block laws behind one engine contract.
+"""The four coupling engines: four block laws behind one stretch loop.
 
-`Engine` holds what every engine shares: the generator, the transport
-cache (one `BoundedCache`, oldest entry out), the start rule and the one
-run loop.  An engine adds its block law; its hypothesis is stated in
-`structure.engine_obstruction`.  A block that hits the cache costs one
-cache lookup, one call to the law and the law's random draws: each cache
-entry is stored ready to draw from.  One block call draws at least one
-block, and an engine that writes block marks appends each block's mark
-itself, so one call may draw a stretch of blocks: the cubic engine draws
-S1 ticks and cache hits in one call until the first state that needs a
-new plan.
+`Engine` holds what every engine shares: the generator, the cache (one
+`BoundedCache`, oldest entry out), the start rule and the one loop,
+`Engine.stretch`: a hit draws after one dict lookup, and a miss takes the
+far path or stores the engine's `plan` of the state, ready to draw.  An
+engine states its key, its plans and their laws; its hypothesis is stated
+in `structure.engine_obstruction`.
 
   cubic      - scenario-classified blocks: one-step matchings, a 9-row
                two-step table, and an excursion through a local K_{2,2},
                each a law that appends ticks, which the exact certifiers
                in verify.py enumerate as they are; far pairs (S1) step
-               independently, drawn in stretches
+               independently and are not cached
   regular    - the excluded-vertex protocol, two transport rounds per block
   squarefree - one-step transport blocks
-  cycle      - k synchronized walkers, one shift per tick
+  cycle      - k synchronized walkers, one shift per tick, in a stretch of
+               its own
 
 Every engine is deterministic given its seed.
 """
@@ -45,7 +42,7 @@ from .matching import (
     solved_cells,
 )
 from .rng import Xoshiro256, check_seed
-from .structure import ScenarioClass, classify_scenario, radius2, radius2_set, require_engine_applicable
+from .structure import ScenarioClass, classify_scenario, radius2_set, require_engine_applicable
 
 
 TEXT_CHUNK_TICKS = 4096  # ticks per piece of `Trajectory.text_chunks`
@@ -246,22 +243,24 @@ def s3b_rows(g: Graph, a: int, b: int) -> list[tuple[tuple[int, int], tuple[int,
     ]
 
 
-def independent_steps(rng, neighbours: tuple, ticks: list) -> None:
-    """S1: Alice, then Bob, steps to a uniform neighbour.  `CubicEngine`
-    draws the same two indices in its stretches, with one
+def independent_steps(rng, neighbours: tuple, ticks: list) -> tuple[int, int]:
+    """S1: Alice, then Bob, steps to a uniform neighbour.  The engines'
+    stretch draws the same two indices for a far state, with one
     `Xoshiro256.randrange_pair`."""
     na, nb = neighbours
     ticks.append((rng.choice(na), rng.choice(nb)))
+    return ticks[-1]
 
 
-def uniform_row(rng, rows: tuple, ticks: list) -> None:
+def uniform_row(rng, rows: tuple, ticks: list) -> tuple[int, int]:
     """S2-S5 and S3b: one of the equally likely rows, each a tuple of ticks:
     the one-tick steps (a', sigma(a')) of the perfect matching sigma, or the
     nine two-tick rows of the S3b table."""
-    ticks.extend(rng.choice(rows))
+    ticks.extend(rows[rng.randrange(len(rows))])  # `rng.choice(rows)`, one call fewer
+    return ticks[-1]
 
 
-def k22_excursion(rng, arg: tuple, ticks: list) -> None:
+def k22_excursion(rng, arg: tuple, ticks: list) -> tuple[int, int]:
     """S6: one of three strategies around the K_{2,2} witness (a1, a2, b1,
     b2) of arg = (g, a, b, witness), appending each tick (A, B) as soon as
     Bob's step is known."""
@@ -289,17 +288,18 @@ def k22_excursion(rng, arg: tuple, ticks: list) -> None:
         x, y = (b1, b2) if even else (a1, a2)
         ticks.append((u, x if rng.coin() else y))
         ticks.append((v, b if even else a))
+    return ticks[-1]
 
 
 def cubic_plan(g: Graph, a: int, b: int,
                near_b: frozenset[int] | None = None) -> tuple[ScenarioClass, Callable, tuple]:
     """The block law from positions (a, b) at distance >= 2, resolved once
     and ready to draw: (scenario, law, arg), where `law(rng, arg, ticks)`
-    appends the block's (A, B) ticks to `ticks`.  `rng` is any chooser with
-    `choice`, `randrange` and `coin`: the engine passes its Xoshiro256, and
-    the exact certifiers in verify.py pass a chooser that enumerates every
-    option.  `near_b` is b's `radius2_set` when the caller keeps it, and is
-    passed on to `classify_scenario`."""
+    appends the block's (A, B) ticks to `ticks` and returns the last.
+    `rng` is any chooser with `choice`, `randrange` and `coin`: the engine
+    passes its Xoshiro256, and the exact certifiers in verify.py pass a
+    chooser that enumerates every option.  `near_b` is b's `radius2_set`
+    when the caller keeps it, and is passed on to `classify_scenario`."""
     scenario = classify_scenario(g, a, b, near_b)
     tag = scenario.tag
     if tag == "S1":
@@ -341,12 +341,13 @@ def squarefree_sampler(tm: TransportMatrix) -> tuple[int, int, array, tuple]:
     return len(rows), l, tm.cum, tuple(steps)
 
 
-def squarefree_step(sampler: tuple[int, int, array, tuple], rng) -> tuple[int, int]:
+def squarefree_step(rng, sampler: tuple[int, int, array, tuple], ticks: list) -> tuple[int, int]:
     """The step law, for any chooser `rng` with `randrange`: row i uniform,
     then the cell whose cumulative count first exceeds i*l + r, r uniform
-    below the row sum l.  Returns that cell's step (a', b')."""
+    below the row sum l.  Appends that cell's step (a', b') and returns it."""
     k, l, cum, steps = sampler
-    return steps[bisect_right(cum, rng.randrange(k) * l + rng.randrange(l))]
+    ticks.append(steps[bisect_right(cum, rng.randrange(k) * l + rng.randrange(l))])
+    return ticks[-1]
 
 
 def default_b0(g: Graph, a0: int) -> int:
@@ -359,29 +360,21 @@ def default_b0(g: Graph, a0: int) -> int:
 
 
 class Engine:
-    """A block law behind the one run loop.
-
-    A subclass names its engine, says whether its block ends are written as
-    `# block` marks (they are exactly when every block ends at distance >= 2),
-    and defines `block`, which draws from the state `ticks[-1]` and appends
-    the position tuples of the ticks it adds.  An engine without marks
-    defines `block(ticks)`, which draws one block.  An engine with marks
-    defines `block(ticks, marks, end)`, which draws one or more blocks and
-    appends each block's end, its last tick's index, to `marks`; it stops
-    once the run has `end` ticks, so a run's trajectory has exactly the
-    ticks of the blocks the per-block loop would draw.
-    `state` is the current tick's positions; two-walker engines start at
-    (a0, b0) through `start_b0`.
-
-    The one `BoundedCache` holds ready-to-draw entries under their state
-    tuples and, for cubic and regular on a host with no more vertices than
-    the cache has entries, each vertex's table under its vertex id, made
-    when a cache miss first needs it as b (`BoundedCache.table`).  Entries
-    leave oldest-inserted first; the cache decides only what is rebuilt,
-    never what is drawn."""
+    """The one stretch loop.  A two-walker engine states `key`, the state
+    of its next lookup ((a, b), or a regular round's (mover, other,
+    excluded)), which `start` gives first; `plan(key)`, the cache entry
+    (tag, law, arg), built through module-level names looked up at call
+    time, whose `law(rng, arg, ticks)` appends the ticks its draw completes
+    and returns the next key; and optionally `far_table`: a state (a, b)
+    whose b's table misses N(a) is far (cubic S1).  A marking engine
+    (`marks_blocks`: every block ends at distance >= 2) appends a tick on
+    every draw.  The cache decides only what is rebuilt, never what is
+    drawn."""
 
     name: str
     marks_blocks = False
+    far_table = None
+    rounds = 1  # lookups per block
     blocks = 0  # blocks drawn by `run`
 
     def __init__(self, g: Graph, seed: int, a0: int = 0, b0: int | None = None):
@@ -389,106 +382,97 @@ class Engine:
         self.seed = seed
         self.rng = Xoshiro256(seed)
         self.cache = BoundedCache()
-        self.state = (a0, self.start_b0(a0, b0))
+        self.scenario_counts: dict[str, int] = {}
+        self.key = self.start(a0, b0)
+        self.state = self.key[:2]
 
-    def start_b0(self, a0: int, b0: int | None) -> int:
-        """The start rule: b0 (default `default_b0`) at distance >= 2 from a0."""
+    def start(self, a0: int, b0: int | None) -> tuple:
+        """The start rule: the first key (a0, b0), b0 (default `default_b0`) at distance >= 2 from a0."""
         if b0 is None:
-            return default_b0(self.g, a0)
+            return a0, default_b0(self.g, a0)
         if b0 == a0 or self.g.has_edge(a0, b0):
             raise ValueError(f"{self.name} engine requires distance(a0, b0) >= 2")
-        return b0
+        return a0, b0
 
     def run(self, ticks: int) -> Trajectory:
-        """Whole blocks from `state` until at least `ticks` ticks are drawn;
-        `state` is then the last tick, and `blocks` counts the blocks."""
+        """Whole blocks from `state`, in one `stretch`, until at least `ticks` ticks are drawn."""
         positions = [self.state]
-        block = self.block
-        if self.marks_blocks:
-            marks = [0]
-            while marks[-1] < ticks:
-                block(positions, marks, ticks)
-            self.blocks += len(marks) - 1
-        else:
-            marks = []
-            drawn = 0
-            while len(positions) <= ticks:
-                block(positions)
-                drawn += 1
-            self.blocks += drawn
+        marks = [0] if self.marks_blocks else []
+        self.stretch(positions, marks, ticks)
         self.state = positions[-1]
         return Trajectory(self.name, self.seed, self.g.digest(), positions, marks)
 
-
-class CubicEngine(Engine):
-    """Cubic blocks from one bounded cache of `cubic_plan`s per non-S1 pair
-    (a, b); an S1 pair is not cached, and costs one test of N(a) against
-    b's cached `radius2_set` (or against `radius2(g, b)` on a host too
-    large to keep the sets).  One `block` call draws a stretch: every S1
-    block and cache hit up to the next pair that needs a plan."""
-
-    name = "cubic"
-    marks_blocks = True
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.scenario_counts: dict[str, int] = {}
-
-    def block(self, ticks: list, marks: list, end: int) -> None:
-        """A stretch: while the state is cached, its plan's law draws the
-        block, and while it is an uncached S1 pair, Alice, then Bob, steps
-        as `independent_steps` does, each pass one lookup, one block and
-        its mark, until the run has `end` ticks.  The first uncached state
-        that is not S1 gets its plan from `cubic_plan`, is cached and draws
-        the stretch's last block.  Hits, misses and scenario counts are
-        those of one lookup per block, and tags enter `scenario_counts` in
-        the order in which they first occur."""
-        g, cache, rng, counts = self.g, self.cache, self.rng, self.scenario_counts
-        adj = g.adjacency
-        lookup = cache._data.get  # `BoundedCache.get` without its counts, which are kept below
-        table = cache.table
-        pair = rng.randrange_pair
-        # far: S1 blocks not yet in `counts`.  They can wait for the end of
-        # the stretch, since a hit's tag was counted when its plan was made.
+    def stretch(self, ticks: list, marks: list, end: int) -> None:
+        """Whole blocks from `key` until `ticks` holds more than `end`, one
+        lookup a pass: a hit draws with its entry's law; a far miss is not
+        cached, and Alice, then Bob, steps as `independent_steps` does, in
+        one `Xoshiro256.randrange_pair` call; any other miss stores and
+        draws `plan(key)`.  Hits, misses and far (S1) passes are counted in
+        locals and added to the engine before each build and at the end, so
+        tags enter `scenario_counts` in the order they first occur."""
+        g, rng, cache, counts = self.g, self.rng, self.cache, self.scenario_counts
+        find, table, put, plan = cache.find, cache.table, cache.put, self.plan
+        near, adj, pair = self.far_table, g.adjacency, rng.randrange_pair
+        marking = self.marks_blocks
+        key = self.key
+        t = len(ticks) - 1
+        lookups = cache.hits + cache.misses
         hits = misses = far = 0
-        while True:
-            key = ticks[-1]
-            plan = lookup(key)
-            if plan is None:
+        while t < end:
+            entry = find(key)
+            if entry is None:
                 misses += 1
-                a, b = key
-                near_b = lookup(b)  # b's table, found without a call to `BoundedCache.table`
-                if near_b is None:
-                    near_b = table(g, b, radius2_set)
-                na = adj[a]
-                # classify_scenario's S1 test
-                if not (set(na).isdisjoint(radius2(g, b)) if near_b is None else near_b.isdisjoint(na)):
-                    break
-                far += 1
-                nb = adj[b]
-                i, j = pair(len(na), len(nb))
-                ticks.append((na[i], nb[j]))
+                if near is not None:
+                    a, b = key
+                    na = adj[a]
+                    # b's table as held, made now, or made for this test alone
+                    if (find(b) or table(g, b, near) or near(g, b)).isdisjoint(na):
+                        far += 1
+                        nb = adj[b]
+                        i, j = pair(len(na), len(nb))
+                        key = na[i], nb[j]
+                        ticks.append(key)
+                        t += 1
+                        if marking:
+                            marks.append(t)
+                        continue
+                # the counts reach the engine before the build, which may raise
+                cache.hits += hits
+                cache.misses += misses
+                hits = misses = 0
+                if far:
+                    counts["S1"] = counts.get("S1", 0) + far
+                    far = 0
+                entry = plan(key)
+                put(key, entry)
             else:
                 hits += 1
-                scenario, law, arg = plan
-                counts[scenario.tag] = counts.get(scenario.tag, 0) + 1
-                law(rng, arg, ticks)
+            tag, law, arg = entry
+            if tag is not None:
+                counts[tag] = counts.get(tag, 0) + 1
+            key = law(rng, arg, ticks)
             t = len(ticks) - 1
-            marks.append(t)
-            if t >= end:
-                break
+            if marking:
+                marks.append(t)
         cache.hits += hits
         cache.misses += misses
         if far:
             counts["S1"] = counts.get("S1", 0) + far
-        if len(ticks) > end:
-            return
-        plan = cubic_plan(g, a, b, near_b)
-        cache.put(key, plan)
-        scenario, law, arg = plan
-        counts[scenario.tag] = counts.get(scenario.tag, 0) + 1
-        law(rng, arg, ticks)
-        marks.append(len(ticks) - 1)
+        self.key = key
+        self.blocks += (cache.hits + cache.misses - lookups) // self.rounds
+
+
+class CubicEngine(Engine):
+    """Cubic blocks from `cubic_plan`, one entry per non-S1 pair (a, b);
+    an S1 pair is far, tested against b's `radius2_set`."""
+
+    name = "cubic"
+    marks_blocks = True
+    far_table = staticmethod(radius2_set)
+
+    def plan(self, key: tuple[int, int]) -> tuple:
+        scenario, law, arg = cubic_plan(self.g, *key, self.cache.table(self.g, key[1], radius2_set))
+        return scenario.tag, law, arg
 
 
 class SquarefreeEngine(Engine):
@@ -497,53 +481,62 @@ class SquarefreeEngine(Engine):
     name = "squarefree"
     marks_blocks = True
 
-    def block(self, ticks: list, marks: list, end: int) -> None:
-        key = ticks[-1]
-        sampler = self.cache.get(key)
-        if sampler is None:
-            sampler = squarefree_sampler(build_squarefree_transport(self.g, *key))
-            self.cache.put(key, sampler)
-        ticks.append(squarefree_step(sampler, self.rng))
-        marks.append(len(ticks) - 1)
+    def plan(self, key: tuple[int, int]) -> tuple:
+        return None, squarefree_step, squarefree_sampler(build_squarefree_transport(self.g, *key))
+
+
+def regular_law(held: list) -> Callable:
+    """A regular engine's round law: one `regular_round` draw (m', m'', o',
+    e'), returning the next round's key (o', m'', e') once it passes the
+    round invariant; `start` checks the first.  A block is two rounds,
+    Alice moving first; the first round's draw waits in `held` until the
+    second appends the block's three ticks."""
+
+    def law(rng, tm: TransportMatrix, ticks: list) -> tuple[int, int, int]:
+        m1, m2, o1, e = regular_round(tm, rng)
+        if m2 == o1:
+            raise AssertionError("round invariant violated: other == mover")
+        if m2 != e and m2 in tm.adj[o1]:
+            raise AssertionError("round invariant violated: adjacent other != excluded")
+        if held:
+            a1, b1, a2 = held.pop()
+            ticks.extend(((a1, b1), (a2, m1), (o1, m2)))
+        else:
+            held.append((m1, o1, m2))
+        return o1, m2, e
+
+    return law
 
 
 class RegularEngine(Engine):
     """Excluded-vertex protocol: two overlapping transport rounds per
-    three-tick block, with the walkers' roles alternating."""
+    three-tick block, the walkers' roles alternating."""
 
     name = "regular"
-    round_checks = 0  # rounds drawn, each after checking its invariant
+    rounds = 2
 
-    def start_b0(self, a0: int, b0: int | None) -> int:
-        """Draw the first excluded vertex e1 before anything else; b0 may
-        be adjacent to a0 only when it is e1."""
-        self.excluded = self.rng.choice(self.g.adjacency[a0])
-        return b0 if b0 == self.excluded else super().start_b0(a0, b0)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.held = []
+        self.law = regular_law(self.held)
 
-    def sample_round(self, a: int, b: int, e: int) -> tuple[int, int, int, int]:
-        """One transport draw for the triple (mover=a, other=b, excluded=e):
-        returns (mover_step1, mover_step2, other_step, next_excluded)."""
-        if b == a:
-            raise AssertionError("round invariant violated: other == mover")
-        if b != e and b in self.g.adjacency[a]:
-            raise AssertionError("round invariant violated: adjacent other != excluded")
-        self.round_checks += 1
-        key = (a, b, e)
-        cache = self.cache
-        tm = cache.get(key)
-        if tm is None:
-            g = self.g
-            tm = build_regular_transport(g, a, b, e, cache.table(g, b, regular_table))
-            cache.put(key, tm)
-        return regular_round(tm, self.rng)
+    def stretch(self, ticks: list, marks: list, end: int) -> None:
+        self.held.clear()  # a draw left by a stretch that raised belongs to no block
+        super().stretch(ticks, marks, end)
 
-    def block(self, ticks: list) -> None:
-        """Alice moves twice while Bob steps once, then Bob moves twice
-        while Alice steps once; `excluded` carries over between rounds."""
-        a, b = ticks[-1]
-        a1, a2, b1, e2 = self.sample_round(a, b, self.excluded)
-        x1, x2, y, self.excluded = self.sample_round(b1, a2, e2)
-        ticks.extend(((a1, b1), (a2, x1), (y, x2)))
+    def start(self, a0: int, b0: int | None) -> tuple[int, int, int]:
+        """(a0, b0, e1): e1 is drawn before anything else; b0 may be adjacent to a0 only when it is e1."""
+        e1 = self.rng.choice(self.g.adjacency[a0])
+        return (a0, b0, e1) if b0 == e1 else (*super().start(a0, b0), e1)
+
+    @property
+    def round_checks(self) -> int:
+        """Rounds drawn, one lookup each, each key checked against the round invariant before it."""
+        return self.cache.hits + self.cache.misses
+
+    def plan(self, key: tuple[int, int, int]) -> tuple:
+        g, b = self.g, key[1]
+        return None, self.law, build_regular_transport(g, *key, self.cache.table(g, b, regular_table))
 
 
 def cyclic_order(g: Graph) -> tuple[int, ...]:
@@ -584,13 +577,18 @@ class CycleEngine(Engine):
         self.states: list[tuple[int, ...] | None] = [None] * g.n  # states[s]: the positions at shift s
         self.state = self.states[0] = self.order[: 2 * k : 2]
 
-    def block(self, ticks: list) -> None:
-        s = self.shift = (self.shift + (1 if self.rng.coin() else -1)) % len(self.states)
-        state = self.states[s]
-        if state is None:
-            order, n = self.order, len(self.order)
-            state = self.states[s] = tuple(order[(2 * i + s) % n] for i in range(self.k))
-        ticks.append(state)
+    def stretch(self, ticks: list, marks: list, end: int) -> None:
+        """One tick per coin until `ticks` holds more than `end` ticks."""
+        coin, states, order, k = self.rng.coin, self.states, self.order, self.k
+        n, s, drawn = len(order), self.shift, len(ticks)
+        for _ in range(drawn, end + 1):
+            s = (s + (1 if coin() else -1)) % n
+            state = states[s]
+            if state is None:
+                state = states[s] = tuple(order[(2 * i + s) % n] for i in range(k))
+            ticks.append(state)
+        self.shift = s
+        self.blocks += len(ticks) - drawn
 
 
 TWO_WALKER_ENGINES = {"cubic": CubicEngine, "regular": RegularEngine, "squarefree": SquarefreeEngine}

@@ -414,8 +414,9 @@ class BoundedCache:
     triple/pair, and for per-vertex tables, keyed by the vertex id; values
     are never None.  A hit is one dict lookup.  Entries of both kinds share
     the capacity and leave oldest first: the entry inserted longest ago is
-    evicted, however often it was read.  `hits` and `misses` count only
-    `get`.
+    evicted, however often it was read.  `find` is the uncounted lookup;
+    `hits` and `misses` are the engines' stretch loop's counts, one lookup
+    per block or round.
 
     A table pays only when it is read again before it is evicted, so a
     host with more vertices than entries gets none: on random cubic hosts
@@ -426,17 +427,9 @@ class BoundedCache:
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
         self._data: OrderedDict = OrderedDict()
+        self.find = self._data.get  # find(key): the value stored under key, or None
         self.hits = 0
         self.misses = 0
-
-    def get(self, key):
-        """The value stored under key, or None."""
-        value = self._data.get(key)
-        if value is None:
-            self.misses += 1
-        else:
-            self.hits += 1
-        return value
 
     def table(self, g, v: int, make):
         """The table `make(g, v)` of vertex v of host g, stored under the
@@ -456,6 +449,11 @@ class BoundedCache:
         data[key] = value
         while len(data) > self.capacity:
             data.popitem(last=False)
+
+    @property
+    def held(self) -> int:
+        """The entries held, state entries and tables together."""
+        return len(self._data)
 
     @property
     def hit_rate(self) -> float:

@@ -226,7 +226,7 @@ def exact_squarefree_law(g: Graph, a: int, b: int) -> MarginalReport:
     engine draws from.  Raises CertificationError unless every branch has b'
     outside {a'} u N(a') and each walker's step is uniform on its neighbors."""
     sampler = squarefree_sampler(build_squarefree_transport(g, a, b))
-    branches = enumerate_law(lambda rng, out: out.append(squarefree_step(sampler, rng)))
+    branches = enumerate_law(lambda rng, out: squarefree_step(rng, sampler, out))
     steps = [(p, *out[0]) for p, out, _ in branches]
     bad = next(((ap, bp) for _, ap, bp in steps if bp == ap or g.has_edge(ap, bp)), None)
     if bad is not None:
@@ -334,7 +334,7 @@ class FaithfulnessReport:
     alpha: float
     cells: list[CellResult] = field(default_factory=list)
     tested_count: int = 0
-    passed: bool = True
+    passed: bool = False  # set by `chi_square_faithfulness`; never with no cell tested
 
     @property
     def untested_count(self) -> int:
@@ -374,8 +374,9 @@ def chi_square_faithfulness(
     uniform neighbor law, Bonferroni-corrected across all tested cells.
     A cell at vertex v has deg(v) - 1 degrees of freedom; its p-value is
     `chi2_sf(statistic, deg(v) - 1)`.  The run fails when any p-value is
-    below alpha / (number of tested cells); alpha must lie in (0, 1).
-    Cells with fewer than min_departures departures are marked untested.
+    below alpha / (number of tested cells), or when no cell is tested;
+    alpha must lie in (0, 1).  Cells with fewer than min_departures
+    departures are marked untested.
     Raises ValueError, as `check_avoidance` does, on a digest mismatch or
     a departure or arrival vertex outside 0..n-1."""
     if not 0 < alpha < 1:
@@ -408,7 +409,7 @@ def chi_square_faithfulness(
         report.tested_count += 1
         least_p = min(least_p, p)
     # some p-value is below alpha / tested exactly when the least one is
-    report.passed = least_p >= alpha / max(report.tested_count, 1)
+    report.passed = report.tested_count > 0 and least_p >= alpha / report.tested_count
     return report
 
 

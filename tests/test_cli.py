@@ -389,13 +389,27 @@ def test_simulate_cycle_on_relabelled_cycle(tmp_path, capsys):
     hexa = tmp_path / "hexa.txt"
     hexa.write_text("6 6\n0 2\n2 4\n4 1\n1 3\n3 5\n5 0\n")
     traj = tmp_path / "traj.txt"
-    code, _, _ = run(capsys, "simulate", str(hexa), "--engine", "cycle", "--ticks", "20",
+    # 400 ticks give every (walker, vertex) cell the 30 departures chi-square tests
+    code, _, _ = run(capsys, "simulate", str(hexa), "--engine", "cycle", "--ticks", "400",
                      "--seed", "1", "-o", str(traj))
     assert code == 0
     assert traj.read_text().splitlines()[3] == "0 0 4"
     code, stdout, err = run(capsys, "verify", str(hexa), str(traj))
     assert code == 0, err
-    assert "avoidance: clean" in stdout and "violation" not in stdout
+    assert "avoidance: clean" in stdout and "violation" not in stdout and "untested=0 verdict=pass" in stdout
+
+
+def test_verify_untested_verdict_exits_1(tmp_path, capsys):
+    """A run too short to test any chi-square cell does not pass: 20 cycle
+    ticks on C6 give each cell at most a few departures."""
+    (tmp_path / "c6.txt").write_text("6 6\n0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+    traj = tmp_path / "traj.txt"
+    code, _, _ = run(capsys, "simulate", str(tmp_path / "c6.txt"), "--engine", "cycle", "--ticks", "20",
+                     "--seed", "1", "-o", str(traj))
+    assert code == 0
+    code, stdout, err = run(capsys, "verify", str(tmp_path / "c6.txt"), str(traj))
+    assert (code, err) == (1, "")
+    assert "avoidance: clean" in stdout and "tested=0 untested=12 verdict=untested" in stdout
 
 
 @pytest.mark.parametrize("argv,config", [
@@ -884,7 +898,8 @@ _GRAPH_LINES = st.tuples(st.integers(0, 11), st.integers(0, 11)).map("{0[0]} {0[
 
 
 # the exit-1 results a command computes and prints itself, with no error
-_DOMAIN_RESULTS = ("verdict: none", "holds: False", "agreement: False", "violation(s)", "verdict=FAIL")
+_DOMAIN_RESULTS = ("verdict: none", "holds: False", "agreement: False", "violation(s)", "verdict=FAIL",
+                   "verdict=untested")
 
 
 def _exits_cleanly(argv, output=None):

@@ -21,19 +21,20 @@ from avoidkit.couplers import (
     k22_excursion,
     one_step_matching,
     parse_trajectory,
+    regular_round,
     s3b_rows,
     simulate,
     squarefree_sampler,
     squarefree_step,
 )
-from avoidkit.generate import complete, cycle, petersen, random_regular_simple
+from avoidkit.generate import circulant, complete, cycle, heawood, petersen, random_regular_simple
 from avoidkit.graphs import graph_from_edges
 from avoidkit.matching import build_regular_transport, build_squarefree_transport, regular_table
 from avoidkit.rng import FAST_ACCEPT, MASK64, Xoshiro256
 from avoidkit.structure import HypothesisError, admissibility_verdict, classify_scenario, radius2_set
 from avoidkit.verify import check_avoidance
-from conftest import distance_capped, make_s6_host, per_walker_k22_excursion
-from cubic_reference import reference_run
+from conftest import distance_capped, make_ag23_incidence, make_s6_host, per_walker_k22_excursion
+from engine_reference import reference_run
 
 
 def test_package_exports_resolve():
@@ -245,10 +246,10 @@ def test_cubic_engine_cache_is_bounded():
     small.cache.capacity = 8
     assert small.run(3000).to_text() == wide.run(3000).to_text()
     assert len(small.cache._data) <= 8 and small.cache.misses > wide.cache.misses
-    # S1 pairs are never stored: a pair's entry is its (scenario, law, arg)
+    # S1 pairs are never stored: a pair's entry is its (tag, law, arg)
     # plan, and a vertex's is its radius-2 set
     plans = [v for k, v in wide.cache._data.items() if isinstance(k, tuple)]
-    assert all(sc.tag != "S1" for sc, _, _ in plans)
+    assert all(tag != "S1" for tag, _, _ in plans)
     assert 0 < len(plans) < sum(wide.scenario_counts.values())
     tables = {k: v for k, v in wide.cache._data.items() if isinstance(k, int)}
     assert 0 < len(tables) <= g.n and all(v == radius2_set(g, k) for k, v in tables.items())
@@ -296,35 +297,48 @@ def test_regular_tables_share_a_full_cache():
     assert check_avoidance(g, traj) == []
 
 
-@pytest.mark.parametrize("engine", ["cubic", "regular"])
+@pytest.mark.parametrize("engine", ["cubic", "regular", "squarefree"])
 def test_cache_counts_one_lookup_per_block_or_round(engine):
     """Table lookups are not counted: hits and misses add up to the cubic
-    blocks and to the regular rounds."""
-    d, n = (3, 250) if engine == "cubic" else (5, 64)
-    g = random_regular_simple(n, d, 0, connected_required=True)[0]
+    and square-free blocks and to the regular rounds, two per block."""
+    if engine == "squarefree":
+        g = heawood()
+    else:
+        d, n = (3, 250) if engine == "cubic" else (5, 64)
+        g = random_regular_simple(n, d, 0, connected_required=True)[0]
     traj, eng = simulate(g, engine, 3_000, 4)
-    lookups = len(traj.block_marks) - 1 if engine == "cubic" else eng.round_checks
+    lookups = 2 * eng.blocks if engine == "regular" else len(traj.block_marks) - 1
     assert eng.cache.hits + eng.cache.misses == lookups
-    assert any(isinstance(k, int) for k in eng.cache._data)
+    assert any(isinstance(k, int) for k in eng.cache._data) == (engine != "squarefree")
 
 
 @functools.lru_cache(maxsize=None)
 def stretch_host(name: str):
-    """A cubic host with its S1 share: none (Petersen, and the S6 host,
-    whose K_{2,2} excursions are blocks of several ticks), mixed (rr3-n250)
-    or nearly all (rr3-n2000)."""
-    if name.startswith("rr3-n"):
-        return random_regular_simple(int(name[5:]), 3, 0, connected_required=True)[0]
-    return {"petersen": petersen, "s6": make_s6_host}[name]()
+    """A host, its engine and start.  Cubic hosts by S1 share: none
+    (Petersen, and the S6 host, whose K_{2,2} excursions are blocks of
+    several ticks), mixed (rr3-n250) or nearly all (rr3-n2000).  Square-free:
+    Heawood, and AG(2,3), irregular, started at a point and a line so that
+    its transports swap roles.  Regular: C9(1,2), whose transports mostly
+    hit the cache, and rr5-n64, whose mostly miss."""
+    if name.startswith("rr"):
+        d, n = int(name[2]), int(name[5:])
+        return random_regular_simple(n, d, 0, connected_required=True)[0], RegularEngine if d > 3 else CubicEngine, {}
+    if name == "ag23":
+        g = make_ag23_incidence()
+        return g, SquarefreeEngine, {"b0": next(v for v in range(9, 21) if not g.has_edge(0, v))}
+    g, make = {"petersen": (petersen, CubicEngine), "s6": (make_s6_host, CubicEngine),
+               "heawood": (heawood, SquarefreeEngine), "c9": (lambda: circulant(9, [1, 2]), RegularEngine)}[name]
+    return g(), make, {}
 
 
-def engine_record(eng: CubicEngine, traj: Trajectory) -> tuple:
+def engine_record(eng, traj: Trajectory) -> tuple:
     """What a run leaves: its ticks and marks, the engine's counters, the
-    order of the cache's keys, and the generator's buffered draws and state."""
+    order of the cache's keys, the next key (with the regular excluded
+    vertex), and the generator's buffered draws and state."""
     rng = eng.rng
     return (traj.positions, traj.block_marks, eng.cache.hits, eng.cache.misses,
-            list(eng.scenario_counts.items()), eng.blocks, list(eng.cache._data), eng.state,
-            list(rng._buf), rng._next, rng._lanes, rng._warm)
+            list(eng.scenario_counts.items()), getattr(eng, "round_checks", 0), eng.blocks,
+            list(eng.cache._data), eng.state, eng.key, list(rng._buf), rng._next, rng._lanes, rng._warm)
 
 
 class SpikyXoshiro(Xoshiro256):
@@ -344,22 +358,26 @@ class SpikyXoshiro(Xoshiro256):
 
 
 @pytest.mark.parametrize("host,s1_share", [("petersen", (0, 0)), ("rr3-n250", (0.5, 0.95)),
-                                           ("s6", (0, 0)), ("rr3-n2000", (0.95, 1))])
+                                           ("s6", (0, 0)), ("rr3-n2000", (0.95, 1)),
+                                           ("heawood", (0, 0)), ("ag23", (0, 0)),
+                                           ("c9", (0, 0)), ("rr5-n64", (0, 0))])
 @pytest.mark.parametrize("runs", [(3000,), (0, 1, 2, 57, 400)], ids=["one-run", "runs-ending-in-stretches"])
 @pytest.mark.parametrize("draws", ["stream", "spiky"])
 def test_cubic_stretch_matches_the_per_block_loop(host, s1_share, runs, draws):
-    """A stretch draws what one block per call draws, pass for pass: the
-    ticks, marks, hits, misses, scenario counts in first-seen order,
-    blocks, cache key order and generator state agree after every run,
-    also when runs end inside stretches and when draws at or above
+    """The one stretch loop draws what one block per call draws, pass for
+    pass, on every two-walker engine: the ticks, marks, hits, misses,
+    scenario counts in first-seen order, round checks, blocks, cache key
+    order, next key and generator state agree after every run, also when
+    runs end inside cubic stretches and when draws at or above
     FAST_ACCEPT, rejected ones included, fall inside them."""
-    g = stretch_host(host)
-    eng, ref = CubicEngine(g, 9), CubicEngine(g, 9)
+    g, make, start = stretch_host(host)
+    eng, ref = make(g, 9, **start), make(g, 9, **start)
     if draws == "spiky":
         eng.rng, ref.rng = SpikyXoshiro(9), SpikyXoshiro(9)
     for ticks in runs:
         traj = eng.run(ticks)
         assert engine_record(eng, traj) == engine_record(ref, reference_run(ref, ticks))
+        assert getattr(eng, "round_checks", 0) == getattr(ref, "reference_checks", 0)
         assert len(traj.positions) - 1 >= ticks
     low, high = s1_share
     assert low <= eng.scenario_counts.get("S1", 0) / eng.blocks <= high
@@ -368,16 +386,20 @@ def test_cubic_stretch_matches_the_per_block_loop(host, s1_share, runs, draws):
 
 
 def test_cubic_stretch_matches_the_per_block_loop_without_tables():
-    """An 8-entry cache keeps no radius-2 set on rr3-n250 and evicts plans
-    as it goes; the stretch then tests `radius2(g, b)` as `classify_scenario`
-    does, and still draws the per-block loop's run."""
-    g = stretch_host("rr3-n250")
-    eng, ref = CubicEngine(g, 4), CubicEngine(g, 4)
-    eng.cache.capacity = ref.cache.capacity = 8
-    for ticks in (2000, 333):
-        traj = eng.run(ticks)
-        assert engine_record(eng, traj) == engine_record(ref, reference_run(ref, ticks))
-    assert not any(isinstance(k, int) for k in eng.cache._data)
+    """An 8-entry cache keeps no per-vertex table on rr3-n250, rr5-n64 or
+    C9(1,2) and evicts entries as it goes on every host; the stretch then
+    tests b's radius-2 set made for the one test, and the regular builds
+    work from the adjacency, and each still draws the per-block loop's
+    run."""
+    for host in ("rr3-n250", "heawood", "ag23", "c9", "rr5-n64"):
+        g, make, start = stretch_host(host)
+        eng, ref = make(g, 4, **start), make(g, 4, **start)
+        eng.cache.capacity = ref.cache.capacity = 8
+        for ticks in (2000, 333):
+            traj = eng.run(ticks)
+            assert engine_record(eng, traj) == engine_record(ref, reference_run(ref, ticks)), host
+            assert getattr(eng, "round_checks", 0) == getattr(ref, "reference_checks", 0)
+        assert not any(isinstance(k, int) for k in eng.cache._data)
 
 
 def test_cubic_plan_is_the_same_with_a_supplied_table(pet, k33, s3b_host, s6_host):
@@ -413,6 +435,53 @@ def test_regular_engine_phase_invariants(circ9):
     traj = eng.run(300)
     assert len(traj.positions) == 301
     assert eng.round_checks == 200  # two rounds per three ticks
+
+
+def test_regular_engine_runs_on_after_a_round_raised(circ9, monkeypatch):
+    """A stretch whose second round's build raises leaves no held first
+    round behind: the next run starts its block from the engine's state."""
+    import avoidkit.couplers as couplers
+
+    eng = RegularEngine(circ9, 3)
+    start = eng.state
+    build = couplers.build_regular_transport
+    calls = []
+
+    def fails_second(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise AssertionError("planted")
+        return build(*args)
+
+    monkeypatch.setattr(couplers, "build_regular_transport", fails_second)
+    with pytest.raises(AssertionError, match="planted"):
+        eng.run(30)
+    assert eng.state == start
+    traj = eng.run(30)
+    assert traj.positions[0] == start and len(traj.positions) == 31
+    assert check_avoidance(circ9, traj) == []
+
+
+@pytest.mark.parametrize("message", ["other == mover", "adjacent other != excluded"])
+def test_regular_round_invariant_is_checked_before_the_next_build(circ9, monkeypatch, message):
+    """A round draw that would give the next round a key breaking the
+    round invariant raises before that key is looked up or built."""
+    import avoidkit.couplers as couplers
+
+    built = []
+    build, draw = couplers.build_regular_transport, couplers.regular_round
+    adj = circ9.adjacency
+
+    def planted(tm, rng):
+        m1, m2, o1, e = draw(tm, rng)
+        return (m1, m2, m2, e) if message == "other == mover" else (m1, m2, adj[m2][0], adj[m2][1])
+
+    monkeypatch.setattr(couplers, "build_regular_transport", lambda g, *key: built.append(key[:3]) or build(g, *key))
+    monkeypatch.setattr(couplers, "regular_round", planted)
+    eng = RegularEngine(circ9, 3)
+    with pytest.raises(AssertionError, match=f"round invariant violated: {message}"):
+        eng.run(30)
+    assert built == [eng.key]
 
 
 def test_regular_engine_start_validation(circ9):
@@ -476,20 +545,22 @@ def valid_regular_triples(g):
 
 def test_regular_round_draw_matches_cell_expansion(circ9):
     """For every r, the flat-cumulative draw picks the cell the nonzero-cell
-    expansion picks: on every valid triple of C9(1,2) and 50 of rr5-n64."""
+    expansion picks: on every valid triple of C9(1,2) and 50 of rr5-n64,
+    over the transport built with b's per-vertex table, as the engine
+    builds it."""
     rr5 = random_regular_simple(64, 5, 0, connected_required=True)[0]
     c9_triples = valid_regular_triples(circ9)
     rr5_triples = random.Random(0).sample(valid_regular_triples(rr5), 50)
     assert len(c9_triples) == 180
     for g, triples in ((circ9, c9_triples), (rr5, rr5_triples)):
-        eng = RegularEngine(g, 0)
         for a, b, e in triples:
-            cells, cum, total = ref_sampler(build_regular_transport(g, a, b, e))
-            eng.rng = FixedDraw(total)
+            tm = build_regular_transport(g, a, b, e, regular_table(g, b))
+            cells, cum, total = ref_sampler(tm)
+            rng = FixedDraw(total)
             for r in range(total):
-                eng.rng.r = r
+                rng.r = r
                 (ap, app), (bp, ep) = cells[bisect_right(cum, r)]
-                assert eng.sample_round(a, b, e) == (ap, app, bp, ep)
+                assert regular_round(tm, rng) == (ap, app, bp, ep)
 
 
 class Scripted:
@@ -522,7 +593,9 @@ def test_squarefree_step_matches_per_row_draw(pet, hea, ag23):
                     for r in range(tm.row_sum):
                         u, v = tm.row_labels[i], tm.col_labels[bisect_right(cum, r)]
                         want = (v, u) if tm.swapped else (u, v)
-                        assert squarefree_step(squarefree_sampler(tm), Scripted(i, r)) == want
+                        ticks = []
+                        assert squarefree_step(Scripted(i, r), squarefree_sampler(tm), ticks) == want
+                        assert ticks == [want]
                         cases += 1
     assert (cases, swapped) == (5868, 72)
 

@@ -652,18 +652,21 @@ def test_bounded_cache_tables_share_the_capacity_not_the_counters():
     cache.put((0, 2), "plan")  # evicts the table, though it was read last
     assert list(cache._data) == [(0, 1), (0, 2)]
     assert cache.table(g, 1, make) == "t1" and made == [1, 1]  # made again, evicting (0, 1)
-    assert list(cache._data) == [(0, 2), 1] and cache.get((0, 1)) is None
+    assert list(cache._data) == [(0, 2), 1] and cache.find((0, 1)) is None
     assert cache.table(graph_from_edges(3, [(0, 1), (1, 2)]), 0, make) is None and made == [1, 1]
-    assert (cache.hits, cache.misses) == (0, 1)
+    assert (cache.hits, cache.misses) == (0, 0)
 
 
 def test_bounded_cache_evicts_oldest_first_and_counts():
     cache = BoundedCache(capacity=2)
-    assert cache.get("a") is None
+    assert cache.find("a") is None
     cache.put("a", 1)
     cache.put("b", 2)
-    assert cache.get("a") == 1
-    cache.put("c", 3)  # evicts "a", the oldest inserted, though it was hit last
-    assert cache.get("a") is None and cache.get("b") == 2 and cache.get("c") == 3
+    assert cache.find("a") == 1
+    cache.put("c", 3)  # evicts "a", the oldest inserted, though it was found last
+    assert cache.find("a") is None and cache.find("b") == 2 and cache.find("c") == 3
     assert list(cache._data) == ["b", "c"]
-    assert cache.hits == 3 and cache.misses == 2 and cache.hit_rate == 0.6
+    # `find` counts nothing: hits and misses are the engines' loop's counts
+    assert cache.hits == cache.misses == 0 and cache.hit_rate == 0.0
+    cache.hits, cache.misses = 3, 2
+    assert cache.hit_rate == 0.6

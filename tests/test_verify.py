@@ -162,7 +162,7 @@ def per_tick_chi_square(g, traj, alpha, min_departures):
         report.cells.append(CellResult(w, v, n_dep, stat, p, True))
         pvalues.append(p)
     report.tested_count = len(pvalues)
-    report.passed = all(p >= alpha / len(pvalues) for p in pvalues)
+    report.passed = bool(pvalues) and all(p >= alpha / len(pvalues) for p in pvalues)
     return report
 
 
@@ -382,7 +382,8 @@ def test_chi_square_power_on_planted_bias(pet):
 def test_chi_square_skips_thin_cells(pet):
     traj, _ = simulate(pet, "cubic", 40, 1)
     rep = chi_square_faithfulness(pet, traj, min_departures=10**6)
-    assert rep.tested_count == 0 and rep.passed
+    # a run that tests no cell does not pass
+    assert rep.tested_count == 0 and not rep.passed
     assert rep.untested_count == len(rep.cells)
 
 
@@ -431,7 +432,7 @@ def test_run_engines_script():
     assert done.returncode == 0, done.stderr
     lines = done.stdout.splitlines()
     summaries = [line for line in lines if "violations=" in line]
-    assert len(summaries) == 4 and len(lines) == 4 * 6 + 3 + 1, done.stdout
+    assert len(summaries) == 4 and len(lines) == 4 * 7 + 3, done.stdout
     assert all("violations=0 chi2=pass round trip=ok" in line for line in summaries), done.stdout
     for step in ("simulate", "to_text", "parse", "verify"):
         assert sum(line.split()[0] == step and "tracemalloc peak" in line for line in lines) == 4
@@ -444,9 +445,11 @@ def test_run_engines_script():
     caches = [line.split()[1:5] for line in lines if line.split()[0] == "cache"]
     assert caches == [["2,944", "hits,", "56", "misses"], ["2,920", "hits,", "80", "misses"],
                       ["1,822", "hits,", "178", "misses"]], done.stdout
-    # the cubic engine's blocks line: every Petersen block is S4, none is S1
+    # every engine's blocks line: every Petersen block is S4, none is S1;
+    # the regular engine checks two rounds per three-tick block
     blocks = [line.split()[1:] for line in lines if line.split()[0] == "blocks"]
-    assert blocks == [["3,000", "(S4", "3,000),", "S1", "share", "0.0000"]], done.stdout
+    assert blocks == [["3,000", "(S4", "3,000),", "S1", "share", "0.0000"], ["3,000"],
+                      ["1,000,", "2,000", "round", "checks"], ["3,000"]], done.stdout
 
 
 def test_lemma34_oracle(circ9):

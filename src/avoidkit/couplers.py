@@ -27,7 +27,7 @@ from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import islice
-from operator import eq
+from operator import eq, lt
 from typing import Callable, Iterator
 
 from .graphs import Graph, check_vertices
@@ -86,9 +86,9 @@ class Trajectory:
         """The text form in bounded pieces: a three-line header, then one
         `t v_1 .. v_k` line per tick, each marked tick followed by a
         `# block t` line, `TEXT_CHUNK_TICKS` ticks to a piece.  Each
-        distinct state of a piece is formatted once.  A block mark outside
-        the ticks raises ValueError before the header, as in
-        `parse_trajectory`, so no text drops a mark."""
+        distinct state of a piece is formatted once.  Block marks that are
+        not strictly increasing ticks raise ValueError before the header,
+        as in `parse_trajectory`, so no text drops or reorders a mark."""
         pos = self.positions
         n = len(pos)
         marks = self.block_marks
@@ -120,16 +120,20 @@ class Trajectory:
 
 
 def check_block_marks(marks: list[int], ticks: int) -> None:
-    """Raise ValueError unless every block mark is one of the ticks 0..ticks-1."""
-    if marks and not 0 <= min(marks) <= max(marks) < ticks:
-        raise ValueError(f"block marks {min(marks)}..{max(marks)} outside ticks 0..{ticks - 1}")
+    """Raise ValueError unless the block marks are strictly increasing ticks of 0..ticks-1."""
+    if not all(map(lt, marks, islice(marks, 1, None))):
+        i = next(i for i in range(1, len(marks)) if marks[i] <= marks[i - 1])
+        raise ValueError(f"block marks not strictly increasing: {marks[i]} after {marks[i - 1]}")
+    if marks and not (0 <= marks[0] and marks[-1] < ticks):
+        raise ValueError(f"block marks {marks[0]}..{marks[-1]} outside ticks 0..{ticks - 1}")
 
 
 def parse_trajectory(text: str) -> Trajectory:
     """Read `Trajectory.to_text` output.  Whitespace around and between
     tokens, blank lines and unknown `# key` lines are ignored; the first
     malformed line in file order raises ValueError, and so do block marks
-    outside the ticks and a seed `simulate` would refuse.
+    that are not strictly increasing ticks and a seed `simulate` would
+    refuse.
 
     The text is split into lines a slice of about `PARSE_CHUNK_CHARS`
     characters at a time, each cut just after a newline.  A line that is
@@ -366,10 +370,11 @@ class Engine:
     (tag, law, arg), built through module-level names looked up at call
     time, whose `law(rng, arg, ticks)` appends the ticks its draw completes
     and returns the next key; and optionally `far_table`: a state (a, b)
-    whose b's table misses N(a) is far (cubic S1).  A marking engine
-    (`marks_blocks`: every block ends at distance >= 2) appends a tick on
-    every draw.  The cache decides only what is rebuilt, never what is
-    drawn."""
+    whose b's table misses N(a) is far (cubic S1).  Per-vertex tables and
+    state entries follow one rule on every host: made on first use, kept
+    in the one cache, oldest out.  A marking engine (`marks_blocks`: every
+    block ends at distance >= 2) appends a tick on every draw.  The cache
+    decides only what is rebuilt, never what is drawn."""
 
     name: str
     marks_blocks = False
@@ -425,8 +430,7 @@ class Engine:
                 if near is not None:
                     a, b = key
                     na = adj[a]
-                    # b's table as held, made now, or made for this test alone
-                    if (find(b) or table(g, b, near) or near(g, b)).isdisjoint(na):
+                    if (find(b) or table(g, b, near)).isdisjoint(na):  # b's table, held or made now
                         far += 1
                         nb = adj[b]
                         i, j = pair(len(na), len(nb))

@@ -416,13 +416,7 @@ class BoundedCache:
     the capacity and leave oldest first: the entry inserted longest ago is
     evicted, however often it was read.  `find` is the uncounted lookup;
     `hits` and `misses` are the engines' stretch loop's counts, one lookup
-    per block or round.
-
-    A table pays only when it is read again before it is evicted, so a
-    host with more vertices than entries gets none: on random cubic hosts
-    with 100,000 vertices, radius-2 sets kept in the cache were read about
-    twice each and the run was slower than making each set where it is
-    used."""
+    per block or round."""
 
     def __init__(self, capacity: int = 4096):
         self.capacity = capacity
@@ -432,11 +426,9 @@ class BoundedCache:
         self.misses = 0
 
     def table(self, g, v: int, make):
-        """The table `make(g, v)` of vertex v of host g, stored under the
-        vertex id on v's first use, or None when g has more vertices than
-        the cache has entries.  Counts neither a hit nor a miss."""
-        if g.n > self.capacity:
-            return None
+        """The table `make(g, v)` of vertex v of host g, made on v's first
+        use and stored under the vertex id, where it leaves by age like any
+        entry, on a host of any size.  Counts neither a hit nor a miss."""
         value = self._data.get(v)
         if value is None:
             value = make(g, v)

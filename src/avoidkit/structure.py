@@ -23,7 +23,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations
-from typing import Hashable, Iterator, Sequence
+from typing import Hashable, Sequence
 
 from .graphs import Graph, Profile, basic_profile, common_neighbors
 
@@ -110,16 +110,11 @@ class ScenarioClass:
 S1 = ScenarioClass("S1", ())  # every far pair's class, made once
 
 
-def radius2(g: Graph, v: int) -> Iterator[int]:
-    """The vertices within distance 2 of v, lazily and with repeats; v is
-    among them when it has a neighbour."""
-    adj = g.adjacency
-    return chain(adj[v], *(adj[y] for y in adj[v]))
-
-
 def radius2_set(g: Graph, v: int) -> frozenset[int]:
-    """`radius2(g, v)` as a set: the per-vertex table of the cubic S1 test."""
-    return frozenset(radius2(g, v))
+    """The vertices within distance 2 of v, v among them when it has a
+    neighbour: the per-vertex table of the cubic S1 test."""
+    adj = g.adjacency
+    return frozenset(chain(adj[v], *(adj[y] for y in adj[v])))
 
 
 def classify_scenario(g: Graph, a: int, b: int, near_b: frozenset[int] | None = None) -> ScenarioClass:
@@ -130,15 +125,12 @@ def classify_scenario(g: Graph, a: int, b: int, near_b: frozenset[int] | None = 
     distance 3 -> S5; distance >= 4 -> S1.  A common neighbor or a K_{2,2}
     witness (a-a1-b1-b) forces distance <= 3, so distance >= 4 is tested
     first, and returns S1 without the other tests: it holds exactly when
-    N(a) misses every vertex within distance 2 of b.  `near_b` is
-    `radius2_set(g, b)`; without it the test reads `radius2(g, b)`, which
-    is cheaper than making the set for one test.
+    N(a) misses `near_b`, b's `radius2_set`, which is made here when the
+    caller keeps none.
     """
     if a == b or g.has_edge(a, b):
         raise ValueError("classify_scenario requires distance(a, b) >= 2")
-    adj = g.adjacency
-    far = set(adj[a]).isdisjoint(radius2(g, b)) if near_b is None else near_b.isdisjoint(adj[a])
-    if far:
+    if (radius2_set(g, b) if near_b is None else near_b).isdisjoint(g.adjacency[a]):
         return S1
     cn = common_neighbors(g, a, b)
     if len(cn) == 3:

@@ -111,7 +111,8 @@ def check_avoidance(g: Graph, traj: Trajectory) -> list[Violation]:
     transition, and the last tick if its state collides, and only marks on a
     failing state are reported.
     Raises ValueError on a digest mismatch, a vertex id outside 0..n-1 or
-    a block mark outside the ticks 0..len(positions)-1.
+    block marks that are not strictly increasing ticks of
+    0..len(positions)-1.
     """
     check_digest(g, traj)
     pos = traj.positions

@@ -354,9 +354,11 @@ def test_verify_malformed_trajectory(tmp_path, capsys, body, message):
     ("cubic", "", "no ticks"),
     ("cubic", "0 0 2\n# block -1\n", "block marks -1..-1 outside ticks 0..0"),
     ("cubic", "0 0 2\n# block 1\n", "block marks 1..1 outside ticks 0..0"),
+    ("cubic", "0 0 2\n1 1 3\n2 4 2\n# block 2\n# block 0\n", "block marks not strictly increasing: 0 after 2"),
     ("bogus", "0 0 2\n", "unknown engine 'bogus'"),
     ("cubic", "0 0 2 7\n", "runs exactly 2 walkers, got 3"),
-], ids=["no-walker", "no-ticks", "mark-below-0", "mark-past-end", "unknown-engine", "three-walkers"])
+], ids=["no-walker", "no-ticks", "mark-below-0", "mark-past-end", "mark-out-of-order", "unknown-engine",
+        "three-walkers"])
 def test_verify_rejects_inconsistent_trajectory(tmp_path, capsys, engine, body, message):
     from avoidkit.generate import petersen
 

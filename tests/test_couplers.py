@@ -81,11 +81,15 @@ def test_trajectory_parse_tolerance(text):
 
 def test_trajectory_text_writes_each_mark_inside_the_ticks_once():
     ticks = [(0, 2), (1, 3), (4, 2)]
-    assert Trajectory("cubic", 7, "x", ticks, [2, 2, 0]).to_text() == (
+    assert Trajectory("cubic", 7, "x", ticks, [0, 2]).to_text() == (
         "# graph-digest x\n# seed 7\n# engine cubic\n0 0 2\n# block 0\n1 1 3\n2 4 2\n# block 2\n")
     # a mark outside the ticks is refused, not dropped
-    for marks in ([2, 2, -1, 3, 0], [-1], [3]):
+    for marks in ([-1, 0, 2, 3], [-1], [3]):
         with pytest.raises(ValueError, match=r"outside ticks 0\.\.2"):
+            Trajectory("cubic", 7, "x", ticks, marks).to_text()
+    # so is a repeated or out-of-order mark, which would be merged or sorted
+    for marks, message in (([2, 0, 0], "0 after 2"), ([2, 2, 0], "2 after 2"), ([0, 2, 2, -1, 3], "2 after 2")):
+        with pytest.raises(ValueError, match=f"block marks not strictly increasing: {message}"):
             Trajectory("cubic", 7, "x", ticks, marks).to_text()
     with pytest.raises(ValueError, match="different walker counts"):
         Trajectory("cycle", 7, "x", [(0, 2), (1, 3, 5)]).to_text()
@@ -114,6 +118,8 @@ def test_trajectory_round_trip_five_cycle_walkers():
     (HEADER + "0 1 2 3\n", "engine 'cubic' runs exactly 2 walkers, got 3"),
     (HEADER + "0 1 2\n# block 1\n", "block marks 1..1 outside ticks 0..0"),
     (HEADER + "0 1 2\n# block -1\n", "block marks -1..-1 outside ticks 0..0"),
+    (HEADER + "0 1 2\n1 3 4\n2 5 6\n# block 2\n# block 0\n", "block marks not strictly increasing: 0 after 2"),
+    (HEADER + "0 1 2\n# block 0\n# block 0\n", "block marks not strictly increasing: 0 after 0"),
     # the first error in file order wins
     (HEADER + "0 1 2\n2 3 4\n#\n", "non-contiguous tick 2"),
     (HEADER + "#\n0 1 2\n2 3 4\n", "bare '#' line"),
@@ -123,8 +129,8 @@ def test_trajectory_round_trip_five_cycle_walkers():
     (HEADER + "0 1 2\n1\n2 3\n", "tick 1 has no walker"),
 ], ids=["no-header", "gap", "bare-hash", "no-seed", "no-mark", "no-walker", "empty-first", "narrower",
         "wider", "bad-int", "bad-mark", "no-ticks", "unknown-engine", "three-walkers", "mark-past-end",
-        "mark-below-0", "gap-before-bare", "bare-before-gap", "width-before-int", "int-before-gap",
-        "gap-before-header", "no-walker-before-width"])
+        "mark-below-0", "mark-out-of-order", "mark-repeated", "gap-before-bare", "bare-before-gap",
+        "width-before-int", "int-before-gap", "gap-before-header", "no-walker-before-width"])
 def test_trajectory_parse_error_messages(body, message):
     with pytest.raises(ValueError) as err:
         parse_trajectory(body)
@@ -275,26 +281,34 @@ def test_small_cache_draws_the_same_trajectory(engine, hea):
 
 def test_cubic_cache_stays_bounded_on_a_host_larger_than_it():
     """A cubic host with 5,000 vertices, more than the cache's 4,096
-    entries, keeps no radius-2 set; a cache with room for every vertex
-    keeps one per vertex visited as b, and both draw the same blocks."""
+    entries, keeps radius-2 sets beside its plans within those entries; a
+    cache with room for every vertex keeps one per vertex visited as b,
+    and both draw the same blocks."""
     g, _ = random_regular_simple(5_000, 3, 0, connected_required=True)
     eng, roomy = CubicEngine(g, 2), CubicEngine(g, 2)
     roomy.cache.capacity = 10**6
     assert eng.run(20_000).to_text() == roomy.run(20_000).to_text()
-    assert 0 < len(eng.cache._data) <= 4_096 and not any(isinstance(k, int) for k in eng.cache._data)
+    tables = {k: v for k, v in eng.cache._data.items() if isinstance(k, int)}
+    assert eng.cache.held == 4_096 > len(tables) > 0
+    assert all(v == radius2_set(g, k) for k, v in tables.items())
     assert sum(isinstance(k, int) for k in roomy.cache._data) > 4_096
 
 
 def test_regular_tables_share_a_full_cache():
     """On a 5-regular host with 1,000 vertices the 3,997 transports built
-    and the per-vertex tables overflow the 4,096 entries together, and the
-    tables are b's `regular_table`."""
-    g, _ = random_regular_simple(1_000, 5, 0, connected_required=True)
-    traj, eng = simulate(g, "regular", 6_000, 2)
-    tables = {k: v for k, v in eng.cache._data.items() if isinstance(k, int)}
-    assert len(eng.cache._data) == eng.cache.capacity == 4_096 > eng.cache.misses
-    assert tables and all(v == regular_table(g, k) for k, v in tables.items())
-    assert check_avoidance(g, traj) == []
+    and the per-vertex tables overflow the 4,096 entries together.  On
+    C5000(1,2), a 4-regular host with more vertices than the cache has
+    entries, tables are kept by the same rule.  The tables are b's
+    `regular_table`."""
+    held = []
+    for g in (random_regular_simple(1_000, 5, 0, connected_required=True)[0], circulant(5_000, [1, 2])):
+        traj, eng = simulate(g, "regular", 6_000, 2)
+        tables = {k: v for k, v in eng.cache._data.items() if isinstance(k, int)}
+        held.append(eng.cache.held)
+        assert eng.cache.capacity == 4_096 > eng.cache.misses
+        assert tables and all(v == regular_table(g, k) for k, v in tables.items())
+        assert check_avoidance(g, traj) == []
+    assert held[0] == 4_096 >= held[1]
 
 
 @pytest.mark.parametrize("engine", ["cubic", "regular", "squarefree"])
@@ -385,12 +399,11 @@ def test_cubic_stretch_matches_the_per_block_loop(host, s1_share, runs, draws):
         assert eng.rng.made == ref.rng.made > 10
 
 
-def test_cubic_stretch_matches_the_per_block_loop_without_tables():
-    """An 8-entry cache keeps no per-vertex table on rr3-n250, rr5-n64 or
-    C9(1,2) and evicts entries as it goes on every host; the stretch then
-    tests b's radius-2 set made for the one test, and the regular builds
-    work from the adjacency, and each still draws the per-block loop's
-    run."""
+def test_cubic_stretch_matches_the_per_block_loop_while_tables_are_evicted():
+    """An 8-entry cache evicts plans and per-vertex tables alike as it
+    goes on every host, so b's radius-2 set or regular table is often
+    made again; each stretch still draws the per-block loop's run and
+    leaves the same cache keys, in the same order."""
     for host in ("rr3-n250", "heawood", "ag23", "c9", "rr5-n64"):
         g, make, start = stretch_host(host)
         eng, ref = make(g, 4, **start), make(g, 4, **start)
@@ -399,7 +412,8 @@ def test_cubic_stretch_matches_the_per_block_loop_without_tables():
             traj = eng.run(ticks)
             assert engine_record(eng, traj) == engine_record(ref, reference_run(ref, ticks)), host
             assert getattr(eng, "round_checks", 0) == getattr(ref, "reference_checks", 0)
-        assert not any(isinstance(k, int) for k in eng.cache._data)
+        tables = [k for k in eng.cache._data if isinstance(k, int)]
+        assert eng.cache.held == 8 and bool(tables) == (eng.name != "squarefree"), host
 
 
 def test_cubic_plan_is_the_same_with_a_supplied_table(pet, k33, s3b_host, s6_host):

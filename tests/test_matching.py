@@ -637,7 +637,7 @@ def test_bounded_cache_tables_share_the_capacity_not_the_counters():
     """A table is made on its vertex's first use only and leaves by age
     like any entry: reading it does not keep it.  Neither `hits` nor
     `misses` counts it; a host with more vertices than the cache has
-    entries gets no table."""
+    entries gets its tables by the same rule."""
     made = []
 
     def make(g, v):
@@ -653,7 +653,9 @@ def test_bounded_cache_tables_share_the_capacity_not_the_counters():
     assert list(cache._data) == [(0, 1), (0, 2)]
     assert cache.table(g, 1, make) == "t1" and made == [1, 1]  # made again, evicting (0, 1)
     assert list(cache._data) == [(0, 2), 1] and cache.find((0, 1)) is None
-    assert cache.table(graph_from_edges(3, [(0, 1), (1, 2)]), 0, make) is None and made == [1, 1]
+    path = graph_from_edges(3, [(0, 1), (1, 2)])  # three vertices, two entries
+    assert cache.table(path, 0, make) == "t0" and made == [1, 1, 0]
+    assert list(cache._data) == [1, 0] and cache.table(path, 1, make) == "t1" and made == [1, 1, 0]
     assert (cache.hits, cache.misses) == (0, 0)
 
 

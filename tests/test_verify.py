@@ -113,10 +113,13 @@ def test_verify_counts_transitions_once(pet, tmp_path, monkeypatch, capsys):
 
 def per_tick_check_avoidance(g, traj):
     """The reference for check_avoidance: every check run at every tick and
-    every mark, in tick order and then mark order, after refusing a mark
-    outside the ticks."""
+    every mark, in tick order and then mark order, after refusing marks
+    that are not strictly increasing and a mark outside the ticks."""
     out = []
     pos, marks = traj.positions, traj.block_marks
+    for i in range(1, len(marks)):
+        if marks[i] <= marks[i - 1]:
+            raise ValueError(f"block marks not strictly increasing: {marks[i]} after {marks[i - 1]}")
     if marks and not 0 <= min(marks) <= max(marks) < len(pos):
         raise ValueError(f"block marks {min(marks)}..{max(marks)} outside ticks 0..{len(pos) - 1}")
     for t in range(len(pos)):
@@ -213,14 +216,14 @@ def test_verify_matches_per_tick_reference_on_mutated_runs(request, host, engine
         got = outcome(check_avoidance, g, bad)
         assert got == outcome(per_tick_check_avoidance, g, bad), trial
         if isinstance(got, str):
-            assert "outside ticks" in got, got
+            assert "outside ticks" in got or "not strictly increasing" in got, got
             refused += 1
         else:
             kinds.update(v.kind for v in got)
         for min_departures in (5, 30):
             assert chi_square_faithfulness(g, bad, 0.01, min_departures) == \
                 per_tick_chi_square(g, bad, 0.01, min_departures), trial
-    # marks outside the ticks were refused, and every kind of violation
+    # marks out of order or outside the ticks were refused, and every kind of violation
     # this engine can show was produced
     assert refused
     assert kinds == {"collision_same_tick", "non_edge_step"} | (
@@ -230,7 +233,7 @@ def test_verify_matches_per_tick_reference_on_mutated_runs(request, host, engine
 def test_check_avoidance_reports_each_tick_of_a_repeated_fault(pet):
     # the collided state (1, 1) at ticks 1, 3 and the last, 5, is marked at 1
     bad = _planted(pet, [(0, 2), (1, 1), (0, 2), (1, 1), (0, 2), (1, 1)])
-    bad.block_marks = [4, 1]
+    bad.block_marks = [1, 4]
     got = check_avoidance(pet, bad)
     assert got == per_tick_check_avoidance(pet, bad)
     assert [(v.tick, v.kind) for v in got] == [(1, "collision_same_tick"), (3, "collision_same_tick"),
@@ -599,7 +602,8 @@ def test_check_avoidance_rejects_marks_outside_the_ticks(pet, at_end):
     # -1 read as the last tick, and a mark past the end was skipped
     traj, _ = simulate(pet, "cubic", 200, 5)
     n = len(traj.positions)
-    planted = replace(traj, block_marks=[*traj.block_marks, n if at_end else -1])
+    marks = [*traj.block_marks, n] if at_end else [-1, *traj.block_marks]
+    planted = replace(traj, block_marks=marks)
     lo, hi = (0, n) if at_end else (-1, n - 1)
     with pytest.raises(ValueError, match=rf"block marks {lo}\.\.{hi} outside ticks 0\.\.{n - 1}"):
         check_avoidance(pet, planted)

@@ -75,6 +75,9 @@ def reference_parse_trajectory(text: str) -> Trajectory:
     if not positions:
         raise ValueError("trajectory has no ticks")
     check_walkers(engine, width)
+    for i in range(1, len(marks)):
+        if marks[i] <= marks[i - 1]:
+            raise ValueError(f"block marks not strictly increasing: {marks[i]} after {marks[i - 1]}")
     if marks and not 0 <= min(marks) <= max(marks) < len(positions):
         raise ValueError(f"block marks {min(marks)}..{max(marks)} outside ticks 0..{len(positions) - 1}")
     return Trajectory(engine, int(header["seed"]), header["graph-digest"], positions, marks)

@@ -74,7 +74,6 @@ class Side:
     """One source tree's engines, graph type and generators."""
 
     def __init__(self, label: str, root: Path):
-        self.label = label
         package = load(root, f"avoidkit_{label}").__name__
         self.couplers = importlib.import_module(f"{package}.couplers")
         self.graphs = importlib.import_module(f"{package}.graphs")
